@@ -79,7 +79,7 @@ def _pn_spectrum(mat: np.ndarray) -> dict:
     return {
         "min_eig": float(evals[0]),
         "max_eig": float(evals[-1]),
-        "norm": tensorops._norm2(mat),
+        "norm": tensorops.op_norm(mat),
     }
 
 
@@ -101,7 +101,7 @@ def _suite_pn(spec: WickSpec, checks: _Checks, n: int, method: str, tol: float) 
     for name, mat in mats.items():
         checks.add("pn_spectrum", {"n": n, "method": name}, "info", **_pn_spectrum(mat))
     if len(mats) == 2:
-        residual = tensorops._norm2(mats["recursive"] - mats["coxeter"])
+        residual = tensorops.op_norm(mats["recursive"] - mats["coxeter"])
         checks.add_residual("pn_method_agreement", {"n": n}, residual, tol)
 
 
@@ -133,11 +133,6 @@ def _suite_positivity(
     strict_regime = min_eig_T > -1.0 + rank_tol
     for n in range(2, n_max + 1):
         rep = spectral.positivity_check(spec, n, rank_tol=rank_tol)
-        # kernel dimension at the classification's absolute tolerance, so the
-        # report stays consistent with "strictly positive" for tiny gaps
-        P = tensorops.build_P(T, n).mat
-        evals = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
-        dim_ker = int(np.sum(np.abs(evals) <= rank_tol))
         if not (braided and norm_ok):
             status = "inapplicable"
         elif strict_regime:
@@ -150,7 +145,7 @@ def _suite_positivity(
             status,
             min_eig=rep["min_eig"],
             classification=rep["classification"],
-            dim_ker_P=dim_ker,
+            dim_ker_P=rep["dim_ker_P"],
         )
 
 
@@ -391,10 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         args.n_max = None
     try:
         report, code = build_report(args)
-    except SpecError as exc:
-        print(f"wickfock: input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, coxeter.BraidConditionError) as exc:
+    except ValueError as exc:  # SpecError and BraidConditionError included
         print(f"wickfock: input error: {exc}", file=sys.stderr)
         return 2
 
@@ -410,3 +402,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:  # pragma: no cover - console-script shim
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

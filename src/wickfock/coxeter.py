@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TensorOperator
-from .tensorops import BRAID_TOL, _amp, _norm2, braid_residual, build_P, build_U
+from .tensorops import BRAID_TOL, apply_slots, braid_residual, build_P, build_U, op_norm, word_product
 
 __all__ = [
     "BraidConditionError",
@@ -143,11 +143,7 @@ def phi(T: TensorOperator, element: CoxeterElement, n: int, force: bool = False)
     if len(element.perm) != n + 1:
         raise ValueError(f"element of S_{len(element.perm)} does not match n={n}")
     _gate_braid(T, force)
-    level = n + 1
-    acc = np.eye(T.d**level, dtype=np.complex128)
-    for i in element.word:
-        acc = acc @ _amp(T, i, level)
-    return TensorOperator(T.d, level, acc)
+    return word_product(T, element.word, n + 1)
 
 
 def phi_table(
@@ -156,20 +152,18 @@ def phi_table(
     """phi on all of S_{n+1} by dynamic programming along the weak order.
 
     Each element of length >= 1 is reached from the shorter element obtained
-    by peeling its smallest descent, so one matrix multiply per group
+    by peeling its smallest descent, so one application of T_i per group
     element reproduces the canonical-word products.
     """
     _gate_braid(T, force)
-    level = n + 1
     d = T.d
-    amps = {i: _amp(T, i, level) for i in range(1, n + 1)}
     table: dict[tuple[int, ...], np.ndarray] = {}
     for el in enumerate_group(n):
         if el.length == 0:
-            table[el.perm] = np.eye(d**level, dtype=np.complex128)
+            table[el.perm] = np.eye(d ** (n + 1), dtype=np.complex128)
         else:
             i = _descents(el.perm)[0]
-            table[el.perm] = table[_apply_right(el.perm, i)] @ amps[i]
+            table[el.perm] = apply_slots(T.mat, d, i, table[_apply_right(el.perm, i)])
     return table
 
 
@@ -276,11 +270,9 @@ def euler_solomon_residual(T: TensorOperator, n: int, force: bool = False) -> fl
 
     eye = np.eye(dim, dtype=np.complex128)
     sigma0 = table[longest_element(n)]
-    group_total = np.zeros((dim, dim), dtype=np.complex128)
-    for el in elements:
-        group_total = group_total + table[el.perm]
+    group_total = _sum_from_table(d, level, table, elements).mat
 
     sign_S = -1.0 if n % 2 else 1.0
     rhs4 = -sign_S * eye + sigma0 - group_total
     rhs5 = -sign_S * eye + build_U(T, n).mat - build_P(T, level).mat
-    return max(_norm2(lhs4 - rhs4), _norm2(lhs5 - rhs5))
+    return max(op_norm(lhs4 - rhs4), op_norm(lhs5 - rhs5))

@@ -13,6 +13,7 @@ the conversion happens only in :func:`load_spec` / :func:`to_document`.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -132,6 +133,8 @@ def _as_positive_int(value: Any, name: str) -> int:
 def _as_float(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f'"{name}" must be a number, got {value!r}')
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int beyond the float range
+        raise SpecError(f'"{name}" must be finite, got {value!r}')
     return float(value)
 
 

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
-from .model import SpecError, WickSpec
+from .model import SpecError, WickSpec, _as_float
 
 __all__ = [
     "Letter",
@@ -141,9 +141,10 @@ def parse_word_expr(text: str, d: int) -> FreePolynomial:
         if not isinstance(entries, list):
             raise SpecError("word expression JSON must be an array")
         for pos, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "word" not in entry:
-                raise SpecError(f'word expression entry {pos} must be an object with "word"')
-            coeff = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            if not isinstance(entry, dict) or not isinstance(entry.get("word"), str):
+                raise SpecError(f'word expression entry {pos} needs a "word" string')
+            re_part = _as_float(entry.get("re", 0.0), "re")
+            coeff = complex(re_part, _as_float(entry.get("im", 0.0), "im"))
             word = parse_word(entry["word"])
             poly[word] = poly.get(word, 0j) + coeff
     else:

@@ -20,14 +20,13 @@ import numpy as np
 
 from .model import TensorOperator, WickSpec, build_T
 from .tensorops import (
-    BRAID_TOL,
-    _amp,
-    _norm2,
+    apply_slots,
     braid_residual,
     build_P,
     build_R,
     build_U,
-    chain,
+    op_norm,
+    word_product,
 )
 
 __all__ = [
@@ -96,8 +95,8 @@ def kernel(A: TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
     order, so the basis is deterministic for a given input.
     """
     m = A.mat
-    scale = max(1.0, _norm2(m))
-    defect = _norm2(m - m.conj().T)
+    scale = max(1.0, op_norm(m))
+    defect = op_norm(m - m.conj().T)
     if defect > SELFADJOINT_TOL * scale:
         raise ValueError(
             f"operator is not self-adjoint: defect {defect:.3e} at scale {scale:.3e}"
@@ -136,7 +135,7 @@ def subspace_sum(parts: list[Subspace], rank_tol: float = RANK_TOL) -> Subspace:
 def subspace_distance(a: Subspace, b: Subspace) -> float:
     """|| Pi_A - Pi_B ||_2; zero iff the subspaces coincide, at most one."""
     _check_same_space(a, b)
-    return _norm2(a.projector() - b.projector())
+    return op_norm(a.projector() - b.projector())
 
 
 def subspace_intersection(a: Subspace, b: Subspace, rank_tol: float = RANK_TOL) -> Subspace:
@@ -149,7 +148,7 @@ def subspace_intersection(a: Subspace, b: Subspace, rank_tol: float = RANK_TOL) 
 
 def _hypotheses(T: TensorOperator, tol: float) -> dict:
     br = braid_residual(T)
-    norm_T = _norm2(T.mat)
+    norm_T = op_norm(T.mat)
     return {
         "braid_residual": br,
         "norm_T": norm_T,
@@ -180,12 +179,12 @@ def kernel_theorem_check(
     eye = np.eye(T.d**level, dtype=np.complex128)
     parts = []
     for k in range(1, level):
-        onePT = TensorOperator(T.d, level, eye + _amp(T, k, level))
+        onePT = TensorOperator(T.d, level, eye + word_product(T, (k,), level).mat)
         parts.append(kernel(onePT, rank_tol))
     sum_space = subspace_sum(parts, rank_tol)
 
     distance = subspace_distance(ker_P, sum_space)
-    margin = _norm2(P.mat @ sum_space.basis) if sum_space.dim else 0.0
+    margin = op_norm(P.mat @ sum_space.basis) if sum_space.dim else 0.0
     report = {
         "level": level,
         "hypotheses": hyp,
@@ -201,7 +200,9 @@ def kernel_theorem_check(
 
 def positivity_check(spec: WickSpec, n: int, rank_tol: float = RANK_TOL) -> dict:
     """Minimum eigenvalue of the symmetrized P_n with its classification:
-    strictly positive, positive semidefinite, or indefinite."""
+    strictly positive, positive semidefinite, or indefinite.  ``dim_ker_P``
+    counts the eigenvalues within the absolute tolerance rank_tol, the same
+    threshold the classification uses, so the two stay consistent."""
     T = build_T(spec)
     P = build_P(T, n).mat
     evals = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
@@ -212,7 +213,8 @@ def positivity_check(spec: WickSpec, n: int, rank_tol: float = RANK_TOL) -> dict
         classification = "positive semidefinite"
     else:
         classification = "indefinite"
-    return {"level": n, "min_eig": min_eig, "classification": classification}
+    dim_ker = int(np.sum(np.abs(evals) <= rank_tol))
+    return {"level": n, "min_eig": min_eig, "classification": classification, "dim_ker_P": dim_ker}
 
 
 def un_checks(spec: WickSpec, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL) -> dict:
@@ -226,12 +228,12 @@ def un_checks(spec: WickSpec, n: int, rank_tol: float = RANK_TOL, tol: float = C
     P = build_P(T, level)
     proj = kernel(P, rank_tol).projector()
     eye = np.eye(T.d**level, dtype=np.complex128)
-    invariance = _norm2((eye - proj) @ U @ proj)
+    invariance = op_norm((eye - proj) @ U @ proj)
     commutation = 0.0
     for k in range(1, n + 1):
-        tk = _amp(T, k, level)
-        tmirror = _amp(T, n + 1 - k, level)
-        commutation = max(commutation, _norm2(tk @ U - U @ tmirror))
+        tk_U = apply_slots(T.mat, T.d, k, U, left=True)
+        U_tmirror = apply_slots(T.mat, T.d, n + 1 - k, U)
+        commutation = max(commutation, op_norm(tk_U - U_tmirror))
     return {
         "level": level,
         "invariance_residual": invariance,
@@ -268,26 +270,25 @@ def wick_ideal_checks(
     ker_P = kernel(P_n, rank_tol)
     ker_R = nullspace_svd(R_n, rank_tol)
 
-    chain_n = chain(T, n, n + 1).mat
+    chain_n = word_product(T, range(1, n + 1), n + 1).mat
     annihilation = 0.0
     coaction = 0.0
     if ker_P.dim:
         RX = R_n.mat @ ker_P.basis
         for i in range(d):
-            annihilation = max(annihilation, _norm2(P_nm1 @ _mu_columns(d, i, RX)))
+            annihilation = max(annihilation, op_norm(P_nm1 @ _mu_columns(d, i, RX)))
         for k in range(d):
             ek = np.zeros(d, dtype=np.complex128)
             ek[k] = 1.0
             Xk = np.kron(ker_P.basis, ek.reshape(d, 1))
             CXk = chain_n @ Xk
             for i in range(d):
-                coaction = max(coaction, _norm2(P_n.mat @ _mu_columns(d, i, CXk)))
+                coaction = max(coaction, op_norm(P_n.mat @ _mu_columns(d, i, CXk)))
 
-    eye_d = np.eye(d, dtype=np.complex128)
-    intertwining = _norm2(
-        np.kron(eye_d, P_n.mat) @ chain_n - chain_n @ np.kron(P_n.mat, eye_d)
+    intertwining = op_norm(
+        apply_slots(P_n.mat, d, 2, chain_n, left=True) - apply_slots(P_n.mat, d, 1, chain_n)
     )
-    kerR_margin = _norm2(P_n.mat @ ker_R.basis) if ker_R.dim else 0.0
+    kerR_margin = op_norm(P_n.mat @ ker_R.basis) if ker_R.dim else 0.0
 
     ok = max(annihilation, coaction, intertwining, kerR_margin) <= tol
     return {
@@ -320,9 +321,10 @@ def kernel_1mU2_diag(
 
     residual = 0.0
     if inter.dim:
+        T2 = T.mat @ T.mat
         for k in range(1, n + 1):
-            tk = _amp(T, k, level)
-            residual = max(residual, _norm2((eye - tk @ tk) @ inter.basis))
+            tk2_basis = apply_slots(T2, T.d, k, inter.basis, left=True)
+            residual = max(residual, op_norm(inter.basis - tk2_basis))
     return {
         "level": level,
         "dim_ker_1mU2": ker_U.dim,

@@ -8,6 +8,10 @@ Everything here is assembled from the level-2 operator by amplification
     P_2  = R_2,   P_{n+1} = (1 (x) P_n) R_{n+1}
     U_n  = (T_1 ... T_n)(T_1 ... T_{n-1}) ... (T_1 T_2) T_1
 
+Every product of amplified operators goes through :func:`apply_slots`, which
+applies ``1 (x) op (x) 1`` from either side by a reshape and a matmul, never
+forming it; :func:`word_product` loops it over a word in the T_i.
+
 Products and sums accumulate left to right in exactly this written order so
 residuals are bit-reproducible run to run.  Matrices are dense; desk scale
 is d <= 3, level <= 6.
@@ -22,6 +26,8 @@ from .model import TensorOperator
 __all__ = [
     "op_norm",
     "amplify",
+    "apply_slots",
+    "word_product",
     "braid_residual",
     "is_braided",
     "build_R",
@@ -29,7 +35,6 @@ __all__ = [
     "build_P",
     "build_PDm",
     "build_U",
-    "chain",
     "factorization_check",
     "telescoping_residual",
 ]
@@ -37,29 +42,19 @@ __all__ = [
 BRAID_TOL = 1e-8
 
 
-def _norm2(m: np.ndarray) -> float:
+def op_norm(op: TensorOperator | np.ndarray) -> float:
     """Operator norm: largest singular value, via eigendecomposition of the
     self-adjoint square m^H m."""
+    m = op.mat if isinstance(op, TensorOperator) else np.asarray(op)
     if m.size == 0:
         return 0.0
     ev = np.linalg.eigvalsh(m.conj().T @ m)
     return float(np.sqrt(max(ev[-1], 0.0)))
 
 
-def op_norm(op: TensorOperator | np.ndarray) -> float:
-    return _norm2(op.mat if isinstance(op, TensorOperator) else np.asarray(op))
-
-
 def _require_level2(T: TensorOperator) -> None:
     if T.level != 2:
         raise ValueError(f"expected a level-2 operator, got level {T.level}")
-
-
-def _amp(T: TensorOperator, i: int, n: int) -> np.ndarray:
-    d = T.d
-    left = np.eye(d ** (i - 1), dtype=np.complex128)
-    right = np.eye(d ** (n - i - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, T.mat), right)
 
 
 def amplify(T: TensorOperator, i: int, n: int) -> TensorOperator:
@@ -70,15 +65,42 @@ def amplify(T: TensorOperator, i: int, n: int) -> TensorOperator:
         raise ValueError(f"amplification needs level n >= 2, got {n}")
     if not 1 <= i <= n - 1:
         raise ValueError(f"position i={i} out of range 1..{n - 1}")
-    return TensorOperator(T.d, n, _amp(T, i, n))
+    d = T.d
+    left = np.eye(d ** (i - 1), dtype=np.complex128)
+    right = np.eye(d ** (n - i - 1), dtype=np.complex128)
+    return TensorOperator(d, n, np.kron(np.kron(left, T.mat), right))
+
+
+def apply_slots(op: np.ndarray, d: int, i: int, X: np.ndarray, left: bool = False) -> np.ndarray:
+    """X (1 (x) op (x) 1), or (1 (x) op (x) 1) X with ``left=True``, where
+    the square ``op`` acts on the consecutive slots of H^(x)level starting at
+    slot i (1-based) and the level is read off X.
+
+    X is viewed as a stack of (slots acted on) x (trailing slots) blocks, and
+    op is applied to every block with one matmul.
+    """
+    k = op.shape[0]
+    dim = X.shape[0] if left else X.shape[1]
+    if i < 1 or dim % (d ** (i - 1) * k):
+        raise ValueError(f"a {k}x{k} operator at slot {i} does not fit dimension {dim}")
+    if left:
+        return (op @ X.reshape(d ** (i - 1), k, -1)).reshape(X.shape)
+    return (op.T @ X.reshape(X.shape[0] * d ** (i - 1), k, -1)).reshape(X.shape)
+
+
+def word_product(T: TensorOperator, word, level: int) -> TensorOperator:
+    """T_{w_1} T_{w_2} ... T_{w_k} on H^(x)level, multiplied left to right
+    starting from the identity (the identity for the empty word)."""
+    _require_level2(T)
+    acc = np.eye(T.d**level, dtype=np.complex128)
+    for i in word:
+        acc = apply_slots(T.mat, T.d, i, acc)
+    return TensorOperator(T.d, level, acc)
 
 
 def braid_residual(T: TensorOperator) -> float:
     """|| T_1 T_2 T_1 - T_2 T_1 T_2 ||_2 on H^(x)3."""
-    _require_level2(T)
-    t1 = _amp(T, 1, 3)
-    t2 = _amp(T, 2, 3)
-    return _norm2(t1 @ t2 @ t1 - t2 @ t1 @ t2)
+    return op_norm(word_product(T, (1, 2, 1), 3).mat - word_product(T, (2, 1, 2), 3).mat)
 
 
 def is_braided(T: TensorOperator, tol: float = BRAID_TOL) -> bool:
@@ -91,12 +113,10 @@ def build_R(T: TensorOperator, n: int) -> TensorOperator:
     if n < 0:
         raise ValueError(f"level n must be >= 0, got {n}")
     d = T.d
-    total = np.eye(d**n, dtype=np.complex128)
-    if n >= 2:
-        term = np.eye(d**n, dtype=np.complex128)
-        for i in range(1, n):
-            term = term @ _amp(T, i, n)
-            total = total + term
+    total = term = np.eye(d**n, dtype=np.complex128)
+    for i in range(1, n):
+        term = apply_slots(T.mat, d, i, term)
+        total = total + term
     return TensorOperator(d, n, total)
 
 
@@ -107,10 +127,9 @@ def build_Rtilde(T: TensorOperator, k: int, n: int) -> TensorOperator:
     if not 2 <= k <= n:
         raise ValueError(f"position k={k} out of range 2..{n}")
     d = T.d
-    total = np.eye(d**n, dtype=np.complex128)
-    term = np.eye(d**n, dtype=np.complex128)
+    total = term = np.eye(d**n, dtype=np.complex128)
     for j in range(k - 1, 0, -1):
-        term = _amp(T, j, n) @ term
+        term = apply_slots(T.mat, d, j, term, left=True)
         total = total + term
     return TensorOperator(d, n, total)
 
@@ -130,7 +149,7 @@ def build_P(T: TensorOperator, n: int) -> TensorOperator:
         return TensorOperator(d, n, np.eye(d**n, dtype=np.complex128))
     P = np.eye(d, dtype=np.complex128)
     for m in range(2, n + 1):
-        P = np.kron(np.eye(d, dtype=np.complex128), P) @ build_R(T, m).mat
+        P = apply_slots(P, d, 2, build_R(T, m).mat, left=True)
     return TensorOperator(d, n, P)
 
 
@@ -151,26 +170,9 @@ def build_PDm(T: TensorOperator, n: int, m: int) -> TensorOperator:
     return TensorOperator(d, level, acc)
 
 
-def chain(T: TensorOperator, m: int, level: int) -> TensorOperator:
-    """The product T_1 T_2 ... T_m amplified into the given level
-    (identity when m = 0)."""
-    _require_level2(T)
-    if m < 0 or level < max(m + 1, 1):
-        raise ValueError(f"need 0 <= m < level, got m={m}, level={level}")
-    d = T.d
-    acc = np.eye(d**level, dtype=np.complex128)
-    for i in range(1, m + 1):
-        acc = acc @ _amp(T, i, level)
-    return TensorOperator(d, level, acc)
-
-
-def _U_mat(T: TensorOperator, n: int, level: int) -> np.ndarray:
-    """U_n as a matrix at an ambient level >= n+1 (U_0 = identity)."""
-    d = T.d
-    acc = np.eye(d**level, dtype=np.complex128)
-    for m in range(n, 0, -1):
-        acc = acc @ chain(T, m, level).mat
-    return acc
+def _longest_word(n: int) -> tuple[int, ...]:
+    """The word (1 ... n)(1 ... n-1) ... (1 2)(1) of U_n (empty for n = 0)."""
+    return tuple(i for m in range(n, 0, -1) for i in range(1, m + 1))
 
 
 def build_U(T: TensorOperator, n: int) -> TensorOperator:
@@ -182,7 +184,7 @@ def build_U(T: TensorOperator, n: int) -> TensorOperator:
     _require_level2(T)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return TensorOperator(T.d, n + 1, _U_mat(T, n, n + 1))
+    return word_product(T, _longest_word(n), n + 1)
 
 
 def factorization_check(
@@ -209,12 +211,9 @@ def factorization_check(
         "braid_residual": br,
         "braided": br <= BRAID_TOL,
     }
-    d = T.d
     if m is not None:
         lhs = build_P(T, n + m).mat
-        rhs = build_PDm(T, n, m).mat @ np.kron(
-            build_P(T, m).mat, np.eye(d**n, dtype=np.complex128)
-        )
+        rhs = apply_slots(build_P(T, m).mat, T.d, 1, build_PDm(T, n, m).mat)
         report["kind"] = "P(Dm)(Pm x 1)"
         report["params"] = {"n": n, "m": m}
     else:
@@ -228,7 +227,7 @@ def factorization_check(
         )
         report["kind"] = "P(DJ)P(WJ)"
         report["params"] = {"n": n, "J": sorted(J)}
-    report["residual"] = _norm2(lhs - rhs)
+    report["residual"] = op_norm(lhs - rhs)
     return report
 
 
@@ -245,19 +244,18 @@ def telescoping_residual(T: TensorOperator, n: int) -> float:
     d = T.d
     level = n + 1
     eye = np.eye(d**level, dtype=np.complex128)
-    Un = _U_mat(T, n, level)
-    lhs = eye - Un @ Un
 
-    def reversed_chain(m: int) -> np.ndarray:
-        acc = np.eye(d**level, dtype=np.complex128)
+    def sandwich(m: int, inner: np.ndarray) -> np.ndarray:
+        """T_1 ... T_m inner T_m ... T_1."""
         for i in range(m, 0, -1):
-            acc = acc @ _amp(T, i, level)
-        return acc
+            inner = apply_slots(T.mat, d, i, apply_slots(T.mat, d, i, inner), left=True)
+        return inner
 
+    Un = word_product(T, _longest_word(n), level).mat
+    lhs = eye - Un @ Un
     rhs = np.zeros_like(eye)
     for k in range(1, n + 1):
-        tk = _amp(T, k, level)
-        rhs = rhs + chain(T, k - 1, level).mat @ (eye - tk @ tk) @ reversed_chain(k - 1)
-    Um1 = _U_mat(T, n - 1, level)
-    rhs = rhs + chain(T, n, level).mat @ (eye - Um1 @ Um1) @ reversed_chain(n)
-    return _norm2(lhs - rhs)
+        rhs = rhs + sandwich(k - 1, eye - word_product(T, (k, k), level).mat)
+    Um1 = word_product(T, _longest_word(n - 1), level).mat
+    rhs = rhs + sandwich(n, eye - Um1 @ Um1)
+    return op_norm(lhs - rhs)

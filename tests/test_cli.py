@@ -1,6 +1,10 @@
 """Exit codes, report schema, and determinism of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,23 @@ def test_inner_rejects_bad_expression(qccr_path):
     assert (
         cli.main(["inner", "--spec", qccr_path, "--x", "a1*", "--y", "a1"]) == 2
     )
+    for bad in ('[{"re": null, "word": "a1"}]', '[{"word": 5}]'):
+        assert cli.main(["inner", "--spec", qccr_path, "--x", bad, "--y", "a1"]) == 2
+
+
+def test_module_entry_point_writes_report():
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wickfock.cli", "check", "--spec", "specs/free_d2.json"],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["overall"] == "pass"
 
 
 def test_full_on_free_spec_is_vacuous_pass(tmp_path):

@@ -56,6 +56,9 @@ def test_load_accepts_complex_pair_with_partner():
         ('{"d":2,"coefficients":[{"j":1,"k":1,"l":1,"re":1,"im":0}]}', 'missing "i"'),
         ('{"d":1,"preset":{"name":"nope"}}', "unknown preset"),
         ('{"d":2,"coefficients":[],"w":1}', "unknown top-level"),
+        ('{"d":1,"coefficients":[{"i":1,"j":1,"k":1,"l":1,"re":NaN,"im":0}]}', "finite"),
+        ('{"d":2,"preset":{"name":"q-ccr","q":-Infinity}}', "finite"),
+        ('{"d":2,"preset":{"name":"q-ccr","q":1' + "0" * 400 + "}}", "finite"),
     ],
 )
 def test_load_rejects_malformed_documents(doc, message):

@@ -168,9 +168,11 @@ def test_kernel_equality_across_dimensions():
 def test_positivity_classifications():
     rep = spectral.positivity_check(qccr(2, 0.5), 4)
     assert rep["classification"] == "strictly positive"
+    assert rep["dim_ker_P"] == 0
     rep = spectral.positivity_check(qccr(2, 1.0), 3)
     assert rep["classification"] == "positive semidefinite"
     assert abs(rep["min_eig"]) <= 1e-10
+    assert rep["dim_ker_P"] == 2**3 - 4  # oracle: complement of Sym^3(C^2)
     rep = spectral.positivity_check(qccr(1, -1.0), 2)
     assert rep["classification"] == "positive semidefinite"
     assert abs(rep["min_eig"]) <= 1e-15

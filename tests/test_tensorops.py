@@ -64,6 +64,58 @@ def test_amplify_position_errors():
         tensorops.amplify(T, 3, 3)
     with pytest.raises(ValueError):
         tensorops.amplify(TensorOperator.identity(2, 3), 1, 4)
+    with pytest.raises(ValueError):
+        tensorops.apply_slots(T.mat, 2, 0, np.eye(8))
+    with pytest.raises(ValueError):
+        tensorops.apply_slots(T.mat, 2, 3, np.eye(8))
+
+
+def _rel_err(got: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.linalg.norm(got - expected) / max(1.0, np.linalg.norm(expected)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_apply_slots_and_word_product_match_kron_products(d):
+    # Every preset T is real symmetric, so a transpose or adjoint slip in the
+    # slot contraction would pass the preset tests; a random complex,
+    # non-Hermitian, non-braided T does not.  Reference: products of the
+    # explicit Kronecker amplifications.
+    rng = np.random.default_rng(d)
+
+    def crandn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    T = TensorOperator(d, 2, crandn(d * d, d * d) / (2 * d))
+    assert tensorops.op_norm(T.mat - T.mat.conj().T) > 0.1 or d == 1
+    tol = 1e-12  # float64 rounding over at most ten factors of size <= 3^5
+    for level in range(2, 6):
+        dim = d**level
+        X = crandn(dim, dim)
+        tall = crandn(dim, 3)
+        for i in range(1, level):
+            Ti = tensorops.amplify(T, i, level).mat
+            assert _rel_err(tensorops.apply_slots(T.mat, d, i, X), X @ Ti) <= tol
+            assert _rel_err(tensorops.apply_slots(T.mat, d, i, X, left=True), Ti @ X) <= tol
+            assert _rel_err(tensorops.apply_slots(T.mat, d, i, tall, left=True), Ti @ tall) <= tol
+        word = tuple(int(i) for i in rng.integers(1, level, size=2 * level))
+        expected = np.eye(dim)
+        for i in word:
+            expected = expected @ tensorops.amplify(T, i, level).mat
+        assert _rel_err(tensorops.word_product(T, word, level).mat, expected) <= tol
+        assert np.array_equal(tensorops.word_product(T, (), level).mat, np.eye(dim))
+
+        # multi-slot operators as build_P and factorization_check use them:
+        # (1 (x) P_{level-1}) R_level and X (P_{level-1} (x) 1)
+        P = tensorops.build_P(T, level - 1).mat
+        R = tensorops.build_R(T, level).mat
+        eye_d = np.eye(d)
+        assert _rel_err(tensorops.apply_slots(P, d, 2, R, left=True), np.kron(eye_d, P) @ R) <= tol
+        assert _rel_err(tensorops.apply_slots(P, d, 1, X), X @ np.kron(P, eye_d)) <= tol
+        if level >= 4:  # a three-slot operator strictly inside the tensor power
+            op = crandn(d**3, d**3)
+            amp = np.kron(np.kron(eye_d, op), np.eye(d ** (level - 4)))
+            assert _rel_err(tensorops.apply_slots(op, d, 2, X), X @ amp) <= tol
+            assert _rel_err(tensorops.apply_slots(op, d, 2, X, left=True), amp @ X) <= tol
 
 
 def test_braid_residual_presets_and_zero():
