@@ -150,30 +150,18 @@ def _suite_positivity(
 
 
 def _suite_coxeter(spec: WickSpec, checks: _Checks, n: int, tol: float) -> None:
-    T = build_T(spec)
     try:
-        coxeter._gate_braid(T, force=False)
+        rep = coxeter.coxeter_checks(build_T(spec), n)
     except coxeter.BraidConditionError as exc:
         checks.add("coxeter_suite", {"n": n}, "inapplicable", reason=str(exc))
         return
-    residual = tensorops.op_norm(coxeter.group_sum(T, n) - tensorops.build_P(T, n + 1))
-    checks.add_residual("group_sum_agreement", {"n": n}, residual, tol)
-    for mask in range(2**n):
-        J = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        rep = tensorops.factorization_check(T, n, J=J)
+    checks.add_residual("group_sum_agreement", {"n": n}, rep["group_sum"], tol)
+    for fact in rep["factorization"]:
         checks.add_residual(
-            "factorization_DJ_WJ", {"n": n, "J": sorted(J)}, rep["residual"], tol
+            "factorization_DJ_WJ", {"n": n, "J": fact["J"]}, fact["residual"], tol
         )
-    checks.add_residual(
-        "euler_solomon", {"n": n}, coxeter.euler_solomon_residual(T, n), tol
-    )
-    el = coxeter.CoxeterElement(
-        perm=coxeter.longest_element(n),
-        length=n * (n + 1) // 2,
-        word=coxeter.reduced_word(coxeter.longest_element(n)),
-    )
-    residual = tensorops.op_norm(coxeter.phi(T, el, n) - tensorops.build_U(T, n))
-    checks.add_residual("phi_longest_vs_U", {"n": n}, residual, tol)
+    checks.add_residual("euler_solomon", {"n": n}, rep["euler_solomon"], tol)
+    checks.add_residual("phi_longest_vs_U", {"n": n}, rep["longest_vs_U"], tol)
 
 
 def _suite_un(spec: WickSpec, checks: _Checks, n: int, rank_tol: float, tol: float) -> None:
@@ -221,15 +209,12 @@ def _suite_rewrite_cross(spec: WickSpec, checks: _Checks, max_degree: int, tol: 
         for deg in range(max_degree + 1)
         for w in itertools.product(range(d), repeat=deg)
     ]
+    vectors = {w: rewrite.creation_vector({w: 1.0 + 0j}, d, N) for w in words}
     worst = 0.0
     for wx in words:
-        X = {wx: 1.0 + 0j}
-        gx = rewrite.creation_vector(X, d, N)
         for wy in words:
-            Y = {wy: 1.0 + 0j}
-            gy = rewrite.creation_vector(Y, d, N)
-            diff = abs(rewrite.inner_via_f(spec, X, Y) - fock.fock_inner(spec, gx, gy))
-            worst = max(worst, diff)
+            via_f = rewrite.inner_via_f(spec, {wx: 1.0 + 0j}, {wy: 1.0 + 0j})
+            worst = max(worst, abs(via_f - fock.fock_inner(spec, vectors[wx], vectors[wy])))
     checks.add_residual("rewrite_fock_agreement", {"max_degree": max_degree}, worst, tol)
 
 
@@ -251,6 +236,8 @@ def _suite_wick_ideal(spec: WickSpec, checks: _Checks, n: int, rank_tol: float, 
 
 def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     """Run the requested command; return (report, exit_code)."""
+    if args.n_max is not None and args.n_max < 2:
+        raise ValueError(f"--n-max must be >= 2, the first level with a check; got {args.n_max}")
     spec = load_spec_file(args.spec)
     checks = _Checks()
     tol = args.tol

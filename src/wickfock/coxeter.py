@@ -10,6 +10,14 @@ product T_{i_1} ... T_{i_k}; it is well defined only when T satisfies the
 braid condition, so every evaluation is gated on the braid residual unless
 explicitly forced.
 
+Every operator sum over the group comes from one walk of S_{n+1}:
+:func:`descent_sums` adds each phi(w) into one of 2^n buckets keyed by the
+descent set of w.  The group sum P(S_{n+1}), every descent-class sum P(D_J)
+and both sides of the Euler-Solomon identity are sums of buckets, which
+:func:`coxeter_checks` compares against the independent product
+constructions of P_{n+1}, U_n and P(W_J).  :func:`phi` evaluates a single
+element along its canonical reduced word and is the reference for the walk.
+
 >>> reduced_word((3, 2, 1))
 (1, 2, 1)
 >>> [e.length for e in enumerate_group(2)]
@@ -29,22 +37,21 @@ from .tensorops import BRAID_TOL, apply_slots, braid_residual, build_P, build_U,
 __all__ = [
     "BraidConditionError",
     "CoxeterElement",
-    "DescentData",
     "MAX_RANK",
+    "MAX_WALK_BYTES",
     "enumerate_group",
     "reduced_word",
     "inversion_count",
     "compose",
     "longest_element",
     "phi",
-    "phi_table",
+    "descent_sums",
     "group_sum",
-    "descent_data",
-    "partial_sum",
-    "euler_solomon_residual",
+    "coxeter_checks",
 ]
 
 MAX_RANK = 6  # guard: S_7 has 5040 elements
+MAX_WALK_BYTES = 2 * 1024**3  # fixed guard on the matrices one walk keeps live
 
 
 class BraidConditionError(ValueError):
@@ -146,133 +153,107 @@ def phi(T: TensorOperator, element: CoxeterElement, n: int, force: bool = False)
     return word_product(T, element.word, n + 1)
 
 
-def phi_table(
-    T: TensorOperator, n: int, force: bool = False
-) -> dict[tuple[int, ...], np.ndarray]:
-    """phi on all of S_{n+1} by dynamic programming along the weak order.
+def descent_sums(T: TensorOperator, n: int, force: bool = False) -> list[np.ndarray]:
+    """Sums of phi over the descent classes of S_{n+1}: ``sums[mask]`` adds
+    phi(w) over the w whose descent set is {i : bit i-1 of mask}.
 
-    Each element of length >= 1 is reached from the shorter element obtained
-    by peeling its smallest descent, so one application of T_i per group
-    element reproduces the canonical-word products.
+    One depth-first walk of the canonical-word tree: each element of length
+    >= 1 is reached from the shorter element obtained by peeling its
+    smallest descent, so one application of T_i per group element
+    reproduces the canonical-word products, and only the 2^n buckets and the
+    products along the current path are live.  Refused before allocating
+    when those matrices, with the sum and P_{n+1}/U_n beside them, would
+    exceed MAX_WALK_BYTES.
     """
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
+    dim = T.d ** (n + 1)
+    need = (2**n + n * (n + 1) // 2 + 3) * dim * dim * 16
+    if need > MAX_WALK_BYTES:
+        raise ValueError(
+            f"the Coxeter sums at rank n={n}, d={T.d} need about {need} bytes, "
+            f"over the {MAX_WALK_BYTES} byte guard"
+        )
     _gate_braid(T, force)
-    d = T.d
-    table: dict[tuple[int, ...], np.ndarray] = {}
-    for el in enumerate_group(n):
-        if el.length == 0:
-            table[el.perm] = np.eye(d ** (n + 1), dtype=np.complex128)
-        else:
-            i = _descents(el.perm)[0]
-            table[el.perm] = apply_slots(T.mat, d, i, table[_apply_right(el.perm, i)])
-    return table
+    sums = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(2**n)]
 
+    def visit(perm: tuple[int, ...], mat: np.ndarray) -> None:
+        sums[sum(1 << (i - 1) for i in _descents(perm))] += mat
+        for i in range(1, n + 1):
+            if perm[i - 1] < perm[i]:
+                child = _apply_right(perm, i)
+                if _descents(child)[0] == i:
+                    visit(child, apply_slots(T.mat, T.d, i, mat))
 
-def _sum_from_table(
-    d: int, level: int, table: dict[tuple[int, ...], np.ndarray], elements
-) -> TensorOperator:
-    total = np.zeros((d**level, d**level), dtype=np.complex128)
-    for el in elements:
-        total = total + table[el.perm]
-    return TensorOperator(d, level, total)
+    visit(tuple(range(1, n + 2)), np.eye(dim, dtype=np.complex128))
+    return sums
 
 
 def group_sum(T: TensorOperator, n: int, force: bool = False) -> TensorOperator:
-    """P(S_{n+1}) = sum of phi over the whole group, in canonical enumeration
-    order; equals the recursive P_{n+1} for braided T."""
-    table = phi_table(T, n, force=force)
-    return _sum_from_table(T.d, n + 1, table, enumerate_group(n))
+    """P(S_{n+1}) = sum of phi over the whole group; equals the recursive
+    P_{n+1} for braided T."""
+    return TensorOperator(T.d, n + 1, sum(descent_sums(T, n, force=force)))
 
 
-@dataclass(frozen=True)
-class DescentData:
-    """A subset J of generators with its descent class and parabolic subgroup.
-
-    D_J holds the elements lengthened by every s in J; W_J is the subgroup
-    generated by J.  Every group element factors uniquely as d * w with
-    d in D_J, w in W_J.
-    """
-
-    n: int
-    J: frozenset[int]
-    D_J: tuple[CoxeterElement, ...]
-    W_J: tuple[CoxeterElement, ...]
-
-
-def descent_data(n: int, J) -> DescentData:
-    """Descent class and parabolic subgroup for J a subset of {1, ..., n}."""
-    Jset = frozenset(J)
-    for s in Jset:
-        if not 1 <= s <= n:
-            raise ValueError(f"generator index {s} out of range 1..{n}")
-    elements = enumerate_group(n)
-    D = tuple(el for el in elements if all(s not in _descents(el.perm) for s in Jset))
-    W = tuple(el for el in elements if _in_parabolic(el.perm, Jset))
-    return DescentData(n=n, J=Jset, D_J=D, W_J=W)
+def _young_sum(T: TensorOperator, n: int, J: int) -> np.ndarray:
+    """P(W_J) for the generator set J (a bit mask), built independently of
+    the walk: W_J is the Young subgroup of the blocks of consecutive slots
+    that J joins (slots s, s+1 share a block iff s is in J), so P(W_J) is
+    the tensor product of the block P_b."""
+    acc = np.eye(T.d ** (n + 1), dtype=np.complex128)
+    start = 1
+    for s in range(1, n + 2):
+        if not J >> (s - 1) & 1:  # bit n is never set: the last block closes at slot n+1
+            if s > start:
+                acc = apply_slots(build_P(T, s - start + 1).mat, T.d, start, acc, left=True)
+            start = s + 1
+    return acc
 
 
-def _in_parabolic(perm: tuple[int, ...], J: frozenset[int]) -> bool:
-    """Membership in W_J: the permutation moves points only within the
-    maximal consecutive blocks carved out by J (points s, s+1 share a block
-    iff s is in J)."""
-    size = len(perm)
-    block = [0] * size
-    for p in range(1, size):
-        block[p] = block[p - 1] if p in J else block[p - 1] + 1
-    return all(block[x] == block[perm[x] - 1] for x in range(size))
+def coxeter_checks(T: TensorOperator, n: int, force: bool = False) -> dict:
+    """Every Coxeter identity at rank n from one walk of S_{n+1}, as operator
+    norm residuals on H^(x)(n+1):
 
+    - ``group_sum``: P(S_{n+1}) against the recursive P_{n+1};
+    - ``factorization``: per J (in mask order), P_{n+1} against
+      P(D_J) P(W_J), where D_J holds the elements with no descent in J;
+    - ``euler_solomon``: over proper nonempty J, with sigma_0 the longest
+      element (the only one with every descent),
 
-def partial_sum(T: TensorOperator, elements, force: bool = False) -> TensorOperator:
-    """Sum of phi over an arbitrary list of elements of one group S_{n+1}."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("cannot infer the group from an empty element list")
-    sizes = {len(el.perm) for el in elements}
-    if len(sizes) != 1:
-        raise ValueError(f"elements come from different groups: sizes {sorted(sizes)}")
-    n = sizes.pop() - 1
-    table = phi_table(T, n, force=force)
-    return _sum_from_table(T.d, n + 1, table, elements)
+          sum_J (-1)^|J| P(D_J)   = -(-1)^n 1 + phi(sigma_0) - P(S_{n+1})
+          sum_J (-1)^|J| P(D_J)^* =  (-1)^(n+1) 1 + U_n - P_{n+1}
 
-
-def euler_solomon_residual(T: TensorOperator, n: int, force: bool = False) -> float:
-    """Max residual of the quasimultiplicative Euler-Solomon identity and its
-    adjoint form on H^(x)(n+1).
-
-    Over proper nonempty subsets J of the generator set S (|S| = n):
-
-        sum_J (-1)^|J| P(D_J)   = -(-1)^n 1 + phi(sigma_0) - P(S_{n+1})
-        sum_J (-1)^|J| P(D_J)^* =  (-1)^(n+1) 1 + U_n - P_{n+1}
-
-    The first right side uses the phi table, the second uses the independent
-    product constructions of U_n and P_{n+1}.
+      the larger of the two residuals; the second right side uses the
+      independent product constructions of U_n and P_{n+1};
+    - ``longest_vs_U``: phi(sigma_0) against U_n.
     """
     if not 1 <= n <= 5:
         raise ValueError(f"rank n={n} out of guard range 1..5")
-    _gate_braid(T, force)
-    d = T.d
-    level = n + 1
-    table = phi_table(T, n, force=True)
-    elements = enumerate_group(n)
-    descent_sets = {el.perm: frozenset(_descents(el.perm)) for el in elements}
+    sums = descent_sums(T, n, force=force)
+    full = 2**n - 1
+    eye = np.eye(T.d ** (n + 1), dtype=np.complex128)
+    P = build_P(T, n + 1).mat
+    U = build_U(T, n).mat
+    total = sum(sums)
 
-    dim = d**level
-    lhs4 = np.zeros((dim, dim), dtype=np.complex128)
-    lhs5 = np.zeros((dim, dim), dtype=np.complex128)
-    for mask in range(1, 2**n - 1):
-        J = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        sign = -1.0 if bin(mask).count("1") % 2 else 1.0
-        PDJ = np.zeros((dim, dim), dtype=np.complex128)
-        for el in elements:
-            if not (J & descent_sets[el.perm]):
-                PDJ = PDJ + table[el.perm]
-        lhs4 = lhs4 + sign * PDJ
-        lhs5 = lhs5 + sign * PDJ.conj().T
+    factorization = []
+    alternating = np.zeros_like(eye)
+    for J in range(2**n):
+        PDJ = sum(sums[D] for D in range(2**n) if not D & J)
+        J_set = [s for s in range(1, n + 1) if J >> (s - 1) & 1]
+        factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ _young_sum(T, n, J))})
+        if 0 < J < full:
+            alternating = alternating + (-1.0) ** len(J_set) * PDJ
 
-    eye = np.eye(dim, dtype=np.complex128)
-    sigma0 = table[longest_element(n)]
-    group_total = _sum_from_table(d, level, table, elements).mat
-
-    sign_S = -1.0 if n % 2 else 1.0
-    rhs4 = -sign_S * eye + sigma0 - group_total
-    rhs5 = -sign_S * eye + build_U(T, n).mat - build_P(T, level).mat
-    return max(op_norm(lhs4 - rhs4), op_norm(lhs5 - rhs5))
+    sign_S = (-1.0) ** n
+    euler = max(
+        op_norm(alternating - (-sign_S * eye + sums[full] - total)),
+        op_norm(alternating.conj().T - (-sign_S * eye + U - P)),
+    )
+    return {
+        "n": n,
+        "group_sum": op_norm(total - P),
+        "factorization": factorization,
+        "euler_solomon": euler,
+        "longest_vs_U": op_norm(sums[full] - U),
+    }

@@ -10,7 +10,9 @@ Everything here is assembled from the level-2 operator by amplification
 
 Every product of amplified operators goes through :func:`apply_slots`, which
 applies ``1 (x) op (x) 1`` from either side by a reshape and a matmul, never
-forming it; :func:`word_product` loops it over a word in the T_i.
+forming it; :func:`word_product` loops it over a word in the T_i.  Sums over
+the symmetric group, and the factorization P_{n+1} = P(D_J) P(W_J), live in
+:mod:`coxeter`; this module checks only P_{n+m} = P(D_m) (P_m (x) 1_n).
 
 Products and sums accumulate left to right in exactly this written order so
 residuals are bit-reproducible run to run.  Matrices are dense; desk scale
@@ -187,48 +189,24 @@ def build_U(T: TensorOperator, n: int) -> TensorOperator:
     return word_product(T, _longest_word(n), n + 1)
 
 
-def factorization_check(
-    T: TensorOperator,
-    n: int,
-    m: int | None = None,
-    J: frozenset[int] | set[int] | None = None,
-) -> dict:
-    """Residual of one of the two product factorizations of P.
-
-    With ``m`` given:  || P_{n+m} - P(D_m) (P_m (x) 1_n) ||_2, both sides
-    built independently (recursion vs. the Rt product).
-    With ``J`` given:  || P_{n+1} - P(D_J) P(W_J) ||_2, the right side from
-    the Coxeter descent-class sums.
+def factorization_check(T: TensorOperator, n: int, m: int) -> dict:
+    """Residual || P_{n+m} - P(D_m) (P_m (x) 1_n) ||_2, both sides built
+    independently (recursion vs. the Rt product).
 
     Non-braided input is not rejected; the report flags the residual as
     unreliable instead.
     """
     _require_level2(T)
-    if (m is None) == (J is None):
-        raise ValueError("exactly one of m, J must be given")
     br = braid_residual(T)
-    report: dict = {
+    lhs = build_P(T, n + m).mat
+    rhs = apply_slots(build_P(T, m).mat, T.d, 1, build_PDm(T, n, m).mat)
+    return {
         "braid_residual": br,
         "braided": br <= BRAID_TOL,
+        "kind": "P(Dm)(Pm x 1)",
+        "params": {"n": n, "m": m},
+        "residual": op_norm(lhs - rhs),
     }
-    if m is not None:
-        lhs = build_P(T, n + m).mat
-        rhs = apply_slots(build_P(T, m).mat, T.d, 1, build_PDm(T, n, m).mat)
-        report["kind"] = "P(Dm)(Pm x 1)"
-        report["params"] = {"n": n, "m": m}
-    else:
-        from . import coxeter
-
-        data = coxeter.descent_data(n, J)
-        lhs = build_P(T, n + 1).mat
-        rhs = (
-            coxeter.partial_sum(T, data.D_J, force=True).mat
-            @ coxeter.partial_sum(T, data.W_J, force=True).mat
-        )
-        report["kind"] = "P(DJ)P(WJ)"
-        report["params"] = {"n": n, "J": sorted(J)}
-    report["residual"] = op_norm(lhs - rhs)
-    return report
 
 
 def telescoping_residual(T: TensorOperator, n: int) -> float:

@@ -25,6 +25,25 @@ def free_spec(d: int = 2) -> model.WickSpec:
     return model.load_spec({"d": d, "coefficients": []})
 
 
+def twisted_flip(d: int, seed: int = 0) -> model.WickSpec:
+    """T e_i(x)e_j = q_ij e_j(x)e_i with random complex q_ij, |q_ij| <= 1
+    and q_ji = conj(q_ij) (q_ii real): braided and self-adjoint, and, unlike
+    every preset, not real."""
+    rng = np.random.default_rng(seed)
+    q = np.zeros((d, d), dtype=np.complex128)
+    for i in range(d):
+        q[i, i] = rng.uniform(-1.0, 1.0)
+        for j in range(i + 1, d):
+            q[i, j] = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            q[j, i] = np.conj(q[i, j])
+    entries = [
+        {"i": j + 1, "j": i + 1, "k": j + 1, "l": i + 1, "re": q[i, j].real, "im": q[i, j].imag}
+        for i in range(d)
+        for j in range(d)
+    ]
+    return model.load_spec({"d": d, "coefficients": entries})
+
+
 def braided_presets() -> list[tuple[str, model.WickSpec]]:
     """The d=2 presets exercised by the acceptance suite."""
     return [

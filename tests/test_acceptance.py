@@ -77,7 +77,7 @@ def test_criterion_03_euler_solomon():
     for label, spec in method_equivalence_presets():
         T = model.build_T(spec)
         for n in range(1, 5):
-            worst = max(worst, coxeter.euler_solomon_residual(T, n))
+            worst = max(worst, coxeter.coxeter_checks(T, n)["euler_solomon"])
     report(3, "Euler-Solomon identity and adjoint form", worst <= 1e-10, f"worst {worst:.2e}")
 
 
@@ -143,9 +143,8 @@ def test_criterion_07_factorizations():
     for label, spec in braided_presets():
         T = model.build_T(spec)
         for n in range(1, 5):
-            for mask in range(2**n):
-                J = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-                worst = max(worst, tensorops.factorization_check(T, n, J=J)["residual"])
+            for fact in coxeter.coxeter_checks(T, n)["factorization"]:
+                worst = max(worst, fact["residual"])
         for n, m in [(1, 2), (2, 2), (1, 3)]:
             worst = max(worst, tensorops.factorization_check(T, n, m=m)["residual"])
     report(7, "descent and P(D_m) factorizations", worst <= 1e-10, f"worst {worst:.2e}")

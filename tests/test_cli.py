@@ -113,6 +113,15 @@ def test_positivity_command(tmp_path):
         assert check["dim_ker_P"] == 0
 
 
+def test_n_max_below_2_is_input_error(qccr_path, tmp_path, capsys):
+    # level 2 is the first with a check: a smaller --n-max would pass vacuously
+    for command in ("kernel-theorem", "positivity", "full"):
+        for n_max in ("1", "0", "-3"):
+            code, report = run([command, "--spec", qccr_path, "--n-max", n_max], tmp_path)
+            assert code == 2 and report is None, (command, n_max)
+            assert "--n-max must be >= 2" in capsys.readouterr().err
+
+
 def test_coxeter_command(tmp_path):
     path = write_spec(
         tmp_path,

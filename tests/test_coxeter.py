@@ -1,4 +1,4 @@
-"""Group enumeration, reduced words, phi, descent classes, Euler-Solomon."""
+"""Group enumeration, reduced words, phi, descent-class sums, Euler-Solomon."""
 
 import itertools
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import braided_presets, free_spec, qccr, qij
+from conftest import braided_presets, free_spec, qccr, qij, twisted_flip
 from wickfock import coxeter, model, tensorops
 from wickfock.coxeter import BraidConditionError
 from wickfock.model import TensorOperator
@@ -175,35 +175,92 @@ def test_group_sum_matches_recursive_P():
         assert residual <= 1e-10
 
 
-def test_descent_data_extremes():
-    full = coxeter.descent_data(3, {1, 2, 3})
-    assert [e.perm for e in full.D_J] == [(1, 2, 3, 4)]
-    assert len(full.W_J) == 24
-    empty = coxeter.descent_data(3, set())
-    assert len(empty.D_J) == 24
-    assert [e.perm for e in empty.W_J] == [(1, 2, 3, 4)]
-    with pytest.raises(ValueError):
-        coxeter.descent_data(3, {4})
+def descent_class(n: int, J) -> list:
+    """D_J by brute force: the elements with no descent in J."""
+    return [
+        e for e in coxeter.enumerate_group(n)
+        if not any(e.perm[s - 1] > e.perm[s] for s in J)
+    ]
 
 
-def test_descent_data_sizes_multiply():
-    for n in (2, 3, 4):
+def young_subgroup(n: int, J) -> list:
+    """W_J by brute force: the elements that move points only within the
+    blocks of consecutive points that J joins (s, s+1 share a block iff s
+    is in J)."""
+    block = [0]
+    for p in range(1, n + 1):
+        block.append(block[-1] if p in J else block[-1] + 1)
+    return [
+        e for e in coxeter.enumerate_group(n)
+        if all(block[x] == block[e.perm[x] - 1] for x in range(n + 1))
+    ]
+
+
+def phi_sum(T, elements, n: int) -> np.ndarray:
+    """Reference sum of phi, one canonical-word product per element."""
+    return sum(coxeter.phi(T, e, n).mat for e in elements)
+
+
+def mask_to_set(mask: int, n: int) -> set:
+    return {s for s in range(1, n + 1) if mask >> (s - 1) & 1}
+
+
+def test_descent_sums_extremes():
+    # only the identity has no descent, only the longest element has all
+    T = model.build_T(qccr(2, 0.5))
+    sums = coxeter.descent_sums(T, 3)
+    assert len(sums) == 8
+    assert np.array_equal(sums[0], np.eye(16))
+    longest = coxeter.enumerate_group(3)[-1]
+    assert np.array_equal(sums[7], coxeter.phi(T, longest, 3).mat)
+
+
+def test_descent_sums_match_phi_grouped_by_descent_set():
+    # oracle: phi element by element, grouped by descent set
+    for d in (2, 3):
+        T = model.build_T(twisted_flip(d, seed=d))
+        for n in (1, 2, 3):
+            expected = [np.zeros((d ** (n + 1),) * 2, dtype=complex) for _ in range(2**n)]
+            for e in coxeter.enumerate_group(n):
+                mask = sum(1 << (s - 1) for s in coxeter._descents(e.perm))
+                expected[mask] += coxeter.phi(T, e, n).mat
+            sums = coxeter.descent_sums(T, n)
+            for mask in range(2**n):
+                assert np.linalg.norm(sums[mask] - expected[mask], 2) <= 1e-12, (d, n, mask)
+
+
+def test_descent_class_sizes_count_permutations():
+    # at d=1, q=1 every phi(w) is 1, so the buckets count permutations by
+    # descent set; oracle: itertools.permutations
+    T = model.build_T(qccr(1, 1.0))
+    for n in (1, 2, 3, 4, 5):
+        counts = [0] * 2**n
+        for perm in itertools.permutations(range(n + 1)):
+            counts[sum(1 << s for s in range(n) if perm[s] > perm[s + 1])] += 1
+        sums = coxeter.descent_sums(T, n)
+        assert [s.item() for s in sums] == counts, n
         order = math.factorial(n + 1)
-        for mask in range(2**n):
-            J = {i + 1 for i in range(n) if mask >> i & 1}
-            data = coxeter.descent_data(n, J)
-            assert len(data.D_J) * len(data.W_J) == order, (n, J)
+        for J in range(2**n):
+            size_D = sum(counts[D] for D in range(2**n) if not D & J)
+            blocks, run = [], 1
+            for s in range(1, n + 1):
+                if J >> (s - 1) & 1:
+                    run += 1
+                else:
+                    blocks.append(run)
+                    run = 1
+            blocks.append(run)
+            assert size_D * math.prod(math.factorial(b) for b in blocks) == order, (n, J)
 
 
 def test_unique_factorization():
     for n in (2, 3, 4):
         elements = {e.perm for e in coxeter.enumerate_group(n)}
         for mask in range(2**n):
-            J = {i + 1 for i in range(n) if mask >> i & 1}
-            data = coxeter.descent_data(n, J)
+            J = mask_to_set(mask, n)
             products = {}
-            for delta in data.D_J:
-                for w in data.W_J:
+            for delta in descent_class(n, J):
+                for w in young_subgroup(n, J):
                     prod = coxeter.compose(delta.perm, w.perm)
                     assert prod not in products, (n, J, prod)
                     products[prod] = (delta, w)
@@ -212,46 +269,80 @@ def test_unique_factorization():
 
 
 def test_descent_factorization_example():
-    data = coxeter.descent_data(2, {1})
-    assert len(data.W_J) == 2 and len(data.D_J) == 3
+    D_J, W_J = descent_class(2, {1}), young_subgroup(2, {1})
+    assert len(W_J) == 2 and len(D_J) == 3
     T = model.build_T(qccr(2, 0.5))
+    sums = coxeter.descent_sums(T, 2)
+    PDJ = sums[0] + sums[2]  # the descent sets {} and {2} avoid J = {1}
+    assert np.linalg.norm(PDJ - phi_sum(T, D_J, 2), 2) <= 1e-12
     lhs = tensorops.build_P(T, 3).mat
-    rhs = coxeter.partial_sum(T, data.D_J).mat @ coxeter.partial_sum(T, data.W_J).mat
-    assert np.linalg.norm(lhs - rhs, 2) <= 1e-10
+    assert np.linalg.norm(lhs - PDJ @ phi_sum(T, W_J, 2), 2) <= 1e-10
+    fact = coxeter.coxeter_checks(T, 2)["factorization"][1]
+    assert fact["J"] == [1] and fact["residual"] <= 1e-10
 
 
 def test_separated_blocks_factor_and_commute():
     T = model.build_T(qccr(2, 0.5))
     J1, J2 = {1}, {3, 4}
-    both = coxeter.partial_sum(T, coxeter.descent_data(4, J1 | J2).W_J).mat
-    a = coxeter.partial_sum(T, coxeter.descent_data(4, J1).W_J).mat
-    b = coxeter.partial_sum(T, coxeter.descent_data(4, J2).W_J).mat
+    both = phi_sum(T, young_subgroup(4, J1 | J2), 4)
+    a = phi_sum(T, young_subgroup(4, J1), 4)
+    b = phi_sum(T, young_subgroup(4, J2), 4)
     assert np.linalg.norm(both - a @ b, 2) <= 1e-12
     assert np.linalg.norm(a @ b - b @ a, 2) <= 1e-12
 
 
-def test_partial_sum_guards():
+def test_descent_sums_guards():
     T = model.build_T(qccr(2, 0.5))
-    with pytest.raises(ValueError):
-        coxeter.partial_sum(T, [])
-    mixed = [coxeter.enumerate_group(2)[0], coxeter.enumerate_group(3)[0]]
-    with pytest.raises(ValueError):
-        coxeter.partial_sum(T, mixed)
+    for n in (0, coxeter.MAX_RANK + 1):
+        with pytest.raises(ValueError):
+            coxeter.descent_sums(T, n)
+    # d=3 at n=6: 88 matrices of 3^7 x 3^7 complex numbers, about 6.7 GB,
+    # refused before anything is allocated
+    T3 = model.build_T(qccr(3, 0.5))
+    need = (2**6 + 21 + 3) * 3**14 * 16
+    message = f"need about {need} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"
+    with pytest.raises(ValueError, match=message):
+        coxeter.descent_sums(T3, 6)
+    with pytest.raises(ValueError, match=message):
+        coxeter.group_sum(T3, 6)
+
+
+def test_coxeter_checks_report_shape():
+    rep = coxeter.coxeter_checks(model.build_T(qccr(2, 0.5)), 3)
+    assert list(rep) == ["n", "group_sum", "factorization", "euler_solomon", "longest_vs_U"]
+    assert [f["J"] for f in rep["factorization"]] == [
+        sorted(mask_to_set(mask, 3)) for mask in range(8)
+    ]
+
+
+def test_coxeter_checks_twisted_flip():
+    # complex coefficients: a conjugate/transpose slip on the adjoint
+    # Euler-Solomon side, or in P(W_J), shows here and not on the presets
+    for d in (2, 3):
+        T = model.build_T(twisted_flip(d, seed=10 + d))
+        for n in range(1, 5):
+            rep = coxeter.coxeter_checks(T, n)
+            worst = max(
+                [rep["group_sum"], rep["euler_solomon"], rep["longest_vs_U"]]
+                + [f["residual"] for f in rep["factorization"]]
+            )
+            assert worst <= 1e-10, (d, n, rep)
 
 
 def test_euler_solomon_presets():
     for label, spec in braided_presets():
         T = model.build_T(spec)
         for n in range(1, 5):
-            assert coxeter.euler_solomon_residual(T, n) <= 1e-10, (label, n)
+            assert coxeter.coxeter_checks(T, n)["euler_solomon"] <= 1e-10, (label, n)
 
 
 def test_euler_solomon_zero_operator():
     T = model.build_T(free_spec(2))
-    assert coxeter.euler_solomon_residual(T, 2) <= 1e-15
+    assert coxeter.coxeter_checks(T, 2)["euler_solomon"] <= 1e-15
 
 
 def test_euler_solomon_guard():
     T = model.build_T(qccr(2, 0.5))
-    with pytest.raises(ValueError):
-        coxeter.euler_solomon_residual(T, 6)
+    for n in (0, 6):
+        with pytest.raises(ValueError):
+            coxeter.coxeter_checks(T, n)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import braided_presets, example3, free_spec, qccr, qij
-from wickfock import model, tensorops
+from wickfock import coxeter, model, tensorops
 from wickfock.model import TensorOperator
 
 
@@ -260,11 +260,12 @@ def test_factorization_m_form():
 
 
 def test_factorization_J_form():
+    # P_{n+1} = P(D_J) P(W_J) is checked from the Coxeter walk
     T = model.build_T(qccr(2, 0.5))
-    rep = tensorops.factorization_check(T, 3, J={1})
-    assert rep["residual"] <= 1e-10
-    rep = tensorops.factorization_check(T, 2, J=set())
-    assert rep["residual"] <= 1e-10
+    fact = coxeter.coxeter_checks(T, 3)["factorization"][1]
+    assert fact["J"] == [1] and fact["residual"] <= 1e-10
+    fact = coxeter.coxeter_checks(T, 2)["factorization"][0]
+    assert fact["J"] == [] and fact["residual"] <= 1e-10
 
 
 def test_factorization_flags_non_braided():
@@ -279,9 +280,9 @@ def test_factorization_flags_non_braided():
 def test_factorization_argument_guards():
     T = model.build_T(qccr(2, 0.5))
     with pytest.raises(ValueError):
-        tensorops.factorization_check(T, 2)
+        tensorops.factorization_check(T, 0, m=2)
     with pytest.raises(ValueError):
-        tensorops.factorization_check(T, 2, m=2, J={1})
+        tensorops.factorization_check(T, 2, m=1)
 
 
 def test_build_U_scalar_and_zero():
