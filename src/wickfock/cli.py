@@ -19,20 +19,18 @@ import argparse
 import datetime
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__, coxeter, fock, rewrite, spectral, tensorops
-from .model import SpecError, WickSpec, build_T, load_spec_file
+from .algebra import Algebra, check_level
+from .model import SpecError, load_spec_file
 
 __all__ = ["main", "entry", "build_report"]
 
 MAX_FULL_COXETER_RANK = 4
-
-
-def _complex_field(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
 
 
 class _Checks:
@@ -42,10 +40,13 @@ class _Checks:
         self.records: list[dict] = []
 
     def add(self, name: str, params: dict, status: str, **fields) -> None:
-        record: dict = {"name": name, "params": params}
-        record.update(fields)
-        record["status"] = status
-        self.records.append(record)
+        self.records.append({"name": name, "params": params, **fields, "status": status})
+
+    def add_report(self, name: str, params: dict, report: dict, **fields) -> None:
+        """A library report as a record: its fields in their order, without
+        the level and status it carries, then ``fields``."""
+        copied = {k: v for k, v in report.items() if k not in ("level", "max_degree", "status")}
+        self.add(name, params, report["status"], **copied, **fields)
 
     def add_residual(self, name: str, params: dict, residual: float, tol: float) -> None:
         self.add(
@@ -61,97 +62,56 @@ class _Checks:
         return "fail" if any(r["status"] == "fail" for r in self.records) else "pass"
 
 
-def _spec_block(spec: WickSpec) -> dict:
-    return {"d": spec.d, "source": dict(spec.source)}
-
-
-def _suite_check(spec: WickSpec, checks: _Checks, tol: float) -> None:
-    T = build_T(spec)
+def _suite_check(alg: Algebra, checks: _Checks, tol: float) -> None:
+    T = alg.T
     herm = float(np.linalg.norm(T.mat - T.mat.conj().T, 2))
     checks.add_residual("hermiticity", {}, herm, 1e-12)
     checks.add("operator_norm", {}, "info", value=tensorops.op_norm(T))
     checks.add_residual("braid", {}, tensorops.braid_residual(T), tol)
 
 
-def _pn_spectrum(mat: np.ndarray) -> dict:
-    sym = (mat + mat.conj().T) / 2.0
-    evals = np.linalg.eigvalsh(sym)
-    return {
-        "min_eig": float(evals[0]),
-        "max_eig": float(evals[-1]),
-        "norm": tensorops.op_norm(mat),
-    }
-
-
-def _suite_pn(spec: WickSpec, checks: _Checks, n: int, method: str, tol: float) -> None:
-    T = build_T(spec)
+def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) -> None:
     mats = {}
-    if method in ("recursive", "both"):
-        mats["recursive"] = tensorops.build_P(T, n).mat
-    if method in ("coxeter", "both"):
+    if method in ("coxeter", "both"):  # first: no level-n matrix is held beside its walk
         if n < 2:
             checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable",
                        reason="group sum needs n >= 2")
         else:
             try:
-                mats["coxeter"] = coxeter.group_sum(T, n - 1).mat
+                mats["coxeter"] = alg.group_sum(n - 1).mat
             except coxeter.BraidConditionError as exc:
                 checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable",
                            reason=str(exc))
+    if method in ("recursive", "both"):
+        mats = {"recursive": alg.P(n).mat, **mats}
     for name, mat in mats.items():
-        checks.add("pn_spectrum", {"n": n, "method": name}, "info", **_pn_spectrum(mat))
+        evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+        checks.add("pn_spectrum", {"n": n, "method": name}, "info", min_eig=float(evals[0]),
+                   max_eig=float(evals[-1]), norm=tensorops.op_norm(mat))
     if len(mats) == 2:
         residual = tensorops.op_norm(mats["recursive"] - mats["coxeter"])
         checks.add_residual("pn_method_agreement", {"n": n}, residual, tol)
 
 
 def _suite_kernel_theorem(
-    spec: WickSpec, checks: _Checks, n_max: int, rank_tol: float, tol: float
+    alg: Algebra, checks: _Checks, n_max: int, rank_tol: float, tol: float
 ) -> None:
     for level in range(2, n_max + 1):
-        rep = spectral.kernel_theorem_check(spec, level - 1, rank_tol=rank_tol, tol=tol)
-        checks.add(
-            "kernel_theorem",
-            {"level": level},
-            rep["status"],
-            dim_ker_P=rep["dim_ker_P"],
-            dim_sum=rep["dim_sum"],
-            distance=rep["distance"],
-            inclusion_margin=rep["inclusion_margin"],
-            hypotheses=rep["hypotheses"],
-            tolerance=tol,
-        )
+        rep = spectral.kernel_theorem_check(alg, level - 1, rank_tol=rank_tol, tol=tol)
+        checks.add_report("kernel_theorem", {"level": level}, rep, tolerance=tol)
 
 
 def _suite_positivity(
-    spec: WickSpec, checks: _Checks, n_max: int, rank_tol: float, tol: float
+    alg: Algebra, checks: _Checks, n_max: int, rank_tol: float, tol: float
 ) -> None:
-    T = build_T(spec)
-    braided = tensorops.braid_residual(T) <= tol
-    norm_ok = tensorops.op_norm(T) <= 1.0 + 1e-10
-    min_eig_T = float(np.linalg.eigvalsh((T.mat + T.mat.conj().T) / 2.0)[0])
-    strict_regime = min_eig_T > -1.0 + rank_tol
     for n in range(2, n_max + 1):
-        rep = spectral.positivity_check(spec, n, rank_tol=rank_tol)
-        if not (braided and norm_ok):
-            status = "inapplicable"
-        elif strict_regime:
-            status = "pass" if rep["classification"] == "strictly positive" else "fail"
-        else:
-            status = "pass" if rep["min_eig"] >= -rank_tol else "fail"
-        checks.add(
-            "positivity",
-            {"n": n},
-            status,
-            min_eig=rep["min_eig"],
-            classification=rep["classification"],
-            dim_ker_P=rep["dim_ker_P"],
-        )
+        rep = spectral.positivity_check(alg, n, rank_tol=rank_tol, tol=tol)
+        checks.add_report("positivity", {"n": n}, rep)
 
 
-def _suite_coxeter(spec: WickSpec, checks: _Checks, n: int, tol: float) -> None:
+def _suite_coxeter(alg: Algebra, checks: _Checks, n: int, tol: float) -> None:
     try:
-        rep = coxeter.coxeter_checks(build_T(spec), n)
+        rep = coxeter.coxeter_checks(alg, n)
     except coxeter.BraidConditionError as exc:
         checks.add("coxeter_suite", {"n": n}, "inapplicable", reason=str(exc))
         return
@@ -164,45 +124,8 @@ def _suite_coxeter(spec: WickSpec, checks: _Checks, n: int, tol: float) -> None:
     checks.add_residual("phi_longest_vs_U", {"n": n}, rep["longest_vs_U"], tol)
 
 
-def _suite_un(spec: WickSpec, checks: _Checks, n: int, rank_tol: float, tol: float) -> None:
-    rep = spectral.un_checks(spec, n, rank_tol=rank_tol, tol=tol)
-    checks.add(
-        "un_laws",
-        {"n": n},
-        rep["status"],
-        invariance_residual=rep["invariance_residual"],
-        commutation_residual=rep["commutation_residual"],
-        tolerance=tol,
-    )
-    T = build_T(spec)
-    checks.add_residual("telescoping", {"n": n}, tensorops.telescoping_residual(T, n), tol)
-
-
-def _suite_inner(
-    spec: WickSpec, checks: _Checks, x_text: str, y_text: str, tol: float
-) -> None:
-    X = rewrite.parse_word_expr(x_text, spec.d)
-    Y = rewrite.parse_word_expr(y_text, spec.d)
-    via_f = rewrite.inner_via_f(spec, X, Y)
-    N = max(
-        [len(w) for w in X] + [len(w) for w in Y] + [2]
-    )
-    gx = rewrite.creation_vector(X, spec.d, N)
-    gy = rewrite.creation_vector(Y, spec.d, N)
-    via_fock = fock.fock_inner(spec, gx, gy)
-    checks.add(
-        "inner_product",
-        {"x": x_text, "y": y_text},
-        "pass" if abs(via_f - via_fock) <= tol else "fail",
-        via_functional=_complex_field(via_f),
-        via_fock=_complex_field(via_fock),
-        difference=abs(via_f - via_fock),
-        tolerance=tol,
-    )
-
-
-def _suite_rewrite_cross(spec: WickSpec, checks: _Checks, max_degree: int, tol: float) -> None:
-    d = spec.d
+def _suite_rewrite_cross(alg: Algebra, checks: _Checks, max_degree: int, tol: float) -> None:
+    d = alg.T.d
     N = max(max_degree, 2)
     words = [
         tuple((i, False) for i in w)
@@ -213,87 +136,96 @@ def _suite_rewrite_cross(spec: WickSpec, checks: _Checks, max_degree: int, tol: 
     worst = 0.0
     for wx in words:
         for wy in words:
-            via_f = rewrite.inner_via_f(spec, {wx: 1.0 + 0j}, {wy: 1.0 + 0j})
-            worst = max(worst, abs(via_f - fock.fock_inner(spec, vectors[wx], vectors[wy])))
+            via_f = rewrite.inner_via_f(alg.spec, {wx: 1.0 + 0j}, {wy: 1.0 + 0j})
+            worst = max(worst, abs(via_f - fock.fock_inner(alg, vectors[wx], vectors[wy])))
     checks.add_residual("rewrite_fock_agreement", {"max_degree": max_degree}, worst, tol)
-
-
-def _suite_wick_ideal(spec: WickSpec, checks: _Checks, n: int, rank_tol: float, tol: float) -> None:
-    rep = spectral.wick_ideal_checks(spec, n, rank_tol=rank_tol, tol=tol)
-    checks.add(
-        "wick_ideal",
-        {"n": n},
-        rep["status"],
-        dim_ker_P=rep["dim_ker_P"],
-        dim_ker_R=rep["dim_ker_R"],
-        annihilation_residual=rep["annihilation_residual"],
-        coaction_residual=rep["coaction_residual"],
-        intertwining_residual=rep["intertwining_residual"],
-        kerR_inclusion_margin=rep["kerR_inclusion_margin"],
-        tolerance=tol,
-    )
 
 
 def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     """Run the requested command; return (report, exit_code)."""
     if args.n_max is not None and args.n_max < 2:
         raise ValueError(f"--n-max must be >= 2, the first level with a check; got {args.n_max}")
+    # a non-finite or non-positive threshold would let a check pass vacuously
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite; got {args.tol}")
+    if not 0.0 < args.rank_tol < 1.0:
+        raise ValueError(f"--rank-tol must lie in (0, 1); got {args.rank_tol}")
     spec = load_spec_file(args.spec)
+    if args.command == "inner":
+        X = rewrite.parse_word_expr(args.x, spec.d)
+        Y = rewrite.parse_word_expr(args.y, spec.d)
+        top = max([len(w) for w in X] + [len(w) for w in Y] + [2])
+    elif args.command == "check":
+        top = 3  # the braid residual
+    elif args.command == "coxeter":
+        top = args.n + 1
+    else:
+        top = args.n if args.n is not None else args.n_max
+    check_level(spec.d, top)
+    alg = Algebra(spec)
     checks = _Checks()
     tol = args.tol
     rank_tol = args.rank_tol
 
     if args.command == "check":
-        _suite_check(spec, checks, tol)
+        _suite_check(alg, checks, tol)
     elif args.command == "pn":
-        _suite_pn(spec, checks, args.n, args.method, tol)
+        _suite_pn(alg, checks, args.n, args.method, tol)
     elif args.command == "kernel-theorem":
-        _suite_kernel_theorem(spec, checks, args.n_max, rank_tol, tol)
+        _suite_kernel_theorem(alg, checks, args.n_max, rank_tol, tol)
     elif args.command == "positivity":
-        _suite_positivity(spec, checks, args.n_max, rank_tol, tol)
+        _suite_positivity(alg, checks, args.n_max, rank_tol, tol)
     elif args.command == "coxeter":
-        _suite_coxeter(spec, checks, args.n, tol)
+        _suite_coxeter(alg, checks, args.n, tol)
     elif args.command == "inner":
-        _suite_inner(spec, checks, args.x, args.y, tol)
-    elif args.command == "full":
-        n_max = args.n_max
-        _suite_check(spec, checks, tol)
-        for n in range(2, n_max + 1):
-            _suite_pn(spec, checks, n, "both", tol)
-        _suite_kernel_theorem(spec, checks, n_max, rank_tol, tol)
-        _suite_positivity(spec, checks, n_max, rank_tol, tol)
-        for n in range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1):
-            _suite_coxeter(spec, checks, n, tol)
-            _suite_un(spec, checks, n, rank_tol, tol)
-            spectral_rep = spectral.kernel_1mU2_diag(spec, n, rank_tol=rank_tol, tol=tol)
-            checks.add(
-                "kernel_1mU2",
-                {"n": n},
-                spectral_rep["status"],
-                dim_ker_1mU2=spectral_rep["dim_ker_1mU2"],
-                dim_intersection=spectral_rep["dim_intersection"],
-                involution_residual=spectral_rep["involution_residual"],
-            )
-        for n in range(2, min(n_max, 4) + 1):
-            _suite_wick_ideal(spec, checks, n, rank_tol, tol)
-        N = min(n_max, fock.default_max_degree(spec.d))
-        rep = fock.relation_check(spec, max(N, 2), seed=args.seed, tol=tol)
+        via_f = rewrite.inner_via_f(spec, X, Y)
+        gx = rewrite.creation_vector(X, spec.d, top)
+        gy = rewrite.creation_vector(Y, spec.d, top)
+        via_fock = fock.fock_inner(alg, gx, gy)
         checks.add(
-            "fock_relations",
-            {"max_degree": rep["max_degree"], "seed": args.seed},
-            rep["status"],
-            relation_residual=rep["relation_residual"],
-            adjointness_residual=rep["adjointness_residual"],
+            "inner_product",
+            {"x": args.x, "y": args.y},
+            "pass" if abs(via_f - via_fock) <= tol else "fail",
+            via_functional={"re": via_f.real, "im": via_f.imag},
+            via_fock={"re": via_fock.real, "im": via_fock.imag},
+            difference=abs(via_f - via_fock),
             tolerance=tol,
         )
-        _suite_rewrite_cross(spec, checks, min(3, N), tol)
+    elif args.command == "full":
+        n_max = args.n_max
+        ranks = range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1)
+        # walked before the pn suite, which reads the group sums the walks leave
+        walked = {n: _Checks() for n in ranks}
+        for n in ranks:
+            _suite_coxeter(alg, walked[n], n, tol)
+        _suite_check(alg, checks, tol)
+        for n in range(2, n_max + 1):
+            _suite_pn(alg, checks, n, "both", tol)
+        _suite_kernel_theorem(alg, checks, n_max, rank_tol, tol)
+        _suite_positivity(alg, checks, n_max, rank_tol, tol)
+        for n in ranks:
+            checks.records += walked[n].records
+            rep = spectral.un_checks(alg, n, rank_tol=rank_tol, tol=tol)
+            checks.add_report("un_laws", {"n": n}, rep, tolerance=tol)
+            checks.add_residual("telescoping", {"n": n}, tensorops.telescoping_residual(alg.T, n), tol)
+            rep = spectral.kernel_1mU2_diag(alg, n, rank_tol=rank_tol, tol=tol)
+            checks.add_report("kernel_1mU2", {"n": n}, rep)
+        for n in range(2, min(n_max, 4) + 1):
+            rep = spectral.wick_ideal_checks(alg, n, rank_tol=rank_tol, tol=tol)
+            checks.add_report("wick_ideal", {"n": n}, rep, tolerance=tol)
+        N = min(n_max, fock.default_max_degree(spec.d))
+        rep = fock.relation_check(alg, max(N, 2), seed=args.seed, tol=tol)
+        checks.add_report(
+            "fock_relations", {"max_degree": rep["max_degree"], "seed": args.seed}, rep, tolerance=tol
+        )
+        _suite_rewrite_cross(alg, checks, min(3, N), tol)
     else:  # pragma: no cover - argparse restricts choices
         raise SpecError(f"unknown command {args.command}")
 
     report = {
         "tool": {"name": "wickfock", "version": __version__},
         "command": args.command,
-        "spec": _spec_block(spec),
+        "spec": {"d": spec.d, "source": dict(spec.source)},
         "parameters": {
             "tol": tol,
             "rank_tol": rank_tol,
@@ -330,6 +262,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="wickfock",
         description="verification suites for Wick algebras with braided coefficients",
     )
+    parser.set_defaults(n=None, n_max=None)
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
         "check": "hermiticity, operator norm, braid residual",
@@ -367,10 +300,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if not hasattr(args, "n"):
-        args.n = None
-    if not hasattr(args, "n_max"):
-        args.n_max = None
     try:
         report, code = build_report(args)
     except ValueError as exc:  # SpecError and BraidConditionError included

@@ -7,15 +7,16 @@ entries at positions i, i+1 of the one-line form.
 
 The quasimultiplicative map sends a reduced word i_1 ... i_k to the matrix
 product T_{i_1} ... T_{i_k}; it is well defined only when T satisfies the
-braid condition, so every evaluation is gated on the braid residual unless
-explicitly forced.
+braid condition, so every evaluation is gated on the braid residual (only
+:func:`phi` can be forced past the gate).
 
 Every operator sum over the group comes from one walk of S_{n+1}:
 :func:`descent_sums` adds each phi(w) into one of 2^n buckets keyed by the
 descent set of w.  The group sum P(S_{n+1}), every descent-class sum P(D_J)
 and both sides of the Euler-Solomon identity are sums of buckets, which
 :func:`coxeter_checks` compares against the independent product
-constructions of P_{n+1}, U_n and P(W_J).  :func:`phi` evaluates a single
+constructions of P_{n+1}, U_n and P(W_J), read from an
+:class:`~wickfock.algebra.Algebra`.  :func:`phi` evaluates a single
 element along its canonical reduced word and is the reference for the walk.
 
 >>> reduced_word((3, 2, 1))
@@ -28,11 +29,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import TensorOperator
-from .tensorops import BRAID_TOL, apply_slots, braid_residual, build_P, build_U, op_norm, word_product
+from .tensorops import BRAID_TOL, apply_slots, braid_residual, op_norm, word_product
+
+if TYPE_CHECKING:
+    from .algebra import Algebra
 
 __all__ = [
     "BraidConditionError",
@@ -133,13 +138,11 @@ def enumerate_group(n: int) -> list[CoxeterElement]:
     return elements
 
 
-def _gate_braid(T: TensorOperator, force: bool, tol: float = BRAID_TOL) -> None:
-    if force:
-        return
+def _gate_braid(T: TensorOperator) -> None:
     r = braid_residual(T)
-    if r > tol:
+    if r > BRAID_TOL:
         raise BraidConditionError(
-            f"braid residual {r:.3e} exceeds {tol:.1e}; the map is only well "
+            f"braid residual {r:.3e} exceeds {BRAID_TOL:.1e}; the map is only well "
             "defined for braided operators (pass force=True to override)"
         )
 
@@ -149,11 +152,12 @@ def phi(T: TensorOperator, element: CoxeterElement, n: int, force: bool = False)
     canonical reduced word, on H^(x)(n+1)."""
     if len(element.perm) != n + 1:
         raise ValueError(f"element of S_{len(element.perm)} does not match n={n}")
-    _gate_braid(T, force)
+    if not force:
+        _gate_braid(T)
     return word_product(T, element.word, n + 1)
 
 
-def descent_sums(T: TensorOperator, n: int, force: bool = False) -> list[np.ndarray]:
+def descent_sums(T: TensorOperator, n: int) -> list[np.ndarray]:
     """Sums of phi over the descent classes of S_{n+1}: ``sums[mask]`` adds
     phi(w) over the w whose descent set is {i : bit i-1 of mask}.
 
@@ -174,7 +178,7 @@ def descent_sums(T: TensorOperator, n: int, force: bool = False) -> list[np.ndar
             f"the Coxeter sums at rank n={n}, d={T.d} need about {need} bytes, "
             f"over the {MAX_WALK_BYTES} byte guard"
         )
-    _gate_braid(T, force)
+    _gate_braid(T)
     sums = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(2**n)]
 
     def visit(perm: tuple[int, ...], mat: np.ndarray) -> None:
@@ -189,30 +193,31 @@ def descent_sums(T: TensorOperator, n: int, force: bool = False) -> list[np.ndar
     return sums
 
 
-def group_sum(T: TensorOperator, n: int, force: bool = False) -> TensorOperator:
+def group_sum(T: TensorOperator, n: int) -> TensorOperator:
     """P(S_{n+1}) = sum of phi over the whole group; equals the recursive
     P_{n+1} for braided T."""
-    return TensorOperator(T.d, n + 1, sum(descent_sums(T, n, force=force)))
+    return TensorOperator(T.d, n + 1, sum(descent_sums(T, n)))
 
 
-def _young_sum(T: TensorOperator, n: int, J: int) -> np.ndarray:
+def _young_sum(alg: Algebra, n: int, J: int) -> np.ndarray:
     """P(W_J) for the generator set J (a bit mask), built independently of
     the walk: W_J is the Young subgroup of the blocks of consecutive slots
     that J joins (slots s, s+1 share a block iff s is in J), so P(W_J) is
     the tensor product of the block P_b."""
-    acc = np.eye(T.d ** (n + 1), dtype=np.complex128)
+    acc = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
     start = 1
     for s in range(1, n + 2):
         if not J >> (s - 1) & 1:  # bit n is never set: the last block closes at slot n+1
             if s > start:
-                acc = apply_slots(build_P(T, s - start + 1).mat, T.d, start, acc, left=True)
+                acc = apply_slots(alg.P(s - start + 1).mat, alg.T.d, start, acc, left=True)
             start = s + 1
     return acc
 
 
-def coxeter_checks(T: TensorOperator, n: int, force: bool = False) -> dict:
+def coxeter_checks(alg: Algebra, n: int) -> dict:
     """Every Coxeter identity at rank n from one walk of S_{n+1}, as operator
-    norm residuals on H^(x)(n+1):
+    norm residuals on H^(x)(n+1); the walk leaves its total in
+    ``alg.group_sum(n)``:
 
     - ``group_sum``: P(S_{n+1}) against the recursive P_{n+1};
     - ``factorization``: per J (in mask order), P_{n+1} against
@@ -229,19 +234,19 @@ def coxeter_checks(T: TensorOperator, n: int, force: bool = False) -> dict:
     """
     if not 1 <= n <= 5:
         raise ValueError(f"rank n={n} out of guard range 1..5")
-    sums = descent_sums(T, n, force=force)
+    sums = alg.descent_sums(n)
     full = 2**n - 1
-    eye = np.eye(T.d ** (n + 1), dtype=np.complex128)
-    P = build_P(T, n + 1).mat
-    U = build_U(T, n).mat
-    total = sum(sums)
+    eye = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
+    P = alg.P(n + 1).mat
+    U = alg.U(n).mat
+    total = alg.group_sum(n).mat
 
     factorization = []
     alternating = np.zeros_like(eye)
     for J in range(2**n):
         PDJ = sum(sums[D] for D in range(2**n) if not D & J)
         J_set = [s for s in range(1, n + 1) if J >> (s - 1) & 1]
-        factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ _young_sum(T, n, J))})
+        factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ _young_sum(alg, n, J))})
         if 0 < J < full:
             alternating = alternating + (-1.0) ** len(J_set) * PDJ
 

@@ -5,7 +5,8 @@ the span of the vacuum.  Creation tensors on the left; annihilation is the
 left contraction composed with R_n degree by degree, which is the closed
 form of the inductively defined adjoint action.  The Fock inner product is
 < x, y >_0 = sum_n < x_n, P_n y_n > with P_0 = P_1 = 1; distinct degrees are
-orthogonal by construction.
+orthogonal by construction.  The operators R_n and P_n are read from an
+:class:`~wickfock.algebra.Algebra`, which builds each of them once.
 
 Generator indices are 0-based here (library convention); only files and
 display strings are 1-based.
@@ -14,11 +15,12 @@ display strings are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import WickSpec, build_T
-from .tensorops import build_P, build_R
+if TYPE_CHECKING:
+    from .algebra import Algebra
 
 __all__ = [
     "DegreeOverflowError",
@@ -149,38 +151,36 @@ def annihilate_mu(i: int, v: GradedVector) -> GradedVector:
     return GradedVector(d, tuple(out))
 
 
-def annihilate(spec: WickSpec, i: int, v: GradedVector) -> GradedVector:
+def annihilate(alg: Algebra, i: int, v: GradedVector) -> GradedVector:
     """The Fock annihilation: mu(e_i^*) R_n on each degree-n component."""
     d = v.d
-    if spec.d != d:
-        raise ValueError(f"spec dimension {spec.d} does not match vector dimension {d}")
+    if alg.T.d != d:
+        raise ValueError(f"spec dimension {alg.T.d} does not match vector dimension {d}")
     if not 0 <= i < d:
         raise ValueError(f"index {i} out of range 0..{d - 1}")
-    T = build_T(spec)
     N = v.max_degree
     out = [np.zeros(d**n, dtype=np.complex128) for n in range(N + 1)]
     for n in range(1, N + 1):
-        rv = build_R(T, n).mat @ v.comps[n]
+        rv = alg.R(n).mat @ v.comps[n]
         out[n - 1] = rv.reshape(d, d ** (n - 1))[i].copy()
     return GradedVector(d, tuple(out))
 
 
-def fock_inner(spec: WickSpec, x: GradedVector, y: GradedVector) -> complex:
+def fock_inner(alg: Algebra, x: GradedVector, y: GradedVector) -> complex:
     """< x, y >_0 = sum_n < x_n, P_n y_n >, conjugate-linear in x."""
     _check_compatible(x, y)
-    if spec.d != x.d:
-        raise ValueError(f"spec dimension {spec.d} does not match vectors (d={x.d})")
-    T = build_T(spec)
+    if alg.T.d != x.d:
+        raise ValueError(f"spec dimension {alg.T.d} does not match vectors (d={x.d})")
     total = 0j
     for n in range(x.max_degree + 1):
         if n < 2:
             total += np.vdot(x.comps[n], y.comps[n])
         else:
-            total += np.vdot(x.comps[n], build_P(T, n).mat @ y.comps[n])
+            total += np.vdot(x.comps[n], alg.P(n).mat @ y.comps[n])
     return complex(total)
 
 
-def relation_check(spec: WickSpec, N: int, seed: int = 42, tol: float = 1e-8) -> dict:
+def relation_check(alg: Algebra, N: int, seed: int = 42, tol: float = 1e-8) -> dict:
     """Certify the basic relations and adjointness on the truncated space.
 
     Relation residuals are operator norms, per degree n <= N-1 and pair
@@ -188,43 +188,29 @@ def relation_check(spec: WickSpec, N: int, seed: int = 42, tol: float = 1e-8) ->
 
         lam(a_i^*) lam(a_j) - delta_ij - sum_kl T_ij^kl lam(a_l) lam(a_k^*)
 
-    assembled from the matrix forms of creation, contraction, and R.  The
+    read off as blocks of R: lam(a_i^*) lam(a_j) on degree n is the (i, j)
+    block of R_{n+1}, and lam(a_k^*) on degree n the k-th row block of R_n.  The
     adjointness residual pairs creation against annihilation on 50 seeded
     pseudo-random graded vectors via the Fock inner product.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    d = spec.d
-    T = build_T(spec)
-
-    R = [build_R(T, n).mat for n in range(N + 2)]
-    P = [build_P(T, n).mat for n in range(N + 1)]
-
-    def creation_mat(j: int, n: int) -> np.ndarray:
-        ej = np.zeros((d, 1), dtype=np.complex128)
-        ej[j, 0] = 1.0
-        return np.kron(ej, np.eye(d**n, dtype=np.complex128))
-
-    def contraction_mat(i: int, n: int) -> np.ndarray:
-        ei = np.zeros((1, d), dtype=np.complex128)
-        ei[0, i] = 1.0
-        return np.kron(ei, np.eye(d ** (n - 1), dtype=np.complex128))
-
+    d = alg.T.d
+    units = np.eye(d, dtype=np.complex128)
     relation_residual = 0.0
     for n in range(0, N):
         eye_n = np.eye(d**n, dtype=np.complex128)
-        ann_n = [contraction_mat(i, n) @ R[n] for i in range(d)] if n >= 1 else None
+        blocks = alg.R(n + 1).mat.reshape(d, d**n, d, d**n)
+        ann = alg.R(n).mat.reshape(d, -1, d**n) if n >= 1 else None
         for i in range(d):
-            mu_i = contraction_mat(i, n + 1)
             for j in range(d):
-                lhs = mu_i @ R[n + 1] @ creation_mat(j, n)
                 rhs = (1.0 if i == j else 0.0) * eye_n
                 if n >= 1:
-                    for (a, b, k, l), c in spec.coeffs.items():
+                    for (a, b, k, l), c in alg.spec.coeffs.items():
                         if (a, b) != (i, j):
                             continue
-                        rhs = rhs + c * (creation_mat(l, n - 1) @ ann_n[k])
-                residual = float(np.linalg.norm(lhs - rhs, 2))
+                        rhs = rhs + c * np.kron(units[:, [l]], ann[k])
+                residual = float(np.linalg.norm(blocks[i, :, j, :] - rhs, 2))
                 relation_residual = max(relation_residual, residual)
 
     rng = np.random.default_rng(seed)
@@ -233,8 +219,8 @@ def relation_check(spec: WickSpec, N: int, seed: int = 42, tol: float = 1e-8) ->
         x = _random_graded(d, N - 1, rng)
         y = _random_graded(d, N, rng)
         i = int(rng.integers(0, d))
-        lhs = fock_inner(spec, _pad(create(i, _pad(x, N)), N), y)
-        rhs = fock_inner(spec, _pad(x, N), _pad(annihilate(spec, i, y), N))
+        lhs = fock_inner(alg, _pad(create(i, _pad(x, N)), N), y)
+        rhs = fock_inner(alg, _pad(x, N), _pad(annihilate(alg, i, y), N))
         scale = 1.0 + x.norm() * y.norm()
         adjoint_residual = max(adjoint_residual, abs(lhs - rhs) / scale)
 

@@ -92,9 +92,6 @@ class TensorOperator:
     def identity(cls, d: int, level: int) -> "TensorOperator":
         return cls(d, level, np.eye(d**level, dtype=np.complex128))
 
-    def adjoint(self) -> "TensorOperator":
-        return TensorOperator(self.d, self.level, self.mat.conj().T)
-
     def _coerce(self, other: "TensorOperator") -> None:
         if not isinstance(other, TensorOperator):
             raise TypeError(f"expected TensorOperator, got {type(other).__name__}")
@@ -104,22 +101,9 @@ class TensorOperator:
                 f"(d={other.d}, level={other.level})"
             )
 
-    def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
-        self._coerce(other)
-        return TensorOperator(self.d, self.level, self.mat @ other.mat)
-
-    def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        self._coerce(other)
-        return TensorOperator(self.d, self.level, self.mat + other.mat)
-
     def __sub__(self, other: "TensorOperator") -> "TensorOperator":
         self._coerce(other)
         return TensorOperator(self.d, self.level, self.mat - other.mat)
-
-    def __mul__(self, scalar: complex) -> "TensorOperator":
-        return TensorOperator(self.d, self.level, self.mat * scalar)
-
-    __rmul__ = __mul__
 
 
 def _as_positive_int(value: Any, name: str) -> int:

@@ -6,7 +6,8 @@ from an eigendecomposition of the symmetrization; kernels of non-normal
 operators (the R_n) come from an SVD.  Subspace equality is always judged by
 the operator norm of the projector difference, never by comparing bases.
 
-The check functions return plain dicts (JSON-ready report fragments): the
+The check functions take an :class:`~wickfock.algebra.Algebra`, read its
+memoized operators, and return plain dicts (JSON-ready report fragments): the
 kernel equality ker P_{n+1} = sum_k ker(1 + T_k), strict positivity, the
 U_n invariance and commutation laws, the Wick-ideal membership residuals,
 and the diagnostics on ker(1 - U_n^2).
@@ -15,19 +16,15 @@ and the diagnostics on ker(1 - U_n^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import TensorOperator, WickSpec, build_T
-from .tensorops import (
-    apply_slots,
-    braid_residual,
-    build_P,
-    build_R,
-    build_U,
-    op_norm,
-    word_product,
-)
+from .model import TensorOperator
+from .tensorops import apply_slots, braid_residual, op_norm, word_product
+
+if TYPE_CHECKING:
+    from .algebra import Algebra
 
 __all__ = [
     "RANK_TOL",
@@ -157,7 +154,7 @@ def _hypotheses(T: TensorOperator, tol: float) -> dict:
 
 
 def kernel_theorem_check(
-    spec: WickSpec, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
+    alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
 ) -> dict:
     """Certify ker P_{n+1} = sum_k ker(1 + T_k) at level n+1.
 
@@ -169,12 +166,12 @@ def kernel_theorem_check(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    T = build_T(spec)
+    T = alg.T
     level = n + 1
     hyp = _hypotheses(T, tol)
 
-    P = build_P(T, level)
-    ker_P = kernel(P, rank_tol)
+    P = alg.P(level)
+    ker_P = alg.ker_P(level, rank_tol)
 
     eye = np.eye(T.d**level, dtype=np.complex128)
     parts = []
@@ -187,24 +184,32 @@ def kernel_theorem_check(
     margin = op_norm(P.mat @ sum_space.basis) if sum_space.dim else 0.0
     report = {
         "level": level,
-        "hypotheses": hyp,
         "dim_ker_P": ker_P.dim,
         "dim_sum": sum_space.dim,
         "distance": distance,
         "inclusion_margin": margin,
+        "hypotheses": hyp,
     }
     ok = ker_P.dim == sum_space.dim and distance <= tol and margin <= tol
     report["status"] = ("pass" if ok else "fail") if hyp["applicable"] else "inapplicable"
     return report
 
 
-def positivity_check(spec: WickSpec, n: int, rank_tol: float = RANK_TOL) -> dict:
+def positivity_check(
+    alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
+) -> dict:
     """Minimum eigenvalue of the symmetrized P_n with its classification:
     strictly positive, positive semidefinite, or indefinite.  ``dim_ker_P``
     counts the eigenvalues within the absolute tolerance rank_tol, the same
-    threshold the classification uses, so the two stay consistent."""
-    T = build_T(spec)
-    P = build_P(T, n).mat
+    threshold the classification uses, so the two stay consistent.
+
+    The status applies the positivity criterion: for braided T with
+    ||T|| <= 1 and min eig T > -1 + rank_tol, P_n must be strictly positive;
+    for braided contractive T otherwise, min_eig >= -rank_tol; for any other
+    T the check is inapplicable.
+    """
+    T = alg.T
+    P = alg.P(n).mat
     evals = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
     min_eig = float(evals[0]) if evals.size else 1.0
     if min_eig > rank_tol:
@@ -214,19 +219,30 @@ def positivity_check(spec: WickSpec, n: int, rank_tol: float = RANK_TOL) -> dict
     else:
         classification = "indefinite"
     dim_ker = int(np.sum(np.abs(evals) <= rank_tol))
-    return {"level": n, "min_eig": min_eig, "classification": classification, "dim_ker_P": dim_ker}
+    if not _hypotheses(T, tol)["applicable"]:
+        status = "inapplicable"
+    elif np.linalg.eigvalsh((T.mat + T.mat.conj().T) / 2.0)[0] > -1.0 + rank_tol:
+        status = "pass" if classification == "strictly positive" else "fail"
+    else:
+        status = "pass" if min_eig >= -rank_tol else "fail"
+    return {
+        "level": n,
+        "min_eig": min_eig,
+        "classification": classification,
+        "dim_ker_P": dim_ker,
+        "status": status,
+    }
 
 
-def un_checks(spec: WickSpec, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL) -> dict:
+def un_checks(alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL) -> dict:
     """Residuals for the two U_n laws at level n+1: invariance of ker P_{n+1}
     under U_n, and the commutation T_k U_n = U_n T_{n+1-k}."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    T = build_T(spec)
+    T = alg.T
     level = n + 1
-    U = build_U(T, n).mat
-    P = build_P(T, level)
-    proj = kernel(P, rank_tol).projector()
+    U = alg.U(n).mat
+    proj = alg.ker_P(level, rank_tol).projector()
     eye = np.eye(T.d**level, dtype=np.complex128)
     invariance = op_norm((eye - proj) @ U @ proj)
     commutation = 0.0
@@ -249,7 +265,7 @@ def _mu_columns(d: int, i: int, cols: np.ndarray) -> np.ndarray:
 
 
 def wick_ideal_checks(
-    spec: WickSpec, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
+    alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
 ) -> dict:
     """Residuals behind the Wick-ideal property of the kernel ideal.
 
@@ -261,13 +277,13 @@ def wick_ideal_checks(
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    T = build_T(spec)
+    T = alg.T
     d = T.d
 
-    P_n = build_P(T, n)
-    P_nm1 = build_P(T, n - 1).mat
-    R_n = build_R(T, n)
-    ker_P = kernel(P_n, rank_tol)
+    P_n = alg.P(n)
+    P_nm1 = alg.P(n - 1).mat
+    R_n = alg.R(n)
+    ker_P = alg.ker_P(n, rank_tol)
     ker_R = nullspace_svd(R_n, rank_tol)
 
     chain_n = word_product(T, range(1, n + 1), n + 1).mat
@@ -278,9 +294,7 @@ def wick_ideal_checks(
         for i in range(d):
             annihilation = max(annihilation, op_norm(P_nm1 @ _mu_columns(d, i, RX)))
         for k in range(d):
-            ek = np.zeros(d, dtype=np.complex128)
-            ek[k] = 1.0
-            Xk = np.kron(ker_P.basis, ek.reshape(d, 1))
+            Xk = np.kron(ker_P.basis, np.eye(d, dtype=np.complex128)[:, [k]])  # X (x) e_k
             CXk = chain_n @ Xk
             for i in range(d):
                 coaction = max(coaction, op_norm(P_n.mat @ _mu_columns(d, i, CXk)))
@@ -304,19 +318,19 @@ def wick_ideal_checks(
 
 
 def kernel_1mU2_diag(
-    spec: WickSpec, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
+    alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
 ) -> dict:
     """On ker(1 - U_n^2) intersected with ker P_{n+1}, every T_k must square
     to the identity: report max_k,v ||(1 - T_k^2) v||."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    T = build_T(spec)
+    T = alg.T
     level = n + 1
     eye = np.eye(T.d**level, dtype=np.complex128)
-    U = build_U(T, n).mat
+    U = alg.U(n).mat
     one_minus_U2 = TensorOperator(T.d, level, eye - U @ U)
     ker_U = kernel(one_minus_U2, rank_tol)
-    ker_P = kernel(build_P(T, level), rank_tol)
+    ker_P = alg.ker_P(level, rank_tol)
     inter = subspace_intersection(ker_U, ker_P, rank_tol)
 
     residual = 0.0

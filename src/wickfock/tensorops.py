@@ -31,7 +31,6 @@ __all__ = [
     "apply_slots",
     "word_product",
     "braid_residual",
-    "is_braided",
     "build_R",
     "build_Rtilde",
     "build_P",
@@ -103,10 +102,6 @@ def word_product(T: TensorOperator, word, level: int) -> TensorOperator:
 def braid_residual(T: TensorOperator) -> float:
     """|| T_1 T_2 T_1 - T_2 T_1 T_2 ||_2 on H^(x)3."""
     return op_norm(word_product(T, (1, 2, 1), 3).mat - word_product(T, (2, 1, 2), 3).mat)
-
-
-def is_braided(T: TensorOperator, tol: float = BRAID_TOL) -> bool:
-    return braid_residual(T) <= tol
 
 
 def build_R(T: TensorOperator, n: int) -> TensorOperator:

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from wickfock import fock, model, rewrite
+from wickfock.algebra import Algebra
 
 
 def qccr(d: int, q: float) -> model.WickSpec:
@@ -68,13 +69,14 @@ def max_cross_residual(spec: model.WickSpec, max_degree: int) -> float:
     """Worst |f(X*Y) - <X, Y>_0| over all creation monomial pairs."""
     d = spec.d
     N = max(max_degree, 2)
+    alg = Algebra(spec)
     words = creation_words(d, max_degree)
     vectors = {w: rewrite.creation_vector({w: 1.0 + 0j}, d, N) for w in words}
     worst = 0.0
     for wx in words:
         for wy in words:
             lhs = rewrite.inner_via_f(spec, {wx: 1.0 + 0j}, {wy: 1.0 + 0j})
-            rhs = fock.fock_inner(spec, vectors[wx], vectors[wy])
+            rhs = fock.fock_inner(alg, vectors[wx], vectors[wy])
             worst = max(worst, abs(lhs - rhs))
     return worst
 

@@ -19,6 +19,7 @@ from conftest import (
     qij,
 )
 from wickfock import cli, coxeter, fock, model, rewrite, spectral, tensorops
+from wickfock.algebra import Algebra
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -75,29 +76,31 @@ def test_criterion_02_method_equivalence():
 def test_criterion_03_euler_solomon():
     worst = 0.0
     for label, spec in method_equivalence_presets():
-        T = model.build_T(spec)
+        alg = Algebra(spec)
         for n in range(1, 5):
-            worst = max(worst, coxeter.coxeter_checks(T, n)["euler_solomon"])
+            worst = max(worst, coxeter.coxeter_checks(alg, n)["euler_solomon"])
     report(3, "Euler-Solomon identity and adjoint form", worst <= 1e-10, f"worst {worst:.2e}")
 
 
 def test_criterion_04_main_theorem_kernels():
     ok = True
     details = []
+    flip, antiflip = Algebra(qccr(2, 1.0)), Algebra(qccr(2, -1.0))
     for level in (2, 3, 4):
-        rep = spectral.kernel_theorem_check(qccr(2, 1.0), level - 1)
+        rep = spectral.kernel_theorem_check(flip, level - 1)
         expected = 2**level - (level + 1)
         ok &= rep["dim_ker_P"] == rep["dim_sum"] == expected
         ok &= rep["distance"] <= 1e-8
         details.append(f"flip L{level}:{rep['dim_ker_P']}")
     for level in (2, 3, 4):
-        rep = spectral.kernel_theorem_check(qccr(2, -1.0), level - 1)
+        rep = spectral.kernel_theorem_check(antiflip, level - 1)
         expected = 2**level - math.comb(2, level)
         ok &= rep["dim_ker_P"] == rep["dim_sum"] == expected
         ok &= rep["distance"] <= 1e-8
     for lam in (-1.0, 1.0):
+        alg = Algebra(qij(lam))
         for level in (2, 3, 4):
-            rep = spectral.kernel_theorem_check(qij(lam), level - 1)
+            rep = spectral.kernel_theorem_check(alg, level - 1)
             ok &= rep["dim_ker_P"] == rep["dim_sum"]
             ok &= rep["distance"] <= 1e-8
     report(4, "ker P_{n+1} = sum ker(1+T_k)", ok, " ".join(details))
@@ -107,9 +110,10 @@ def test_criterion_05_strict_positivity():
     ok = True
     worst_min = np.inf
     for spec in (example3(2, 0.5), qccr(2, 0.99)):
-        T = model.build_T(spec)
+        alg = Algebra(spec)
+        T = alg.T
         for n in range(2, 6):
-            rep = spectral.positivity_check(spec, n)
+            rep = spectral.positivity_check(alg, n)
             ok &= rep["min_eig"] > 1e-8
             # trivial kernel at the classification tolerance (absolute)
             ok &= rep["classification"] == "strictly positive"
@@ -123,9 +127,10 @@ def test_criterion_05_strict_positivity():
 def test_criterion_06_un_laws():
     worst_comm = worst_inv = worst_tel = 0.0
     for label, spec in braided_presets():
-        T = model.build_T(spec)
+        alg = Algebra(spec)
+        T = alg.T
         for n in range(1, 5):
-            rep = spectral.un_checks(spec, n)
+            rep = spectral.un_checks(alg, n)
             worst_comm = max(worst_comm, rep["commutation_residual"])
             worst_inv = max(worst_inv, rep["invariance_residual"])
             worst_tel = max(worst_tel, tensorops.telescoping_residual(T, n))
@@ -141,9 +146,10 @@ def test_criterion_06_un_laws():
 def test_criterion_07_factorizations():
     worst = 0.0
     for label, spec in braided_presets():
-        T = model.build_T(spec)
+        alg = Algebra(spec)
+        T = alg.T
         for n in range(1, 5):
-            for fact in coxeter.coxeter_checks(T, n)["factorization"]:
+            for fact in coxeter.coxeter_checks(alg, n)["factorization"]:
                 worst = max(worst, fact["residual"])
         for n, m in [(1, 2), (2, 2), (1, 3)]:
             worst = max(worst, tensorops.factorization_check(T, n, m=m)["residual"])
@@ -154,7 +160,7 @@ def test_criterion_08_fock_side_consistency():
     ok = True
     worst_rel = worst_adj = worst_cross = 0.0
     for spec in (qccr(2, 0.5), qij(-1.0)):
-        rep = fock.relation_check(spec, 4, seed=42)
+        rep = fock.relation_check(Algebra(spec), 4, seed=42)
         worst_rel = max(worst_rel, rep["relation_residual"])
         worst_adj = max(worst_adj, rep["adjointness_residual"])
         worst_cross = max(worst_cross, max_cross_residual(spec, 3))

@@ -219,3 +219,42 @@ def test_stdout_default(qccr_path, capsys):
     report = json.loads(captured.out)
     assert report["overall"] == "pass"
     assert "overall: pass" in captured.err
+
+
+def test_bad_tolerances_are_input_errors(braid_violating_path, tmp_path, capsys):
+    # each of these used to pass vacuously: an infinite --tol forgives the
+    # braid violation, and a NaN or negative --rank-tol finds no kernel
+    # where q = -1 has one of dimension 3 (level 2) and 8 (level 3)
+    antiflip = write_spec(tmp_path, "antiflip.json", {"d": 2, "preset": {"name": "q-ccr", "q": -1.0}})
+    cases = [
+        (["check", "--spec", braid_violating_path, f"--tol={value}"], "--tol must be positive and finite")
+        for value in ("inf", "nan", "0", "-1e-8")
+    ] + [
+        (["kernel-theorem", "--spec", antiflip, "--n-max", "3", f"--rank-tol={value}"], "--rank-tol must lie in (0, 1)")
+        for value in ("nan", "-1", "0", "1")
+    ] + [
+        (["positivity", "--spec", antiflip, "--rank-tol", "inf"], "--rank-tol must lie in (0, 1)"),
+    ]
+    for args, message in cases:
+        code, report = run(args, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and report is None, args
+        assert message in err and "Traceback" not in err, (args, err)
+
+
+def test_level_guard_is_input_error(tmp_path, capsys):
+    d3 = write_spec(tmp_path, "qccr_d3.json", {"d": 3, "preset": {"name": "q-ccr", "q": 0.5}})
+    d2 = write_spec(tmp_path, "qccr_d2.json", {"d": 2, "preset": {"name": "q-ccr", "q": 0.5}})
+    long_word = " ".join(["a1"] * 12)
+    cases = [
+        (["pn", "--spec", d3, "--n", "8", "--method", "recursive"], 3 ** 16 * 16),
+        (["pn", "--spec", d2, "--n", "12"], 2 ** 24 * 16),
+        (["full", "--spec", d3, "--n-max", "8"], 3 ** 16 * 16),
+        (["kernel-theorem", "--spec", d2, "--n-max", "12"], 2 ** 24 * 16),
+        (["inner", "--spec", d2, "--x", long_word, "--y", "a1"], 2 ** 24 * 16),
+    ]
+    for args, need in cases:
+        code, report = run(args, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and report is None, args
+        assert f"needs {need} bytes or more, over the {128 * 1024**2} byte guard" in err, (args, err)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import braided_presets, free_spec, qccr, qij, twisted_flip
 from wickfock import coxeter, model, tensorops
+from wickfock.algebra import Algebra
 from wickfock.coxeter import BraidConditionError
 from wickfock.model import TensorOperator
 
@@ -271,13 +272,14 @@ def test_unique_factorization():
 def test_descent_factorization_example():
     D_J, W_J = descent_class(2, {1}), young_subgroup(2, {1})
     assert len(W_J) == 2 and len(D_J) == 3
-    T = model.build_T(qccr(2, 0.5))
+    alg = Algebra(qccr(2, 0.5))
+    T = alg.T
     sums = coxeter.descent_sums(T, 2)
     PDJ = sums[0] + sums[2]  # the descent sets {} and {2} avoid J = {1}
     assert np.linalg.norm(PDJ - phi_sum(T, D_J, 2), 2) <= 1e-12
     lhs = tensorops.build_P(T, 3).mat
     assert np.linalg.norm(lhs - PDJ @ phi_sum(T, W_J, 2), 2) <= 1e-10
-    fact = coxeter.coxeter_checks(T, 2)["factorization"][1]
+    fact = coxeter.coxeter_checks(alg, 2)["factorization"][1]
     assert fact["J"] == [1] and fact["residual"] <= 1e-10
 
 
@@ -308,7 +310,7 @@ def test_descent_sums_guards():
 
 
 def test_coxeter_checks_report_shape():
-    rep = coxeter.coxeter_checks(model.build_T(qccr(2, 0.5)), 3)
+    rep = coxeter.coxeter_checks(Algebra(qccr(2, 0.5)), 3)
     assert list(rep) == ["n", "group_sum", "factorization", "euler_solomon", "longest_vs_U"]
     assert [f["J"] for f in rep["factorization"]] == [
         sorted(mask_to_set(mask, 3)) for mask in range(8)
@@ -319,9 +321,9 @@ def test_coxeter_checks_twisted_flip():
     # complex coefficients: a conjugate/transpose slip on the adjoint
     # Euler-Solomon side, or in P(W_J), shows here and not on the presets
     for d in (2, 3):
-        T = model.build_T(twisted_flip(d, seed=10 + d))
+        alg = Algebra(twisted_flip(d, seed=10 + d))
         for n in range(1, 5):
-            rep = coxeter.coxeter_checks(T, n)
+            rep = coxeter.coxeter_checks(alg, n)
             worst = max(
                 [rep["group_sum"], rep["euler_solomon"], rep["longest_vs_U"]]
                 + [f["residual"] for f in rep["factorization"]]
@@ -331,18 +333,17 @@ def test_coxeter_checks_twisted_flip():
 
 def test_euler_solomon_presets():
     for label, spec in braided_presets():
-        T = model.build_T(spec)
+        alg = Algebra(spec)
         for n in range(1, 5):
-            assert coxeter.coxeter_checks(T, n)["euler_solomon"] <= 1e-10, (label, n)
+            assert coxeter.coxeter_checks(alg, n)["euler_solomon"] <= 1e-10, (label, n)
 
 
 def test_euler_solomon_zero_operator():
-    T = model.build_T(free_spec(2))
-    assert coxeter.coxeter_checks(T, 2)["euler_solomon"] <= 1e-15
+    assert coxeter.coxeter_checks(Algebra(free_spec(2)), 2)["euler_solomon"] <= 1e-15
 
 
 def test_euler_solomon_guard():
-    T = model.build_T(qccr(2, 0.5))
+    alg = Algebra(qccr(2, 0.5))
     for n in (0, 6):
         with pytest.raises(ValueError):
-            coxeter.coxeter_checks(T, n)
+            coxeter.coxeter_checks(alg, n)

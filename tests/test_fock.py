@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import braided_presets, example3, free_spec, qccr, qij
-from wickfock import fock, model, spectral, tensorops
+from wickfock import fock, spectral, tensorops
+from wickfock.algebra import Algebra
 from wickfock.fock import DegreeOverflowError
 from wickfock.model import TensorOperator
 
@@ -44,67 +45,67 @@ def test_annihilate_mu_examples():
 
 def test_annihilate_on_vacuum_and_scalars():
     spec = qccr(2, 0.5)
-    assert fock.annihilate(spec, 0, fock.vacuum(2, 3)).norm() == 0.0
+    assert fock.annihilate(Algebra(spec), 0, fock.vacuum(2, 3)).norm() == 0.0
     d1 = qccr(1, 0.5)
-    out = fock.annihilate(d1, 0, fock.elementary(1, 3, (0, 0)))
+    out = fock.annihilate(Algebra(d1), 0, fock.elementary(1, 3, (0, 0)))
     assert np.allclose(out.degree(1), [1.5])
 
 
 def test_annihilate_free_reduces_to_mu():
-    spec = free_spec(2)
+    alg = Algebra(free_spec(2))
     rng = np.random.default_rng(7)
     v = fock.GradedVector(
         2, tuple(rng.standard_normal(2**n) + 0j for n in range(4))
     )
     for i in (0, 1):
-        diff = fock.annihilate(spec, i, v) - fock.annihilate_mu(i, v)
+        diff = fock.annihilate(alg, i, v) - fock.annihilate_mu(i, v)
         assert diff.norm() == 0.0
 
 
 def test_fock_inner_examples():
-    spec = qccr(1, 0.5)
+    alg = Algebra(qccr(1, 0.5))
     vac = fock.vacuum(1, 3)
-    assert fock.fock_inner(spec, vac, vac) == 1.0 + 0j
+    assert fock.fock_inner(alg, vac, vac) == 1.0 + 0j
     ee = fock.elementary(1, 3, (0, 0))
-    assert abs(fock.fock_inner(spec, ee, ee) - 1.5) <= 1e-15
+    assert abs(fock.fock_inner(alg, ee, ee) - 1.5) <= 1e-15
 
     flip = qccr(2, 1.0)
     anti = fock.elementary(2, 2, (0, 1)) - fock.elementary(2, 2, (1, 0))
-    assert abs(fock.fock_inner(flip, anti, anti)) <= 1e-15
+    assert abs(fock.fock_inner(Algebra(flip), anti, anti)) <= 1e-15
 
 
 def test_degree_orthogonality_is_structural():
     spec = qccr(2, 0.5)
     x = fock.elementary(2, 3, (0,))
     y = fock.elementary(2, 3, (0, 1))
-    assert fock.fock_inner(spec, x, y) == 0j
+    assert fock.fock_inner(Algebra(spec), x, y) == 0j
 
 
 def test_relation_check_presets():
     for label, spec in braided_presets():
-        rep = fock.relation_check(spec, 4)
+        rep = fock.relation_check(Algebra(spec), 4)
         assert rep["relation_residual"] <= 1e-10, label
         assert rep["adjointness_residual"] <= 1e-9, label
         assert rep["status"] == "pass"
 
 
 def test_relation_check_free_case_exact():
-    rep = fock.relation_check(free_spec(2), 4)
+    rep = fock.relation_check(Algebra(free_spec(2)), 4)
     assert rep["relation_residual"] <= 1e-15
     assert rep["adjointness_residual"] <= 1e-12
 
 
 def test_relation_check_guard():
     with pytest.raises(ValueError):
-        fock.relation_check(qccr(2, 0.5), 1)
+        fock.relation_check(Algebra(qccr(2, 0.5)), 1)
 
 
 def test_kernel_vectors_are_null():
     rng = np.random.default_rng(42)
     for spec in (qij(-1.0), qccr(2, 1.0)):
-        T = model.build_T(spec)
+        alg = Algebra(spec)
         for n in (2, 3):
-            K = spectral.kernel(tensorops.build_P(T, n))
+            K = spectral.kernel(tensorops.build_P(alg.T, n))
             for col in range(K.dim):
                 b = fock.GradedVector(
                     2,
@@ -113,7 +114,7 @@ def test_kernel_vectors_are_null():
                         for m in range(n + 1)
                     ),
                 )
-                assert abs(fock.fock_inner(spec, b, b)) <= 1e-10
+                assert abs(fock.fock_inner(alg, b, b)) <= 1e-10
                 y = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
                 gy = fock.GradedVector(
                     2,
@@ -123,7 +124,7 @@ def test_kernel_vectors_are_null():
                     ),
                 )
                 bound = 1e-8 * np.linalg.norm(y)
-                assert abs(fock.fock_inner(spec, b, gy)) <= bound
+                assert abs(fock.fock_inner(alg, b, gy)) <= bound
 
 
 def test_creation_words_tensor():

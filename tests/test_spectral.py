@@ -7,6 +7,7 @@ import pytest
 
 from conftest import braided_presets, example3, free_spec, qccr, qij
 from wickfock import model, spectral, tensorops
+from wickfock.algebra import Algebra
 from wickfock.model import TensorOperator
 
 
@@ -91,9 +92,9 @@ def test_subspace_mismatch_errors():
 
 def test_kernel_theorem_flip_dims():
     # oracle: 2^k - (k+1), the complement of the symmetric tensors
-    spec = qccr(2, 1.0)
+    alg = Algebra(qccr(2, 1.0))
     for level in (2, 3, 4):
-        rep = spectral.kernel_theorem_check(spec, level - 1)
+        rep = spectral.kernel_theorem_check(alg, level - 1)
         assert rep["status"] == "pass"
         assert rep["dim_ker_P"] == rep["dim_sum"] == 2**level - (level + 1)
         assert rep["distance"] <= 1e-8
@@ -102,26 +103,26 @@ def test_kernel_theorem_flip_dims():
 
 def test_kernel_theorem_antiflip_dims():
     # oracle: d^k - C(d, k), the complement of the antisymmetric tensors
-    spec = qccr(2, -1.0)
+    alg = Algebra(qccr(2, -1.0))
     for level in (2, 3, 4):
-        rep = spectral.kernel_theorem_check(spec, level - 1)
+        rep = spectral.kernel_theorem_check(alg, level - 1)
         assert rep["status"] == "pass"
         assert rep["dim_ker_P"] == rep["dim_sum"] == 2**level - math.comb(2, level)
 
 
 def test_kernel_theorem_example3_trivial_kernels():
-    spec = example3(2, 0.5)
+    alg = Algebra(example3(2, 0.5))
     for level in (2, 3, 4):
-        rep = spectral.kernel_theorem_check(spec, level - 1)
+        rep = spectral.kernel_theorem_check(alg, level - 1)
         assert rep["status"] == "pass"
         assert rep["dim_ker_P"] == rep["dim_sum"] == 0
 
 
 def test_kernel_theorem_qij():
     for lam in (-1.0, 1.0):
-        spec = qij(lam)
+        alg = Algebra(qij(lam))
         for level in (2, 3, 4):
-            rep = spectral.kernel_theorem_check(spec, level - 1)
+            rep = spectral.kernel_theorem_check(alg, level - 1)
             assert rep["status"] == "pass"
             assert rep["dim_ker_P"] == rep["dim_sum"]
             assert rep["distance"] <= 1e-8
@@ -134,15 +135,16 @@ def test_kernel_theorem_inapplicable_beyond_norm_bound():
         for j in (1, 2):
             entries.append({"i": i, "j": j, "k": i, "l": j, "re": 1.5, "im": 0.0})
     spec = model.load_spec({"d": 2, "coefficients": entries})
-    rep = spectral.kernel_theorem_check(spec, 2)
+    rep = spectral.kernel_theorem_check(Algebra(spec), 2)
     assert not rep["hypotheses"]["applicable"]
     assert rep["status"] == "inapplicable"
 
 
 def test_easy_inclusion_margin_across_presets():
     for label, spec in braided_presets():
+        alg = Algebra(spec)
         for level in range(2, 7):
-            rep = spectral.kernel_theorem_check(spec, level - 1)
+            rep = spectral.kernel_theorem_check(alg, level - 1)
             assert rep["inclusion_margin"] <= 1e-8, (label, level)
 
 
@@ -158,63 +160,67 @@ def test_kernel_equality_across_dimensions():
         (qij_d3(-1.0), 4), (qij_d3(1.0), 4),
     ]
     for spec, max_level in cases:
+        alg = Algebra(spec)
         for level in range(2, max_level + 1):
-            rep = spectral.kernel_theorem_check(spec, level - 1)
+            rep = spectral.kernel_theorem_check(alg, level - 1)
             assert rep["status"] == "pass", (spec.source, level)
             assert rep["dim_ker_P"] == rep["dim_sum"], (spec.source, level)
             assert rep["distance"] <= 1e-8, (spec.source, level)
 
 
 def test_positivity_classifications():
-    rep = spectral.positivity_check(qccr(2, 0.5), 4)
+    rep = spectral.positivity_check(Algebra(qccr(2, 0.5)), 4)
     assert rep["classification"] == "strictly positive"
     assert rep["dim_ker_P"] == 0
-    rep = spectral.positivity_check(qccr(2, 1.0), 3)
+    rep = spectral.positivity_check(Algebra(qccr(2, 1.0)), 3)
     assert rep["classification"] == "positive semidefinite"
     assert abs(rep["min_eig"]) <= 1e-10
     assert rep["dim_ker_P"] == 2**3 - 4  # oracle: complement of Sym^3(C^2)
-    rep = spectral.positivity_check(qccr(1, -1.0), 2)
+    rep = spectral.positivity_check(Algebra(qccr(1, -1.0)), 2)
     assert rep["classification"] == "positive semidefinite"
     assert abs(rep["min_eig"]) <= 1e-15
 
 
 def test_positivity_strict_for_open_range_presets():
     for spec in (qccr(2, 0.99), qccr(2, -0.99), example3(2, 0.5)):
+        alg = Algebra(spec)
         for n in range(2, 6):
-            rep = spectral.positivity_check(spec, n)
+            rep = spectral.positivity_check(alg, n)
             assert rep["classification"] == "strictly positive", (spec.source, n)
 
 
 def test_un_checks():
-    rep = spectral.un_checks(qccr(1, 0.7), 2)
+    rep = spectral.un_checks(Algebra(qccr(1, 0.7)), 2)
     assert rep["invariance_residual"] <= 1e-15
     assert rep["commutation_residual"] <= 1e-15
-    rep = spectral.un_checks(qccr(2, 1.0), 2)
+    flip = Algebra(qccr(2, 1.0))
+    rep = spectral.un_checks(flip, 2)
     assert rep["invariance_residual"] <= 1e-10
-    rep = spectral.un_checks(qccr(2, 1.0), 3)
+    rep = spectral.un_checks(flip, 3)
     assert rep["commutation_residual"] <= 1e-10
     for label, spec in braided_presets():
+        alg = Algebra(spec)
         for n in range(1, 5):
-            rep = spectral.un_checks(spec, n)
+            rep = spectral.un_checks(alg, n)
             assert rep["status"] == "pass", (label, n)
 
 
 def test_wick_ideal_checks_free():
-    rep = spectral.wick_ideal_checks(free_spec(2), 3)
+    rep = spectral.wick_ideal_checks(Algebra(free_spec(2)), 3)
     assert rep["dim_ker_P"] == 0
     assert rep["intertwining_residual"] == 0.0
     assert rep["status"] == "pass"
 
 
 def test_wick_ideal_checks_flip_exact():
-    rep = spectral.wick_ideal_checks(qccr(2, 1.0), 2)
+    rep = spectral.wick_ideal_checks(Algebra(qccr(2, 1.0)), 2)
     assert rep["dim_ker_P"] == 1
     assert rep["annihilation_residual"] <= 1e-12
     assert rep["status"] == "pass"
 
 
 def test_wick_ideal_checks_qij():
-    rep = spectral.wick_ideal_checks(qij(-1.0), 3)
+    rep = spectral.wick_ideal_checks(Algebra(qij(-1.0)), 3)
     assert rep["status"] == "pass"
     assert max(
         rep["annihilation_residual"],
@@ -226,22 +232,23 @@ def test_wick_ideal_checks_qij():
 
 def test_ker_R_inside_ker_P_across_presets():
     for label, spec in braided_presets():
+        alg = Algebra(spec)
         for n in range(2, 6):
-            rep = spectral.wick_ideal_checks(spec, n)
+            rep = spectral.wick_ideal_checks(alg, n)
             assert rep["kerR_inclusion_margin"] <= 1e-8, (label, n)
 
 
 def test_kernel_1mU2_vacuous_cases():
-    rep = spectral.kernel_1mU2_diag(example3(2, 0.5), 2)
+    rep = spectral.kernel_1mU2_diag(Algebra(example3(2, 0.5)), 2)
     assert rep["dim_intersection"] == 0
     assert rep["status"] == "pass"
-    rep = spectral.kernel_1mU2_diag(qccr(1, 0.5), 2)
+    rep = spectral.kernel_1mU2_diag(Algebra(qccr(1, 0.5)), 2)
     assert rep["dim_ker_1mU2"] == 0
     assert rep["status"] == "pass"
 
 
 def test_kernel_1mU2_flip():
-    rep = spectral.kernel_1mU2_diag(qccr(2, 1.0), 2)
+    rep = spectral.kernel_1mU2_diag(Algebra(qccr(2, 1.0)), 2)
     assert rep["dim_ker_1mU2"] == 8
     assert rep["dim_intersection"] == 4
     assert rep["involution_residual"] <= 1e-10

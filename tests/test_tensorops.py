@@ -7,6 +7,7 @@ import pytest
 
 from conftest import braided_presets, example3, free_spec, qccr, qij
 from wickfock import coxeter, model, tensorops
+from wickfock.algebra import Algebra
 from wickfock.model import TensorOperator
 
 
@@ -261,10 +262,10 @@ def test_factorization_m_form():
 
 def test_factorization_J_form():
     # P_{n+1} = P(D_J) P(W_J) is checked from the Coxeter walk
-    T = model.build_T(qccr(2, 0.5))
-    fact = coxeter.coxeter_checks(T, 3)["factorization"][1]
+    alg = Algebra(qccr(2, 0.5))
+    fact = coxeter.coxeter_checks(alg, 3)["factorization"][1]
     assert fact["J"] == [1] and fact["residual"] <= 1e-10
-    fact = coxeter.coxeter_checks(T, 2)["factorization"][0]
+    fact = coxeter.coxeter_checks(alg, 2)["factorization"][0]
     assert fact["J"] == [] and fact["residual"] <= 1e-10
 
 
