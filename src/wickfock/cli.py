@@ -155,12 +155,12 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
         X = rewrite.parse_word_expr(args.x, spec.d)
         Y = rewrite.parse_word_expr(args.y, spec.d)
         top = max([len(w) for w in X] + [len(w) for w in Y] + [2])
-    elif args.command == "check":
-        top = 3  # the braid residual
     elif args.command == "coxeter":
         top = args.n + 1
-    else:
-        top = args.n if args.n is not None else args.n_max
+    else:  # check takes neither --n nor --n-max
+        top = args.n if args.n is not None else args.n_max or 2
+    if args.command != "inner" and getattr(args, "method", None) != "recursive":
+        top = max(top, 3)  # the braid residual, taken at level 3
     check_level(spec.d, top)
     alg = Algebra(spec)
     checks = _Checks()

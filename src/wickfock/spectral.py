@@ -1,16 +1,16 @@
 """Kernels, subspace arithmetic, and the certification checks.
 
-A subspace of H^(x)n is carried as a matrix with orthonormal columns plus
-the rank tolerance that produced it.  Kernels of self-adjoint operators come
-from an eigendecomposition of the symmetrization; kernels of non-normal
-operators (the R_n) come from an SVD.  Subspace equality is always judged by
-the operator norm of the projector difference, never by comparing bases.
+A subspace of H^(x)n is carried as a matrix with orthonormal columns.
+Kernels of self-adjoint operators come from an eigendecomposition of the
+symmetrization, those of non-normal operators (the R_n) and subspace sums
+from an SVD, each cut by one rank rule.  Subspace equality is always judged
+by the operator norm of the projector difference, never by comparing bases.
 
 The check functions take an :class:`~wickfock.algebra.Algebra`, read its
 memoized operators, and return plain dicts (JSON-ready report fragments): the
-kernel equality ker P_{n+1} = sum_k ker(1 + T_k), strict positivity, the
-U_n invariance and commutation laws, the Wick-ideal membership residuals,
-and the diagnostics on ker(1 - U_n^2).
+kernel equality ker P_{n+1} = sum_k ker(1 + T_k) from the one level-2 kernel
+of 1 + T, strict positivity, the U_n invariance and commutation laws, the
+Wick-ideal membership residuals, and the diagnostics on ker(1 - U_n^2).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "subspace_sum",
     "subspace_distance",
     "subspace_intersection",
+    "amplified_kernels",
     "kernel_theorem_check",
     "positivity_check",
     "un_checks",
@@ -54,16 +55,13 @@ class Subspace:
     d: int
     level: int
     basis: np.ndarray
-    rank_tol: float
 
     def __post_init__(self) -> None:
         b = np.asarray(self.basis, dtype=np.complex128)
         dim = self.d**self.level
         if b.ndim != 2 or b.shape[0] != dim:
             raise ValueError(f"basis shape {b.shape} does not match dimension {dim}")
-        if b.shape[1] > dim:
-            raise ValueError(f"rank {b.shape[1]} exceeds dimension {dim}")
-        gram_defect = np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1]), 2) if b.shape[1] else 0.0
+        gram_defect = op_norm(b.conj().T @ b - np.eye(b.shape[1]))
         if gram_defect > 1e-10:
             raise ValueError(f"basis columns not orthonormal: defect {gram_defect:.3e}")
         object.__setattr__(self, "basis", b)
@@ -83,50 +81,51 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
         )
 
 
-def kernel(A: TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
-    """Kernel of a self-adjoint operator.
+def _is_zero(values: np.ndarray, rank_tol: float) -> np.ndarray:
+    """The rank rule: |value| <= rank_tol * max(1, largest |value|)."""
+    a = np.abs(values)
+    return a <= rank_tol * max(1.0, float(np.max(a, initial=0.0)))
 
-    The input must be self-adjoint within 1e-8 (relative); the kernel is the
-    span of eigenvectors of (A + A^H)/2 with |eigenvalue| <= rank_tol *
-    max(1, ||A||).  Eigenvector order is the LAPACK ascending-eigenvalue
-    order, so the basis is deterministic for a given input.
+
+def kernel(A: TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
+    """Kernel of a self-adjoint operator (within 1e-8, relative to its
+    largest |eigenvalue|): the eigenvectors of (A + A^H)/2 whose eigenvalues
+    the rank rule counts as zero, in LAPACK's ascending order.
+
+    >>> flip = np.eye(4)[[0, 2, 1, 3]]  # e_i (x) e_j -> e_j (x) e_i at d=2
+    >>> K = kernel(TensorOperator(2, 2, np.eye(4) + flip))
+    >>> K.dim, np.round((K.basis[:, 0] / K.basis[1, 0]).real, 12) + 0.0
+    (1, array([ 0.,  1., -1.,  0.]))
     """
     m = A.mat
-    scale = max(1.0, op_norm(m))
+    evals, evecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    scale = max(1.0, float(np.max(np.abs(evals), initial=0.0)))
     defect = op_norm(m - m.conj().T)
     if defect > SELFADJOINT_TOL * scale:
         raise ValueError(
             f"operator is not self-adjoint: defect {defect:.3e} at scale {scale:.3e}"
         )
-    sym = (m + m.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(sym)
-    mask = np.abs(evals) <= rank_tol * max(1.0, float(np.max(np.abs(evals), initial=0.0)))
-    return Subspace(A.d, A.level, evecs[:, mask], rank_tol)
+    return Subspace(A.d, A.level, evecs[:, _is_zero(evals, rank_tol)])
 
 
 def nullspace_svd(A: TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
     """Nullspace of an arbitrary (not necessarily normal) operator, via SVD:
-    right singular vectors with singular value <= rank_tol * max(1, s_max)."""
+    right singular vectors with singular values the rank rule counts as zero."""
     u, s, vh = np.linalg.svd(A.mat)
-    smax = float(s[0]) if s.size else 0.0
-    mask = s <= rank_tol * max(1.0, smax)
-    return Subspace(A.d, A.level, vh.conj().T[:, mask], rank_tol)
+    return Subspace(A.d, A.level, vh.conj().T[:, _is_zero(s, rank_tol)])
 
 
 def subspace_sum(parts: list[Subspace], rank_tol: float = RANK_TOL) -> Subspace:
     """Orthonormalized span of the concatenated bases (rank-revealing SVD,
-    singular values kept above rank_tol * max(1, s_max))."""
+    singular values kept unless the rank rule counts them as zero)."""
     if not parts:
         raise ValueError("need at least one subspace")
     first = parts[0]
     for p in parts[1:]:
         _check_same_space(first, p)
     stacked = np.concatenate([p.basis for p in parts], axis=1)
-    if stacked.shape[1] == 0:
-        return Subspace(first.d, first.level, stacked, rank_tol)
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    mask = s > rank_tol * max(1.0, float(s[0]))
-    return Subspace(first.d, first.level, u[:, mask], rank_tol)
+    return Subspace(first.d, first.level, u[:, ~_is_zero(s, rank_tol)])
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> float:
@@ -153,16 +152,28 @@ def _hypotheses(T: TensorOperator, tol: float) -> dict:
     }
 
 
+def amplified_kernels(T: TensorOperator, level: int, rank_tol: float = RANK_TOL) -> list[Subspace]:
+    """ker(1 + T_k) on H^(x)level, k = 1..level-1: 1 (x) B (x) 1 for a basis B
+    of ker(1 + T); 1 + T_k has the eigenvalues of 1 + T, so the rank rule agrees."""
+    d = T.d
+    B = kernel(TensorOperator(d, 2, np.eye(d**2) + T.mat), rank_tol).basis
+    return [
+        Subspace(d, level, np.kron(np.kron(np.eye(d ** (k - 1)), B), np.eye(d ** (level - k - 1))))
+        for k in range(1, level)
+    ]
+
+
 def kernel_theorem_check(
     alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
 ) -> dict:
     """Certify ker P_{n+1} = sum_k ker(1 + T_k) at level n+1.
 
     Both sides are computed independently: the left from the recursive P,
-    the right as the rank-revealed sum of the level-(n+1) kernels of each
-    1 + T_k.  The report carries dimensions, the projector distance, and the
-    easy-inclusion margin ||P_{n+1} B_sum||.  Hypothesis violations (braid,
-    norm) do not stop the computation; they mark the check inapplicable.
+    the right as the rank-revealed sum of the amplified degree-2 kernel of
+    1 + T (:func:`amplified_kernels`).  The report carries dimensions, the
+    projector distance, and the easy-inclusion margin ||P_{n+1} B_sum||.
+    Hypothesis violations (braid, norm) do not stop the computation; they
+    mark the check inapplicable.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -172,27 +183,20 @@ def kernel_theorem_check(
 
     P = alg.P(level)
     ker_P = alg.ker_P(level, rank_tol)
-
-    eye = np.eye(T.d**level, dtype=np.complex128)
-    parts = []
-    for k in range(1, level):
-        onePT = TensorOperator(T.d, level, eye + word_product(T, (k,), level).mat)
-        parts.append(kernel(onePT, rank_tol))
-    sum_space = subspace_sum(parts, rank_tol)
+    sum_space = subspace_sum(amplified_kernels(T, level, rank_tol), rank_tol)
 
     distance = subspace_distance(ker_P, sum_space)
-    margin = op_norm(P.mat @ sum_space.basis) if sum_space.dim else 0.0
-    report = {
+    margin = op_norm(P.mat @ sum_space.basis)
+    ok = ker_P.dim == sum_space.dim and distance <= tol and margin <= tol
+    return {
         "level": level,
         "dim_ker_P": ker_P.dim,
         "dim_sum": sum_space.dim,
         "distance": distance,
         "inclusion_margin": margin,
         "hypotheses": hyp,
+        "status": ("pass" if ok else "fail") if hyp["applicable"] else "inapplicable",
     }
-    ok = ker_P.dim == sum_space.dim and distance <= tol and margin <= tol
-    report["status"] = ("pass" if ok else "fail") if hyp["applicable"] else "inapplicable"
-    return report
 
 
 def positivity_check(
@@ -287,22 +291,19 @@ def wick_ideal_checks(
     ker_R = nullspace_svd(R_n, rank_tol)
 
     chain_n = word_product(T, range(1, n + 1), n + 1).mat
-    annihilation = 0.0
+    RX = R_n.mat @ ker_P.basis
+    annihilation = max(op_norm(P_nm1 @ _mu_columns(d, i, RX)) for i in range(d))
     coaction = 0.0
-    if ker_P.dim:
-        RX = R_n.mat @ ker_P.basis
+    for k in range(d):
+        Xk = np.kron(ker_P.basis, np.eye(d, dtype=np.complex128)[:, [k]])  # X (x) e_k
+        CXk = chain_n @ Xk
         for i in range(d):
-            annihilation = max(annihilation, op_norm(P_nm1 @ _mu_columns(d, i, RX)))
-        for k in range(d):
-            Xk = np.kron(ker_P.basis, np.eye(d, dtype=np.complex128)[:, [k]])  # X (x) e_k
-            CXk = chain_n @ Xk
-            for i in range(d):
-                coaction = max(coaction, op_norm(P_n.mat @ _mu_columns(d, i, CXk)))
+            coaction = max(coaction, op_norm(P_n.mat @ _mu_columns(d, i, CXk)))
 
     intertwining = op_norm(
         apply_slots(P_n.mat, d, 2, chain_n, left=True) - apply_slots(P_n.mat, d, 1, chain_n)
     )
-    kerR_margin = op_norm(P_n.mat @ ker_R.basis) if ker_R.dim else 0.0
+    kerR_margin = op_norm(P_n.mat @ ker_R.basis)
 
     ok = max(annihilation, coaction, intertwining, kerR_margin) <= tol
     return {
@@ -326,10 +327,8 @@ def kernel_1mU2_diag(
         raise ValueError(f"need n >= 1, got {n}")
     T = alg.T
     level = n + 1
-    eye = np.eye(T.d**level, dtype=np.complex128)
     U = alg.U(n).mat
-    one_minus_U2 = TensorOperator(T.d, level, eye - U @ U)
-    ker_U = kernel(one_minus_U2, rank_tol)
+    ker_U = kernel(TensorOperator(T.d, level, np.eye(T.d**level) - U @ U), rank_tol)
     ker_P = alg.ker_P(level, rank_tol)
     inter = subspace_intersection(ker_U, ker_P, rank_tol)
 

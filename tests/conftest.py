@@ -3,11 +3,28 @@
 from __future__ import annotations
 
 import itertools
+import tempfile
 
 import numpy as np
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from wickfock import fock, model, rewrite
 from wickfock.algebra import Algebra
+
+# property tests replay the same examples on every run and keep no database
+settings.register_profile(
+    "wickfock", derandomize=True, database=None, deadline=None, max_examples=20
+)
+settings.load_profile("wickfock")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants it reads from the source files while
+    pytest collects; that cache goes to a temporary directory, not the checkout."""
+    home = tempfile.TemporaryDirectory(prefix="wickfock-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def qccr(d: int, q: float) -> model.WickSpec:
@@ -37,12 +54,43 @@ def twisted_flip(d: int, seed: int = 0) -> model.WickSpec:
         for j in range(i + 1, d):
             q[i, j] = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
             q[j, i] = np.conj(q[i, j])
+    return twisted_flip_spec(q)
+
+
+def twisted_flip_spec(q: np.ndarray) -> model.WickSpec:
+    """The twisted flip T e_i(x)e_j = q_ij e_j(x)e_i of a d x d matrix q."""
+    d = q.shape[0]
     entries = [
         {"i": j + 1, "j": i + 1, "k": j + 1, "l": i + 1, "re": q[i, j].real, "im": q[i, j].imag}
         for i in range(d)
         for j in range(d)
     ]
     return model.load_spec({"d": d, "coefficients": entries})
+
+
+def unimodular_q(d: int, moduli, phases, diagonal) -> np.ndarray:
+    """q for a unimodular twisted flip: q_11 = -1 and |q_12| = 1, so that
+    ker(1 + T) is nonzero and complex; the remaining q_ii from ``diagonal``
+    (d - 1 reals) and, row by row, the remaining |q_ij|, i < j, from
+    ``moduli``; every arg q_ij, i < j, from ``phases``; q_ji = conj(q_ij).
+    T is then braided and self-adjoint with ||T|| = 1."""
+    q = np.diag([-1.0, *diagonal]).astype(np.complex128)
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for (i, j), r, phase in zip(upper, [1.0, *moduli], phases, strict=True):
+        q[i, j] = r * np.exp(1j * phase)
+        q[j, i] = np.conj(q[i, j])
+    return q
+
+
+def unimodular_flip(d: int, seed: int = 0) -> model.WickSpec:
+    """A unimodular twisted flip (:func:`unimodular_q`) drawn from a seed:
+    the free moduli are 1 or in [0, 0.9], the free q_ii are -1, 1 or in
+    [-0.9, 0.9], so no eigenvalue of 1 + T sits near the rank threshold."""
+    rng = np.random.default_rng(seed)
+    pairs = d * (d - 1) // 2
+    moduli = [1.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.9) for _ in range(pairs - 1)]
+    diagonal = [rng.choice([-1.0, 1.0, rng.uniform(-0.9, 0.9)]) for _ in range(d - 1)]
+    return twisted_flip_spec(unimodular_q(d, moduli, rng.uniform(0.0, 2 * np.pi, pairs), diagonal))
 
 
 def braided_presets() -> list[tuple[str, model.WickSpec]]:

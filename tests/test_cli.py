@@ -253,8 +253,25 @@ def test_level_guard_is_input_error(tmp_path, capsys):
         (["kernel-theorem", "--spec", d2, "--n-max", "12"], 2 ** 24 * 16),
         (["inner", "--spec", d2, "--x", long_word, "--y", "a1"], 2 ** 24 * 16),
     ]
+    # the braid residual is taken at level 3 whatever the run's top level
+    free15 = write_spec(tmp_path, "free_d15.json", {"d": 15, "coefficients": []})
+    level3 = 182250000  # 16 * 15^6 bytes
+    cases += [
+        (["kernel-theorem", "--spec", free15, "--n-max", "2"], level3),
+        (["positivity", "--spec", free15, "--n-max", "2"], level3),
+        (["coxeter", "--spec", free15, "--n", "1"], level3),
+        (["pn", "--spec", free15, "--n", "2"], level3),
+        (["full", "--spec", free15, "--n-max", "2"], level3),
+    ]
     for args, need in cases:
         code, report = run(args, tmp_path)
         err = capsys.readouterr().err
         assert code == 2 and report is None, args
         assert f"needs {need} bytes or more, over the {128 * 1024**2} byte guard" in err, (args, err)
+    # commands that never take the braid residual keep their own top level
+    for args in (
+        ["inner", "--spec", free15, "--x", "a1 a2", "--y", "a2 a1"],
+        ["pn", "--spec", free15, "--n", "2", "--method", "recursive"],
+    ):
+        code, report = run(args, tmp_path)
+        assert code == 0 and report["overall"] == "pass", args

@@ -4,9 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import braided_presets, example3, free_spec, qccr, qij
-from wickfock import model, spectral, tensorops
+from conftest import (
+    braided_presets,
+    example3,
+    free_spec,
+    qccr,
+    qij,
+    twisted_flip_spec,
+    unimodular_flip,
+    unimodular_q,
+)
+from wickfock import algebra, model, spectral, tensorops
 from wickfock.algebra import Algebra
 from wickfock.model import TensorOperator
 
@@ -82,12 +93,12 @@ def test_subspace_sum_flip_level3():
 
 
 def test_subspace_mismatch_errors():
-    a = spectral.Subspace(2, 2, np.zeros((4, 0)), 1e-8)
-    b = spectral.Subspace(2, 3, np.zeros((8, 0)), 1e-8)
+    a = spectral.Subspace(2, 2, np.zeros((4, 0)))
+    b = spectral.Subspace(2, 3, np.zeros((8, 0)))
     with pytest.raises(ValueError, match="mismatch"):
         spectral.subspace_distance(a, b)
     with pytest.raises(ValueError, match="orthonormal"):
-        spectral.Subspace(2, 2, np.ones((4, 2)), 1e-8)
+        spectral.Subspace(2, 2, np.ones((4, 2)))
 
 
 def test_kernel_theorem_flip_dims():
@@ -166,6 +177,76 @@ def test_kernel_equality_across_dimensions():
             assert rep["status"] == "pass", (spec.source, level)
             assert rep["dim_ker_P"] == rep["dim_sum"], (spec.source, level)
             assert rep["distance"] <= 1e-8, (spec.source, level)
+
+
+def test_amplified_kernels_match_the_level_L_kernels():
+    # reference: ker(1 + T_k) decided directly at level L from the Kronecker T_k
+    d2 = [spec for _, spec in braided_presets()] + [unimodular_flip(2, s) for s in range(4)]
+    d3 = [qccr(3, 1.0), qccr(3, -1.0), qccr(3, 0.5), example3(3, 0.5)]
+    d3 += [
+        model.preset("qij-ccr", 3, qs=[0.5, 0.4, 0.6], lam=[[1, lam, lam], [lam, 1, lam], [lam, lam, 1]])
+        for lam in (-1.0, 1.0)
+    ]
+    d3 += [unimodular_flip(3, s) for s in range(4)]
+    for spec, max_level in [(s, 5) for s in d2] + [(s, 4) for s in d3]:
+        T = model.build_T(spec)
+        for level in range(2, max_level + 1):
+            eye = np.eye(T.d**level, dtype=complex)
+            parts = spectral.amplified_kernels(T, level)
+            assert len(parts) == level - 1
+            for k, part in enumerate(parts, start=1):
+                ref = spectral.kernel(TensorOperator(T.d, level, eye + tensorops.amplify(T, k, level).mat))
+                assert isinstance(part, spectral.Subspace)
+                assert part.dim == ref.dim, (spec.source, level, k)
+                assert spectral.subspace_distance(part, ref) <= 1e-12, (spec.source, level, k)
+
+
+def test_kernel_theorem_decides_one_level2_kernel(monkeypatch):
+    levels = []
+    real_kernel = spectral.kernel
+
+    def counting_kernel(A, rank_tol=spectral.RANK_TOL):
+        levels.append(A.level)
+        return real_kernel(A, rank_tol)
+
+    monkeypatch.setattr(spectral, "kernel", counting_kernel)
+    monkeypatch.setattr(algebra, "kernel", counting_kernel)
+    for spec in (qccr(2, -1.0), qccr(3, 1.0)):
+        for n in (2, 3):
+            alg = Algebra(spec)
+            levels.clear()
+            spectral.kernel_theorem_check(alg, n)
+            assert sorted(levels) == [2, n + 1]  # ker(1 + T) and ker P_{n+1}
+            levels.clear()
+            spectral.kernel_theorem_check(alg, n)
+            assert levels == [2]  # ker P_{n+1} is memoized
+
+
+@st.composite
+def unimodular_flips(draw, d):
+    """Unimodular twisted flips (conftest.unimodular_q); the free moduli and
+    diagonal entries stay away from the edge of the rank threshold."""
+    pairs = d * (d - 1) // 2
+    modulus = st.just(1.0) | st.floats(0.0, 0.9)
+    diagonal = st.sampled_from([-1.0, 1.0]) | st.floats(-0.9, 0.9)
+    q = unimodular_q(
+        d,
+        draw(st.lists(modulus, min_size=pairs - 1, max_size=pairs - 1)),
+        draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=pairs, max_size=pairs)),
+        draw(st.lists(diagonal, min_size=d - 1, max_size=d - 1)),
+    )
+    return twisted_flip_spec(q)
+
+
+@pytest.mark.parametrize("d, max_level", [(2, 5), (3, 4)])
+@given(data=st.data())
+def test_kernel_theorem_on_unimodular_twisted_flips(d, max_level, data):
+    # braided, self-adjoint, ||T|| = 1, with complex kernels no preset has
+    alg = Algebra(data.draw(unimodular_flips(d)))
+    for level in range(2, max_level + 1):
+        rep = spectral.kernel_theorem_check(alg, level - 1)
+        assert rep["status"] == "pass", (alg.spec.source, level, rep)
+        assert rep["dim_ker_P"] == rep["dim_sum"] > 0, (alg.spec.source, level, rep)
 
 
 def test_positivity_classifications():
