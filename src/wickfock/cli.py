@@ -64,7 +64,7 @@ class _Checks:
 
 def _suite_check(alg: Algebra, checks: _Checks, tol: float) -> None:
     T = alg.T
-    herm = float(np.linalg.norm(T.mat - T.mat.conj().T, 2))
+    herm = tensorops.op_norm(T.mat - T.mat.conj().T)
     checks.add_residual("hermiticity", {}, herm, 1e-12)
     checks.add("operator_norm", {}, "info", value=tensorops.op_norm(T))
     checks.add_residual("braid", {}, tensorops.braid_residual(T), tol)

@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .tensorops import op_norm
+
 if TYPE_CHECKING:
     from .algebra import Algebra
 
@@ -210,7 +212,7 @@ def relation_check(alg: Algebra, N: int, seed: int = 42, tol: float = 1e-8) -> d
                         if (a, b) != (i, j):
                             continue
                         rhs = rhs + c * np.kron(units[:, [l]], ann[k])
-                residual = float(np.linalg.norm(blocks[i, :, j, :] - rhs, 2))
+                residual = op_norm(blocks[i, :, j, :] - rhs)
                 relation_residual = max(relation_residual, residual)
 
     rng = np.random.default_rng(seed)

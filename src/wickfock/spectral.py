@@ -2,15 +2,17 @@
 
 A subspace of H^(x)n is carried as a matrix with orthonormal columns.
 Kernels of self-adjoint operators come from an eigendecomposition of the
-symmetrization, those of non-normal operators (the R_n) and subspace sums
-from an SVD, each cut by one rank rule.  Subspace equality is always judged
-by the operator norm of the projector difference, never by comparing bases.
+symmetrization, those of non-normal operators (the R_n) from an SVD, each
+cut by one rank rule.  Subspace equality is always judged by the operator
+norm of the projector difference, never by comparing bases.
 
 The check functions take an :class:`~wickfock.algebra.Algebra`, read its
 memoized operators, and return plain dicts (JSON-ready report fragments): the
-kernel equality ker P_{n+1} = sum_k ker(1 + T_k) from the one level-2 kernel
-of 1 + T, strict positivity, the U_n invariance and commutation laws, the
-Wick-ideal membership residuals, and the diagnostics on ker(1 - U_n^2).
+kernel equality ker P_{n+1} = sum_k ker(1 + T_k), decided as the orthogonal
+decomposition ker P_{n+1} (+) ker(sum_k 1 (x) Pi (x) 1) = H^(x)(n+1) with Pi
+the projector onto the level-2 kernel of 1 + T, strict positivity, the U_n
+invariance and commutation laws, the Wick-ideal membership residuals, and
+the diagnostics on ker(1 - U_n^2).
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ __all__ = [
     "Subspace",
     "kernel",
     "nullspace_svd",
-    "subspace_sum",
-    "subspace_distance",
     "subspace_intersection",
-    "amplified_kernels",
+    "ideal_complement",
     "kernel_theorem_check",
     "positivity_check",
     "un_checks",
@@ -115,25 +115,6 @@ def nullspace_svd(A: TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
     return Subspace(A.d, A.level, vh.conj().T[:, _is_zero(s, rank_tol)])
 
 
-def subspace_sum(parts: list[Subspace], rank_tol: float = RANK_TOL) -> Subspace:
-    """Orthonormalized span of the concatenated bases (rank-revealing SVD,
-    singular values kept unless the rank rule counts them as zero)."""
-    if not parts:
-        raise ValueError("need at least one subspace")
-    first = parts[0]
-    for p in parts[1:]:
-        _check_same_space(first, p)
-    stacked = np.concatenate([p.basis for p in parts], axis=1)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    return Subspace(first.d, first.level, u[:, ~_is_zero(s, rank_tol)])
-
-
-def subspace_distance(a: Subspace, b: Subspace) -> float:
-    """|| Pi_A - Pi_B ||_2; zero iff the subspaces coincide, at most one."""
-    _check_same_space(a, b)
-    return op_norm(a.projector() - b.projector())
-
-
 def subspace_intersection(a: Subspace, b: Subspace, rank_tol: float = RANK_TOL) -> Subspace:
     """Intersection via the kernel of (1 - Pi_A) + (1 - Pi_B)."""
     _check_same_space(a, b)
@@ -152,26 +133,39 @@ def _hypotheses(T: TensorOperator, tol: float) -> dict:
     }
 
 
-def amplified_kernels(T: TensorOperator, level: int, rank_tol: float = RANK_TOL) -> list[Subspace]:
-    """ker(1 + T_k) on H^(x)level, k = 1..level-1: 1 (x) B (x) 1 for a basis B
-    of ker(1 + T); 1 + T_k has the eigenvalues of 1 + T, so the rank rule agrees."""
+def ideal_complement(T: TensorOperator, level: int, rank_tol: float = RANK_TOL) -> Subspace:
+    """The orthogonal complement in H^(x)level of I = sum_k ker(1 + T_k),
+    k = 1..level-1: the kernel of the positive S = sum_k 1 (x) Pi (x) 1, Pi
+    the projector onto the level-2 kernel of 1 + T.  S has range I, and its
+    kernel is decided by :func:`kernel`, under the rank rule of ker P.
+
+    For the flip at d=2, I is spanned by the antisymmetric pairs in every
+    slot pair; its complement at level 3 is Sym^3(C^2), of dimension 4:
+
+    >>> flip = np.eye(4)[[0, 2, 1, 3]]
+    >>> ideal_complement(TensorOperator(2, 2, flip), 3).dim
+    4
+    """
     d = T.d
     B = kernel(TensorOperator(d, 2, np.eye(d**2) + T.mat), rank_tol).basis
-    return [
-        Subspace(d, level, np.kron(np.kron(np.eye(d ** (k - 1)), B), np.eye(d ** (level - k - 1))))
-        for k in range(1, level)
-    ]
+    Pi = B @ B.conj().T
+    eye = np.eye(d**level, dtype=np.complex128)
+    S = sum(apply_slots(Pi, d, k, eye, left=True) for k in range(1, level))
+    return kernel(TensorOperator(d, level, S), rank_tol)
 
 
 def kernel_theorem_check(
     alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
 ) -> dict:
-    """Certify ker P_{n+1} = sum_k ker(1 + T_k) at level n+1.
+    """Certify ker P_{n+1} = sum_k ker(1 + T_k) at level n+1, as the
+    orthogonal decomposition ker P_{n+1} (+) ker S = H^(x)(n+1), with ker S
+    the complement of the sum (:func:`ideal_complement`).
 
-    Both sides are computed independently: the left from the recursive P,
-    the right as the rank-revealed sum of the amplified degree-2 kernel of
-    1 + T (:func:`amplified_kernels`).  The report carries dimensions, the
-    projector distance, and the easy-inclusion margin ||P_{n+1} B_sum||.
+    Both sides are computed independently and decided by :func:`kernel`:
+    the left from the recursive P, the right from the level-2 kernel of
+    1 + T.  With Pi_sum = 1 - Pi_{ker S}, the report carries the dimensions
+    (``dim_sum = d^(n+1) - dim ker S``), the projector distance
+    ||Pi_{ker P} - Pi_sum||, and the easy-inclusion margin ||P_{n+1} Pi_sum||.
     Hypothesis violations (braid, norm) do not stop the computation; they
     mark the check inapplicable.
     """
@@ -183,15 +177,17 @@ def kernel_theorem_check(
 
     P = alg.P(level)
     ker_P = alg.ker_P(level, rank_tol)
-    sum_space = subspace_sum(amplified_kernels(T, level, rank_tol), rank_tol)
+    complement = ideal_complement(T, level, rank_tol)
 
-    distance = subspace_distance(ker_P, sum_space)
-    margin = op_norm(P.mat @ sum_space.basis)
-    ok = ker_P.dim == sum_space.dim and distance <= tol and margin <= tol
+    dim_sum = T.d**level - complement.dim
+    sum_proj = np.eye(T.d**level, dtype=np.complex128) - complement.projector()
+    distance = op_norm(ker_P.projector() - sum_proj)
+    margin = op_norm(P.mat @ sum_proj)
+    ok = ker_P.dim == dim_sum and distance <= tol and margin <= tol
     return {
         "level": level,
         "dim_ker_P": ker_P.dim,
-        "dim_sum": sum_space.dim,
+        "dim_sum": dim_sum,
         "distance": distance,
         "inclusion_margin": margin,
         "hypotheses": hyp,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tempfile
 
 import numpy as np
@@ -91,6 +92,44 @@ def unimodular_flip(d: int, seed: int = 0) -> model.WickSpec:
     moduli = [1.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.9) for _ in range(pairs - 1)]
     diagonal = [rng.choice([-1.0, 1.0, rng.uniform(-0.9, 0.9)]) for _ in range(d - 1)]
     return twisted_flip_spec(unimodular_q(d, moduli, rng.uniform(0.0, 2 * np.pi, pairs), diagonal))
+
+
+def matrix_spec(M: np.ndarray) -> model.WickSpec:
+    """The ``matrix`` spec of a d^2 x d^2 level-2 operator matrix."""
+    rows = [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in M]
+    return model.load_spec({"d": math.isqrt(M.shape[0]), "matrix": rows})
+
+
+def hecke(d: int, q: float) -> model.WickSpec:
+    """The Hecke T of the Pusz-Woronowicz twisted CCR, 0 < q <= 1:
+    T e_i(x)e_i = q^2 e_i(x)e_i and, for i < j, T e_i(x)e_j = q e_j(x)e_i and
+    T e_j(x)e_i = q e_i(x)e_j + (q^2 - 1) e_j(x)e_i.  Real symmetric and
+    braided, with eigenvalues q^2 and -1, so ||T|| = 1; weight-preserving,
+    but not monomial."""
+    M = np.zeros((d * d, d * d))
+    for i in range(d):
+        M[i * d + i, i * d + i] = q * q
+        for j in range(i + 1, d):
+            ij, ji = i * d + j, j * d + i
+            M[ji, ij] = M[ij, ji] = q
+            M[ji, ji] = q * q - 1
+    return matrix_spec(M)
+
+
+def random_unitary(d: int, seed: int) -> np.ndarray:
+    """A d x d unitary from the QR factorization of a seeded complex
+    Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+def rotated(spec: model.WickSpec, seed: int) -> model.WickSpec:
+    """(U (x) U) T (U (x) U)^* for U = random_unitary(d, seed), as a matrix
+    spec: braided and self-adjoint when T is, with the same norm, and
+    generically not weight-preserving."""
+    K = np.kron(*[random_unitary(spec.d, seed)] * 2)
+    return matrix_spec(K @ model.build_T(spec).mat @ K.conj().T)
 
 
 def braided_presets() -> list[tuple[str, model.WickSpec]]:

@@ -11,8 +11,10 @@ from conftest import (
     braided_presets,
     example3,
     free_spec,
+    hecke,
     qccr,
     qij,
+    rotated,
     twisted_flip_spec,
     unimodular_flip,
     unimodular_q,
@@ -64,39 +66,26 @@ def test_nullspace_svd_of_zero_and_full_rank():
     assert spectral.nullspace_svd(TensorOperator.identity(2, 2)).dim == 0
 
 
-def test_subspace_sum_idempotent():
-    flip = model.build_T(qccr(2, 1.0))
-    K = spectral.kernel(TensorOperator(2, 2, np.eye(4) + flip.mat))
-    S = spectral.subspace_sum([K, K])
-    assert S.dim == K.dim
-    assert spectral.subspace_distance(S, K) <= 1e-12
-
-
 def test_subspace_sum_flip_level3():
     # oracle: d^n - C(d+n-1, n) = 8 - 4, the non-symmetric complement
     flip = model.build_T(qccr(2, 1.0))
-    eye = np.eye(8, dtype=complex)
-    parts = [
-        spectral.kernel(TensorOperator(2, 3, eye + tensorops.amplify(flip, k, 3).mat))
-        for k in (1, 2)
-    ]
-    S = spectral.subspace_sum(parts)
-    assert S.dim == 2**3 - math.comb(2 + 3 - 1, 3)
+    complement = spectral.ideal_complement(flip, 3)
+    dim_sum = 2**3 - complement.dim
+    assert dim_sum == 2**3 - math.comb(2 + 3 - 1, 3)
     kerP = spectral.kernel(tensorops.build_P(flip, 3))
-    assert spectral.subspace_distance(kerP, S) <= 1e-8
-    # every summand basis vector stays inside the sum
-    proj = S.projector()
-    for part in parts:
-        for col in range(part.dim):
-            b = part.basis[:, col]
-            assert np.linalg.norm(proj @ b - b) <= 1e-10
+    eye = np.eye(8)
+    assert tensorops.op_norm(kerP.projector() + complement.projector() - eye) <= 1e-8
+    # every ker(1 + T_k) is orthogonal to the complement
+    for k in (1, 2):
+        part = spectral.kernel(TensorOperator(2, 3, eye + tensorops.amplify(flip, k, 3).mat))
+        assert tensorops.op_norm(complement.basis.conj().T @ part.basis) <= 1e-10
 
 
 def test_subspace_mismatch_errors():
     a = spectral.Subspace(2, 2, np.zeros((4, 0)))
     b = spectral.Subspace(2, 3, np.zeros((8, 0)))
     with pytest.raises(ValueError, match="mismatch"):
-        spectral.subspace_distance(a, b)
+        spectral.subspace_intersection(a, b)
     with pytest.raises(ValueError, match="orthonormal"):
         spectral.Subspace(2, 2, np.ones((4, 2)))
 
@@ -179,8 +168,44 @@ def test_kernel_equality_across_dimensions():
             assert rep["distance"] <= 1e-8, (spec.source, level)
 
 
-def test_amplified_kernels_match_the_level_L_kernels():
-    # reference: ker(1 + T_k) decided directly at level L from the Kronecker T_k
+def test_kernel_theorem_on_hecke_and_rotated_hecke():
+    # oracle: d^L - C(L+d-1, d-1), the complement of the q-symmetric tensors;
+    # rotation keeps it, since it conjugates P_L by the unitary U^(x)L
+    cases = [(hecke(2, 0.6), 5), (hecke(3, 0.8), 4)]
+    cases += [(rotated(spec, seed), max_level) for seed, (spec, max_level) in enumerate(cases)]
+    for spec, max_level in cases:
+        alg = Algebra(spec)
+        d = spec.d
+        for level in range(2, max_level + 1):
+            rep = spectral.kernel_theorem_check(alg, level - 1)
+            assert rep["status"] == "pass", (level, rep)
+            expected = d**level - math.comb(level + d - 1, d - 1)
+            assert rep["dim_ker_P"] == rep["dim_sum"] == expected, (level, rep)
+
+
+def test_kernel_theorem_on_rotated_unimodular_flip():
+    flip = unimodular_flip(3, 0)
+    spec = rotated(flip, 0)
+    M = model.build_T(spec).mat
+    # not weight-preserving: T mixes pairs with different multisets of indices
+    mixing = [
+        abs(M[a * 3 + b, c * 3 + e])
+        for a in range(3) for b in range(3) for c in range(3) for e in range(3)
+        if sorted((a, b)) != sorted((c, e))
+    ]
+    assert max(mixing) > 1e-2
+    alg, ref = Algebra(spec), Algebra(flip)
+    for level in range(2, 5):
+        rep = spectral.kernel_theorem_check(alg, level - 1)
+        assert rep["status"] == "pass", (level, rep)
+        dims = rep["dim_ker_P"], rep["dim_sum"]
+        assert dims == (ref.ker_P(level, spectral.RANK_TOL).dim,) * 2, (level, rep)
+        assert dims[0] > 0
+
+
+def test_ideal_complement_matches_the_stacked_level_L_kernels():
+    # reference: each ker(1 + T_k) decided directly at level L from the
+    # Kronecker T_k, their span from a numpy SVD of the stacked bases
     d2 = [spec for _, spec in braided_presets()] + [unimodular_flip(2, s) for s in range(4)]
     d3 = [qccr(3, 1.0), qccr(3, -1.0), qccr(3, 0.5), example3(3, 0.5)]
     d3 += [
@@ -192,13 +217,20 @@ def test_amplified_kernels_match_the_level_L_kernels():
         T = model.build_T(spec)
         for level in range(2, max_level + 1):
             eye = np.eye(T.d**level, dtype=complex)
-            parts = spectral.amplified_kernels(T, level)
-            assert len(parts) == level - 1
-            for k, part in enumerate(parts, start=1):
-                ref = spectral.kernel(TensorOperator(T.d, level, eye + tensorops.amplify(T, k, level).mat))
-                assert isinstance(part, spectral.Subspace)
-                assert part.dim == ref.dim, (spec.source, level, k)
-                assert spectral.subspace_distance(part, ref) <= 1e-12, (spec.source, level, k)
+            stacked = np.concatenate(
+                [
+                    spectral.kernel(TensorOperator(T.d, level, eye + tensorops.amplify(T, k, level).mat)).basis
+                    for k in range(1, level)
+                ],
+                axis=1,
+            )
+            u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+            ref = u[:, s > 1e-8 * max(1.0, s.max(initial=0.0))]
+            complement = spectral.ideal_complement(T, level)
+            assert isinstance(complement, spectral.Subspace)
+            assert ref.shape[1] + complement.dim == T.d**level, (spec.source, level)
+            residual = np.linalg.norm(ref @ ref.conj().T + complement.projector() - eye, 2)
+            assert residual <= 1e-12, (spec.source, level)
 
 
 def test_kernel_theorem_decides_one_level2_kernel(monkeypatch):
@@ -216,10 +248,10 @@ def test_kernel_theorem_decides_one_level2_kernel(monkeypatch):
             alg = Algebra(spec)
             levels.clear()
             spectral.kernel_theorem_check(alg, n)
-            assert sorted(levels) == [2, n + 1]  # ker(1 + T) and ker P_{n+1}
+            assert sorted(levels) == [2, n + 1, n + 1]  # ker(1 + T), ker S, ker P_{n+1}
             levels.clear()
             spectral.kernel_theorem_check(alg, n)
-            assert levels == [2]  # ker P_{n+1} is memoized
+            assert sorted(levels) == [2, n + 1]  # ker P_{n+1} is memoized
 
 
 @st.composite

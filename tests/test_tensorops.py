@@ -5,7 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import braided_presets, example3, free_spec, qccr, qij
+from conftest import (
+    braided_presets,
+    example3,
+    free_spec,
+    hecke,
+    qccr,
+    qij,
+    random_unitary,
+    rotated,
+    unimodular_flip,
+)
 from wickfock import coxeter, model, tensorops
 from wickfock.algebra import Algebra
 from wickfock.model import TensorOperator
@@ -194,6 +204,19 @@ def test_build_P_scalar_qfactorial():
     for n in range(7):
         expected = qfactorial(0.5, n)
         assert abs(tensorops.build_P(T, n).mat[0, 0] - expected) <= 1e-12 * max(1, expected)
+
+
+def test_build_P_is_covariant_under_rotation():
+    # P_L((U (x) U) T (U (x) U)^*) = U^(x)L P_L(T) U^(x)L^*
+    for seed, spec in enumerate([hecke(2, 0.6), hecke(3, 0.8), unimodular_flip(3, 0)]):
+        U = random_unitary(spec.d, seed)
+        T, T_rot = model.build_T(spec), model.build_T(rotated(spec, seed))
+        UL = U
+        for level in range(2, 5):
+            UL = np.kron(UL, U)  # U^(x)level
+            lhs = tensorops.build_P(T_rot, level).mat
+            rhs = UL @ tensorops.build_P(T, level).mat @ UL.conj().T
+            assert tensorops.op_norm(lhs - rhs) <= 1e-12, (spec.source, level)
 
 
 def test_build_P_zero_is_identity():
