@@ -151,17 +151,24 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     if not 0.0 < args.rank_tol < 1.0:
         raise ValueError(f"--rank-tol must lie in (0, 1); got {args.rank_tol}")
     spec = load_spec_file(args.spec)
+    walk = None  # the rank of the deepest walk of S_{n+1} the command takes
     if args.command == "inner":
         X = rewrite.parse_word_expr(args.x, spec.d)
         Y = rewrite.parse_word_expr(args.y, spec.d)
         top = max([len(w) for w in X] + [len(w) for w in Y] + [2])
     elif args.command == "coxeter":
-        top = args.n + 1
+        walk = args.n
+        top = walk + 1
     else:  # check takes neither --n nor --n-max
         top = args.n if args.n is not None else args.n_max or 2
+        walks = args.command == "full" or (args.command == "pn" and args.method != "recursive")
+        if walks and top >= 2:
+            walk = top - 1
     if args.command != "inner" and getattr(args, "method", None) != "recursive":
         top = max(top, 3)  # the braid residual, taken at level 3
     check_level(spec.d, top)
+    if walk is not None:
+        coxeter.check_walk(spec.d, walk)
     alg = Algebra(spec)
     checks = _Checks()
     tol = args.tol

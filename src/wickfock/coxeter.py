@@ -1,14 +1,13 @@
 """The symmetric group S_{n+1} as a Coxeter group, and its operator sums.
 
 Permutations are tuples in one-line notation over {1, ..., n+1}; generator
-letters are 1-based adjacent transpositions s_i = (i, i+1), composed as
-functions, (u * v)(x) = u(v(x)).  Right multiplication by s_i swaps the
-entries at positions i, i+1 of the one-line form.
+letters are 1-based adjacent transpositions s_i = (i, i+1).  Right
+multiplication by s_i swaps the entries at positions i, i+1 of the one-line
+form.
 
 The quasimultiplicative map sends a reduced word i_1 ... i_k to the matrix
 product T_{i_1} ... T_{i_k}; it is well defined only when T satisfies the
-braid condition, so every evaluation is gated on the braid residual (only
-:func:`phi` can be forced past the gate).
+braid condition, so every walk is gated on the braid residual.
 
 Every operator sum over the group comes from one walk of S_{n+1}:
 :func:`descent_sums` adds each phi(w) into one of 2^n buckets keyed by the
@@ -16,42 +15,32 @@ descent set of w.  The group sum P(S_{n+1}), every descent-class sum P(D_J)
 and both sides of the Euler-Solomon identity are sums of buckets, which
 :func:`coxeter_checks` compares against the independent product
 constructions of P_{n+1}, U_n and P(W_J), read from an
-:class:`~wickfock.algebra.Algebra`.  :func:`phi` evaluates a single
-element along its canonical reduced word and is the reference for the walk.
+:class:`~wickfock.algebra.Algebra`.  :func:`check_walk` is the walk's rank
+and memory guard, which a run can apply before it builds anything.
 
->>> reduced_word((3, 2, 1))
-(1, 2, 1)
->>> [e.length for e in enumerate_group(2)]
-[0, 1, 1, 2, 2, 3]
+>>> sums = descent_sums(TensorOperator(1, 2, [[0.5]]), 2)  # d=1: phi(w) = q^length(w)
+>>> [s.item().real for s in sums]  # descent sets {}, {1}, {2}, {1, 2}
+[1.0, 0.75, 0.75, 0.125]
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import TensorOperator
-from .tensorops import BRAID_TOL, apply_slots, braid_residual, op_norm, word_product
+from .tensorops import BRAID_TOL, apply_slots, braid_residual, op_norm
 
 if TYPE_CHECKING:
     from .algebra import Algebra
 
 __all__ = [
     "BraidConditionError",
-    "CoxeterElement",
     "MAX_RANK",
     "MAX_WALK_BYTES",
-    "enumerate_group",
-    "reduced_word",
-    "inversion_count",
-    "compose",
-    "longest_element",
-    "phi",
+    "check_walk",
     "descent_sums",
-    "group_sum",
     "coxeter_checks",
 ]
 
@@ -62,25 +51,6 @@ MAX_WALK_BYTES = 2 * 1024**3  # fixed guard on the matrices one walk keeps live
 class BraidConditionError(ValueError):
     """The operator fails the braid condition, so the quasimultiplicative
     map is not well defined on reduced words."""
-
-
-@dataclass(frozen=True)
-class CoxeterElement:
-    """A permutation with its inversion length and canonical reduced word."""
-
-    perm: tuple[int, ...]
-    length: int
-    word: tuple[int, ...]
-
-
-def inversion_count(perm: tuple[int, ...]) -> int:
-    n = len(perm)
-    return sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-
-
-def compose(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """(u * v)(x) = u(v(x))."""
-    return tuple(u[v[x] - 1] for x in range(len(u)))
 
 
 def _apply_right(perm: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -96,65 +66,29 @@ def _descents(perm: tuple[int, ...]) -> list[int]:
     return [i for i in range(1, len(perm)) if perm[i - 1] > perm[i]]
 
 
-def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical reduced word, peeling the smallest descent each step.
-
-    The letters collected while reducing multiply back in reverse, so the
-    returned word w satisfies s_{w_1} ... s_{w_k} = perm with k equal to the
-    inversion count.
-
-    >>> reduced_word((1, 2, 3))
-    ()
-    >>> reduced_word((2, 3, 1))
-    (1, 2)
-    """
-    collected = []
-    cur = perm
-    while True:
-        ds = _descents(cur)
-        if not ds:
-            break
-        i = ds[0]
-        collected.append(i)
-        cur = _apply_right(cur, i)
-    return tuple(reversed(collected))
-
-
-def longest_element(n: int) -> tuple[int, ...]:
-    """The order-reversing permutation of S_{n+1}, of length n(n+1)/2."""
-    return tuple(range(n + 1, 0, -1))
-
-
-def enumerate_group(n: int) -> list[CoxeterElement]:
-    """All of S_{n+1}, sorted by (length, one-line form), 1 <= n <= MAX_RANK."""
-    if not 1 <= n <= MAX_RANK:
-        raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
-    elements = []
-    for perm in itertools.permutations(range(1, n + 2)):
-        elements.append(
-            CoxeterElement(perm=perm, length=inversion_count(perm), word=reduced_word(perm))
-        )
-    elements.sort(key=lambda e: (e.length, e.perm))
-    return elements
-
-
 def _gate_braid(T: TensorOperator) -> None:
     r = braid_residual(T)
     if r > BRAID_TOL:
         raise BraidConditionError(
             f"braid residual {r:.3e} exceeds {BRAID_TOL:.1e}; the map is only well "
-            "defined for braided operators (pass force=True to override)"
+            "defined for braided operators"
         )
 
 
-def phi(T: TensorOperator, element: CoxeterElement, n: int, force: bool = False) -> TensorOperator:
-    """Image of one group element: the product of amplified T_i along the
-    canonical reduced word, on H^(x)(n+1)."""
-    if len(element.perm) != n + 1:
-        raise ValueError(f"element of S_{len(element.perm)} does not match n={n}")
-    if not force:
-        _gate_braid(T)
-    return word_product(T, element.word, n + 1)
+def check_walk(d: int, n: int) -> None:
+    """Refuse, before anything is allocated, a walk of S_{n+1} at dimension d
+    whose rank lies outside 1..MAX_RANK or whose live matrices (the 2^n
+    buckets and the products along one path, with the sum and P_{n+1}/U_n
+    beside them) would exceed MAX_WALK_BYTES."""
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
+    dim = d ** (n + 1)
+    need = (2**n + n * (n + 1) // 2 + 3) * dim * dim * 16
+    if need > MAX_WALK_BYTES:
+        raise ValueError(
+            f"the Coxeter sums at rank n={n}, d={d} need about {need} bytes, "
+            f"over the {MAX_WALK_BYTES} byte guard"
+        )
 
 
 def descent_sums(T: TensorOperator, n: int) -> list[np.ndarray]:
@@ -165,20 +99,12 @@ def descent_sums(T: TensorOperator, n: int) -> list[np.ndarray]:
     >= 1 is reached from the shorter element obtained by peeling its
     smallest descent, so one application of T_i per group element
     reproduces the canonical-word products, and only the 2^n buckets and the
-    products along the current path are live.  Refused before allocating
-    when those matrices, with the sum and P_{n+1}/U_n beside them, would
-    exceed MAX_WALK_BYTES.
+    products along the current path are live.  Refused by
+    :func:`check_walk` before anything is allocated.
     """
-    if not 1 <= n <= MAX_RANK:
-        raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
-    dim = T.d ** (n + 1)
-    need = (2**n + n * (n + 1) // 2 + 3) * dim * dim * 16
-    if need > MAX_WALK_BYTES:
-        raise ValueError(
-            f"the Coxeter sums at rank n={n}, d={T.d} need about {need} bytes, "
-            f"over the {MAX_WALK_BYTES} byte guard"
-        )
+    check_walk(T.d, n)
     _gate_braid(T)
+    dim = T.d ** (n + 1)
     sums = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(2**n)]
 
     def visit(perm: tuple[int, ...], mat: np.ndarray) -> None:
@@ -191,12 +117,6 @@ def descent_sums(T: TensorOperator, n: int) -> list[np.ndarray]:
 
     visit(tuple(range(1, n + 2)), np.eye(dim, dtype=np.complex128))
     return sums
-
-
-def group_sum(T: TensorOperator, n: int) -> TensorOperator:
-    """P(S_{n+1}) = sum of phi over the whole group; equals the recursive
-    P_{n+1} for braided T."""
-    return TensorOperator(T.d, n + 1, sum(descent_sums(T, n)))
 
 
 def _young_sum(alg: Algebra, n: int, J: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """The Fock representation on the truncated graded space (+) H^(x)n, n <= N.
 
 A graded vector keeps one dense complex component per degree; degree 0 is
-the span of the vacuum.  Creation tensors on the left; annihilation is the
-left contraction composed with R_n degree by degree, which is the closed
-form of the inductively defined adjoint action.  The Fock inner product is
+the span of the vacuum, ``elementary(d, N, ())``.  Creation tensors on the
+left; annihilation is the left contraction composed with R_n degree by
+degree, which is the closed form of the inductively defined adjoint action.  The Fock inner product is
 < x, y >_0 = sum_n < x_n, P_n y_n > with P_0 = P_1 = 1; distinct degrees are
 orthogonal by construction.  The operators R_n and P_n are read from an
 :class:`~wickfock.algebra.Algebra`, which builds each of them once.
@@ -28,11 +28,9 @@ __all__ = [
     "DegreeOverflowError",
     "GradedVector",
     "zero_vector",
-    "vacuum",
     "elementary",
     "default_max_degree",
     "create",
-    "annihilate_mu",
     "annihilate",
     "fock_inner",
     "relation_check",
@@ -100,12 +98,6 @@ def zero_vector(d: int, N: int) -> GradedVector:
     return GradedVector(d, tuple(np.zeros(d**n, dtype=np.complex128) for n in range(N + 1)))
 
 
-def vacuum(d: int, N: int) -> GradedVector:
-    v = [np.zeros(d**n, dtype=np.complex128) for n in range(N + 1)]
-    v[0][0] = 1.0
-    return GradedVector(d, tuple(v))
-
-
 def elementary(d: int, N: int, indices: tuple[int, ...]) -> GradedVector:
     """The basis tensor e_{i_1} (x) ... (x) e_{i_n} (0-based indices)."""
     n = len(indices)
@@ -137,19 +129,6 @@ def create(i: int, v: GradedVector) -> GradedVector:
     for n in range(N):
         block = out[n + 1].reshape(d, d**n)
         block[i] = v.comps[n]
-    return GradedVector(d, tuple(out))
-
-
-def annihilate_mu(i: int, v: GradedVector) -> GradedVector:
-    """The free left contraction mu(e_i^*): degree n maps to the e_i slice
-    of degree n-1; the vacuum maps to zero."""
-    d = v.d
-    if not 0 <= i < d:
-        raise ValueError(f"index {i} out of range 0..{d - 1}")
-    N = v.max_degree
-    out = [np.zeros(d**n, dtype=np.complex128) for n in range(N + 1)]
-    for n in range(1, N + 1):
-        out[n - 1] = v.comps[n].reshape(d, d ** (n - 1))[i].copy()
     return GradedVector(d, tuple(out))
 
 

@@ -88,23 +88,6 @@ class TensorOperator:
             )
         object.__setattr__(self, "mat", m)
 
-    @classmethod
-    def identity(cls, d: int, level: int) -> "TensorOperator":
-        return cls(d, level, np.eye(d**level, dtype=np.complex128))
-
-    def _coerce(self, other: "TensorOperator") -> None:
-        if not isinstance(other, TensorOperator):
-            raise TypeError(f"expected TensorOperator, got {type(other).__name__}")
-        if (self.d, self.level) != (other.d, other.level):
-            raise ValueError(
-                f"operator mismatch: (d={self.d}, level={self.level}) vs "
-                f"(d={other.d}, level={other.level})"
-            )
-
-    def __sub__(self, other: "TensorOperator") -> "TensorOperator":
-        self._coerce(other)
-        return TensorOperator(self.d, self.level, self.mat - other.mat)
-
 
 def _as_positive_int(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):

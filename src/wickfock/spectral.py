@@ -50,7 +50,8 @@ SELFADJOINT_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """An orthonormal basis of a subspace of H^(x)level."""
+    """An orthonormal basis of a subspace of H^(x)level (Gram defect at most
+    1e-10 in the Frobenius norm, which bounds the operator norm)."""
 
     d: int
     level: int
@@ -61,7 +62,7 @@ class Subspace:
         dim = self.d**self.level
         if b.ndim != 2 or b.shape[0] != dim:
             raise ValueError(f"basis shape {b.shape} does not match dimension {dim}")
-        gram_defect = op_norm(b.conj().T @ b - np.eye(b.shape[1]))
+        gram_defect = float(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])))
         if gram_defect > 1e-10:
             raise ValueError(f"basis columns not orthonormal: defect {gram_defect:.3e}")
         object.__setattr__(self, "basis", b)
@@ -88,7 +89,7 @@ def _is_zero(values: np.ndarray, rank_tol: float) -> np.ndarray:
 
 
 def kernel(A: TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
-    """Kernel of a self-adjoint operator (within 1e-8, relative to its
+    """Kernel of a self-adjoint operator (||A - A^H||_F within 1e-8 of its
     largest |eigenvalue|): the eigenvectors of (A + A^H)/2 whose eigenvalues
     the rank rule counts as zero, in LAPACK's ascending order.
 
@@ -100,7 +101,7 @@ def kernel(A: TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
     m = A.mat
     evals, evecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     scale = max(1.0, float(np.max(np.abs(evals), initial=0.0)))
-    defect = op_norm(m - m.conj().T)
+    defect = float(np.linalg.norm(m - m.conj().T))
     if defect > SELFADJOINT_TOL * scale:
         raise ValueError(
             f"operator is not self-adjoint: defect {defect:.3e} at scale {scale:.3e}"

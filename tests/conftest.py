@@ -8,6 +8,7 @@ import tempfile
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from wickfock import fock, model, rewrite
@@ -130,6 +131,28 @@ def rotated(spec: model.WickSpec, seed: int) -> model.WickSpec:
     generically not weight-preserving."""
     K = np.kron(*[random_unitary(spec.d, seed)] * 2)
     return matrix_spec(K @ model.build_T(spec).mat @ K.conj().T)
+
+
+@st.composite
+def unimodular_flips(draw, d):
+    """Unimodular twisted flips (:func:`unimodular_q`); the free moduli and
+    diagonal entries stay away from the edge of the rank threshold."""
+    pairs = d * (d - 1) // 2
+    modulus = st.just(1.0) | st.floats(0.0, 0.9)
+    diagonal = st.sampled_from([-1.0, 1.0]) | st.floats(-0.9, 0.9)
+    q = unimodular_q(
+        d,
+        draw(st.lists(modulus, min_size=pairs - 1, max_size=pairs - 1)),
+        draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=pairs, max_size=pairs)),
+        draw(st.lists(diagonal, min_size=d - 1, max_size=d - 1)),
+    )
+    return twisted_flip_spec(q)
+
+
+def braided_families(d: int):
+    """Braided self-adjoint T beyond the presets, for property tests: the
+    Hecke T (:func:`hecke`) at 0 < q <= 1, and the unimodular twisted flips."""
+    return st.floats(0.0, 1.0, exclude_min=True).map(lambda q: hecke(d, q)) | unimodular_flips(d)
 
 
 def braided_presets() -> list[tuple[str, model.WickSpec]]:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+import oracles
 from conftest import (
     braided_presets,
     example3,
@@ -44,7 +45,7 @@ def test_criterion_01_scalar_q_factorial():
         # oracle: Poincare polynomial of S_n at q, by brute-force inversions
         expected = sum(q ** brute_inversions(p) for p in itertools.permutations(range(n)))
         recursive = tensorops.build_P(T, n).mat[0, 0].real
-        group = coxeter.group_sum(T, n - 1).mat[0, 0].real
+        group = sum(coxeter.descent_sums(T, n - 1))[0, 0].real
         worst = max(worst, abs(recursive - expected), abs(group - recursive))
         if n in frozen:
             worst = max(worst, abs(recursive - frozen[n]))
@@ -67,7 +68,7 @@ def test_criterion_02_method_equivalence():
         T = model.build_T(spec)
         for n in range(2, 6):
             residual = tensorops.op_norm(
-                coxeter.group_sum(T, n - 1) - tensorops.build_P(T, n)
+                sum(coxeter.descent_sums(T, n - 1)) - tensorops.build_P(T, n).mat
             )
             worst = max(worst, residual)
     report(2, "recursive P_n equals Coxeter group sum", worst <= 1e-10, f"worst {worst:.2e}")
@@ -151,9 +152,13 @@ def test_criterion_07_factorizations():
         for n in range(1, 5):
             for fact in coxeter.coxeter_checks(alg, n)["factorization"]:
                 worst = max(worst, fact["residual"])
+        # the walk's bucket sum P(D_J), J = {1..m-1}, against the Rt product P(D_m)
         for n, m in [(1, 2), (2, 2), (1, 3)]:
-            worst = max(worst, tensorops.factorization_check(T, n, m=m)["residual"])
-    report(7, "descent and P(D_m) factorizations", worst <= 1e-10, f"worst {worst:.2e}")
+            sums = alg.descent_sums(n + m - 1)
+            J = 2 ** (m - 1) - 1
+            PDJ = sum(sums[D] for D in range(len(sums)) if not D & J)
+            worst = max(worst, tensorops.op_norm(PDJ - oracles.build_PDm(T, n, m).mat))
+    report(7, "descent factorizations and P(D_m)", worst <= 1e-10, f"worst {worst:.2e}")
 
 
 def test_criterion_08_fock_side_consistency():
@@ -178,9 +183,9 @@ def test_criterion_09_matsumoto_and_confluence():
     worst_phi = 0.0
     for label, spec in braided_presets():
         T = model.build_T(spec)
-        amps = {i: tensorops.amplify(T, i, 4).mat for i in (1, 2, 3)}
-        for el in coxeter.enumerate_group(3):
-            reference = coxeter.phi(T, el, 3).mat
+        amps = {i: oracles.amplify(T, i, 4).mat for i in (1, 2, 3)}
+        for el in oracles.enumerate_group(3):
+            reference = oracles.phi(T, el, 3).mat
             for _ in range(5):
                 word = _random_reduced_word(el.perm, rng)
                 acc = np.eye(16, dtype=complex)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import qccr
-from wickfock import cli, model
+from wickfock import cli, coxeter, model
+from wickfock.algebra import Algebra
 
 
 def write_spec(tmp_path, name, doc):
@@ -275,3 +276,43 @@ def test_level_guard_is_input_error(tmp_path, capsys):
     ):
         code, report = run(args, tmp_path)
         assert code == 0 and report["overall"] == "pass", args
+
+
+def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeypatch):
+    # both runs pass the level guard; the deepest walk of S_{n+1} does not
+    built = []
+    original_P = Algebra.P
+    monkeypatch.setattr(Algebra, "P", lambda self, n: built.append(n) or original_P(self, n))
+    d2 = write_spec(tmp_path, "qccr_d2.json", {"d": 2, "preset": {"name": "q-ccr", "q": 0.5}})
+    d3 = write_spec(tmp_path, "qccr_d3.json", {"d": 3, "preset": {"name": "q-ccr", "q": 0.5}})
+    rank7 = f"rank n=7 out of guard range 1..{coxeter.MAX_RANK}"
+    # d=3, rank 6: 88 matrices of 3^7 x 3^7 complex numbers, about 6.7 GB
+    bytes6 = f"need about {(2**6 + 21 + 3) * 3**14 * 16} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"
+    cases = [
+        (["full", "--spec", d2, "--n-max", "8"], rank7),
+        (["full", "--spec", d3, "--n-max", "7"], bytes6),
+        (["pn", "--spec", d3, "--n", "7"], bytes6),
+        (["pn", "--spec", d3, "--n", "7", "--method", "coxeter"], bytes6),
+        (["coxeter", "--spec", d3, "--n", "6"], bytes6),
+    ]
+    for args, message in cases:
+        code, report = run(args, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and report is None, args
+        assert message in err and "Traceback" not in err, (args, err)
+        assert built == [], args
+    # the recursive method takes no walk, and n < 2 has no group sum
+    for args in (
+        ["pn", "--spec", d2, "--n", "8", "--method", "recursive"],
+        ["pn", "--spec", d2, "--n", "1", "--method", "coxeter"],
+    ):
+        code, report = run(args, tmp_path)
+        assert code == 0 and report["overall"] == "pass", args
+
+
+def test_braid_gate_reason_names_no_override(braid_violating_path, tmp_path):
+    code, report = run(["coxeter", "--spec", braid_violating_path, "--n", "2"], tmp_path)
+    assert code == 0
+    [record] = report["checks"]
+    assert record["status"] == "inapplicable"
+    assert record["reason"].endswith("the map is only well defined for braided operators")

@@ -1,12 +1,25 @@
-"""Group enumeration, reduced words, phi, descent-class sums, Euler-Solomon."""
+"""Group enumeration, reduced words, phi, descent-class sums, Euler-Solomon.
+
+The element-by-element constructions are the references in ``oracles``."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import braided_presets, free_spec, qccr, qij, twisted_flip
+import oracles
+from conftest import (
+    braided_families,
+    braided_presets,
+    free_spec,
+    matrix_spec,
+    qccr,
+    qij,
+    twisted_flip,
+)
 from wickfock import coxeter, model, tensorops
 from wickfock.algebra import Algebra
 from wickfock.coxeter import BraidConditionError
@@ -28,17 +41,17 @@ def word_to_perm(word, size) -> tuple:
     for i in word:
         gen = list(range(1, size + 1))
         gen[i - 1], gen[i] = gen[i], gen[i - 1]
-        perm = coxeter.compose(perm, tuple(gen))
+        perm = oracles.compose(perm, tuple(gen))
     return perm
 
 
 def test_enumerate_s2():
-    els = coxeter.enumerate_group(1)
+    els = oracles.enumerate_group(1)
     assert [(e.perm, e.length) for e in els] == [((1, 2), 0), ((2, 1), 1)]
 
 
 def test_enumerate_s3_lengths():
-    els = coxeter.enumerate_group(2)
+    els = oracles.enumerate_group(2)
     assert sorted(e.length for e in els) == [0, 1, 1, 2, 2, 3]
     # oracle: brute-force inversion count over all permutations of 3
     for e in els:
@@ -46,57 +59,57 @@ def test_enumerate_s3_lengths():
 
 
 def test_enumerate_sorted_and_guarded():
-    els = coxeter.enumerate_group(3)
+    els = oracles.enumerate_group(3)
     assert len(els) == 24
     keys = [(e.length, e.perm) for e in els]
     assert keys == sorted(keys)
     assert els[-1].perm == (4, 3, 2, 1)
     assert els[-1].length == 3 * 4 // 2
     with pytest.raises(ValueError):
-        coxeter.enumerate_group(0)
+        oracles.enumerate_group(0)
     with pytest.raises(ValueError):
-        coxeter.enumerate_group(7)
+        oracles.enumerate_group(7)
 
 
 def test_reduced_word_basics():
-    assert coxeter.reduced_word((1, 2, 3)) == ()
-    assert coxeter.reduced_word((3, 2, 1)) == (1, 2, 1)
-    w = coxeter.reduced_word((2, 3, 1))
+    assert oracles.reduced_word((1, 2, 3)) == ()
+    assert oracles.reduced_word((3, 2, 1)) == (1, 2, 1)
+    w = oracles.reduced_word((2, 3, 1))
     assert len(w) == 2
     assert word_to_perm(w, 3) == (2, 3, 1)
 
 
 def test_reduced_words_multiply_back():
-    for e in coxeter.enumerate_group(3):
+    for e in oracles.enumerate_group(3):
         assert len(e.word) == brute_inversions(e.perm)
         assert word_to_perm(e.word, 4) == e.perm
 
 
 def test_phi_identity_and_scalar():
     T = model.build_T(qccr(1, 0.5))
-    for e in coxeter.enumerate_group(2):
-        value = coxeter.phi(T, e, 2).mat[0, 0]
+    for e in oracles.enumerate_group(2):
+        value = oracles.phi(T, e, 2).mat[0, 0]
         assert abs(value - 0.5**e.length) <= 1e-15
-    reversal = [e for e in coxeter.enumerate_group(2) if e.perm == (3, 2, 1)][0]
-    assert abs(coxeter.phi(T, reversal, 2).mat[0, 0] - 0.125) <= 1e-15
+    reversal = [e for e in oracles.enumerate_group(2) if e.perm == (3, 2, 1)][0]
+    assert abs(oracles.phi(T, reversal, 2).mat[0, 0] - 0.125) <= 1e-15
 
 
 def test_phi_identity_element_is_identity_matrix():
     T = model.build_T(qccr(2, 0.5))
-    e = coxeter.enumerate_group(2)[0]
-    assert np.array_equal(coxeter.phi(T, e, 2).mat, np.eye(8))
+    e = oracles.enumerate_group(2)[0]
+    assert np.array_equal(oracles.phi(T, e, 2).mat, np.eye(8))
 
 
 def test_phi_longest_matches_U():
     for label, spec in braided_presets():
         T = model.build_T(spec)
         for n in range(1, 5):
-            longest = coxeter.CoxeterElement(
-                perm=coxeter.longest_element(n),
+            longest = oracles.CoxeterElement(
+                perm=oracles.longest_element(n),
                 length=n * (n + 1) // 2,
-                word=coxeter.reduced_word(coxeter.longest_element(n)),
+                word=oracles.reduced_word(oracles.longest_element(n)),
             )
-            residual = tensorops.op_norm(coxeter.phi(T, longest, n) - tensorops.build_U(T, n))
+            residual = tensorops.op_norm(oracles.phi(T, longest, n).mat - tensorops.build_U(T, n).mat)
             assert residual <= 1e-10, (label, n)
 
 
@@ -104,13 +117,10 @@ def test_phi_gate_rejects_non_braided():
     M = model.build_T(qccr(2, 0.5)).mat.copy()
     M[0, 3] = 0.1
     M[3, 0] = 0.1
-    bad = TensorOperator(2, 2, M)
-    el = coxeter.enumerate_group(2)[3]
     with pytest.raises(BraidConditionError):
-        coxeter.phi(bad, el, 2)
-    coxeter.phi(bad, el, 2, force=True)
+        coxeter.descent_sums(TensorOperator(2, 2, M), 2)
     with pytest.raises(BraidConditionError):
-        coxeter.group_sum(bad, 2)
+        Algebra(matrix_spec(M)).group_sum(2)
 
 
 def random_reduced_word(perm, rng) -> tuple:
@@ -133,9 +143,9 @@ def test_matsumoto_word_independence():
     rng = np.random.default_rng(42)
     for label, spec in [("q-ccr q=0.5", qccr(2, 0.5)), ("qij lam=-1", qij(-1.0))]:
         T = model.build_T(spec)
-        amps = {i: tensorops.amplify(T, i, 4).mat for i in (1, 2, 3)}
-        for e in coxeter.enumerate_group(3):
-            reference = coxeter.phi(T, e, 3).mat
+        amps = {i: oracles.amplify(T, i, 4).mat for i in (1, 2, 3)}
+        for e in oracles.enumerate_group(3):
+            reference = oracles.phi(T, e, 3).mat
             for _ in range(5):
                 word = random_reduced_word(e.perm, rng)
                 assert len(word) == e.length
@@ -152,34 +162,34 @@ def test_group_sum_scalar_poincare():
     expected = sum(
         0.5 ** brute_inversions(p) for p in itertools.permutations(range(3))
     )
-    value = coxeter.group_sum(T, 2).mat[0, 0]
+    value = sum(coxeter.descent_sums(T, 2))[0, 0]
     assert abs(value - expected) <= 1e-15
     assert abs(value - 2.625) <= 1e-15
     T1 = model.build_T(qccr(1, 1.0))
-    assert abs(coxeter.group_sum(T1, 2).mat[0, 0] - 6.0) <= 1e-15
+    assert abs(sum(coxeter.descent_sums(T1, 2))[0, 0] - 6.0) <= 1e-15
 
 
 def test_group_sum_free_is_identity():
     T = model.build_T(free_spec(2))
-    assert np.array_equal(coxeter.group_sum(T, 2).mat, np.eye(8))
+    assert np.array_equal(sum(coxeter.descent_sums(T, 2)), np.eye(8))
 
 
 def test_group_sum_matches_recursive_P():
     for label, spec in braided_presets():
         T = model.build_T(spec)
         for n in range(1, 5):
-            residual = tensorops.op_norm(coxeter.group_sum(T, n) - tensorops.build_P(T, n + 1))
+            residual = tensorops.op_norm(sum(coxeter.descent_sums(T, n)) - tensorops.build_P(T, n + 1).mat)
             assert residual <= 1e-10, (label, n)
     T3 = model.build_T(qccr(3, 0.5))
     for n in range(1, 4):
-        residual = tensorops.op_norm(coxeter.group_sum(T3, n) - tensorops.build_P(T3, n + 1))
+        residual = tensorops.op_norm(sum(coxeter.descent_sums(T3, n)) - tensorops.build_P(T3, n + 1).mat)
         assert residual <= 1e-10
 
 
 def descent_class(n: int, J) -> list:
     """D_J by brute force: the elements with no descent in J."""
     return [
-        e for e in coxeter.enumerate_group(n)
+        e for e in oracles.enumerate_group(n)
         if not any(e.perm[s - 1] > e.perm[s] for s in J)
     ]
 
@@ -192,14 +202,14 @@ def young_subgroup(n: int, J) -> list:
     for p in range(1, n + 1):
         block.append(block[-1] if p in J else block[-1] + 1)
     return [
-        e for e in coxeter.enumerate_group(n)
+        e for e in oracles.enumerate_group(n)
         if all(block[x] == block[e.perm[x] - 1] for x in range(n + 1))
     ]
 
 
 def phi_sum(T, elements, n: int) -> np.ndarray:
     """Reference sum of phi, one canonical-word product per element."""
-    return sum(coxeter.phi(T, e, n).mat for e in elements)
+    return sum(oracles.phi(T, e, n).mat for e in elements)
 
 
 def mask_to_set(mask: int, n: int) -> set:
@@ -212,8 +222,8 @@ def test_descent_sums_extremes():
     sums = coxeter.descent_sums(T, 3)
     assert len(sums) == 8
     assert np.array_equal(sums[0], np.eye(16))
-    longest = coxeter.enumerate_group(3)[-1]
-    assert np.array_equal(sums[7], coxeter.phi(T, longest, 3).mat)
+    longest = oracles.enumerate_group(3)[-1]
+    assert np.array_equal(sums[7], oracles.phi(T, longest, 3).mat)
 
 
 def test_descent_sums_match_phi_grouped_by_descent_set():
@@ -222,9 +232,9 @@ def test_descent_sums_match_phi_grouped_by_descent_set():
         T = model.build_T(twisted_flip(d, seed=d))
         for n in (1, 2, 3):
             expected = [np.zeros((d ** (n + 1),) * 2, dtype=complex) for _ in range(2**n)]
-            for e in coxeter.enumerate_group(n):
+            for e in oracles.enumerate_group(n):
                 mask = sum(1 << (s - 1) for s in coxeter._descents(e.perm))
-                expected[mask] += coxeter.phi(T, e, n).mat
+                expected[mask] += oracles.phi(T, e, n).mat
             sums = coxeter.descent_sums(T, n)
             for mask in range(2**n):
                 assert np.linalg.norm(sums[mask] - expected[mask], 2) <= 1e-12, (d, n, mask)
@@ -256,13 +266,13 @@ def test_descent_class_sizes_count_permutations():
 
 def test_unique_factorization():
     for n in (2, 3, 4):
-        elements = {e.perm for e in coxeter.enumerate_group(n)}
+        elements = {e.perm for e in oracles.enumerate_group(n)}
         for mask in range(2**n):
             J = mask_to_set(mask, n)
             products = {}
             for delta in descent_class(n, J):
                 for w in young_subgroup(n, J):
-                    prod = coxeter.compose(delta.perm, w.perm)
+                    prod = oracles.compose(delta.perm, w.perm)
                     assert prod not in products, (n, J, prod)
                     products[prod] = (delta, w)
                     assert delta.length + w.length == brute_inversions(prod)
@@ -296,17 +306,23 @@ def test_separated_blocks_factor_and_commute():
 def test_descent_sums_guards():
     T = model.build_T(qccr(2, 0.5))
     for n in (0, coxeter.MAX_RANK + 1):
+        with pytest.raises(ValueError, match=f"rank n={n} out of guard range"):
+            coxeter.check_walk(2, n)
         with pytest.raises(ValueError):
             coxeter.descent_sums(T, n)
+    coxeter.check_walk(2, coxeter.MAX_RANK)
+    coxeter.check_walk(3, 5)
     # d=3 at n=6: 88 matrices of 3^7 x 3^7 complex numbers, about 6.7 GB,
     # refused before anything is allocated
     T3 = model.build_T(qccr(3, 0.5))
     need = (2**6 + 21 + 3) * 3**14 * 16
     message = f"need about {need} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"
     with pytest.raises(ValueError, match=message):
+        coxeter.check_walk(3, 6)
+    with pytest.raises(ValueError, match=message):
         coxeter.descent_sums(T3, 6)
     with pytest.raises(ValueError, match=message):
-        coxeter.group_sum(T3, 6)
+        Algebra(qccr(3, 0.5)).group_sum(6)
 
 
 def test_coxeter_checks_report_shape():
@@ -347,3 +363,17 @@ def test_euler_solomon_guard():
     for n in (0, 6):
         with pytest.raises(ValueError):
             coxeter.coxeter_checks(alg, n)
+
+
+@pytest.mark.parametrize("d, max_rank", [(2, 4), (3, 3)])
+@given(data=st.data())
+def test_coxeter_checks_on_hecke_and_unimodular_flips(d, max_rank, data):
+    # non-monomial (Hecke) and complex unimodular T, beyond the presets
+    alg = Algebra(data.draw(braided_families(d)))
+    for n in range(1, max_rank + 1):
+        rep = coxeter.coxeter_checks(alg, n)
+        worst = max(
+            [rep["group_sum"], rep["euler_solomon"], rep["longest_vs_U"]]
+            + [f["residual"] for f in rep["factorization"]]
+        )
+        assert worst <= 1e-10, (alg.spec.source, n, rep)

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
+    braided_families,
     creation_words,
+    hecke,
     max_confluence_defect,
     max_cross_residual,
     qccr,
     qij,
+    rotated,
 )
 from wickfock import model, rewrite, tensorops
 from wickfock.model import SpecError
@@ -132,6 +137,18 @@ def test_inner_via_f_rejects_annihilators():
 def test_cross_validation_against_fock_inner():
     for spec in (qccr(2, 0.5), qij(-1.0)):
         assert max_cross_residual(spec, 3) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@given(data=st.data())
+def test_cross_validation_on_hecke_and_unimodular_flips(d, data):
+    assert max_cross_residual(data.draw(braided_families(d)), 3) <= 1e-9
+
+
+def test_cross_validation_on_rotated_hecke():
+    # T mixes every basis tensor, so the rewrite engine sees dense
+    # coefficients; at degree 3 the rewrite takes over a minute
+    assert max_cross_residual(rotated(hecke(2, 0.6), seed=2), 2) <= 1e-9
 
 
 def test_gram_matrix_of_f_is_psd():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (
+    braided_families,
     braided_presets,
     example3,
     free_spec,
@@ -15,9 +17,8 @@ from conftest import (
     qccr,
     qij,
     rotated,
-    twisted_flip_spec,
     unimodular_flip,
-    unimodular_q,
+    unimodular_flips,
 )
 from wickfock import algebra, model, spectral, tensorops
 from wickfock.algebra import Algebra
@@ -25,7 +26,7 @@ from wickfock.model import TensorOperator
 
 
 def test_kernel_of_identity_is_zero():
-    K = spectral.kernel(TensorOperator.identity(2, 2))
+    K = spectral.kernel(TensorOperator(2, 2, np.eye(4)))
     assert K.dim == 0
 
 
@@ -63,7 +64,7 @@ def test_kernel_of_1_plus_flip_is_antisymmetric_line():
 def test_nullspace_svd_of_zero_and_full_rank():
     zero = TensorOperator(2, 2, np.zeros((4, 4)))
     assert spectral.nullspace_svd(zero).dim == 4
-    assert spectral.nullspace_svd(TensorOperator.identity(2, 2)).dim == 0
+    assert spectral.nullspace_svd(TensorOperator(2, 2, np.eye(4))).dim == 0
 
 
 def test_subspace_sum_flip_level3():
@@ -77,7 +78,7 @@ def test_subspace_sum_flip_level3():
     assert tensorops.op_norm(kerP.projector() + complement.projector() - eye) <= 1e-8
     # every ker(1 + T_k) is orthogonal to the complement
     for k in (1, 2):
-        part = spectral.kernel(TensorOperator(2, 3, eye + tensorops.amplify(flip, k, 3).mat))
+        part = spectral.kernel(TensorOperator(2, 3, eye + oracles.amplify(flip, k, 3).mat))
         assert tensorops.op_norm(complement.basis.conj().T @ part.basis) <= 1e-10
 
 
@@ -219,7 +220,7 @@ def test_ideal_complement_matches_the_stacked_level_L_kernels():
             eye = np.eye(T.d**level, dtype=complex)
             stacked = np.concatenate(
                 [
-                    spectral.kernel(TensorOperator(T.d, level, eye + tensorops.amplify(T, k, level).mat)).basis
+                    spectral.kernel(TensorOperator(T.d, level, eye + oracles.amplify(T, k, level).mat)).basis
                     for k in range(1, level)
                 ],
                 axis=1,
@@ -252,22 +253,6 @@ def test_kernel_theorem_decides_one_level2_kernel(monkeypatch):
             levels.clear()
             spectral.kernel_theorem_check(alg, n)
             assert sorted(levels) == [2, n + 1]  # ker P_{n+1} is memoized
-
-
-@st.composite
-def unimodular_flips(draw, d):
-    """Unimodular twisted flips (conftest.unimodular_q); the free moduli and
-    diagonal entries stay away from the edge of the rank threshold."""
-    pairs = d * (d - 1) // 2
-    modulus = st.just(1.0) | st.floats(0.0, 0.9)
-    diagonal = st.sampled_from([-1.0, 1.0]) | st.floats(-0.9, 0.9)
-    q = unimodular_q(
-        d,
-        draw(st.lists(modulus, min_size=pairs - 1, max_size=pairs - 1)),
-        draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=pairs, max_size=pairs)),
-        draw(st.lists(diagonal, min_size=d - 1, max_size=d - 1)),
-    )
-    return twisted_flip_spec(q)
 
 
 @pytest.mark.parametrize("d, max_level", [(2, 5), (3, 4)])
@@ -316,6 +301,16 @@ def test_un_checks():
         for n in range(1, 5):
             rep = spectral.un_checks(alg, n)
             assert rep["status"] == "pass", (label, n)
+
+
+@pytest.mark.parametrize("d, max_rank", [(2, 4), (3, 3)])
+@given(data=st.data())
+def test_un_laws_on_hecke_and_unimodular_flips(d, max_rank, data):
+    alg = Algebra(data.draw(braided_families(d)))
+    for n in range(1, max_rank + 1):
+        rep = spectral.un_checks(alg, n)
+        assert rep["status"] == "pass", (alg.spec.source, n, rep)
+        assert tensorops.telescoping_residual(alg.T, n) <= 1e-10, (alg.spec.source, n)
 
 
 def test_wick_ideal_checks_free():

@@ -1,10 +1,13 @@
-"""Amplifications, the R/P/U constructions, and their factorizations."""
+"""Amplifications, the R/P/U constructions, and their factorizations; the
+Kronecker amplification and the Rt product are the references in
+``oracles``."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import (
     braided_presets,
     example3,
@@ -47,34 +50,34 @@ def test_amplify_scalar_case():
     T = model.build_T(qccr(1, 0.5))
     for n in (2, 3, 4):
         for i in range(1, n):
-            assert tensorops.amplify(T, i, n).mat[0, 0] == 0.5
+            assert oracles.amplify(T, i, n).mat[0, 0] == 0.5
 
 
 def test_amplify_flip_is_slot_swap():
     # oracle: explicit basis-vector permutation of the first two slots
     flip = model.build_T(qccr(2, 1.0))
     expected = permutation_matrix((1, 0, 2), 2)
-    assert np.array_equal(tensorops.amplify(flip, 1, 3).mat.real, expected.real)
+    assert np.array_equal(oracles.amplify(flip, 1, 3).mat.real, expected.real)
     expected23 = permutation_matrix((0, 2, 1), 2)
-    assert np.array_equal(tensorops.amplify(flip, 2, 3).mat.real, expected23.real)
+    assert np.array_equal(oracles.amplify(flip, 2, 3).mat.real, expected23.real)
 
 
 def test_amplify_commutes_at_distance_exactly():
     for _, spec in braided_presets():
         T = model.build_T(spec)
-        t1 = tensorops.amplify(T, 1, 4).mat
-        t3 = tensorops.amplify(T, 3, 4).mat
+        t1 = oracles.amplify(T, 1, 4).mat
+        t3 = oracles.amplify(T, 3, 4).mat
         assert np.array_equal(t1 @ t3, t3 @ t1)
 
 
 def test_amplify_position_errors():
     T = model.build_T(qccr(2, 0.5))
     with pytest.raises(ValueError):
-        tensorops.amplify(T, 0, 3)
+        oracles.amplify(T, 0, 3)
     with pytest.raises(ValueError):
-        tensorops.amplify(T, 3, 3)
+        oracles.amplify(T, 3, 3)
     with pytest.raises(ValueError):
-        tensorops.amplify(TensorOperator.identity(2, 3), 1, 4)
+        oracles.amplify(TensorOperator(2, 3, np.eye(8)), 1, 4)
     with pytest.raises(ValueError):
         tensorops.apply_slots(T.mat, 2, 0, np.eye(8))
     with pytest.raises(ValueError):
@@ -104,18 +107,18 @@ def test_apply_slots_and_word_product_match_kron_products(d):
         X = crandn(dim, dim)
         tall = crandn(dim, 3)
         for i in range(1, level):
-            Ti = tensorops.amplify(T, i, level).mat
+            Ti = oracles.amplify(T, i, level).mat
             assert _rel_err(tensorops.apply_slots(T.mat, d, i, X), X @ Ti) <= tol
             assert _rel_err(tensorops.apply_slots(T.mat, d, i, X, left=True), Ti @ X) <= tol
             assert _rel_err(tensorops.apply_slots(T.mat, d, i, tall, left=True), Ti @ tall) <= tol
         word = tuple(int(i) for i in rng.integers(1, level, size=2 * level))
         expected = np.eye(dim)
         for i in word:
-            expected = expected @ tensorops.amplify(T, i, level).mat
+            expected = expected @ oracles.amplify(T, i, level).mat
         assert _rel_err(tensorops.word_product(T, word, level).mat, expected) <= tol
         assert np.array_equal(tensorops.word_product(T, (), level).mat, np.eye(dim))
 
-        # multi-slot operators as build_P and factorization_check use them:
+        # multi-slot operators as build_P and the P(D_m) check use them:
         # (1 (x) P_{level-1}) R_level and X (P_{level-1} (x) 1)
         P = tensorops.build_P(T, level - 1).mat
         R = tensorops.build_R(T, level).mat
@@ -149,14 +152,14 @@ def test_braid_relation_at_every_position():
         T = model.build_T(spec)
         for n in range(3, 7):
             for i in range(1, n - 1):
-                ti = tensorops.amplify(T, i, n).mat
-                tj = tensorops.amplify(T, i + 1, n).mat
+                ti = oracles.amplify(T, i, n).mat
+                tj = oracles.amplify(T, i + 1, n).mat
                 assert np.linalg.norm(ti @ tj @ ti - tj @ ti @ tj, 2) <= 1e-12, (label, n, i)
     T3 = model.build_T(qccr(3, 0.5))
     for n in (3, 4):
         for i in range(1, n - 1):
-            ti = tensorops.amplify(T3, i, n).mat
-            tj = tensorops.amplify(T3, i + 1, n).mat
+            ti = oracles.amplify(T3, i, n).mat
+            tj = oracles.amplify(T3, i + 1, n).mat
             assert np.linalg.norm(ti @ tj @ ti - tj @ ti @ tj, 2) <= 1e-12
 
 
@@ -185,17 +188,17 @@ def test_build_R_flip_spectrum():
 
 def test_build_Rtilde():
     T1 = model.build_T(qccr(1, 0.5))
-    assert abs(tensorops.build_Rtilde(T1, 3, 3).mat[0, 0] - 1.75) <= 1e-15
+    assert abs(oracles.build_Rtilde(T1, 3, 3).mat[0, 0] - 1.75) <= 1e-15
     T0 = model.build_T(free_spec(2))
-    assert np.array_equal(tensorops.build_Rtilde(T0, 3, 4).mat, np.eye(16))
+    assert np.array_equal(oracles.build_Rtilde(T0, 3, 4).mat, np.eye(16))
     for _, spec in braided_presets():
         T = model.build_T(spec)
-        lhs = tensorops.build_Rtilde(T, 2, 2).mat
+        lhs = oracles.build_Rtilde(T, 2, 2).mat
         assert np.allclose(lhs, tensorops.build_R(T, 2).mat, atol=1e-15)
     with pytest.raises(ValueError):
-        tensorops.build_Rtilde(T1, 1, 3)
+        oracles.build_Rtilde(T1, 1, 3)
     with pytest.raises(ValueError):
-        tensorops.build_Rtilde(T1, 4, 3)
+        oracles.build_Rtilde(T1, 4, 3)
 
 
 def test_build_P_scalar_qfactorial():
@@ -257,7 +260,7 @@ def test_build_P_positive_for_contractive_presets():
 
 def test_build_PDm_scalar_decomposition():
     T = model.build_T(qccr(1, 0.5))
-    assert abs(tensorops.build_PDm(T, 1, 2).mat[0, 0] - 1.75) <= 1e-15
+    assert abs(oracles.build_PDm(T, 1, 2).mat[0, 0] - 1.75) <= 1e-15
     p3 = tensorops.build_P(T, 3).mat[0, 0]
     p2 = tensorops.build_P(T, 2).mat[0, 0]
     assert abs(p3 - 1.75 * p2) <= 1e-15
@@ -267,20 +270,24 @@ def test_build_PDm_scalar_decomposition():
 def test_build_PDm_argument_guards():
     T = model.build_T(qccr(2, 0.5))
     with pytest.raises(ValueError):
-        tensorops.build_PDm(T, 0, 2)
+        oracles.build_PDm(T, 0, 2)
     with pytest.raises(ValueError):
-        tensorops.build_PDm(T, 1, 1)
+        oracles.build_PDm(T, 1, 1)
 
 
 def test_factorization_m_form():
-    T0 = model.build_T(free_spec(2))
-    assert tensorops.factorization_check(T0, 1, m=2)["residual"] == 0.0
-    flip = model.build_T(qccr(2, 1.0))
-    assert tensorops.factorization_check(flip, 1, m=2)["residual"] <= 1e-10
-    Tq = model.build_T(qij(-1.0))
-    for n, m in [(1, 2), (2, 2), (1, 3)]:
-        rep = tensorops.factorization_check(Tq, n, m=m)
-        assert rep["braided"] and rep["residual"] <= 1e-10, (n, m)
+    # the walk's bucket sum P(D_J), J = {1..m-1} at rank n+m-1, against the
+    # Rt product P(D_m), which also satisfies P_{n+m} = P(D_m) (P_m (x) 1_n)
+    for spec in (free_spec(2), qccr(2, 1.0), qij(-1.0)):
+        T = model.build_T(spec)
+        for n, m in [(1, 2), (2, 2), (1, 3)]:
+            sums = coxeter.descent_sums(T, n + m - 1)
+            J = 2 ** (m - 1) - 1
+            PDJ = sum(sums[D] for D in range(len(sums)) if not D & J)
+            PDm = oracles.build_PDm(T, n, m).mat
+            assert tensorops.op_norm(PDJ - PDm) <= 1e-10, (spec.source, n, m)
+            rhs = tensorops.apply_slots(tensorops.build_P(T, m).mat, T.d, 1, PDm)
+            assert tensorops.op_norm(tensorops.build_P(T, n + m).mat - rhs) <= 1e-10, (n, m)
 
 
 def test_factorization_J_form():
@@ -290,23 +297,6 @@ def test_factorization_J_form():
     assert fact["J"] == [1] and fact["residual"] <= 1e-10
     fact = coxeter.coxeter_checks(alg, 2)["factorization"][0]
     assert fact["J"] == [] and fact["residual"] <= 1e-10
-
-
-def test_factorization_flags_non_braided():
-    M = model.build_T(qccr(2, 0.5)).mat.copy()
-    M[0, 3] = 0.1
-    M[3, 0] = 0.1
-    rep = tensorops.factorization_check(TensorOperator(2, 2, M), 1, m=2)
-    assert not rep["braided"]
-    assert rep["braid_residual"] > 1e-3
-
-
-def test_factorization_argument_guards():
-    T = model.build_T(qccr(2, 0.5))
-    with pytest.raises(ValueError):
-        tensorops.factorization_check(T, 0, m=2)
-    with pytest.raises(ValueError):
-        tensorops.factorization_check(T, 2, m=1)
 
 
 def test_build_U_scalar_and_zero():
