@@ -48,13 +48,14 @@ class _Checks:
         copied = {k: v for k, v in report.items() if k not in ("level", "max_degree", "status")}
         self.add(name, params, report["status"], **copied, **fields)
 
-    def add_residual(self, name: str, params: dict, residual: float, tol: float) -> None:
+    def add_residual(self, name: str, params: dict, residual: float, tol: float, **fields) -> None:
         self.add(
             name,
             params,
             "pass" if residual <= tol else "fail",
             residual=float(residual),
             tolerance=tol,
+            **fields,
         )
 
     @property
@@ -86,8 +87,9 @@ def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) ->
         mats = {"recursive": alg.P(n).mat, **mats}
     for name, mat in mats.items():
         evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+        walk = {"walk": coxeter._walk_record(alg.T, n - 1)} if name == "coxeter" else {}
         checks.add("pn_spectrum", {"n": n, "method": name}, "info", min_eig=float(evals[0]),
-                   max_eig=float(evals[-1]), norm=tensorops.op_norm(mat))
+                   max_eig=float(evals[-1]), norm=tensorops.op_norm(mat), **walk)
     if len(mats) == 2:
         residual = tensorops.op_norm(mats["recursive"] - mats["coxeter"])
         checks.add_residual("pn_method_agreement", {"n": n}, residual, tol)
@@ -115,7 +117,8 @@ def _suite_coxeter(alg: Algebra, checks: _Checks, n: int, tol: float) -> None:
     except coxeter.BraidConditionError as exc:
         checks.add("coxeter_suite", {"n": n}, "inapplicable", reason=str(exc))
         return
-    checks.add_residual("group_sum_agreement", {"n": n}, rep["group_sum"], tol)
+    checks.add_residual("group_sum_agreement", {"n": n}, rep["group_sum"], tol,
+                        walk=coxeter._walk_record(alg.T, n))
     for fact in rep["factorization"]:
         checks.add_residual(
             "factorization_DJ_WJ", {"n": n, "J": fact["J"]}, fact["residual"], tol

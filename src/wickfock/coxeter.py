@@ -11,12 +11,17 @@ braid condition, so every walk is gated on the braid residual.
 
 Every operator sum over the group comes from one walk of S_{n+1}:
 :func:`descent_sums` adds each phi(w) into one of 2^n buckets keyed by the
-descent set of w.  The group sum P(S_{n+1}), every descent-class sum P(D_J)
-and both sides of the Euler-Solomon identity are sums of buckets, which
-:func:`coxeter_checks` compares against the independent product
-constructions of P_{n+1}, U_n and P(W_J), read from an
-:class:`~wickfock.algebra.Algebra`.  :func:`check_walk` is the walk's rank
-and memory guard, which a run can apply before it builds anything.
+descent set of w.  When T is weight-preserving (it maps e_a (x) e_b into
+the span of e_a (x) e_b and e_b (x) e_a), every phi(w) is block-diagonal
+on the weight spaces of H^(x)(n+1), the spans of the words with one letter
+content, and the walk keeps only those blocks, packed in one flat array;
+any other T is walked with dense matrices.  The group sum P(S_{n+1}),
+every descent-class sum P(D_J) and both sides of the Euler-Solomon
+identity are sums of buckets, which :func:`coxeter_checks` compares
+against the independent product constructions of P_{n+1}, U_n and P(W_J),
+read from an :class:`~wickfock.algebra.Algebra`.  :func:`check_walk` is
+the walk's rank and memory guard, which a run can apply before it builds
+anything.
 
 >>> sums = descent_sums(TensorOperator(1, 2, [[0.5]]), 2)  # d=1: phi(w) = q^length(w)
 >>> [s.item().real for s in sums]  # descent sets {}, {1}, {2}, {1, 2}
@@ -60,12 +65,6 @@ def _apply_right(perm: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _descents(perm: tuple[int, ...]) -> list[int]:
-    """Positions i with perm(i) > perm(i+1), i.e. right multiplications by
-    s_i that shorten the element."""
-    return [i for i in range(1, len(perm)) if perm[i - 1] > perm[i]]
-
-
 def _gate_braid(T: TensorOperator) -> None:
     r = braid_residual(T)
     if r > BRAID_TOL:
@@ -91,6 +90,98 @@ def check_walk(d: int, n: int) -> None:
         )
 
 
+def _weight_preserving(T: TensorOperator) -> bool:
+    """Whether T maps e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a:
+    every entry M[(a,b),(c,e)] with {a,b} != {c,e} is exactly zero (no
+    tolerance, so no coefficient is ever dropped)."""
+    a, b = np.divmod(np.arange(T.d**2), T.d)
+    same = (a[:, None] == a) & (b[:, None] == b)
+    swapped = (a[:, None] == b) & (b[:, None] == a)
+    return not np.any(T.mat[~(same | swapped)] != 0)
+
+
+def _weight_classes(d: int, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weight space (letter content) of each word of H^(x)level, slot 1
+    the most significant digit; the word's position among the words of its
+    space, in increasing order; and the size of every space."""
+    words = np.arange(d**level)
+    digits = words[:, None] // d ** np.arange(level - 1, -1, -1) % d
+    _, space, sizes = np.unique(
+        np.sort(digits, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    space = space.reshape(-1)  # flat, whatever shape this numpy gives the inverse
+    order = np.argsort(space, kind="stable")
+    pos = np.empty_like(words)
+    pos[order] = words - (np.cumsum(sizes) - sizes)[space[order]]
+    return space, pos, sizes
+
+
+def _walk_record(T: TensorOperator, n: int) -> dict:
+    """How :func:`descent_sums` stores phi(w) at rank n: ``weight``, packed in
+    its weight-space blocks, or ``dense``, as one d^(n+1) square."""
+    if not _weight_preserving(T):
+        return {"layout": "dense", "blocks": 1, "largest_block": T.d ** (n + 1)}
+    sizes = _weight_classes(T.d, n + 1)[2]
+    return {"layout": "weight", "blocks": len(sizes), "largest_block": int(sizes.max())}
+
+
+def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
+    """One depth-first walk of the canonical-word tree of S_{n+1} from the
+    image ``start`` of the identity, ``apply(i, X)`` giving X T_i: each
+    element of length >= 1 is reached from the shorter element obtained by
+    peeling its smallest descent.  Returns the 2^n descent-set buckets,
+    stacked in one array."""
+    sums = np.zeros((2**n, *start.shape), dtype=start.dtype)
+
+    def visit(perm: tuple[int, ...], mask: int, mat: np.ndarray) -> None:
+        sums[mask] += mat
+        for i in range(1, n + 1):
+            if perm[i - 1] < perm[i]:
+                child = _apply_right(perm, i)
+                child_mask = mask | 1 << (i - 1)
+                for j in (i - 1, i + 1):  # the swap moves no other descent
+                    if 1 <= j <= n:
+                        child_mask &= ~(1 << (j - 1))
+                        child_mask |= (child[j - 1] > child[j]) << (j - 1)
+                if child_mask & -child_mask == 1 << (i - 1):
+                    visit(child, child_mask, apply(i, mat))
+
+    visit(tuple(range(1, n + 2)), 0, start)
+    return sums
+
+
+def _packed_walk(T: TensorOperator, n: int) -> list[np.ndarray]:
+    """The walk with each phi(w) of a weight-preserving T kept as the flat
+    array of its entries (r, c) whose words r and c share a weight space,
+    space by space, row-major within each.  Right multiplication by T_i
+    is then the two-term gather X D_i + X[S_i] O_i, where S_i indexes
+    (r, swap_i(c)) and D_i, O_i are the coefficients of T taking the
+    letters of c at slots i, i+1 to themselves and to their swap."""
+    d, level = T.d, n + 1
+    space, pos, sizes = _weight_classes(d, level)
+    members = np.argsort(space, kind="stable")
+    bounds = np.cumsum(sizes) - sizes
+    rows = np.concatenate([np.repeat(members[o : o + s], s) for o, s in zip(bounds, sizes)])
+    cols = np.concatenate([np.tile(members[o : o + s], s) for o, s in zip(bounds, sizes)])
+    row_base = (np.cumsum(sizes**2) - sizes**2)[space[rows]] + pos[rows] * sizes[space[rows]]
+    steps = {}
+    for i in range(1, n + 1):
+        hi, lo = d ** (level - i), d ** (level - i - 1)
+        x, y = cols // hi % d, cols // lo % d
+        swap = row_base + pos[cols + (y - x) * (hi - lo)]
+        off = np.where(x != y, T.mat[y * d + x, x * d + y], 0)
+        steps[i] = (T.mat[x * d + y, x * d + y], swap, off)
+
+    def apply(i: int, X: np.ndarray) -> np.ndarray:
+        diag, swap, off = steps[i]
+        return X * diag + X[swap] * off
+
+    packed = _walk(n, (rows == cols).astype(np.complex128), apply)
+    sums = np.zeros((2**n, d**level, d**level), dtype=np.complex128)
+    sums[:, rows, cols] = packed
+    return list(sums)
+
+
 def descent_sums(T: TensorOperator, n: int) -> list[np.ndarray]:
     """Sums of phi over the descent classes of S_{n+1}: ``sums[mask]`` adds
     phi(w) over the w whose descent set is {i : bit i-1 of mask}.
@@ -99,24 +190,18 @@ def descent_sums(T: TensorOperator, n: int) -> list[np.ndarray]:
     >= 1 is reached from the shorter element obtained by peeling its
     smallest descent, so one application of T_i per group element
     reproduces the canonical-word products, and only the 2^n buckets and the
-    products along the current path are live.  Refused by
-    :func:`check_walk` before anything is allocated.
+    products along the current path are live.  When T is weight-preserving
+    every phi(w) is block-diagonal on the weight spaces of H^(x)(n+1), and
+    the walk keeps only those blocks, applying T_i as a two-term gather;
+    any other T is walked with dense matrices and :func:`apply_slots`.
+    Refused by :func:`check_walk` before anything is allocated.
     """
     check_walk(T.d, n)
     _gate_braid(T)
-    dim = T.d ** (n + 1)
-    sums = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(2**n)]
-
-    def visit(perm: tuple[int, ...], mat: np.ndarray) -> None:
-        sums[sum(1 << (i - 1) for i in _descents(perm))] += mat
-        for i in range(1, n + 1):
-            if perm[i - 1] < perm[i]:
-                child = _apply_right(perm, i)
-                if _descents(child)[0] == i:
-                    visit(child, apply_slots(T.mat, T.d, i, mat))
-
-    visit(tuple(range(1, n + 2)), np.eye(dim, dtype=np.complex128))
-    return sums
+    if _weight_preserving(T):
+        return _packed_walk(T, n)
+    start = np.eye(T.d ** (n + 1), dtype=np.complex128)
+    return list(_walk(n, start, lambda i, X: apply_slots(T.mat, T.d, i, X)))
 
 
 def _young_sum(alg: Algebra, n: int, J: int) -> np.ndarray:
@@ -152,8 +237,7 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
       independent product constructions of U_n and P_{n+1};
     - ``longest_vs_U``: phi(sigma_0) against U_n.
     """
-    if not 1 <= n <= 5:
-        raise ValueError(f"rank n={n} out of guard range 1..5")
+    check_walk(alg.T.d, n)
     sums = alg.descent_sums(n)
     full = 2**n - 1
     eye = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)

@@ -6,7 +6,8 @@ definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
 
 - The group element by element (Bożejko-Speicher, Math. Ann. 300, 1994):
   :class:`CoxeterElement`, :func:`enumerate_group`, :func:`reduced_word`,
-  :func:`inversion_count`, :func:`compose` and :func:`longest_element`.
+  :func:`inversion_count`, :func:`descents`, :func:`compose` and
+  :func:`longest_element`.
   ``test_coxeter.py`` checks them by brute force (``test_enumerate_*``,
   ``test_reduced_word_basics``, ``test_reduced_words_multiply_back``) and
   builds D_J and W_J from them (``test_unique_factorization``).
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wickfock.coxeter import MAX_RANK, _apply_right, _descents
+from wickfock.coxeter import MAX_RANK, _apply_right
 from wickfock.fock import GradedVector
 from wickfock.model import TensorOperator
 from wickfock.tensorops import _require_level2, apply_slots, word_product
@@ -67,6 +68,12 @@ def compose(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(u[v[x] - 1] for x in range(len(u)))
 
 
+def descents(perm: tuple[int, ...]) -> list[int]:
+    """Positions i with perm(i) > perm(i+1), i.e. right multiplications by
+    s_i that shorten the element."""
+    return [i for i in range(1, len(perm)) if perm[i - 1] > perm[i]]
+
+
 def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical reduced word, peeling the smallest descent each step.
 
@@ -82,7 +89,7 @@ def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
     collected = []
     cur = perm
     while True:
-        ds = _descents(cur)
+        ds = descents(cur)
         if not ds:
             break
         i = ds[0]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import qccr
+from conftest import hecke, qccr, rotated
 from wickfock import cli, coxeter, model
 from wickfock.algebra import Algebra
 
@@ -140,6 +140,30 @@ def test_coxeter_command(tmp_path):
     }
     factorizations = [c for c in report["checks"] if c["name"] == "factorization_DJ_WJ"]
     assert len(factorizations) == 8  # every J subset of {1,2,3}
+
+
+def test_coxeter_rank6_runs_at_d2(qccr_path, tmp_path):
+    # the checks share the walk's guard, which lets S_7 through at d=2
+    code, report = run(["coxeter", "--spec", qccr_path, "--n", "6"], tmp_path)
+    assert code == 0 and report["overall"] == "pass"
+    factorizations = [c for c in report["checks"] if c["name"] == "factorization_DJ_WJ"]
+    assert len(factorizations) == 2**6
+
+
+def test_reports_say_which_walk_ran(qccr_path, tmp_path):
+    rotated_path = write_spec(tmp_path, "rotated.json", model.to_document(rotated(hecke(2, 0.6), 1)))
+    for path, walk in (
+        (qccr_path, {"layout": "weight", "blocks": 5, "largest_block": 6}),
+        (rotated_path, {"layout": "dense", "blocks": 1, "largest_block": 16}),
+    ):
+        _, pn = run(["pn", "--spec", path, "--n", "4"], tmp_path, "pn.json")
+        spectra = {c["params"]["method"]: c for c in pn["checks"] if c["name"] == "pn_spectrum"}
+        assert spectra["coxeter"]["walk"] == walk
+        assert "walk" not in spectra["recursive"]
+        _, cox = run(["coxeter", "--spec", path, "--n", "3"], tmp_path, "cox.json")
+        [agreement] = [c for c in cox["checks"] if c["name"] == "group_sum_agreement"]
+        assert agreement["walk"] == walk
+        assert pn["overall"] == cox["overall"] == "pass"
 
 
 def test_inner_command(qccr_path, tmp_path):

@@ -15,10 +15,13 @@ from conftest import (
     braided_families,
     braided_presets,
     free_spec,
+    hecke,
     matrix_spec,
     qccr,
     qij,
+    rotated,
     twisted_flip,
+    unimodular_flip,
 )
 from wickfock import coxeter, model, tensorops
 from wickfock.algebra import Algebra
@@ -227,17 +230,86 @@ def test_descent_sums_extremes():
 
 
 def test_descent_sums_match_phi_grouped_by_descent_set():
-    # oracle: phi element by element, grouped by descent set
-    for d in (2, 3):
-        T = model.build_T(twisted_flip(d, seed=d))
+    # oracle: phi element by element, grouped by descent set; the Hecke T
+    # has two terms in some columns, the free T none, and the rotated T
+    # mix weight spaces, so they take the dense walk
+    cases = [
+        ("twisted flip d=2", twisted_flip(2, seed=2), "weight"),
+        ("twisted flip d=3", twisted_flip(3, seed=3), "weight"),
+        ("hecke d=2", hecke(2, 0.6), "weight"),
+        ("hecke d=3", hecke(3, 0.8), "weight"),
+        ("free d=2", free_spec(2), "weight"),
+        ("rotated hecke d=2", rotated(hecke(2, 0.6), 1), "dense"),
+        ("rotated unimodular flip d=3", rotated(unimodular_flip(3, seed=5), 2), "dense"),
+    ]
+    for label, spec, layout in cases:
+        T = model.build_T(spec)
+        d = T.d
         for n in (1, 2, 3):
+            assert coxeter._walk_record(T, n)["layout"] == layout, label
             expected = [np.zeros((d ** (n + 1),) * 2, dtype=complex) for _ in range(2**n)]
             for e in oracles.enumerate_group(n):
-                mask = sum(1 << (s - 1) for s in coxeter._descents(e.perm))
+                mask = sum(1 << (s - 1) for s in oracles.descents(e.perm))
                 expected[mask] += oracles.phi(T, e, n).mat
             sums = coxeter.descent_sums(T, n)
             for mask in range(2**n):
-                assert np.linalg.norm(sums[mask] - expected[mask], 2) <= 1e-12, (d, n, mask)
+                assert np.linalg.norm(sums[mask] - expected[mask], 2) <= 1e-12, (label, n, mask)
+
+
+def dense_walk(T, n: int) -> np.ndarray:
+    """The walk with every phi(w) a dense matrix, the layout descent_sums
+    takes for a T that is not weight-preserving."""
+    start = np.eye(T.d ** (n + 1), dtype=complex)
+    return coxeter._walk(n, start, lambda i, X: tensorops.apply_slots(T.mat, T.d, i, X))
+
+
+@pytest.mark.parametrize("d, max_rank", [(2, 4), (3, 3)])
+@given(data=st.data())
+def test_packed_walk_matches_dense_walk(d, max_rank, data):
+    T = model.build_T(data.draw(braided_families(d)))
+    for n in range(1, max_rank + 1):
+        assert coxeter._walk_record(T, n)["layout"] == "weight"
+        for packed, dense in zip(coxeter.descent_sums(T, n), dense_walk(T, n), strict=True):
+            assert np.linalg.norm(packed - dense, 2) <= 1e-13, (n, T.mat)
+
+
+def test_walk_layout_detection():
+    weight = [spec for _, spec in braided_presets()] + [
+        hecke(2, 0.6), hecke(3, 0.8), twisted_flip(2, seed=1), twisted_flip(3, seed=2),
+        unimodular_flip(3, seed=4), free_spec(3),
+    ]
+    for spec in weight:
+        assert coxeter._weight_preserving(model.build_T(spec)), spec.source
+    dense = [rotated(hecke(2, 0.6), 1), rotated(qccr(2, 0.5), 3), rotated(unimodular_flip(3, seed=5), 2)]
+    for spec in dense:
+        T = model.build_T(spec)
+        assert coxeter._walk_record(T, 3) == {"layout": "dense", "blocks": 1, "largest_block": T.d**4}
+    # one off-pattern coefficient, however small, leaves the weight layout:
+    # the test is exact, so no coefficient is dropped
+    M = model.build_T(hecke(2, 0.6)).mat.copy()
+    M[1, 0] = M[0, 1] = 1e-300
+    T = TensorOperator(2, 2, M)
+    assert not coxeter._weight_preserving(T)
+    assert coxeter._walk_record(T, 2)["layout"] == "dense"
+    assert np.array_equal(coxeter.descent_sums(T, 2), dense_walk(T, 2))
+
+
+def test_weight_blocks_count_words_by_letter_content():
+    # oracle: pairs of words with the same sorted letters, by brute force;
+    # 3,432 = C(14, 7) entries at d=2, level 7, and 4,653 at d=3, level 5
+    for d, level, entries in ((2, 7, 3432), (3, 5, 4653), (3, 2, 15)):
+        contents = [tuple(sorted(w)) for w in itertools.product(range(d), repeat=level)]
+        counts = {c: contents.count(c) for c in set(contents)}
+        space, pos, sizes = coxeter._weight_classes(d, level)
+        assert sorted(sizes) == sorted(counts.values())
+        assert int((sizes**2).sum()) == sum(k * k for k in counts.values()) == entries
+        for w, c in enumerate(contents):
+            assert sizes[space[w]] == counts[c]
+            assert pos[w] == contents[:w].count(c)
+        T = model.build_T(qccr(d, 0.5))
+        assert coxeter._walk_record(T, level - 1) == {
+            "layout": "weight", "blocks": len(counts), "largest_block": max(counts.values())
+        }
 
 
 def test_descent_class_sizes_count_permutations():
@@ -359,10 +431,14 @@ def test_euler_solomon_zero_operator():
 
 
 def test_euler_solomon_guard():
+    # the checks take the walk's own guard: rank 6 runs at d=2, not at d=3
     alg = Algebra(qccr(2, 0.5))
-    for n in (0, 6):
-        with pytest.raises(ValueError):
+    for n in (0, coxeter.MAX_RANK + 1):
+        with pytest.raises(ValueError, match=f"rank n={n} out of guard range 1..{coxeter.MAX_RANK}"):
             coxeter.coxeter_checks(alg, n)
+    need = (2**6 + 21 + 3) * 3**14 * 16
+    with pytest.raises(ValueError, match=f"need about {need} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"):
+        coxeter.coxeter_checks(Algebra(qccr(3, 0.5)), 6)
 
 
 @pytest.mark.parametrize("d, max_rank", [(2, 4), (3, 3)])

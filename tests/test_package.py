@@ -1,7 +1,10 @@
 """The public surface of the package."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import wickfock
 
@@ -16,3 +19,18 @@ def test_every_name_in_all_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_modules_import_only_the_standard_library_numpy_and_wickfock():
+    # pyproject.toml declares numpy alone: an import of anything else (say
+    # scipy) would pass where it happens to be installed and break elsewhere
+    allowed = set(sys.stdlib_module_names) | {"numpy", "wickfock"}
+    for path in sorted(Path(wickfock.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert set(roots) <= allowed, (path.name, node.lineno, roots)
