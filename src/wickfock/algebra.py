@@ -5,8 +5,6 @@ rewrite engine its ``spec``."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import coxeter
 from .model import TensorOperator, WickSpec, build_T
 from .spectral import Subspace, kernel
@@ -28,15 +26,17 @@ def check_level(d: int, level: int) -> None:
         )
 
 
-def _read_only(value: TensorOperator | Subspace):
-    (value.basis if isinstance(value, Subspace) else value.mat).flags.writeable = False
+def _read_only(value: TensorOperator | Subspace | coxeter.Walk):
+    if not isinstance(value, coxeter.Walk):  # a walk is built read-only
+        (value.basis if isinstance(value, Subspace) else value.mat).flags.writeable = False
     return value
 
 
 class Algebra:
-    """A spec with its ``T``, and R_n, P_n, U_n, ker P_n and the group sum
-    P(S_{n+1}), each built on first use, after the level guard
-    (:func:`check_level`).  A second call returns the same object.
+    """A spec with its ``T``, and R_n, P_n, U_n, ker P_n, the walk of S_{n+1}
+    (:func:`coxeter.descent_sums`) and the group sum P(S_{n+1}), each built
+    read-only on first use, after the level guard (:func:`check_level`).  A
+    second call returns the same object, so each rank is walked once.
 
     >>> from wickfock.model import preset
     >>> alg = Algebra(preset("q-ccr", 1, q=0.5))
@@ -69,16 +69,12 @@ class Algebra:
     def ker_P(self, n: int, rank_tol: float) -> Subspace:
         return self._get(("ker_P", n, rank_tol), n, lambda: kernel(self.P(n), rank_tol))
 
-    def descent_sums(self, n: int) -> list[np.ndarray]:
-        """The buckets of one walk of S_{n+1} (:func:`coxeter.descent_sums`).
-        They are not kept; their total is, as ``group_sum(n)``."""
-        check_level(self.T.d, n + 1)
-        sums = coxeter.descent_sums(self.T, n)
-        self._get(("group_sum", n), n + 1, lambda: TensorOperator(self.T.d, n + 1, sum(sums)))
-        return sums
+    def descent_sums(self, n: int) -> coxeter.Walk:
+        """The descent-set buckets of the walk of S_{n+1}, in the walk's own
+        layout; :meth:`coxeter.Walk.sum` places the sums a caller reads."""
+        return self._get(("walk", n), n + 1, lambda: coxeter.descent_sums(self.T, n))
 
     def group_sum(self, n: int) -> TensorOperator:
-        """P(S_{n+1}), left by an earlier walk or from a walk of its own."""
-        if ("group_sum", n) not in self._memo:
-            self.descent_sums(n)
-        return self._memo["group_sum", n]
+        """P(S_{n+1}), the sum of every bucket of the walk."""
+        return self._get(("group_sum", n), n + 1,
+                         lambda: TensorOperator(self.T.d, n + 1, self.descent_sums(n).sum()))

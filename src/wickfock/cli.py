@@ -73,7 +73,7 @@ def _suite_check(alg: Algebra, checks: _Checks, tol: float) -> None:
 
 def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) -> None:
     mats = {}
-    if method in ("coxeter", "both"):  # first: no level-n matrix is held beside its walk
+    if method in ("coxeter", "both"):  # first: the walk's path is never live beside P_n
         if n < 2:
             checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable",
                        reason="group sum needs n >= 2")
@@ -87,7 +87,7 @@ def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) ->
         mats = {"recursive": alg.P(n).mat, **mats}
     for name, mat in mats.items():
         evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        walk = {"walk": coxeter._walk_record(alg.T, n - 1)} if name == "coxeter" else {}
+        walk = {"walk": alg.descent_sums(n - 1).record} if name == "coxeter" else {}
         checks.add("pn_spectrum", {"n": n, "method": name}, "info", min_eig=float(evals[0]),
                    max_eig=float(evals[-1]), norm=tensorops.op_norm(mat), **walk)
     if len(mats) == 2:
@@ -118,7 +118,7 @@ def _suite_coxeter(alg: Algebra, checks: _Checks, n: int, tol: float) -> None:
         checks.add("coxeter_suite", {"n": n}, "inapplicable", reason=str(exc))
         return
     checks.add_residual("group_sum_agreement", {"n": n}, rep["group_sum"], tol,
-                        walk=coxeter._walk_record(alg.T, n))
+                        walk=alg.descent_sums(n).record)
     for fact in rep["factorization"]:
         checks.add_residual(
             "factorization_DJ_WJ", {"n": n, "J": fact["J"]}, fact["residual"], tol
@@ -153,6 +153,8 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
         raise ValueError(f"--tol must be positive and finite; got {args.tol}")
     if not 0.0 < args.rank_tol < 1.0:
         raise ValueError(f"--rank-tol must lie in (0, 1); got {args.rank_tol}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0; got {args.seed}")
     spec = load_spec_file(args.spec)
     walk = None  # the rank of the deepest walk of S_{n+1} the command takes
     if args.command == "inner":
@@ -203,18 +205,13 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
         )
     elif args.command == "full":
         n_max = args.n_max
-        ranks = range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1)
-        # walked before the pn suite, which reads the group sums the walks leave
-        walked = {n: _Checks() for n in ranks}
-        for n in ranks:
-            _suite_coxeter(alg, walked[n], n, tol)
         _suite_check(alg, checks, tol)
         for n in range(2, n_max + 1):
             _suite_pn(alg, checks, n, "both", tol)
         _suite_kernel_theorem(alg, checks, n_max, rank_tol, tol)
         _suite_positivity(alg, checks, n_max, rank_tol, tol)
-        for n in ranks:
-            checks.records += walked[n].records
+        for n in range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1):
+            _suite_coxeter(alg, checks, n, tol)
             rep = spectral.un_checks(alg, n, rank_tol=rank_tol, tol=tol)
             checks.add_report("un_laws", {"n": n}, rep, tolerance=tol)
             checks.add_residual("telescoping", {"n": n}, tensorops.telescoping_residual(alg.T, n), tol)

@@ -11,17 +11,16 @@ braid condition, so every walk is gated on the braid residual.
 
 Every operator sum over the group comes from one walk of S_{n+1}:
 :func:`descent_sums` adds each phi(w) into one of 2^n buckets keyed by the
-descent set of w.  When T is weight-preserving (it maps e_a (x) e_b into
-the span of e_a (x) e_b and e_b (x) e_a), every phi(w) is block-diagonal
-on the weight spaces of H^(x)(n+1), the spans of the words with one letter
-content, and the walk keeps only those blocks, packed in one flat array;
-any other T is walked with dense matrices.  The group sum P(S_{n+1}),
-every descent-class sum P(D_J) and both sides of the Euler-Solomon
-identity are sums of buckets, which :func:`coxeter_checks` compares
-against the independent product constructions of P_{n+1}, U_n and P(W_J),
-read from an :class:`~wickfock.algebra.Algebra`.  :func:`check_walk` is
-the walk's rank and memory guard, which a run can apply before it builds
-anything.
+descent set of w, kept in the walk's layout in one read-only :class:`Walk`.
+When T is weight-preserving (it maps e_a (x) e_b into the span of
+e_a (x) e_b and e_b (x) e_a), every phi(w) is block-diagonal on the weight
+spaces of H^(x)(n+1), the spans of the words with one letter content, and
+the walk keeps only those blocks; any other T is one dense block.  The
+group sum P(S_{n+1}), every descent-class sum P(D_J) and both sides of the
+Euler-Solomon identity are sums of buckets, which :func:`coxeter_checks`
+compares against the independent product constructions of P_{n+1}, U_n
+and P(W_J), read from the :class:`~wickfock.algebra.Algebra` that holds
+the walk.  :func:`check_walk` is the walk's guard.
 
 >>> sums = descent_sums(TensorOperator(1, 2, [[0.5]]), 2)  # d=1: phi(w) = q^length(w)
 >>> [s.item().real for s in sums]  # descent sets {}, {1}, {2}, {1, 2}
@@ -44,6 +43,7 @@ __all__ = [
     "BraidConditionError",
     "MAX_RANK",
     "MAX_WALK_BYTES",
+    "Walk",
     "check_walk",
     "descent_sums",
     "coxeter_checks",
@@ -65,20 +65,11 @@ def _apply_right(perm: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _gate_braid(T: TensorOperator) -> None:
-    r = braid_residual(T)
-    if r > BRAID_TOL:
-        raise BraidConditionError(
-            f"braid residual {r:.3e} exceeds {BRAID_TOL:.1e}; the map is only well "
-            "defined for braided operators"
-        )
-
-
 def check_walk(d: int, n: int) -> None:
     """Refuse, before anything is allocated, a walk of S_{n+1} at dimension d
-    whose rank lies outside 1..MAX_RANK or whose live matrices (the 2^n
-    buckets and the products along one path, with the sum and P_{n+1}/U_n
-    beside them) would exceed MAX_WALK_BYTES."""
+    whose rank lies outside 1..MAX_RANK or whose dense layout (2^n buckets,
+    the products along one path, the sum and P_{n+1}/U_n) would hold more
+    than MAX_WALK_BYTES, whatever layout the walk then takes."""
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
     dim = d ** (n + 1)
@@ -116,21 +107,46 @@ def _weight_classes(d: int, level: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return space, pos, sizes
 
 
-def _walk_record(T: TensorOperator, n: int) -> dict:
-    """How :func:`descent_sums` stores phi(w) at rank n: ``weight``, packed in
-    its weight-space blocks, or ``dense``, as one d^(n+1) square."""
-    if not _weight_preserving(T):
-        return {"layout": "dense", "blocks": 1, "largest_block": T.d ** (n + 1)}
-    sizes = _weight_classes(T.d, n + 1)[2]
-    return {"layout": "weight", "blocks": len(sizes), "largest_block": int(sizes.max())}
+class Walk:
+    """The 2^n descent-set buckets of one walk of S_{n+1}, read-only, in the
+    walk's layout: row ``mask`` of ``buckets`` holds the entries of every
+    diagonal block (an array of words) in turn, row-major within each.
+    ``record`` names the layout with its block count and largest block.
+    Indexing and iteration yield single buckets as dense matrices."""
+
+    def __init__(self, buckets: np.ndarray, blocks: list[np.ndarray], layout: str) -> None:
+        for array in (buckets, *blocks):
+            array.flags.writeable = False
+        self.buckets, self.blocks = buckets, tuple(blocks)
+        self.dim = sum(map(len, blocks))
+        self.record = {"layout": layout, "blocks": len(blocks),
+                       "largest_block": max(map(len, blocks))}
+
+    def sum(self, masks=None) -> np.ndarray:
+        """The dense sum of the buckets ``masks`` (default all), added in the
+        given order within the layout and placed once."""
+        packed = np.zeros(self.buckets.shape[1], dtype=np.complex128)
+        for mask in range(len(self)) if masks is None else masks:
+            packed += self.buckets[mask]
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        ends = np.cumsum([len(words) ** 2 for words in self.blocks])
+        for words, block in zip(self.blocks, np.split(packed, ends[:-1])):
+            out[np.ix_(words, words)] = block.reshape(len(words), -1)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.buckets)
+
+    def __getitem__(self, mask: int) -> np.ndarray:
+        return self.sum([mask])
 
 
 def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
     """One depth-first walk of the canonical-word tree of S_{n+1} from the
     image ``start`` of the identity, ``apply(i, X)`` giving X T_i: each
     element of length >= 1 is reached from the shorter element obtained by
-    peeling its smallest descent.  Returns the 2^n descent-set buckets,
-    stacked in one array."""
+    peeling its smallest descent, so only the 2^n buckets and the products
+    along the current path are live.  Returns the buckets, stacked."""
     sums = np.zeros((2**n, *start.shape), dtype=start.dtype)
 
     def visit(perm: tuple[int, ...], mask: int, mat: np.ndarray) -> None:
@@ -150,58 +166,50 @@ def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
     return sums
 
 
-def _packed_walk(T: TensorOperator, n: int) -> list[np.ndarray]:
-    """The walk with each phi(w) of a weight-preserving T kept as the flat
-    array of its entries (r, c) whose words r and c share a weight space,
-    space by space, row-major within each.  Right multiplication by T_i
-    is then the two-term gather X D_i + X[S_i] O_i, where S_i indexes
-    (r, swap_i(c)) and D_i, O_i are the coefficients of T taking the
-    letters of c at slots i, i+1 to themselves and to their swap."""
-    d, level = T.d, n + 1
-    space, pos, sizes = _weight_classes(d, level)
-    members = np.argsort(space, kind="stable")
-    bounds = np.cumsum(sizes) - sizes
-    rows = np.concatenate([np.repeat(members[o : o + s], s) for o, s in zip(bounds, sizes)])
-    cols = np.concatenate([np.tile(members[o : o + s], s) for o, s in zip(bounds, sizes)])
-    row_base = (np.cumsum(sizes**2) - sizes**2)[space[rows]] + pos[rows] * sizes[space[rows]]
-    steps = {}
-    for i in range(1, n + 1):
-        hi, lo = d ** (level - i), d ** (level - i - 1)
-        x, y = cols // hi % d, cols // lo % d
-        swap = row_base + pos[cols + (y - x) * (hi - lo)]
-        off = np.where(x != y, T.mat[y * d + x, x * d + y], 0)
-        steps[i] = (T.mat[x * d + y, x * d + y], swap, off)
-
-    def apply(i: int, X: np.ndarray) -> np.ndarray:
-        diag, swap, off = steps[i]
-        return X * diag + X[swap] * off
-
-    packed = _walk(n, (rows == cols).astype(np.complex128), apply)
-    sums = np.zeros((2**n, d**level, d**level), dtype=np.complex128)
-    sums[:, rows, cols] = packed
-    return list(sums)
-
-
-def descent_sums(T: TensorOperator, n: int) -> list[np.ndarray]:
-    """Sums of phi over the descent classes of S_{n+1}: ``sums[mask]`` adds
+def descent_sums(T: TensorOperator, n: int) -> Walk:
+    """Sums of phi over the descent classes of S_{n+1}: bucket ``mask`` adds
     phi(w) over the w whose descent set is {i : bit i-1 of mask}.
 
-    One depth-first walk of the canonical-word tree: each element of length
-    >= 1 is reached from the shorter element obtained by peeling its
-    smallest descent, so one application of T_i per group element
-    reproduces the canonical-word products, and only the 2^n buckets and the
-    products along the current path are live.  When T is weight-preserving
-    every phi(w) is block-diagonal on the weight spaces of H^(x)(n+1), and
-    the walk keeps only those blocks, applying T_i as a two-term gather;
-    any other T is walked with dense matrices and :func:`apply_slots`.
+    One depth-first walk (:func:`_walk`), one application of T_i per group
+    element, with each phi(w) in the layout of :class:`Walk`.  When T is
+    weight-preserving the blocks are the weight spaces, and right
+    multiplication by T_i is the two-term gather X D_i + X[S_i] O_i, where
+    S_i indexes (r, swap_i(c)) and D_i, O_i are the coefficients of T taking
+    the letters of column c at slots i, i+1 to themselves and to their
+    swap.  Any other T is one dense block, and T_i is :func:`apply_slots`.
     Refused by :func:`check_walk` before anything is allocated.
     """
     check_walk(T.d, n)
-    _gate_braid(T)
-    if _weight_preserving(T):
-        return _packed_walk(T, n)
-    start = np.eye(T.d ** (n + 1), dtype=np.complex128)
-    return list(_walk(n, start, lambda i, X: apply_slots(T.mat, T.d, i, X)))
+    r = braid_residual(T)
+    if r > BRAID_TOL:
+        raise BraidConditionError(
+            f"braid residual {r:.3e} exceeds {BRAID_TOL:.1e}; the map is only well "
+            "defined for braided operators"
+        )
+    d, level = T.d, n + 1
+    layout = "weight" if _weight_preserving(T) else "dense"
+    if layout == "weight":
+        space, pos, sizes = _weight_classes(d, level)
+        blocks = np.split(np.argsort(space, kind="stable"), np.cumsum(sizes)[:-1])
+        cols = np.concatenate([np.tile(words, len(words)) for words in blocks])
+        steps = {}
+        for i in range(1, n + 1):  # swap_i(c) shares the block and the row of c
+            hi, lo = d ** (level - i), d ** (level - i - 1)
+            x, y = cols // hi % d, cols // lo % d
+            swap = np.arange(cols.size) + pos[cols + (y - x) * (hi - lo)] - pos[cols]
+            off = np.where(x != y, T.mat[y * d + x, x * d + y], 0)
+            steps[i] = (T.mat[x * d + y, x * d + y], swap, off)
+    else:
+        blocks = [np.arange(d**level)]
+
+    def apply(i: int, X: np.ndarray) -> np.ndarray:
+        if layout == "dense":
+            return apply_slots(T.mat, d, i, X.reshape(d**level, -1)).reshape(-1)
+        diag, swap, off = steps[i]
+        return X * diag + X[swap] * off
+
+    start = np.concatenate([np.eye(len(words), dtype=np.complex128).ravel() for words in blocks])
+    return Walk(_walk(n, start, apply), blocks, layout)
 
 
 def _young_sum(alg: Algebra, n: int, J: int) -> np.ndarray:
@@ -220,9 +228,9 @@ def _young_sum(alg: Algebra, n: int, J: int) -> np.ndarray:
 
 
 def coxeter_checks(alg: Algebra, n: int) -> dict:
-    """Every Coxeter identity at rank n from one walk of S_{n+1}, as operator
-    norm residuals on H^(x)(n+1); the walk leaves its total in
-    ``alg.group_sum(n)``:
+    """Every Coxeter identity at rank n from the buckets of the walk of
+    S_{n+1} that ``alg`` holds (``alg.descent_sums(n)``), as operator norm
+    residuals on H^(x)(n+1):
 
     - ``group_sum``: P(S_{n+1}) against the recursive P_{n+1};
     - ``factorization``: per J (in mask order), P_{n+1} against
@@ -237,8 +245,7 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
       independent product constructions of U_n and P_{n+1};
     - ``longest_vs_U``: phi(sigma_0) against U_n.
     """
-    check_walk(alg.T.d, n)
-    sums = alg.descent_sums(n)
+    walk = alg.descent_sums(n)
     full = 2**n - 1
     eye = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
     P = alg.P(n + 1).mat
@@ -248,7 +255,7 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
     factorization = []
     alternating = np.zeros_like(eye)
     for J in range(2**n):
-        PDJ = sum(sums[D] for D in range(2**n) if not D & J)
+        PDJ = walk.sum(D for D in range(2**n) if not D & J)
         J_set = [s for s in range(1, n + 1) if J >> (s - 1) & 1]
         factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ _young_sum(alg, n, J))})
         if 0 < J < full:
@@ -256,7 +263,7 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
 
     sign_S = (-1.0) ** n
     euler = max(
-        op_norm(alternating - (-sign_S * eye + sums[full] - total)),
+        op_norm(alternating - (-sign_S * eye + walk[full] - total)),
         op_norm(alternating.conj().T - (-sign_S * eye + U - P)),
     )
     return {
@@ -264,5 +271,5 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
         "group_sum": op_norm(total - P),
         "factorization": factorization,
         "euler_solomon": euler,
-        "longest_vs_U": op_norm(sums[full] - U),
+        "longest_vs_U": op_norm(walk[full] - U),
     }

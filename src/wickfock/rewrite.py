@@ -138,8 +138,8 @@ def parse_word_expr(text: str, d: int) -> FreePolynomial:
             entries = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SpecError(f"malformed word-expression JSON: {exc}") from exc
-        if not isinstance(entries, list):
-            raise SpecError("word expression JSON must be an array")
+        if not isinstance(entries, list) or not entries:
+            raise SpecError("word expression JSON must be a nonempty array")
         for pos, entry in enumerate(entries):
             if not isinstance(entry, dict) or not isinstance(entry.get("word"), str):
                 raise SpecError(f'word expression entry {pos} needs a "word" string')

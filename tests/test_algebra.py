@@ -4,6 +4,7 @@ one build of each operator per CLI run."""
 import collections
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,8 +50,16 @@ def test_kernel_is_memoized_per_rank_tolerance():
 
 def test_walk_leaves_its_total_as_the_group_sum():
     alg = Algebra(qccr(2, 0.5))
-    sums = alg.descent_sums(3)
-    assert np.array_equal(alg.group_sum(3).mat, sum(sums))
+    walk = alg.descent_sums(3)
+    assert alg.descent_sums(3) is walk
+    for array in (walk.buckets, *walk.blocks):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        walk.buckets[0, 0] = 7.0
+    # sums added within the layout and placed once equal the sums of the
+    # placed buckets bit for bit
+    assert np.array_equal(alg.group_sum(3).mat, sum(walk))
+    assert np.array_equal(walk.sum([0, 2, 5]), walk[0] + walk[2] + walk[5])
     rep = coxeter.coxeter_checks(alg, 2)
     assert rep["group_sum"] <= 1e-10
     assert np.array_equal(alg.group_sum(2).mat, sum(coxeter.descent_sums(alg.T, 2)))
@@ -121,3 +130,40 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
         + ["fock_relations", "rewrite_fock_agreement"]
     )
     assert [c["name"] for c in json.loads(out.read_text())["checks"]] == expected
+
+
+def test_each_rank_is_walked_once_whatever_asks_first(monkeypatch):
+    walks = _count_calls(monkeypatch, coxeter.descent_sums)
+    for order in ("pn first", "coxeter first"):
+        alg, checks = Algebra(qccr(2, 0.5)), cli._Checks()
+        suites = [lambda: cli._suite_pn(alg, checks, 4, "both", 1e-8),
+                  lambda: cli._suite_coxeter(alg, checks, 3, 1e-8)]
+        for suite in suites if order == "pn first" else suites[::-1]:
+            suite()
+        assert walks == [3], order
+        assert checks.overall == "pass"
+        walks.clear()
+
+
+def peak_bytes(run) -> int:
+    """The peak of the memory numpy and Python allocate while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_group_sum_memory_stays_near_the_packed_walk():
+    # d=2, rank 6: the held walk is 64 buckets of 3,432 entries, about 13.4
+    # dense 128 x 128 matrices; scattering every bucket densely took 64 more
+    alg = Algebra(qccr(2, 0.5))
+    assert peak_bytes(lambda: alg.group_sum(6)) < 24 * 16 * 128**2
+
+
+def test_coxeter_checks_place_one_sum_at_a_time():
+    # d=3, rank 4: beside P_5, U_4, the group sum and a few working matrices
+    # of 243 x 243, not 16 dense buckets
+    alg = Algebra(qccr(3, 0.5))
+    assert peak_bytes(lambda: coxeter.coxeter_checks(alg, 4)) < 16 * 16 * 243**2

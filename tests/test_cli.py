@@ -184,6 +184,9 @@ def test_inner_rejects_bad_expression(qccr_path):
     )
     for bad in ('[{"re": null, "word": "a1"}]', '[{"word": 5}]'):
         assert cli.main(["inner", "--spec", qccr_path, "--x", bad, "--y", "a1"]) == 2
+    # an empty combination is zero and would pass vacuously, like an empty word
+    for y in ("[]", ""):
+        assert cli.main(["inner", "--spec", qccr_path, "--x", "a1", "--y", y]) == 2
 
 
 def test_module_entry_point_writes_report():
@@ -340,3 +343,40 @@ def test_braid_gate_reason_names_no_override(braid_violating_path, tmp_path):
     [record] = report["checks"]
     assert record["status"] == "inapplicable"
     assert record["reason"].endswith("the map is only well defined for braided operators")
+
+
+def test_negative_seed_is_input_error_before_the_spec_is_read(tmp_path, capsys):
+    # numpy refuses a negative seed only once the random suite runs, and
+    # without naming the flag
+    missing = str(tmp_path / "absent.json")
+    for spec in (missing, "specs/qccr_d2_q05.json"):
+        code, report = run(["full", "--spec", spec, "--n-max", "2", "--seed", "-1"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and report is None, spec
+        assert "--seed must be >= 0; got -1" in err and "Traceback" not in err, err
+
+
+STRUCTURE = Path(__file__).with_name("report_structure.json")
+
+
+def structure(report: dict) -> list[dict]:
+    """What a report decides, without a float: each record's name, params,
+    status, kernel dimensions, classification and walk."""
+    return [
+        {k: v for k, v in record.items()
+         if k in ("name", "params", "status", "classification", "walk") or k.startswith("dim_")}
+        for record in report["checks"]
+    ]
+
+
+def test_full_reports_keep_their_recorded_structure(tmp_path):
+    # report_structure.json holds structure() of `full --n-max 4` on every
+    # spec in specs/, recorded before the walk kept its buckets in its own
+    # layout; a refactor must not move a status, a dimension or a record
+    expected = json.loads(STRUCTURE.read_text())
+    specs = sorted(Path(__file__).resolve().parents[1].glob("specs/*.json"))
+    assert sorted(expected) == [path.name for path in specs]
+    for path in specs:
+        code, report = run(["full", "--spec", str(path), "--n-max", "4"], tmp_path)
+        assert code == 0, path.name
+        assert structure(report) == expected[path.name], path.name

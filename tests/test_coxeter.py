@@ -246,7 +246,7 @@ def test_descent_sums_match_phi_grouped_by_descent_set():
         T = model.build_T(spec)
         d = T.d
         for n in (1, 2, 3):
-            assert coxeter._walk_record(T, n)["layout"] == layout, label
+            assert coxeter.descent_sums(T, n).record["layout"] == layout, label
             expected = [np.zeros((d ** (n + 1),) * 2, dtype=complex) for _ in range(2**n)]
             for e in oracles.enumerate_group(n):
                 mask = sum(1 << (s - 1) for s in oracles.descents(e.perm))
@@ -258,7 +258,7 @@ def test_descent_sums_match_phi_grouped_by_descent_set():
 
 def dense_walk(T, n: int) -> np.ndarray:
     """The walk with every phi(w) a dense matrix, the layout descent_sums
-    takes for a T that is not weight-preserving."""
+    takes, flattened, for a T that is not weight-preserving."""
     start = np.eye(T.d ** (n + 1), dtype=complex)
     return coxeter._walk(n, start, lambda i, X: tensorops.apply_slots(T.mat, T.d, i, X))
 
@@ -268,8 +268,9 @@ def dense_walk(T, n: int) -> np.ndarray:
 def test_packed_walk_matches_dense_walk(d, max_rank, data):
     T = model.build_T(data.draw(braided_families(d)))
     for n in range(1, max_rank + 1):
-        assert coxeter._walk_record(T, n)["layout"] == "weight"
-        for packed, dense in zip(coxeter.descent_sums(T, n), dense_walk(T, n), strict=True):
+        walk = coxeter.descent_sums(T, n)
+        assert walk.record["layout"] == "weight"
+        for packed, dense in zip(walk, dense_walk(T, n), strict=True):
             assert np.linalg.norm(packed - dense, 2) <= 1e-13, (n, T.mat)
 
 
@@ -283,15 +284,22 @@ def test_walk_layout_detection():
     dense = [rotated(hecke(2, 0.6), 1), rotated(qccr(2, 0.5), 3), rotated(unimodular_flip(3, seed=5), 2)]
     for spec in dense:
         T = model.build_T(spec)
-        assert coxeter._walk_record(T, 3) == {"layout": "dense", "blocks": 1, "largest_block": T.d**4}
+        walk = coxeter.descent_sums(T, 3)
+        assert walk.record == {"layout": "dense", "blocks": 1, "largest_block": T.d**4}
+        # the one block is the dense square, flattened row-major: the same
+        # walk as the dense reference, bit for bit
+        reference = dense_walk(T, 3)
+        assert np.array_equal(walk.buckets, reference.reshape(len(reference), -1))
+        assert np.array_equal(walk, reference)
     # one off-pattern coefficient, however small, leaves the weight layout:
     # the test is exact, so no coefficient is dropped
     M = model.build_T(hecke(2, 0.6)).mat.copy()
     M[1, 0] = M[0, 1] = 1e-300
     T = TensorOperator(2, 2, M)
     assert not coxeter._weight_preserving(T)
-    assert coxeter._walk_record(T, 2)["layout"] == "dense"
-    assert np.array_equal(coxeter.descent_sums(T, 2), dense_walk(T, 2))
+    walk = coxeter.descent_sums(T, 2)
+    assert walk.record["layout"] == "dense"
+    assert np.array_equal(walk, dense_walk(T, 2))
 
 
 def test_weight_blocks_count_words_by_letter_content():
@@ -307,7 +315,7 @@ def test_weight_blocks_count_words_by_letter_content():
             assert sizes[space[w]] == counts[c]
             assert pos[w] == contents[:w].count(c)
         T = model.build_T(qccr(d, 0.5))
-        assert coxeter._walk_record(T, level - 1) == {
+        assert coxeter.descent_sums(T, level - 1).record == {
             "layout": "weight", "blocks": len(counts), "largest_block": max(counts.values())
         }
 

@@ -44,6 +44,16 @@ def test_parse_word_expr_json():
         rewrite.parse_word_expr("a3", 2)
 
 
+def test_parse_word_expr_rejects_empty_input():
+    # an empty expression is zero, which would pass any comparison vacuously;
+    # the unit is written '1'
+    with pytest.raises(SpecError, match="empty word expression"):
+        rewrite.parse_word_expr("  ", 2)
+    for empty in ("[]", " [ ] "):
+        with pytest.raises(SpecError, match="nonempty array"):
+            rewrite.parse_word_expr(empty, 2)
+
+
 def test_normal_order_qccr_diagonal():
     spec = qccr(1, 0.5)
     p = rewrite.normal_order(spec, rewrite.parse_word("a1* a1"))
