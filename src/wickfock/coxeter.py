@@ -162,7 +162,10 @@ def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
                 if child_mask & -child_mask == 1 << (i - 1):
                     visit(child, child_mask, apply(i, mat))
 
-    visit(tuple(range(1, n + 2)), 0, start)
+    try:
+        visit(tuple(range(1, n + 2)), 0, start)
+    finally:
+        del visit  # visit reaches itself through its closure cell; free it now, not at the next gc
     return sums
 
 

@@ -6,11 +6,20 @@ rule replaces an adjacent pair ``a_i* a_j`` by
 
     delta_ij * 1  +  sum_kl T_ij^kl a_l a_k*
 
-and the canonical strategy always rewrites the leftmost such pair.  Each
-step either lowers the total degree or strictly decreases the number of
-(starred, unstarred) inversions, so rewriting terminates; the normal form
-is a polynomial in Wick ordered monomials (all plain letters before all
-starred ones).
+and the canonical strategy always rewrites the leftmost such pair.  Every
+step strictly lowers the inversion count, the number of (starred,
+unstarred) letter pairs with the starred letter on the left: the T branch
+swaps one adjacent pair, so the count drops by exactly 1, and the delta
+branch deletes the pair, so it drops by at least 1.  Rewriting therefore
+terminates, and the normal form is a polynomial in Wick ordered monomials
+(all plain letters before all starred ones), the words of count 0.
+
+:func:`normal_order` uses the same bound to rewrite each distinct word
+once: pending words wait in buckets keyed by inversion count, each a
+word -> coefficient map; the pass pops the highest bucket, rewrites every
+word in it once with its merged coefficient, and adds the results into
+lower buckets.  A popped bucket is complete, since every contribution to
+its words came from a higher one.
 
 Text syntax (1-based, for the CLI): words are space-separated tokens such
 as ``a1 a2* a1*``, the unit is ``1``, and linear combinations are JSON
@@ -226,34 +235,53 @@ def rewrite_step(spec: WickSpec, word: FreeWord, t: int) -> FreePolynomial:
     return out
 
 
+def _inversions(word: FreeWord) -> int:
+    """The number of (starred, unstarred) letter pairs with the starred
+    letter on the left; zero exactly when the word is Wick ordered."""
+    count = starred = 0
+    for _, s in word:
+        if s:
+            starred += 1
+        else:
+            count += starred
+    return count
+
+
 def normal_order(spec: WickSpec, w) -> WickPolynomial:
     """Wick order a free word or a linear combination of free words,
-    rewriting the leftmost redex until none remains."""
+    rewriting the leftmost redex of each distinct word once, with its
+    merged coefficient, from the most inversions down."""
     if isinstance(w, tuple):
-        pending: list[tuple[FreeWord, complex]] = [(w, 1.0 + 0j)]
-    elif isinstance(w, dict):
-        pending = [(word, complex(c)) for word, c in w.items()]
-    else:
+        w = {w: 1.0 + 0j}
+    elif not isinstance(w, dict):
         raise TypeError(f"cannot normal order a {type(w).__name__}")
-    for word, _ in pending:
+    # pending words by inversion count; every step lowers the count, so a
+    # popped bucket can receive nothing more
+    buckets: dict[int, FreePolynomial] = {}
+
+    def add(word: FreeWord, coeff: complex) -> None:
+        bucket = buckets.setdefault(_inversions(word), {})
+        bucket[word] = bucket.get(word, 0j) + coeff
+
+    for word, coeff in w.items():
         for idx, _starred in word:
             if not 0 <= idx < spec.d:
                 raise SpecError(f"generator a{idx + 1} out of range 1..{spec.d}")
-
+        add(word, complex(coeff))
     result: dict[WickMonomial, complex] = {}
-    while pending:
-        word, coeff = pending.pop()
-        if coeff == 0:
-            continue
-        t = redex_position(word)
-        if t is None:
-            mono = WickMonomial(
-                tuple(i for i, s in word if not s), tuple(i for i, s in word if s)
-            )
-            result[mono] = result.get(mono, 0j) + coeff
-        else:
-            for new_word, c in rewrite_step(spec, word, t).items():
-                pending.append((new_word, coeff * c))
+    while buckets:
+        for word, coeff in buckets.pop(max(buckets)).items():
+            if coeff == 0:
+                continue
+            t = redex_position(word)
+            if t is None:
+                mono = WickMonomial(
+                    tuple(i for i, s in word if not s), tuple(i for i, s in word if s)
+                )
+                result[mono] = coeff
+            else:
+                for new_word, c in rewrite_step(spec, word, t).items():
+                    add(new_word, coeff * c)
     return WickPolynomial(result)
 
 

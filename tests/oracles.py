@@ -29,6 +29,12 @@ definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
   (``test_factorization_m_form``, acceptance criterion 07).
 - :func:`annihilate_mu`, the free left contraction, which ``fock.annihilate``
   must equal when T = 0 (``test_annihilate_free_reduces_to_mu``).
+- :func:`normal_order_paths`, Wick ordering path by path, each word rewritten
+  again every time a path reaches it: the reference for the merged pass of
+  ``rewrite.normal_order`` (``test_normal_order_matches_the_path_expansion``,
+  ``test_normal_order_matches_the_path_expansion_on_braided_families``,
+  ``test_normal_order_matches_the_path_expansion_on_rotated_hecke``) and for
+  its work (``test_normal_order_rewrites_each_distinct_word_once``).
 
 >>> reduced_word((3, 2, 1))
 (1, 2, 1)
@@ -43,9 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wickfock import rewrite
 from wickfock.coxeter import MAX_RANK, _apply_right
 from wickfock.fock import GradedVector
-from wickfock.model import TensorOperator
+from wickfock.model import SpecError, TensorOperator, WickSpec
 from wickfock.tensorops import _require_level2, apply_slots, word_product
 
 
@@ -179,3 +186,35 @@ def annihilate_mu(i: int, v: GradedVector) -> GradedVector:
     for n in range(1, N + 1):
         out[n - 1] = v.comps[n].reshape(d, d ** (n - 1))[i].copy()
     return GradedVector(d, tuple(out))
+
+
+def normal_order_paths(spec: WickSpec, w) -> rewrite.WickPolynomial:
+    """Wick order a free word or a linear combination of free words,
+    rewriting the leftmost redex until none remains, one path of the
+    rewrite tree at a time."""
+    if isinstance(w, tuple):
+        pending: list[tuple[rewrite.FreeWord, complex]] = [(w, 1.0 + 0j)]
+    elif isinstance(w, dict):
+        pending = [(word, complex(c)) for word, c in w.items()]
+    else:
+        raise TypeError(f"cannot normal order a {type(w).__name__}")
+    for word, _ in pending:
+        for idx, _starred in word:
+            if not 0 <= idx < spec.d:
+                raise SpecError(f"generator a{idx + 1} out of range 1..{spec.d}")
+
+    result: dict[rewrite.WickMonomial, complex] = {}
+    while pending:
+        word, coeff = pending.pop()
+        if coeff == 0:
+            continue
+        t = rewrite.redex_position(word)
+        if t is None:
+            mono = rewrite.WickMonomial(
+                tuple(i for i, s in word if not s), tuple(i for i, s in word if s)
+            )
+            result[mono] = result.get(mono, 0j) + coeff
+        else:
+            for new_word, c in rewrite.rewrite_step(spec, word, t).items():
+                pending.append((new_word, coeff * c))
+    return rewrite.WickPolynomial(result)

@@ -166,6 +166,17 @@ def test_reports_say_which_walk_ran(qccr_path, tmp_path):
         assert pn["overall"] == cox["overall"] == "pass"
 
 
+def test_full_on_a_dense_T_runs_the_degree_3_rewrite_cross_check(tmp_path):
+    # rotated Hecke mixes every basis tensor; the rewrite engine merges
+    # equal words, so the degree-3 cross-check of full --n-max 3 stays quick
+    path = write_spec(tmp_path, "rotated.json", model.to_document(rotated(hecke(2, 0.6), 1)))
+    code, report = run(["full", "--spec", path, "--n-max", "3"], tmp_path)
+    assert code == 0
+    [cross] = [c for c in report["checks"] if c["name"] == "rewrite_fock_agreement"]
+    assert cross["params"] == {"max_degree": 3}
+    assert cross["status"] == "pass"
+
+
 def test_inner_command(qccr_path, tmp_path):
     code, report = run(
         ["inner", "--spec", qccr_path, "--x", "a1 a1", "--y", "a1 a1"], tmp_path

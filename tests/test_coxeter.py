@@ -2,6 +2,7 @@
 
 The element-by-element constructions are the references in ``oracles``."""
 
+import gc
 import itertools
 import math
 
@@ -300,6 +301,20 @@ def test_walk_layout_detection():
     walk = coxeter.descent_sums(T, 2)
     assert walk.record["layout"] == "dense"
     assert np.array_equal(walk, dense_walk(T, 2))
+
+
+def test_walk_leaves_nothing_for_the_cycle_collector():
+    # the walk's working arrays go when descent_sums returns, not at the
+    # next run of the cyclic garbage collector
+    for spec in (qccr(2, 0.5), rotated(hecke(2, 0.6), 1)):
+        T = model.build_T(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            walk = coxeter.descent_sums(T, 4)
+            assert gc.collect() == 0, walk.record
+        finally:
+            gc.enable()
 
 
 def test_weight_blocks_count_words_by_letter_content():

@@ -1,16 +1,21 @@
 """Wick ordering, the star involution, and the Fock functional."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (
     braided_families,
     creation_words,
     hecke,
     max_confluence_defect,
     max_cross_residual,
+    polynomials_agree,
     qccr,
     qij,
     rotated,
@@ -156,9 +161,106 @@ def test_cross_validation_on_hecke_and_unimodular_flips(d, data):
 
 
 def test_cross_validation_on_rotated_hecke():
-    # T mixes every basis tensor, so the rewrite engine sees dense
-    # coefficients; at degree 3 the rewrite takes over a minute
-    assert max_cross_residual(rotated(hecke(2, 0.6), seed=2), 2) <= 1e-9
+    # T mixes every basis tensor, so the rewrite engine sees dense coefficients
+    assert max_cross_residual(rotated(hecke(2, 0.6), seed=2), 3) <= 1e-9
+
+
+def carrying(u, w, prefix=()):
+    """Every permutation sigma with w[sigma[k]] == u[k] for each k."""
+    if len(prefix) == len(u):
+        yield prefix
+        return
+    for p in range(len(w)):
+        if p not in prefix and w[p] == u[len(prefix)]:
+            yield from carrying(u, w, prefix + (p,))
+
+
+def permutation_inner(q, u, w):
+    """<e_u, e_w>_0 for q-CCR: the sum of q^inv(sigma) over the
+    permutations carrying u onto w."""
+    if len(u) != len(w):
+        return 0.0
+    return sum(
+        q ** sum(sigma[a] > sigma[b] for a, b in itertools.combinations(range(len(u)), 2))
+        for sigma in carrying(u, w)
+    )
+
+
+@pytest.mark.parametrize("q", [0.35, 0.65])
+def test_inner_via_f_at_degree_7_and_8_matches_the_permutation_sum(q):
+    # combinations of a degree-8 word (4 a1, 4 a2) and a degree-7 word
+    # (4 a1, 3 a2) with complex coefficients, as in the wick-words benchmark
+    spec = qccr(2, q)
+    rng = random.Random(f"degree-7-8:{q}")
+
+    def combination():
+        terms = []
+        for ones, twos in ((4, 4), (4, 3)):
+            letters = [0] * ones + [1] * twos
+            rng.shuffle(letters)
+            terms.append((tuple(letters), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
+        return terms
+
+    for _ in range(2):
+        x, y = combination(), combination()
+        expected = sum(
+            cx.conjugate() * cy * permutation_inner(q, u, w) for u, cx in x for w, cy in y
+        )
+        X = {tuple((i, False) for i in u): c for u, c in x}
+        Y = {tuple((i, False) for i in w): c for w, c in y}
+        assert abs(rewrite.inner_via_f(spec, X, Y) - expected) <= 1e-9
+
+
+def assert_matches_the_path_expansion(spec, word):
+    merged = rewrite.normal_order(spec, word)
+    paths = oracles.normal_order_paths(spec, word)
+    scale = max((abs(c) for c in paths.terms.values()), default=0.0)
+    for m in set(merged.terms) | set(paths.terms):
+        assert abs(merged.coefficient(m) - paths.coefficient(m)) <= 1e-12 * scale, m
+
+
+def mixed_words(d, max_degree):
+    letter = st.tuples(st.integers(0, d - 1), st.booleans())
+    return st.lists(letter, max_size=max_degree).map(tuple)
+
+
+@given(q=st.floats(-1.0, 1.0), word=mixed_words(2, 6))
+def test_normal_order_matches_the_path_expansion(q, word):
+    assert_matches_the_path_expansion(qccr(2, q), word)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@given(data=st.data())
+def test_normal_order_matches_the_path_expansion_on_braided_families(d, data):
+    spec = data.draw(braided_families(d))
+    assert_matches_the_path_expansion(spec, data.draw(mixed_words(d, 6)))
+
+
+@given(q=st.floats(0.0, 1.0, exclude_min=True), word=mixed_words(2, 4))
+def test_normal_order_matches_the_path_expansion_on_rotated_hecke(q, word):
+    assert_matches_the_path_expansion(rotated(hecke(2, q), seed=1), word)
+
+
+def test_normal_order_rewrites_each_distinct_word_once(monkeypatch):
+    spec = qccr(2, 0.5)
+    word = rewrite.parse_word("a1* a1* a1* a1* a1 a1 a1 a1")
+    rewritten = []
+    step = rewrite.rewrite_step
+
+    def counted(spec, w, t):
+        rewritten.append(w)
+        return step(spec, w, t)
+
+    monkeypatch.setattr(rewrite, "rewrite_step", counted)
+    merged = rewrite.normal_order(spec, word)
+    merged_words = rewritten[:]
+    rewritten.clear()
+    paths = oracles.normal_order_paths(spec, word)
+    # the path expansion reaches the same words, most of them many times
+    assert set(merged_words) == set(rewritten)
+    assert len(merged_words) == len(set(rewritten)) == 30
+    assert len(rewritten) == 208
+    assert polynomials_agree(merged, paths)
 
 
 def test_gram_matrix_of_f_is_psd():
