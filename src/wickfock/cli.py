@@ -22,8 +22,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__, coxeter, fock, rewrite, spectral, tensorops
 from .algebra import Algebra, check_level
 from .model import SpecError, load_spec_file
@@ -72,26 +70,28 @@ def _suite_check(alg: Algebra, checks: _Checks, tol: float) -> None:
 
 
 def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) -> None:
-    mats = {}
+    ops = {}
     if method in ("coxeter", "both"):  # first: the walk's path is never live beside P_n
         if n < 2:
             checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable",
                        reason="group sum needs n >= 2")
         else:
             try:
-                mats["coxeter"] = alg.group_sum(n - 1).mat
+                ops["coxeter"] = alg.group_sum(n - 1)
             except coxeter.BraidConditionError as exc:
                 checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable",
                            reason=str(exc))
     if method in ("recursive", "both"):
-        mats = {"recursive": alg.P(n).mat, **mats}
-    for name, mat in mats.items():
-        evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+        ops = {"recursive": alg.P(n), **ops}
+    for name, op in ops.items():
+        evals = tensorops.by_shape(spectral.symmetric_eigenvalues, op.mats)
         walk = {"walk": alg.descent_sums(n - 1).record} if name == "coxeter" else {}
-        checks.add("pn_spectrum", {"n": n, "method": name}, "info", min_eig=float(evals[0]),
-                   max_eig=float(evals[-1]), norm=tensorops.op_norm(mat), **walk)
-    if len(mats) == 2:
-        residual = tensorops.op_norm(mats["recursive"] - mats["coxeter"])
+        checks.add("pn_spectrum", {"n": n, "method": name}, "info",
+                   min_eig=min(float(e[0]) for e in evals),
+                   max_eig=max(float(e[-1]) for e in evals),
+                   norm=tensorops.op_norm(op), **walk)
+    if len(ops) == 2:
+        residual = tensorops.op_norm(ops["recursive"] - ops["coxeter"])
         checks.add_residual("pn_method_agreement", {"n": n}, residual, tol)
 
 
@@ -160,21 +160,24 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command == "inner":
         X = rewrite.parse_word_expr(args.x, spec.d)
         Y = rewrite.parse_word_expr(args.y, spec.d)
-        top = max([len(w) for w in X] + [len(w) for w in Y] + [2])
+        top = dense = max([len(w) for w in X] + [len(w) for w in Y] + [2])
     elif args.command == "coxeter":
         walk = args.n
-        top = walk + 1
+        top = dense = walk + 1
     else:  # check takes neither --n nor --n-max
         top = args.n if args.n is not None else args.n_max or 2
         walks = args.command == "full" or (args.command == "pn" and args.method != "recursive")
         if walks and top >= 2:
             walk = top - 1
+        # the largest dense matrix: full's reports that read one; the rest only T
+        dense = min(top, MAX_FULL_COXETER_RANK + 1) if args.command == "full" else 2
     if args.command != "inner" and getattr(args, "method", None) != "recursive":
-        top = max(top, 3)  # the braid residual, taken at level 3
-    check_level(spec.d, top)
+        dense = max(dense, 3)  # the braid residual, taken at level 3
+    check_level(spec.d, dense)
+    alg = Algebra(spec)
+    alg.check_level(top)  # the largest block, or the dense matrix when T is not weight-preserving
     if walk is not None:
         coxeter.check_walk(spec.d, walk)
-    alg = Algebra(spec)
     checks = _Checks()
     tol = args.tol
     rank_tol = args.rank_tol

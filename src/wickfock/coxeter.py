@@ -15,7 +15,9 @@ descent set of w, kept in the walk's layout in one read-only :class:`Walk`.
 When T is weight-preserving (it maps e_a (x) e_b into the span of
 e_a (x) e_b and e_b (x) e_a), every phi(w) is block-diagonal on the weight
 spaces of H^(x)(n+1), the spans of the words with one letter content, and
-the walk keeps only those blocks; any other T is one dense block.  The
+the walk keeps only those blocks (:func:`~wickfock.tensorops.layout`); any
+other T is one dense block.  A sum of buckets is a
+:class:`~wickfock.tensorops.BlockOperator`.  The
 group sum P(S_{n+1}), every descent-class sum P(D_J) and both sides of the
 Euler-Solomon identity are sums of buckets, which :func:`coxeter_checks`
 compares against the independent product constructions of P_{n+1}, U_n
@@ -34,7 +36,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import TensorOperator
-from .tensorops import BRAID_TOL, apply_slots, braid_residual, op_norm
+from .tensorops import (
+    BRAID_TOL,
+    BlockOperator,
+    apply_slots,
+    braid_residual,
+    layout,
+    op_norm,
+    packed_identity,
+    slot_step,
+    weight_preserving,
+)
 
 if TYPE_CHECKING:
     from .algebra import Algebra
@@ -81,64 +93,34 @@ def check_walk(d: int, n: int) -> None:
         )
 
 
-def _weight_preserving(T: TensorOperator) -> bool:
-    """Whether T maps e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a:
-    every entry M[(a,b),(c,e)] with {a,b} != {c,e} is exactly zero (no
-    tolerance, so no coefficient is ever dropped)."""
-    a, b = np.divmod(np.arange(T.d**2), T.d)
-    same = (a[:, None] == a) & (b[:, None] == b)
-    swapped = (a[:, None] == b) & (b[:, None] == a)
-    return not np.any(T.mat[~(same | swapped)] != 0)
-
-
-def _weight_classes(d: int, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weight space (letter content) of each word of H^(x)level, slot 1
-    the most significant digit; the word's position among the words of its
-    space, in increasing order; and the size of every space."""
-    words = np.arange(d**level)
-    digits = words[:, None] // d ** np.arange(level - 1, -1, -1) % d
-    _, space, sizes = np.unique(
-        np.sort(digits, axis=1), axis=0, return_inverse=True, return_counts=True
-    )
-    space = space.reshape(-1)  # flat, whatever shape this numpy gives the inverse
-    order = np.argsort(space, kind="stable")
-    pos = np.empty_like(words)
-    pos[order] = words - (np.cumsum(sizes) - sizes)[space[order]]
-    return space, pos, sizes
-
-
 class Walk:
     """The 2^n descent-set buckets of one walk of S_{n+1}, read-only, in the
     walk's layout: row ``mask`` of ``buckets`` holds the entries of every
-    diagonal block (an array of words) in turn, row-major within each.
+    diagonal block (an array of words) in turn, row-major within each, as
+    :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads them.
     ``record`` names the layout with its block count and largest block.
     Indexing and iteration yield single buckets as dense matrices."""
 
-    def __init__(self, buckets: np.ndarray, blocks: list[np.ndarray], layout: str) -> None:
+    def __init__(self, d: int, level: int, buckets: np.ndarray, blocks, layout: str) -> None:
         for array in (buckets, *blocks):
             array.flags.writeable = False
-        self.buckets, self.blocks = buckets, tuple(blocks)
-        self.dim = sum(map(len, blocks))
+        self.d, self.level, self.buckets, self.blocks = d, level, buckets, tuple(blocks)
         self.record = {"layout": layout, "blocks": len(blocks),
                        "largest_block": max(map(len, blocks))}
 
-    def sum(self, masks=None) -> np.ndarray:
-        """The dense sum of the buckets ``masks`` (default all), added in the
-        given order within the layout and placed once."""
+    def sum(self, masks=None) -> BlockOperator:
+        """The sum of the buckets ``masks`` (default all), added in the given
+        order within the layout."""
         packed = np.zeros(self.buckets.shape[1], dtype=np.complex128)
         for mask in range(len(self)) if masks is None else masks:
             packed += self.buckets[mask]
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        ends = np.cumsum([len(words) ** 2 for words in self.blocks])
-        for words, block in zip(self.blocks, np.split(packed, ends[:-1])):
-            out[np.ix_(words, words)] = block.reshape(len(words), -1)
-        return out
+        return BlockOperator.from_packed(self.d, self.level, self.blocks, packed)
 
     def __len__(self) -> int:
         return len(self.buckets)
 
     def __getitem__(self, mask: int) -> np.ndarray:
-        return self.sum([mask])
+        return self.sum([mask]).mat
 
 
 def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
@@ -174,13 +156,11 @@ def descent_sums(T: TensorOperator, n: int) -> Walk:
     phi(w) over the w whose descent set is {i : bit i-1 of mask}.
 
     One depth-first walk (:func:`_walk`), one application of T_i per group
-    element, with each phi(w) in the layout of :class:`Walk`.  When T is
-    weight-preserving the blocks are the weight spaces, and right
-    multiplication by T_i is the two-term gather X D_i + X[S_i] O_i, where
-    S_i indexes (r, swap_i(c)) and D_i, O_i are the coefficients of T taking
-    the letters of column c at slots i, i+1 to themselves and to their
-    swap.  Any other T is one dense block, and T_i is :func:`apply_slots`.
-    Refused by :func:`check_walk` before anything is allocated.
+    element, with each phi(w) packed in the blocks of
+    :func:`~wickfock.tensorops.layout` (the weight spaces when T is
+    weight-preserving, else one dense block) and right multiplication by
+    T_i the :func:`~wickfock.tensorops.slot_step`.  Refused by
+    :func:`check_walk` before anything is allocated.
     """
     check_walk(T.d, n)
     r = braid_residual(T)
@@ -190,29 +170,10 @@ def descent_sums(T: TensorOperator, n: int) -> Walk:
             "defined for braided operators"
         )
     d, level = T.d, n + 1
-    layout = "weight" if _weight_preserving(T) else "dense"
-    if layout == "weight":
-        space, pos, sizes = _weight_classes(d, level)
-        blocks = np.split(np.argsort(space, kind="stable"), np.cumsum(sizes)[:-1])
-        cols = np.concatenate([np.tile(words, len(words)) for words in blocks])
-        steps = {}
-        for i in range(1, n + 1):  # swap_i(c) shares the block and the row of c
-            hi, lo = d ** (level - i), d ** (level - i - 1)
-            x, y = cols // hi % d, cols // lo % d
-            swap = np.arange(cols.size) + pos[cols + (y - x) * (hi - lo)] - pos[cols]
-            off = np.where(x != y, T.mat[y * d + x, x * d + y], 0)
-            steps[i] = (T.mat[x * d + y, x * d + y], swap, off)
-    else:
-        blocks = [np.arange(d**level)]
-
-    def apply(i: int, X: np.ndarray) -> np.ndarray:
-        if layout == "dense":
-            return apply_slots(T.mat, d, i, X.reshape(d**level, -1)).reshape(-1)
-        diag, swap, off = steps[i]
-        return X * diag + X[swap] * off
-
-    start = np.concatenate([np.eye(len(words), dtype=np.complex128).ravel() for words in blocks])
-    return Walk(_walk(n, start, apply), blocks, layout)
+    blocks = layout(T, level)
+    step = slot_step(T.mat, d, level, blocks, keep=True)
+    kind = "weight" if weight_preserving(T) else "dense"
+    return Walk(d, level, _walk(n, packed_identity(blocks), step), blocks, kind)
 
 
 def _young_sum(alg: Algebra, n: int, J: int) -> np.ndarray:
@@ -258,15 +219,16 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
     factorization = []
     alternating = np.zeros_like(eye)
     for J in range(2**n):
-        PDJ = walk.sum(D for D in range(2**n) if not D & J)
+        PDJ = walk.sum(D for D in range(2**n) if not D & J).mat
         J_set = [s for s in range(1, n + 1) if J >> (s - 1) & 1]
         factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ _young_sum(alg, n, J))})
         if 0 < J < full:
             alternating = alternating + (-1.0) ** len(J_set) * PDJ
 
     sign_S = (-1.0) ** n
+    longest = walk[full]
     euler = max(
-        op_norm(alternating - (-sign_S * eye + walk[full] - total)),
+        op_norm(alternating - (-sign_S * eye + longest - total)),
         op_norm(alternating.conj().T - (-sign_S * eye + U - P)),
     )
     return {
@@ -274,5 +236,5 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
         "group_sum": op_norm(total - P),
         "factorization": factorization,
         "euler_solomon": euler,
-        "longest_vs_U": op_norm(walk[full] - U),
+        "longest_vs_U": op_norm(longest - U),
     }

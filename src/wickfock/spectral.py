@@ -1,10 +1,17 @@
 """Kernels, subspace arithmetic, and the certification checks.
 
-A subspace of H^(x)n is carried as a matrix with orthonormal columns.
+Operators and subspaces are kept in the block layout of T
+(:func:`~wickfock.tensorops.layout`): one block per weight space of
+H^(x)n when T is weight-preserving, else one dense block.  A subspace of
+H^(x)n is carried as a :class:`Subspace`, an orthonormal basis per block.
 Kernels of self-adjoint operators come from an eigendecomposition of the
-symmetrization, those of non-normal operators (the R_n) from an SVD, each
-cut by one rank rule.  Subspace equality is always judged by the operator
-norm of the projector difference, never by comparing bases.
+symmetrization of each block, those of non-normal operators (the R_n) from
+an SVD, each cut by one rank rule whose scale is the largest |eigenvalue|
+over all blocks, so a blocked kernel has the dimension the dense
+eigendecomposition decides.  Subspace equality is always judged by the
+operator norm of the projector difference, never by comparing bases; the
+norm of a block-diagonal operator is the largest norm of its blocks, so
+every residual is taken block by block.
 
 The check functions take an :class:`~wickfock.algebra.Algebra`, read its
 memoized operators, and return plain dicts (JSON-ready report fragments): the
@@ -12,18 +19,29 @@ kernel equality ker P_{n+1} = sum_k ker(1 + T_k), decided as the orthogonal
 decomposition ker P_{n+1} (+) ker(sum_k 1 (x) Pi (x) 1) = H^(x)(n+1) with Pi
 the projector onto the level-2 kernel of 1 + T, strict positivity, the U_n
 invariance and commutation laws, the Wick-ideal membership residuals, and
-the diagnostics on ker(1 - U_n^2).
+the diagnostics on ker(1 - U_n^2).  The first two are decided per block;
+the others read dense matrices placed from the blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import TensorOperator
-from .tensorops import apply_slots, braid_residual, op_norm, word_product
+from .tensorops import (
+    BlockOperator,
+    apply_slots,
+    braid_residual,
+    by_shape,
+    layout,
+    op_norm,
+    packed_identity,
+    slot_step,
+    word_product,
+)
 
 if TYPE_CHECKING:
     from .algebra import Algebra
@@ -33,6 +51,7 @@ __all__ = [
     "CHECK_TOL",
     "Subspace",
     "kernel",
+    "symmetric_eigenvalues",
     "nullspace_svd",
     "subspace_intersection",
     "ideal_complement",
@@ -48,31 +67,41 @@ CHECK_TOL = 1e-8
 SELFADJOINT_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
-    """An orthonormal basis of a subspace of H^(x)level (Gram defect at most
-    1e-10 in the Frobenius norm, which bounds the operator norm)."""
+    """An orthonormal basis of a subspace of H^(x)level, kept per diagonal
+    block: block b of ``parts`` (a :class:`~wickfock.tensorops.BlockOperator`)
+    holds the basis vectors that lie in block b, one column each, and a
+    dense ``basis`` is one block.  The Gram defect is at most 1e-10 in the
+    Frobenius norm over the blocks, which equals the dense one and bounds
+    the operator norm."""
 
-    d: int
-    level: int
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.basis, dtype=np.complex128)
-        dim = self.d**self.level
-        if b.ndim != 2 or b.shape[0] != dim:
-            raise ValueError(f"basis shape {b.shape} does not match dimension {dim}")
-        gram_defect = float(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])))
+    def __init__(self, d: int, level: int, basis: np.ndarray | BlockOperator) -> None:
+        if not isinstance(basis, BlockOperator):
+            b = np.array(basis, dtype=np.complex128)
+            dim = d**level
+            if b.ndim != 2 or b.shape[0] != dim:
+                raise ValueError(f"basis shape {b.shape} does not match dimension {dim}")
+            basis = BlockOperator(d, level, (np.arange(dim),), (b,))
+        gram_defect = float(np.linalg.norm(
+            [np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])) for B in basis.mats]
+        ))
         if gram_defect > 1e-10:
             raise ValueError(f"basis columns not orthonormal: defect {gram_defect:.3e}")
-        object.__setattr__(self, "basis", b)
+        self.d, self.level, self.parts = d, level, basis
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return sum(B.shape[1] for B in self.parts.mats)
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The basis as one dense matrix, the blocks' vectors in turn."""
+        return self.parts.place(basis=True)
+
+    def projector(self) -> BlockOperator:
+        return BlockOperator(
+            self.d, self.level, self.parts.words, [B @ B.conj().T for B in self.parts.mats]
+        )
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
@@ -82,45 +111,59 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
         )
 
 
-def _is_zero(values: np.ndarray, rank_tol: float) -> np.ndarray:
-    """The rank rule: |value| <= rank_tol * max(1, largest |value|)."""
-    a = np.abs(values)
-    return a <= rank_tol * max(1.0, float(np.max(a, initial=0.0)))
+def _is_zero(values: np.ndarray, rank_tol: float, top: float) -> np.ndarray:
+    """The rank rule: |value| <= rank_tol * max(1, top), ``top`` the largest
+    |value| of the whole operator (over all its blocks)."""
+    return np.abs(values) <= rank_tol * max(1.0, top)
 
 
-def kernel(A: TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
+def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of (m + m^H)/2, for one matrix or a stack."""
+    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def _largest(values) -> float:
+    return max((float(np.max(np.abs(v), initial=0.0)) for v in values), default=0.0)
+
+
+def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
     """Kernel of a self-adjoint operator (||A - A^H||_F within 1e-8 of its
-    largest |eigenvalue|): the eigenvectors of (A + A^H)/2 whose eigenvalues
-    the rank rule counts as zero, in LAPACK's ascending order.
+    largest |eigenvalue|): per block, the eigenvectors of (A + A^H)/2 whose
+    eigenvalues the rank rule, at the scale of the whole operator, counts as
+    zero, in LAPACK's ascending order.  A dense operator is one block.
 
     >>> flip = np.eye(4)[[0, 2, 1, 3]]  # e_i (x) e_j -> e_j (x) e_i at d=2
     >>> K = kernel(TensorOperator(2, 2, np.eye(4) + flip))
     >>> K.dim, np.round((K.basis[:, 0] / K.basis[1, 0]).real, 12) + 0.0
     (1, array([ 0.,  1., -1.,  0.]))
     """
-    m = A.mat
-    evals, evecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    scale = max(1.0, float(np.max(np.abs(evals), initial=0.0)))
-    defect = float(np.linalg.norm(m - m.conj().T))
+    if not isinstance(A, BlockOperator):
+        A = BlockOperator.restrict(A.d, A.level, (np.arange(A.d**A.level),), A.mat)
+    pairs = by_shape(lambda m: np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0), A.mats)
+    top = _largest(evals for evals, _ in pairs)
+    scale = max(1.0, top)
+    defect = float(np.linalg.norm([np.linalg.norm(m - m.conj().T) for m in A.mats]))
     if defect > SELFADJOINT_TOL * scale:
         raise ValueError(
             f"operator is not self-adjoint: defect {defect:.3e} at scale {scale:.3e}"
         )
-    return Subspace(A.d, A.level, evecs[:, _is_zero(evals, rank_tol)])
+    bases = [evecs[:, _is_zero(evals, rank_tol, top)] for evals, evecs in pairs]
+    return Subspace(A.d, A.level, BlockOperator(A.d, A.level, A.words, bases))
 
 
-def nullspace_svd(A: TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
-    """Nullspace of an arbitrary (not necessarily normal) operator, via SVD:
-    right singular vectors with singular values the rank rule counts as zero."""
+def nullspace_svd(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
+    """Nullspace of an arbitrary (not necessarily normal) operator, via SVD
+    of its dense matrix: right singular vectors with singular values the
+    rank rule counts as zero."""
     u, s, vh = np.linalg.svd(A.mat)
-    return Subspace(A.d, A.level, vh.conj().T[:, _is_zero(s, rank_tol)])
+    return Subspace(A.d, A.level, vh.conj().T[:, _is_zero(s, rank_tol, _largest([s]))])
 
 
 def subspace_intersection(a: Subspace, b: Subspace, rank_tol: float = RANK_TOL) -> Subspace:
     """Intersection via the kernel of (1 - Pi_A) + (1 - Pi_B)."""
     _check_same_space(a, b)
     eye = np.eye(a.d**a.level, dtype=np.complex128)
-    op = TensorOperator(a.d, a.level, (eye - a.projector()) + (eye - b.projector()))
+    op = TensorOperator(a.d, a.level, (eye - a.projector().mat) + (eye - b.projector().mat))
     return kernel(op, rank_tol)
 
 
@@ -138,7 +181,9 @@ def ideal_complement(T: TensorOperator, level: int, rank_tol: float = RANK_TOL) 
     """The orthogonal complement in H^(x)level of I = sum_k ker(1 + T_k),
     k = 1..level-1: the kernel of the positive S = sum_k 1 (x) Pi (x) 1, Pi
     the projector onto the level-2 kernel of 1 + T.  S has range I, and its
-    kernel is decided by :func:`kernel`, under the rank rule of ker P.
+    kernel is decided by :func:`kernel`, under the rank rule of ker P.  Pi
+    keeps the layout of T, so it is built per level-2 block and S per block
+    of the level, by the :func:`~wickfock.tensorops.slot_step` of Pi.
 
     For the flip at d=2, I is spanned by the antisymmetric pairs in every
     slot pair; its complement at level 3 is Sym^3(C^2), of dimension 4:
@@ -148,11 +193,12 @@ def ideal_complement(T: TensorOperator, level: int, rank_tol: float = RANK_TOL) 
     4
     """
     d = T.d
-    B = kernel(TensorOperator(d, 2, np.eye(d**2) + T.mat), rank_tol).basis
-    Pi = B @ B.conj().T
-    eye = np.eye(d**level, dtype=np.complex128)
-    S = sum(apply_slots(Pi, d, k, eye, left=True) for k in range(1, level))
-    return kernel(TensorOperator(d, level, S), rank_tol)
+    one_plus_T = BlockOperator.restrict(d, 2, layout(T, 2), np.eye(d**2) + T.mat)
+    Pi = kernel(one_plus_T, rank_tol).projector().mat
+    blocks = layout(T, level)
+    step, eye = slot_step(Pi, d, level, blocks), packed_identity(blocks)
+    S = sum((step(k, eye) for k in range(1, level)), np.zeros_like(eye))
+    return kernel(BlockOperator.from_packed(d, level, blocks, S), rank_tol)
 
 
 def kernel_theorem_check(
@@ -166,7 +212,8 @@ def kernel_theorem_check(
     the left from the recursive P, the right from the level-2 kernel of
     1 + T.  With Pi_sum = 1 - Pi_{ker S}, the report carries the dimensions
     (``dim_sum = d^(n+1) - dim ker S``), the projector distance
-    ||Pi_{ker P} - Pi_sum||, and the easy-inclusion margin ||P_{n+1} Pi_sum||.
+    ||Pi_{ker P} - Pi_sum||, and the easy-inclusion margin ||P_{n+1} Pi_sum||,
+    each the largest over the blocks of the layout, which all three share.
     Hypothesis violations (braid, norm) do not stop the computation; they
     mark the check inapplicable.
     """
@@ -181,9 +228,10 @@ def kernel_theorem_check(
     complement = ideal_complement(T, level, rank_tol)
 
     dim_sum = T.d**level - complement.dim
-    sum_proj = np.eye(T.d**level, dtype=np.complex128) - complement.projector()
+    eye = BlockOperator(T.d, level, P.words, [np.eye(len(w), dtype=np.complex128) for w in P.words])
+    sum_proj = eye - complement.projector()
     distance = op_norm(ker_P.projector() - sum_proj)
-    margin = op_norm(P.mat @ sum_proj)
+    margin = op_norm(P @ sum_proj)
     ok = ker_P.dim == dim_sum and distance <= tol and margin <= tol
     return {
         "level": level,
@@ -199,8 +247,9 @@ def kernel_theorem_check(
 def positivity_check(
     alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
 ) -> dict:
-    """Minimum eigenvalue of the symmetrized P_n with its classification:
-    strictly positive, positive semidefinite, or indefinite.  ``dim_ker_P``
+    """Minimum eigenvalue of the symmetrized P_n, over its blocks, with its
+    classification: strictly positive, positive semidefinite, or
+    indefinite.  ``dim_ker_P``
     counts the eigenvalues within the absolute tolerance rank_tol, the same
     threshold the classification uses, so the two stay consistent.
 
@@ -210,9 +259,8 @@ def positivity_check(
     T the check is inapplicable.
     """
     T = alg.T
-    P = alg.P(n).mat
-    evals = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
-    min_eig = float(evals[0]) if evals.size else 1.0
+    evals = np.concatenate(by_shape(symmetric_eigenvalues, alg.P(n).mats))
+    min_eig = float(evals.min()) if evals.size else 1.0
     if min_eig > rank_tol:
         classification = "strictly positive"
     elif min_eig >= -rank_tol:
@@ -243,7 +291,7 @@ def un_checks(alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHE
     T = alg.T
     level = n + 1
     U = alg.U(n).mat
-    proj = alg.ker_P(level, rank_tol).projector()
+    proj = alg.ker_P(level, rank_tol).projector().mat
     eye = np.eye(T.d**level, dtype=np.complex128)
     invariance = op_norm((eye - proj) @ U @ proj)
     commutation = 0.0

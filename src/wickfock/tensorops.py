@@ -1,4 +1,4 @@
-"""Derived operators on tensor powers of H.
+"""Operators on tensor powers of H, and their block-diagonal form.
 
 Everything here is assembled from the level-2 operator T by the product and
 sum recursions
@@ -7,46 +7,113 @@ sum recursions
     P_2  = R_2,   P_{n+1} = (1 (x) P_n) R_{n+1}
     U_n  = (T_1 ... T_n)(T_1 ... T_{n-1}) ... (T_1 T_2) T_1
 
-where T_i is T on slots i, i+1 with identity factors on the others.  Every
+where T_i is T on slots i, i+1 with identity factors on the others.  A dense
 product of amplified operators goes through :func:`apply_slots`, which
 applies ``1 (x) op (x) 1`` from either side by a reshape and a matmul, never
-forming it; :func:`word_product` loops it over a word in the T_i.  Sums over
-the symmetric group, and the factorizations P_{n+1} = P(D_J) P(W_J), live in
-:mod:`coxeter`.
+forming it; :func:`word_product` loops it over a word in the T_i.
+
+When T is weight-preserving (:func:`weight_preserving`: it maps
+e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a), so is every
+T_i, and every operator built from them by products and sums maps each
+weight space of H^(x)level, the span of the words with one letter content,
+into itself.  :func:`layout` gives those spaces as the diagonal blocks of
+the level; any other T gives one block, the whole space.  A
+:class:`BlockOperator` keeps one square matrix per block, and it is the only
+place where blocks become a dense matrix.  :func:`slot_step` is right
+multiplication by T_i (or any level-2 operator that keeps the layout) on
+the blocks, packed as one flat array: the two-term gather over the weight
+spaces, or :func:`apply_slots` on the single dense block, so both layouts
+run the same code.  The :class:`~wickfock.algebra.Algebra` builds R_n, P_n
+and U_n with it; the symmetric-group sums live in :mod:`coxeter`.
 
 Products and sums accumulate left to right in exactly this written order so
-residuals are bit-reproducible run to run.  Matrices are dense; desk scale
-is d <= 3, level <= 6.
+residuals are bit-reproducible run to run.
 """
 
 from __future__ import annotations
+
+import math
+from functools import cached_property
 
 import numpy as np
 
 from .model import TensorOperator
 
 __all__ = [
+    "MAX_LEVEL_BYTES",
+    "check_level",
     "op_norm",
     "apply_slots",
     "word_product",
+    "longest_word",
     "braid_residual",
-    "build_R",
-    "build_P",
-    "build_U",
     "telescoping_residual",
+    "weight_preserving",
+    "weight_spaces",
+    "layout",
+    "BlockOperator",
+    "slot_step",
+    "packed_identity",
+    "by_shape",
 ]
 
 BRAID_TOL = 1e-8
+MAX_LEVEL_BYTES = 128 * 1024**2  # fixed guard on one complex matrix: a block, or a dense d^L x d^L
 
 
-def op_norm(op: TensorOperator | np.ndarray) -> float:
+def _largest_weight_space(d: int, level: int) -> int:
+    """The number of words in the largest weight space of H^(x)level: the
+    multinomial of the most even letter content."""
+    q, r = divmod(level, d)
+    return math.factorial(level) // (math.factorial(q + 1) ** r * math.factorial(q) ** (d - r))
+
+
+def check_level(d: int, level: int, weight: bool = False) -> None:
+    """Refuse, before anything is allocated, a level whose largest matrix
+    needs more than MAX_LEVEL_BYTES: the dense d^L x d^L one, or, with
+    ``weight``, the largest weight-space block."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    capped = min(level, 32)  # exact up to level 32, a lower bound beyond
+    size = _largest_weight_space(d, capped) if weight else d**capped
+    need = 16 * size**2
+    if need > MAX_LEVEL_BYTES:
+        what = f"one block of {size} words" if weight else "one dense matrix"
+        raise ValueError(
+            f"{what} at level {level}, d={d} needs {need} bytes or more, "
+            f"over the {MAX_LEVEL_BYTES} byte guard"
+        )
+
+
+def op_norm(op: BlockOperator | TensorOperator | np.ndarray) -> float:
     """Operator norm: largest singular value, via eigendecomposition of the
-    self-adjoint square m^H m."""
+    self-adjoint square m^H m; for a block-diagonal operator, the largest
+    over its blocks."""
+    if isinstance(op, BlockOperator):
+        squares = by_shape(lambda m: np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m), op.mats)
+        return float(np.sqrt(max(max((float(ev[-1]) for ev in squares), default=0.0), 0.0)))
     m = op.mat if isinstance(op, TensorOperator) else np.asarray(op)
     if m.size == 0:
         return 0.0
     ev = np.linalg.eigvalsh(m.conj().T @ m)
     return float(np.sqrt(max(ev[-1], 0.0)))
+
+
+def by_shape(fn, mats) -> list:
+    """``[fn(m) for m in mats]`` with one call of ``fn`` per shape, on the
+    stack of the matrices of that shape (numpy's linear algebra runs over a
+    stack matrix by matrix, with the LAPACK call a single matrix gets)."""
+    if len(mats) == 1:
+        return [fn(mats[0])]
+    groups: dict = {}
+    for k, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(k)
+    out: list = [None] * len(mats)
+    for ks in groups.values():
+        result = fn(np.stack([mats[k] for k in ks]))
+        for j, k in enumerate(ks):
+            out[k] = tuple(r[j] for r in result) if isinstance(result, tuple) else result[j]
+    return out
 
 
 def _require_level2(T: TensorOperator) -> None:
@@ -86,53 +153,9 @@ def braid_residual(T: TensorOperator) -> float:
     return op_norm(word_product(T, (1, 2, 1), 3).mat - word_product(T, (2, 1, 2), 3).mat)
 
 
-def build_R(T: TensorOperator, n: int) -> TensorOperator:
-    """R_n = 1 + T_1 + T_1 T_2 + ... + T_1 ... T_{n-1}; R_0 = R_1 = 1."""
-    _require_level2(T)
-    if n < 0:
-        raise ValueError(f"level n must be >= 0, got {n}")
-    d = T.d
-    total = term = np.eye(d**n, dtype=np.complex128)
-    for i in range(1, n):
-        term = apply_slots(T.mat, d, i, term)
-        total = total + term
-    return TensorOperator(d, n, total)
-
-
-def build_P(T: TensorOperator, n: int) -> TensorOperator:
-    """P_n via the recursion P_2 = R_2, P_{n+1} = (1 (x) P_n) R_{n+1}.
-
-    P_0 = P_1 = 1 by convention.  For braided self-adjoint T the result is
-    self-adjoint up to accumulation noise (asserted by the test suite, not
-    enforced here, so non-braided inputs can still be explored).
-    """
-    _require_level2(T)
-    if n < 0:
-        raise ValueError(f"level n must be >= 0, got {n}")
-    d = T.d
-    if n < 2:
-        return TensorOperator(d, n, np.eye(d**n, dtype=np.complex128))
-    P = np.eye(d, dtype=np.complex128)
-    for m in range(2, n + 1):
-        P = apply_slots(P, d, 2, build_R(T, m).mat, left=True)
-    return TensorOperator(d, n, P)
-
-
-def _longest_word(n: int) -> tuple[int, ...]:
+def longest_word(n: int) -> tuple[int, ...]:
     """The word (1 ... n)(1 ... n-1) ... (1 2)(1) of U_n (empty for n = 0)."""
     return tuple(i for m in range(n, 0, -1) for i in range(1, m + 1))
-
-
-def build_U(T: TensorOperator, n: int) -> TensorOperator:
-    """U_n = (T_1 ... T_n)(T_1 ... T_{n-1}) ... (T_1 T_2) T_1 on H^(x)(n+1).
-
-    Self-adjoint for braided self-adjoint T (image of the longest group
-    element under the quasimultiplicative map).
-    """
-    _require_level2(T)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return word_product(T, _longest_word(n), n + 1)
 
 
 def telescoping_residual(T: TensorOperator, n: int) -> float:
@@ -155,11 +178,169 @@ def telescoping_residual(T: TensorOperator, n: int) -> float:
             inner = apply_slots(T.mat, d, i, apply_slots(T.mat, d, i, inner), left=True)
         return inner
 
-    Un = word_product(T, _longest_word(n), level).mat
+    Un = word_product(T, longest_word(n), level).mat
     lhs = eye - Un @ Un
     rhs = np.zeros_like(eye)
     for k in range(1, n + 1):
         rhs = rhs + sandwich(k - 1, eye - word_product(T, (k, k), level).mat)
-    Um1 = word_product(T, _longest_word(n - 1), level).mat
+    Um1 = word_product(T, longest_word(n - 1), level).mat
     rhs = rhs + sandwich(n, eye - Um1 @ Um1)
     return op_norm(lhs - rhs)
+
+
+def weight_preserving(T: TensorOperator) -> bool:
+    """Whether T maps e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a:
+    every entry M[(a,b),(c,e)] with {a,b} != {c,e} is exactly zero (no
+    tolerance, so no coefficient is ever dropped)."""
+    a, b = np.divmod(np.arange(T.d**2), T.d)
+    same = (a[:, None] == a) & (b[:, None] == b)
+    swapped = (a[:, None] == b) & (b[:, None] == a)
+    return not np.any(T.mat[~(same | swapped)] != 0)
+
+
+def weight_spaces(d: int, level: int) -> tuple[np.ndarray, ...]:
+    """The words of each weight space of H^(x)level (slot 1 the most
+    significant digit), in increasing order, the spaces ordered by their
+    sorted letter content."""
+    words = np.arange(d**level)
+    content = np.sort(words[:, None] // d ** np.arange(level - 1, -1, -1) % d, axis=1)
+    order = np.lexsort(content.T[::-1])  # stable: each space keeps its words in order
+    rows = content[order]
+    return tuple(np.split(order, np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1))
+
+
+def layout(T: TensorOperator, level: int) -> tuple[np.ndarray, ...]:
+    """The diagonal blocks of H^(x)level that every operator built from T
+    keeps: the weight spaces when T is weight-preserving, else one block."""
+    if level >= 1 and weight_preserving(T):
+        return weight_spaces(T.d, level)
+    return (np.arange(T.d**level),)
+
+
+class BlockOperator:
+    """A block-diagonal operator on H^(x)level, read-only: ``words`` holds
+    the words of each diagonal block in increasing order, ``mats`` one matrix
+    per block, its rows (and, for an operator, its columns) in the order of
+    the block's words.  A :class:`~wickfock.spectral.Subspace` keeps its
+    basis the same way, each block's matrix holding the basis vectors that
+    lie in the block, numbered block after block.  A dense operator is one
+    block.  ``mat`` places the blocks in one dense matrix, once."""
+
+    def __init__(self, d: int, level: int, words, mats) -> None:
+        self.d, self.level = d, level
+        self.words, self.mats = tuple(words), tuple(mats)
+        for array in (*self.words, *self.mats):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_packed(cls, d: int, level: int, words, packed: np.ndarray) -> BlockOperator:
+        """The operator whose square blocks are stored row-major one after
+        another in the flat array ``packed`` (the layout of :func:`slot_step`)."""
+        ends = np.cumsum([len(w) ** 2 for w in words])
+        parts = np.split(packed, ends[:-1])
+        return cls(d, level, words, [p.reshape(len(w), len(w)) for w, p in zip(words, parts)])
+
+    @classmethod
+    def restrict(cls, d: int, level: int, words, mat: np.ndarray) -> BlockOperator:
+        """The diagonal blocks ``words`` of a dense matrix."""
+        if len(words) == 1:
+            return cls(d, level, words, [np.array(mat, dtype=np.complex128)])
+        return cls(d, level, words, [mat[np.ix_(w, w)].astype(np.complex128) for w in words])
+
+    def place(self, basis: bool = False) -> np.ndarray:
+        """The dense matrix: block b at rows ``words[b]`` and, for an
+        operator, at columns ``words[b]``; a ``basis`` keeps its vectors
+        block after block.  One block is returned as it is."""
+        if len(self.mats) == 1:
+            return self.mats[0]
+        check_level(self.d, self.level)
+        if basis:
+            out = np.zeros((self.d**self.level, sum(m.shape[1] for m in self.mats)), dtype=np.complex128)
+            start = 0
+            for words, m in zip(self.words, self.mats):
+                out[words, start:start + m.shape[1]] = m
+                start += m.shape[1]
+        else:
+            _, _, rows, cols = _entries(self.words)
+            out = np.zeros((self.d**self.level,) * 2, dtype=np.complex128)
+            out[rows, cols] = np.concatenate([m.ravel() for m in self.mats])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        return self.place()
+
+    def _blockwise(self, other: BlockOperator, fn) -> BlockOperator:
+        if [len(w) for w in self.words] != [len(w) for w in other.words]:
+            raise ValueError("block-diagonal operators in different layouts")
+        return BlockOperator(self.d, self.level, self.words, map(fn, self.mats, other.mats))
+
+    def __sub__(self, other: BlockOperator) -> BlockOperator:
+        return self._blockwise(other, np.subtract)
+
+    def __matmul__(self, other: BlockOperator) -> BlockOperator:
+        return self._blockwise(other, np.matmul)
+
+
+def slot_step(M: np.ndarray, d: int, level: int, words, keep: bool = False):
+    """``apply(i, X)``: X (1 (x) M (x) 1), M on slots i, i+1, for X a
+    block-diagonal operator in the layout ``words`` packed as in
+    :meth:`BlockOperator.from_packed`; M is a d^2 x d^2 matrix that keeps the
+    layout.  One block is :func:`apply_slots` on its (D, D) view.  Over
+    weight spaces it is the two-term gather X D_i + X[S_i] O_i, where S_i
+    indexes (r, swap_i(c)) and D_i, O_i are the coefficients of M taking the
+    letters of column c at slots i, i+1 to themselves and to their swap.
+    The tables of each slot, about 40 bytes per packed entry, are made at
+    each step, or made once and kept with ``keep`` (for a walk, which
+    steps many times through few slots)."""
+    if len(words) == 1:
+        D = d**level
+        return lambda i, X: apply_slots(M, d, i, X.reshape(D, D)).reshape(-1)
+    _, c, _, cols = _entries(words)
+    pos = np.empty(d**level, dtype=np.int64)
+    pos[cols] = c
+    row = np.arange(cols.size) - c  # where the row of each entry starts
+    pairs = np.arange(d * d)
+    swapped = pairs % d * d + pairs // d
+    diagonal = M.diagonal().copy()
+    crossed = np.where(pairs != swapped, M[swapped, pairs], 0)
+    every = np.arange(d**level)
+    tables: dict | None = {} if keep else None
+
+    def table(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per word, then per entry through its column word: the pair of
+        letters at slots i, i+1, and where swapping them takes the word."""
+        hi, lo = d ** (level - i), d ** (level - i - 1)
+        x, y = every // hi % d, every // lo % d
+        pair = x * d + y
+        swap = pos[every + (y - x) * (hi - lo)]  # in the block and the row of the word
+        return diagonal[pair][cols], row + swap[cols], crossed[pair][cols]
+
+    def apply(i: int, X: np.ndarray) -> np.ndarray:
+        diag, swap, off = table(i) if tables is None else tables.get(i) or tables.setdefault(i, table(i))
+        out = X[swap]
+        out *= off
+        out += X * diag  # X D_i + X[S_i] O_i, one temporary fewer
+        return out
+
+    return apply
+
+
+def _entries(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For every entry of the packed layout of ``words``: its row and column
+    position within its block, and the words of its row and its column."""
+    sizes = np.array([len(w) for w in words])
+    squares = sizes**2
+    block = np.repeat(np.arange(len(words)), squares)
+    local = np.arange(squares.sum()) - np.repeat(np.cumsum(squares) - squares, squares)
+    size, first = sizes[block], (np.cumsum(sizes) - sizes)[block]
+    r, c = local // size, local % size
+    every = np.concatenate(words)
+    return r, c, every[first + r], every[first + c]
+
+
+def packed_identity(words) -> np.ndarray:
+    """The identity in the packed layout of ``words``."""
+    r, c, _, _ = _entries(words)
+    return (r == c).astype(np.complex128)

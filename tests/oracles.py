@@ -24,6 +24,18 @@ definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
   and for the per-k kernels ker(1 + T_k) of the kernel theorem
   (``test_subspace_sum_flip_level3``,
   ``test_ideal_complement_matches_the_stacked_level_L_kernels``).
+- :func:`build_R`, :func:`build_P` and :func:`build_U`, each one dense
+  matrix by the product and sum recursions: the references for the blocks
+  the :class:`~wickfock.algebra.Algebra` builds
+  (``test_memoized_operators_equal_the_builders_bit_for_bit``,
+  ``test_blocked_operators_equal_the_dense_references``, bit for bit in
+  ``test_one_dense_block_is_the_dense_build``), and the dense side of the
+  walk and Coxeter tests.
+- :func:`kernel_projector` and :func:`ideal_complement_projector`, the
+  projectors onto ker P and ker S from one eigendecomposition of the whole
+  matrix, with every amplification a Kronecker product: the references for
+  the kernels decided per block (``test_blocked_operators_equal_the_dense_references``,
+  ``test_kernel_is_memoized_per_rank_tolerance``).
 - :func:`build_Rtilde` and :func:`build_PDm`, P(D_m) as the product of the
   Rt_k: the reference for the walk's bucket sum P(D_J), J = {1..m-1}
   (``test_factorization_m_form``, acceptance criterion 07).
@@ -53,7 +65,7 @@ from wickfock import rewrite
 from wickfock.coxeter import MAX_RANK, _apply_right
 from wickfock.fock import GradedVector
 from wickfock.model import SpecError, TensorOperator, WickSpec
-from wickfock.tensorops import _require_level2, apply_slots, word_product
+from wickfock.tensorops import _require_level2, apply_slots, longest_word, word_product
 
 
 @dataclass(frozen=True)
@@ -143,6 +155,61 @@ def amplify(T: TensorOperator, i: int, n: int) -> TensorOperator:
     left = np.eye(d ** (i - 1), dtype=np.complex128)
     right = np.eye(d ** (n - i - 1), dtype=np.complex128)
     return TensorOperator(d, n, np.kron(np.kron(left, T.mat), right))
+
+
+def build_R(T: TensorOperator, n: int) -> TensorOperator:
+    """R_n = 1 + T_1 + T_1 T_2 + ... + T_1 ... T_{n-1} as one dense matrix;
+    R_0 = R_1 = 1."""
+    _require_level2(T)
+    if n < 0:
+        raise ValueError(f"level n must be >= 0, got {n}")
+    d = T.d
+    total = term = np.eye(d**n, dtype=np.complex128)
+    for i in range(1, n):
+        term = apply_slots(T.mat, d, i, term)
+        total = total + term
+    return TensorOperator(d, n, total)
+
+
+def build_P(T: TensorOperator, n: int) -> TensorOperator:
+    """P_n as one dense matrix, by P_2 = R_2, P_{n+1} = (1 (x) P_n) R_{n+1};
+    P_0 = P_1 = 1."""
+    _require_level2(T)
+    if n < 0:
+        raise ValueError(f"level n must be >= 0, got {n}")
+    d = T.d
+    if n < 2:
+        return TensorOperator(d, n, np.eye(d**n, dtype=np.complex128))
+    P = np.eye(d, dtype=np.complex128)
+    for m in range(2, n + 1):
+        P = apply_slots(P, d, 2, build_R(T, m).mat, left=True)
+    return TensorOperator(d, n, P)
+
+
+def build_U(T: TensorOperator, n: int) -> TensorOperator:
+    """U_n = (T_1 ... T_n)(T_1 ... T_{n-1}) ... (T_1 T_2) T_1 on H^(x)(n+1),
+    as one dense matrix."""
+    _require_level2(T)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return word_product(T, longest_word(n), n + 1)
+
+
+def kernel_projector(A: np.ndarray, rank_tol: float) -> np.ndarray:
+    """The projector onto the kernel of a dense self-adjoint matrix, from one
+    eigendecomposition of the whole matrix under the rank rule."""
+    evals, evecs = np.linalg.eigh((A + A.conj().T) / 2.0)
+    zero = np.abs(evals) <= rank_tol * max(1.0, float(np.max(np.abs(evals), initial=0.0)))
+    return evecs[:, zero] @ evecs[:, zero].conj().T
+
+
+def ideal_complement_projector(T: TensorOperator, level: int, rank_tol: float) -> np.ndarray:
+    """The projector onto ker S, S = sum_k 1 (x) Pi (x) 1, with every
+    operator dense and amplified by Kronecker products."""
+    d = T.d
+    Pi = TensorOperator(d, 2, kernel_projector(np.eye(d * d) + T.mat, rank_tol))
+    S = sum(amplify(Pi, k, level).mat for k in range(1, level))
+    return kernel_projector(S, rank_tol)
 
 
 def build_Rtilde(T: TensorOperator, k: int, n: int) -> TensorOperator:

@@ -38,13 +38,14 @@ def brute_inversions(perm) -> int:
 
 def test_criterion_01_scalar_q_factorial():
     q = 0.5
-    T = model.build_T(qccr(1, q))
+    alg = Algebra(qccr(1, q))
+    T = alg.T
     worst = 0.0
     frozen = {2: 1.5, 3: 2.625, 4: 4.921875}
     for n in range(2, 7):
         # oracle: Poincare polynomial of S_n at q, by brute-force inversions
         expected = sum(q ** brute_inversions(p) for p in itertools.permutations(range(n)))
-        recursive = tensorops.build_P(T, n).mat[0, 0].real
+        recursive = alg.P(n).mat[0, 0].real
         group = sum(coxeter.descent_sums(T, n - 1))[0, 0].real
         worst = max(worst, abs(recursive - expected), abs(group - recursive))
         if n in frozen:
@@ -65,11 +66,9 @@ def method_equivalence_presets():
 def test_criterion_02_method_equivalence():
     worst = 0.0
     for label, spec in method_equivalence_presets():
-        T = model.build_T(spec)
+        alg = Algebra(spec)
         for n in range(2, 6):
-            residual = tensorops.op_norm(
-                sum(coxeter.descent_sums(T, n - 1)) - tensorops.build_P(T, n).mat
-            )
+            residual = tensorops.op_norm(sum(coxeter.descent_sums(alg.T, n - 1)) - alg.P(n).mat)
             worst = max(worst, residual)
     report(2, "recursive P_n equals Coxeter group sum", worst <= 1e-10, f"worst {worst:.2e}")
 
@@ -118,7 +117,7 @@ def test_criterion_05_strict_positivity():
             ok &= rep["min_eig"] > 1e-8
             # trivial kernel at the classification tolerance (absolute)
             ok &= rep["classification"] == "strictly positive"
-            P = tensorops.build_P(T, n).mat
+            P = oracles.build_P(T, n).mat
             evals = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
             ok &= int(np.sum(np.abs(evals) <= 1e-8)) == 0
             worst_min = min(worst_min, rep["min_eig"])

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import qccr, qij, twisted_flip
+import oracles
+from conftest import hecke, qccr, qij, rotated, twisted_flip
 from wickfock import cli, coxeter, model, spectral, tensorops
 from wickfock.algebra import MAX_LEVEL_BYTES, Algebra, check_level
 
@@ -19,21 +20,35 @@ def walk_total(T: model.TensorOperator, n: int) -> model.TensorOperator:
     return model.TensorOperator(T.d, n + 1, sum(coxeter.descent_sums(T, n)))
 
 
+def relative_gap(op, reference: np.ndarray) -> float:
+    """||op - reference|| relative to the norm of the reference."""
+    return tensorops.op_norm(op.mat - reference) / max(1.0, tensorops.op_norm(reference))
+
+
 def test_memoized_operators_equal_the_builders_bit_for_bit():
-    for spec in (qccr(2, 0.5), qij(-1.0), twisted_flip(3, seed=4)):
+    # the blocked builds against the dense references in tests/oracles.py:
+    # within 1e-12 of the operator's norm when T is weight-preserving (the
+    # gather adds the same products in another order), bit for bit when it
+    # is not (one dense block, the same operations)
+    for spec in (qccr(2, 0.5), qij(-1.0), twisted_flip(3, seed=4), rotated(hecke(2, 0.6), 1)):
         alg = Algebra(spec)
         T = model.build_T(spec)
         assert np.array_equal(alg.T.mat, T.mat)
         pairs = []
         for n in range(0, 5):
-            pairs += [(alg.R, tensorops.build_R, n), (alg.P, tensorops.build_P, n)]
+            pairs += [(alg.R, oracles.build_R, n), (alg.P, oracles.build_P, n)]
         for n in range(1, 4):
-            pairs += [(alg.U, tensorops.build_U, n), (alg.group_sum, walk_total, n)]
+            pairs += [(alg.U, oracles.build_U, n), (alg.group_sum, walk_total, n)]
         for method, builder, n in pairs:
             first = method(n)
-            assert np.array_equal(first.mat, builder(T, n).mat), (spec.source, builder.__name__, n)
+            reference = builder(T, n).mat
+            if alg.weight:
+                assert relative_gap(first, reference) <= 1e-12, (spec.source, builder.__name__, n)
+            else:
+                assert np.array_equal(first.mat, reference), (spec.source, builder.__name__, n)
             assert method(n) is first
             assert not first.mat.flags.writeable
+            assert not any(m.flags.writeable for m in first.mats)
             with pytest.raises(ValueError):
                 first.mat[0, 0] = 7.0
         assert not alg.T.mat.flags.writeable
@@ -44,7 +59,9 @@ def test_kernel_is_memoized_per_rank_tolerance():
     K = alg.ker_P(3, 1e-8)
     assert alg.ker_P(3, 1e-8) is K
     assert not K.basis.flags.writeable
-    assert np.array_equal(K.basis, spectral.kernel(tensorops.build_P(alg.T, 3), 1e-8).basis)
+    assert np.array_equal(K.basis, spectral.kernel(alg.P(3), 1e-8).basis)
+    reference = oracles.kernel_projector(oracles.build_P(alg.T, 3).mat, 1e-8)
+    assert tensorops.op_norm(K.projector().mat - reference) <= 1e-12
     assert alg.ker_P(3, 1e-6) is not K
 
 
@@ -59,7 +76,7 @@ def test_walk_leaves_its_total_as_the_group_sum():
     # sums added within the layout and placed once equal the sums of the
     # placed buckets bit for bit
     assert np.array_equal(alg.group_sum(3).mat, sum(walk))
-    assert np.array_equal(walk.sum([0, 2, 5]), walk[0] + walk[2] + walk[5])
+    assert np.array_equal(walk.sum([0, 2, 5]).mat, walk[0] + walk[2] + walk[5])
     rep = coxeter.coxeter_checks(alg, 2)
     assert rep["group_sum"] <= 1e-10
     assert np.array_equal(alg.group_sum(2).mat, sum(coxeter.descent_sums(alg.T, 2)))
@@ -77,13 +94,25 @@ def test_level_guard():
             check_level(d, level)
     with pytest.raises(ValueError, match="over the"):
         check_level(2, 10**9)
-    # the Algebra refuses before it allocates: at d=3 level 8 each matrix is 689 MB
-    alg = Algebra(qccr(3, 0.5))
-    for build in (alg.R, alg.P, alg.group_sum, lambda n: alg.ker_P(n, 1e-8)):
+    # with weight blocks the guard is on the largest block, the multinomial
+    # of the most even letter content: 560 words at d=3 level 8, 3,432 = C(14, 7)
+    # at d=2 level 14
+    check_level(3, 8, weight=True)
+    check_level(5, 5, weight=True)  # 120 words; the dense matrix would be 156 MB
+    with pytest.raises(ValueError, match=f"one block of 3432 words at level 14, d=2 needs {16 * 3432**2} bytes"):
+        check_level(2, 14, weight=True)
+    check_level(1, 10**9, weight=True)
+    with pytest.raises(ValueError, match="over the"):
+        check_level(2, 10**9, weight=True)
+    # the Algebra refuses before it allocates: at d=3 level 8 each dense
+    # matrix is 689 MB, and at d=2 level 14 the largest weight block is 188 MB
+    for alg, level in ((Algebra(rotated(qccr(3, 0.5), 1)), 8), (Algebra(qccr(2, 0.5)), 14)):
+        for build in (alg.R, alg.P, alg.group_sum, lambda n: alg.ker_P(n, 1e-8)):
+            with pytest.raises(ValueError, match="byte guard"):
+                build(level)
         with pytest.raises(ValueError, match="byte guard"):
-            build(8)
-    with pytest.raises(ValueError, match="byte guard"):
-        alg.U(7)  # level 8
+            alg.U(level - 1)
+    assert max(map(len, Algebra(qccr(3, 0.5)).layout(8))) == 560
 
 
 def _count_calls(monkeypatch, fn):
@@ -107,7 +136,9 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     path = tmp_path / "qccr_d3.json"
     path.write_text(json.dumps({"d": 3, "preset": {"name": "q-ccr", "q": 0.5}}))
     build_T = _count_calls(monkeypatch, model.build_T)
-    build_P = _count_calls(monkeypatch, tensorops.build_P)
+    build_P = []
+    lift = Algebra._lift
+    monkeypatch.setattr(Algebra, "_lift", lambda self, n: build_P.append(n) or lift(self, n))
     walks = _count_calls(monkeypatch, coxeter.descent_sums)
     out = tmp_path / "report.json"
     assert cli.main(["full", "--spec", str(path), "--n-max", "4", "--out", str(out)]) == 0

@@ -282,15 +282,21 @@ def test_bad_tolerances_are_input_errors(braid_violating_path, tmp_path, capsys)
 
 
 def test_level_guard_is_input_error(tmp_path, capsys):
-    d3 = write_spec(tmp_path, "qccr_d3.json", {"d": 3, "preset": {"name": "q-ccr", "q": 0.5}})
-    d2 = write_spec(tmp_path, "qccr_d2.json", {"d": 2, "preset": {"name": "q-ccr", "q": 0.5}})
+    # a T that is not weight-preserving is one dense block: the guard is on
+    # the dense matrix, as for every dense report
+    d3 = write_spec(tmp_path, "rotated_d3.json", model.to_document(rotated(qccr(3, 0.5), 1)))
+    d2 = write_spec(tmp_path, "rotated_d2.json", model.to_document(rotated(qccr(2, 0.5), 1)))
+    qccr_d2 = write_spec(tmp_path, "qccr_d2.json", {"d": 2, "preset": {"name": "q-ccr", "q": 0.5}})
     long_word = " ".join(["a1"] * 12)
     cases = [
         (["pn", "--spec", d3, "--n", "8", "--method", "recursive"], 3 ** 16 * 16),
         (["pn", "--spec", d2, "--n", "12"], 2 ** 24 * 16),
         (["full", "--spec", d3, "--n-max", "8"], 3 ** 16 * 16),
         (["kernel-theorem", "--spec", d2, "--n-max", "12"], 2 ** 24 * 16),
-        (["inner", "--spec", d2, "--x", long_word, "--y", "a1"], 2 ** 24 * 16),
+        (["inner", "--spec", qccr_d2, "--x", long_word, "--y", "a1"], 2 ** 24 * 16),
+        # a weight-preserving T is guarded on its largest block, C(14, 7) words
+        (["kernel-theorem", "--spec", qccr_d2, "--n-max", "14"], 3432 ** 2 * 16),
+        (["positivity", "--spec", qccr_d2, "--n-max", "14"], 3432 ** 2 * 16),
     ]
     # the braid residual is taken at level 3 whatever the run's top level
     free15 = write_spec(tmp_path, "free_d15.json", {"d": 15, "coefficients": []})
@@ -314,6 +320,23 @@ def test_level_guard_is_input_error(tmp_path, capsys):
     ):
         code, report = run(args, tmp_path)
         assert code == 0 and report["overall"] == "pass", args
+
+
+def test_level_guard_reads_the_largest_weight_block(tmp_path, capsys):
+    # q-CCR at d=5, level 5: the dense matrix needs 156 MB, over the guard,
+    # but the largest weight space has 5! = 120 words
+    d5 = write_spec(tmp_path, "qccr_d5.json", {"d": 5, "preset": {"name": "q-ccr", "q": 0.5}})
+    for command in ("kernel-theorem", "positivity"):
+        code, report = run([command, "--spec", d5, "--n-max", "5"], tmp_path)
+        assert code == 0 and report["overall"] == "pass", command
+        assert all(c["status"] == "pass" for c in report["checks"])
+    # a rotated T at d=5 is one dense block, and is refused
+    rotated_d5 = write_spec(tmp_path, "rotated_d5.json", model.to_document(rotated(qccr(5, 0.5), 1)))
+    code, report = run(["kernel-theorem", "--spec", rotated_d5, "--n-max", "5"], tmp_path, "refused.json")
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert f"one dense matrix at level 5, d=5 needs {5 ** 10 * 16} bytes or more, over the" in err
+    assert "Traceback" not in err
 
 
 def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeypatch):

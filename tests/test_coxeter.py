@@ -113,7 +113,7 @@ def test_phi_longest_matches_U():
                 length=n * (n + 1) // 2,
                 word=oracles.reduced_word(oracles.longest_element(n)),
             )
-            residual = tensorops.op_norm(oracles.phi(T, longest, n).mat - tensorops.build_U(T, n).mat)
+            residual = tensorops.op_norm(oracles.phi(T, longest, n).mat - oracles.build_U(T, n).mat)
             assert residual <= 1e-10, (label, n)
 
 
@@ -182,11 +182,11 @@ def test_group_sum_matches_recursive_P():
     for label, spec in braided_presets():
         T = model.build_T(spec)
         for n in range(1, 5):
-            residual = tensorops.op_norm(sum(coxeter.descent_sums(T, n)) - tensorops.build_P(T, n + 1).mat)
+            residual = tensorops.op_norm(sum(coxeter.descent_sums(T, n)) - oracles.build_P(T, n + 1).mat)
             assert residual <= 1e-10, (label, n)
     T3 = model.build_T(qccr(3, 0.5))
     for n in range(1, 4):
-        residual = tensorops.op_norm(sum(coxeter.descent_sums(T3, n)) - tensorops.build_P(T3, n + 1).mat)
+        residual = tensorops.op_norm(sum(coxeter.descent_sums(T3, n)) - oracles.build_P(T3, n + 1).mat)
         assert residual <= 1e-10
 
 
@@ -281,7 +281,7 @@ def test_walk_layout_detection():
         unimodular_flip(3, seed=4), free_spec(3),
     ]
     for spec in weight:
-        assert coxeter._weight_preserving(model.build_T(spec)), spec.source
+        assert tensorops.weight_preserving(model.build_T(spec)), spec.source
     dense = [rotated(hecke(2, 0.6), 1), rotated(qccr(2, 0.5), 3), rotated(unimodular_flip(3, seed=5), 2)]
     for spec in dense:
         T = model.build_T(spec)
@@ -297,7 +297,7 @@ def test_walk_layout_detection():
     M = model.build_T(hecke(2, 0.6)).mat.copy()
     M[1, 0] = M[0, 1] = 1e-300
     T = TensorOperator(2, 2, M)
-    assert not coxeter._weight_preserving(T)
+    assert not tensorops.weight_preserving(T)
     walk = coxeter.descent_sums(T, 2)
     assert walk.record["layout"] == "dense"
     assert np.array_equal(walk, dense_walk(T, 2))
@@ -323,12 +323,13 @@ def test_weight_blocks_count_words_by_letter_content():
     for d, level, entries in ((2, 7, 3432), (3, 5, 4653), (3, 2, 15)):
         contents = [tuple(sorted(w)) for w in itertools.product(range(d), repeat=level)]
         counts = {c: contents.count(c) for c in set(contents)}
-        space, pos, sizes = coxeter._weight_classes(d, level)
-        assert sorted(sizes) == sorted(counts.values())
-        assert int((sizes**2).sum()) == sum(k * k for k in counts.values()) == entries
-        for w, c in enumerate(contents):
-            assert sizes[space[w]] == counts[c]
-            assert pos[w] == contents[:w].count(c)
+        spaces = tensorops.weight_spaces(d, level)
+        assert sorted(map(len, spaces)) == sorted(counts.values())
+        assert sum(len(words) ** 2 for words in spaces) == sum(k * k for k in counts.values()) == entries
+        assert sorted(np.concatenate(spaces)) == list(range(d**level))
+        for words in spaces:
+            assert list(words) == sorted(words)
+            assert len({contents[w] for w in words}) == 1
         T = model.build_T(qccr(d, 0.5))
         assert coxeter.descent_sums(T, level - 1).record == {
             "layout": "weight", "blocks": len(counts), "largest_block": max(counts.values())
@@ -382,7 +383,7 @@ def test_descent_factorization_example():
     sums = coxeter.descent_sums(T, 2)
     PDJ = sums[0] + sums[2]  # the descent sets {} and {2} avoid J = {1}
     assert np.linalg.norm(PDJ - phi_sum(T, D_J, 2), 2) <= 1e-12
-    lhs = tensorops.build_P(T, 3).mat
+    lhs = oracles.build_P(T, 3).mat
     assert np.linalg.norm(lhs - PDJ @ phi_sum(T, W_J, 2), 2) <= 1e-10
     fact = coxeter.coxeter_checks(alg, 2)["factorization"][1]
     assert fact["J"] == [1] and fact["residual"] <= 1e-10

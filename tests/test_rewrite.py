@@ -20,7 +20,7 @@ from conftest import (
     qij,
     rotated,
 )
-from wickfock import model, rewrite, tensorops
+from wickfock import model, rewrite
 from wickfock.model import SpecError
 from wickfock.rewrite import WickMonomial, WickPolynomial
 
@@ -136,7 +136,7 @@ def test_inner_via_f_examples():
     d1 = qccr(1, 0.5)
     aa = {rewrite.parse_word("a1 a1"): 1.0 + 0j}
     # oracle: <e(x)e, P_2 e(x)e> on the operator side
-    P2 = tensorops.build_P(model.build_T(d1), 2).mat[0, 0]
+    P2 = oracles.build_P(model.build_T(d1), 2).mat[0, 0]
     assert abs(rewrite.inner_via_f(d1, aa, aa) - P2) <= 1e-15
     assert abs(rewrite.inner_via_f(d1, aa, aa) - 1.5) <= 1e-15
 

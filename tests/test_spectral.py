@@ -73,9 +73,9 @@ def test_subspace_sum_flip_level3():
     complement = spectral.ideal_complement(flip, 3)
     dim_sum = 2**3 - complement.dim
     assert dim_sum == 2**3 - math.comb(2 + 3 - 1, 3)
-    kerP = spectral.kernel(tensorops.build_P(flip, 3))
+    kerP = spectral.kernel(oracles.build_P(flip, 3))
     eye = np.eye(8)
-    assert tensorops.op_norm(kerP.projector() + complement.projector() - eye) <= 1e-8
+    assert tensorops.op_norm(kerP.projector().mat + complement.projector().mat - eye) <= 1e-8
     # every ker(1 + T_k) is orthogonal to the complement
     for k in (1, 2):
         part = spectral.kernel(TensorOperator(2, 3, eye + oracles.amplify(flip, k, 3).mat))
@@ -230,7 +230,7 @@ def test_ideal_complement_matches_the_stacked_level_L_kernels():
             complement = spectral.ideal_complement(T, level)
             assert isinstance(complement, spectral.Subspace)
             assert ref.shape[1] + complement.dim == T.d**level, (spec.source, level)
-            residual = np.linalg.norm(ref @ ref.conj().T + complement.projector() - eye, 2)
+            residual = np.linalg.norm(ref @ ref.conj().T + complement.projector().mat - eye, 2)
             assert residual <= 1e-12, (spec.source, level)
 
 

@@ -120,8 +120,8 @@ def test_apply_slots_and_word_product_match_kron_products(d):
 
         # multi-slot operators as build_P and the P(D_m) check use them:
         # (1 (x) P_{level-1}) R_level and X (P_{level-1} (x) 1)
-        P = tensorops.build_P(T, level - 1).mat
-        R = tensorops.build_R(T, level).mat
+        P = oracles.build_P(T, level - 1).mat
+        R = oracles.build_R(T, level).mat
         eye_d = np.eye(d)
         assert _rel_err(tensorops.apply_slots(P, d, 2, R, left=True), np.kron(eye_d, P) @ R) <= tol
         assert _rel_err(tensorops.apply_slots(P, d, 1, X), X @ np.kron(P, eye_d)) <= tol
@@ -164,25 +164,25 @@ def test_braid_relation_at_every_position():
 
 
 def test_build_R_scalar_geometric():
-    T = model.build_T(qccr(1, 0.5))
+    alg = Algebra(qccr(1, 0.5))
     # oracle: geometric sum 1 + q + q^2
-    assert abs(tensorops.build_R(T, 3).mat[0, 0] - 1.75) <= 1e-15
-    assert abs(tensorops.build_R(T, 3).mat[0, 0] - sum(0.5**j for j in range(3))) <= 1e-15
+    assert abs(alg.R(3).mat[0, 0] - 1.75) <= 1e-15
+    assert abs(alg.R(3).mat[0, 0] - sum(0.5**j for j in range(3))) <= 1e-15
 
 
 def test_build_R_zero_and_low_levels():
-    T = model.build_T(free_spec(2))
+    alg = Algebra(free_spec(2))
     for n in (0, 1, 2, 4):
-        assert np.array_equal(tensorops.build_R(T, n).mat, np.eye(2**n))
-    Tq = model.build_T(qccr(2, 0.5))
-    assert np.array_equal(tensorops.build_R(Tq, 0).mat, np.eye(1))
-    assert np.array_equal(tensorops.build_R(Tq, 1).mat, np.eye(2))
+        assert np.array_equal(alg.R(n).mat, np.eye(2**n))
+    alg_q = Algebra(qccr(2, 0.5))
+    assert np.array_equal(alg_q.R(0).mat, np.eye(1))
+    assert np.array_equal(alg_q.R(1).mat, np.eye(2))
 
 
 def test_build_R_flip_spectrum():
     # oracle: symmetric/antisymmetric split of H (x) H
-    flip = model.build_T(qccr(2, 1.0))
-    evals = sorted(np.linalg.eigvalsh(tensorops.build_R(flip, 2).mat).real)
+    flip = Algebra(qccr(2, 1.0))
+    evals = sorted(np.linalg.eigvalsh(flip.R(2).mat).real)
     assert np.allclose(evals, [0.0, 2.0, 2.0, 2.0], atol=1e-12)
 
 
@@ -194,7 +194,7 @@ def test_build_Rtilde():
     for _, spec in braided_presets():
         T = model.build_T(spec)
         lhs = oracles.build_Rtilde(T, 2, 2).mat
-        assert np.allclose(lhs, tensorops.build_R(T, 2).mat, atol=1e-15)
+        assert np.allclose(lhs, Algebra(spec).R(2).mat, atol=1e-15)
     with pytest.raises(ValueError):
         oracles.build_Rtilde(T1, 1, 3)
     with pytest.raises(ValueError):
@@ -202,39 +202,39 @@ def test_build_Rtilde():
 
 
 def test_build_P_scalar_qfactorial():
-    T = model.build_T(qccr(1, 0.5))
-    assert abs(tensorops.build_P(T, 3).mat[0, 0] - 2.625) <= 1e-15
+    alg = Algebra(qccr(1, 0.5))
+    assert abs(alg.P(3).mat[0, 0] - 2.625) <= 1e-15
     for n in range(7):
         expected = qfactorial(0.5, n)
-        assert abs(tensorops.build_P(T, n).mat[0, 0] - expected) <= 1e-12 * max(1, expected)
+        assert abs(alg.P(n).mat[0, 0] - expected) <= 1e-12 * max(1, expected)
 
 
 def test_build_P_is_covariant_under_rotation():
     # P_L((U (x) U) T (U (x) U)^*) = U^(x)L P_L(T) U^(x)L^*
     for seed, spec in enumerate([hecke(2, 0.6), hecke(3, 0.8), unimodular_flip(3, 0)]):
         U = random_unitary(spec.d, seed)
-        T, T_rot = model.build_T(spec), model.build_T(rotated(spec, seed))
+        alg, alg_rot = Algebra(spec), Algebra(rotated(spec, seed))
         UL = U
         for level in range(2, 5):
             UL = np.kron(UL, U)  # U^(x)level
-            lhs = tensorops.build_P(T_rot, level).mat
-            rhs = UL @ tensorops.build_P(T, level).mat @ UL.conj().T
+            lhs = alg_rot.P(level).mat
+            rhs = UL @ alg.P(level).mat @ UL.conj().T
             assert tensorops.op_norm(lhs - rhs) <= 1e-12, (spec.source, level)
 
 
 def test_build_P_zero_is_identity():
-    T = model.build_T(free_spec(2))
+    alg = Algebra(free_spec(2))
     for n in (0, 1, 2, 3, 4):
-        assert np.array_equal(tensorops.build_P(T, n).mat, np.eye(2**n))
+        assert np.array_equal(alg.P(n).mat, np.eye(2**n))
 
 
 def test_build_P_flip_is_symmetrizer_sum():
     # oracle: sum over the 6 slot-permutation matrices of S_3
-    flip = model.build_T(qccr(2, 1.0))
+    flip = Algebra(qccr(2, 1.0))
     expected = np.zeros((8, 8), dtype=complex)
     for perm in itertools.permutations(range(3)):
         expected += permutation_matrix(perm, 2)
-    P3 = tensorops.build_P(flip, 3).mat
+    P3 = flip.P(3).mat
     assert np.allclose(P3, expected, atol=1e-12)
     evals = sorted(np.linalg.eigvalsh(P3).real)
     assert np.allclose(evals, [0, 0, 0, 0, 6, 6, 6, 6], atol=1e-10)
@@ -242,18 +242,18 @@ def test_build_P_flip_is_symmetrizer_sum():
 
 def test_build_P_selfadjoint_for_braided_presets():
     for label, spec in braided_presets():
-        T = model.build_T(spec)
+        alg = Algebra(spec)
         for n in range(2, 6):
-            P = tensorops.build_P(T, n).mat
+            P = alg.P(n).mat
             assert np.linalg.norm(P - P.conj().T, 2) <= 1e-10, (label, n)
 
 
 def test_build_P_positive_for_contractive_presets():
     for label, spec in braided_presets():
-        T = model.build_T(spec)
-        assert tensorops.op_norm(T) <= 1.0 + 1e-12
+        alg = Algebra(spec)
+        assert tensorops.op_norm(alg.T) <= 1.0 + 1e-12
         for n in range(2, 6):
-            P = tensorops.build_P(T, n).mat
+            P = alg.P(n).mat
             min_eig = np.linalg.eigvalsh((P + P.conj().T) / 2)[0]
             assert min_eig >= -1e-10, (label, n)
 
@@ -261,8 +261,8 @@ def test_build_P_positive_for_contractive_presets():
 def test_build_PDm_scalar_decomposition():
     T = model.build_T(qccr(1, 0.5))
     assert abs(oracles.build_PDm(T, 1, 2).mat[0, 0] - 1.75) <= 1e-15
-    p3 = tensorops.build_P(T, 3).mat[0, 0]
-    p2 = tensorops.build_P(T, 2).mat[0, 0]
+    p3 = oracles.build_P(T, 3).mat[0, 0]
+    p2 = oracles.build_P(T, 2).mat[0, 0]
     assert abs(p3 - 1.75 * p2) <= 1e-15
     assert abs(p3 - 2.625) <= 1e-15
 
@@ -286,8 +286,8 @@ def test_factorization_m_form():
             PDJ = sum(sums[D] for D in range(len(sums)) if not D & J)
             PDm = oracles.build_PDm(T, n, m).mat
             assert tensorops.op_norm(PDJ - PDm) <= 1e-10, (spec.source, n, m)
-            rhs = tensorops.apply_slots(tensorops.build_P(T, m).mat, T.d, 1, PDm)
-            assert tensorops.op_norm(tensorops.build_P(T, n + m).mat - rhs) <= 1e-10, (n, m)
+            rhs = tensorops.apply_slots(oracles.build_P(T, m).mat, T.d, 1, PDm)
+            assert tensorops.op_norm(oracles.build_P(T, n + m).mat - rhs) <= 1e-10, (n, m)
 
 
 def test_factorization_J_form():
@@ -300,25 +300,25 @@ def test_factorization_J_form():
 
 
 def test_build_U_scalar_and_zero():
-    T = model.build_T(qccr(1, 0.5))
-    assert abs(tensorops.build_U(T, 2).mat[0, 0] - 0.125) <= 1e-15
-    T0 = model.build_T(free_spec(2))
+    alg = Algebra(qccr(1, 0.5))
+    assert abs(alg.U(2).mat[0, 0] - 0.125) <= 1e-15
+    free = Algebra(free_spec(2))
     for n in (1, 2, 3):
-        assert np.array_equal(tensorops.build_U(T0, n).mat, np.zeros((2 ** (n + 1),) * 2))
+        assert np.array_equal(free.U(n).mat, np.zeros((2 ** (n + 1),) * 2))
 
 
 def test_build_U_flip_is_reversal():
     # oracle: the explicit order-reversing slot permutation on 3 slots
-    flip = model.build_T(qccr(2, 1.0))
+    flip = Algebra(qccr(2, 1.0))
     expected = permutation_matrix((2, 1, 0), 2)
-    assert np.allclose(tensorops.build_U(flip, 2).mat, expected, atol=1e-12)
+    assert np.allclose(flip.U(2).mat, expected, atol=1e-12)
 
 
 def test_build_U_selfadjoint_contraction():
     for label, spec in braided_presets():
-        T = model.build_T(spec)
+        alg = Algebra(spec)
         for n in range(1, 5):
-            U = tensorops.build_U(T, n).mat
+            U = alg.U(n).mat
             assert np.linalg.norm(U - U.conj().T, 2) <= 1e-10, (label, n)
             assert tensorops.op_norm(U) <= 1.0 + 1e-10, (label, n)
 
