@@ -29,7 +29,8 @@ class Algebra:
     (:func:`~wickfock.tensorops.layout`), and R_n, P_n, U_n, ker P_n, the
     walk of S_{n+1} (:func:`coxeter.descent_sums`) and the group sum
     P(S_{n+1}), each built read-only on first use, after the level guard
-    (:func:`check_level`, on the largest block when T is weight-preserving).
+    (:func:`check_level`: when T is weight-preserving, on the largest block
+    and on what the blocks of one operator hold together).
     A second call returns the same object, so each rank is walked once.
 
     R_n, P_n and U_n are :class:`~wickfock.tensorops.BlockOperator` values
@@ -63,7 +64,7 @@ class Algebra:
         return self._memo[key]
 
     def layout(self, level: int) -> tuple:
-        return self._get(("layout", level), level, lambda: layout(self.T, level))
+        return self._get(("layout", level), level, lambda: layout(self.T.d, level, self.weight))
 
     def _blocks(self, level: int, build) -> BlockOperator:
         """The operator that ``build(step, eye)`` returns packed, given the
@@ -124,7 +125,9 @@ class Algebra:
     def descent_sums(self, n: int) -> coxeter.Walk:
         """The descent-set buckets of the walk of S_{n+1}, in the walk's own
         layout; :meth:`coxeter.Walk.sum` places the sums a caller reads."""
-        return self._get(("walk", n), n + 1, lambda: coxeter.descent_sums(self.T, n))
+        return self._get(
+            ("walk", n), n + 1, lambda: coxeter.descent_sums(self.T, n, self.layout(n + 1))
+        )
 
     def group_sum(self, n: int) -> BlockOperator:
         """P(S_{n+1}), the sum of every bucket of the walk."""

@@ -29,6 +29,23 @@ from .model import SpecError, load_spec_file
 __all__ = ["main", "entry", "build_report"]
 
 MAX_FULL_COXETER_RANK = 4
+MAX_FULL_WICK_LEVEL = 4
+
+
+def _full_dense_reports(n_max: int, d: int) -> tuple[range, range, int]:
+    """What the full suite runs on dense matrices: the ranks n of the
+    Coxeter, U_n, telescoping and ker(1 - U_n^2) reports (each at level
+    n+1), the levels n of the Wick-ideal checks (the chain T_1 ... T_n at
+    level n+1), and the Fock truncation degree N (R_n and P_n up to N)."""
+    coxeter_ranks = range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1)
+    wick_levels = range(2, min(n_max, MAX_FULL_WICK_LEVEL) + 1)
+    return coxeter_ranks, wick_levels, min(n_max, fock.default_max_degree(d))
+
+
+def _full_dense_level(n_max: int, d: int) -> int:
+    """The deepest level at which the full suite reads a dense matrix."""
+    coxeter_ranks, wick_levels, N = _full_dense_reports(n_max, d)
+    return max(N, *(n + 1 for n in coxeter_ranks), *(n + 1 for n in wick_levels))
 
 
 class _Checks:
@@ -170,7 +187,7 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
         if walks and top >= 2:
             walk = top - 1
         # the largest dense matrix: full's reports that read one; the rest only T
-        dense = min(top, MAX_FULL_COXETER_RANK + 1) if args.command == "full" else 2
+        dense = _full_dense_level(top, spec.d) if args.command == "full" else 2
     if args.command != "inner" and getattr(args, "method", None) != "recursive":
         dense = max(dense, 3)  # the braid residual, taken at level 3
     check_level(spec.d, dense)
@@ -208,22 +225,22 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
         )
     elif args.command == "full":
         n_max = args.n_max
+        coxeter_ranks, wick_levels, N = _full_dense_reports(n_max, spec.d)
         _suite_check(alg, checks, tol)
         for n in range(2, n_max + 1):
             _suite_pn(alg, checks, n, "both", tol)
         _suite_kernel_theorem(alg, checks, n_max, rank_tol, tol)
         _suite_positivity(alg, checks, n_max, rank_tol, tol)
-        for n in range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1):
+        for n in coxeter_ranks:
             _suite_coxeter(alg, checks, n, tol)
             rep = spectral.un_checks(alg, n, rank_tol=rank_tol, tol=tol)
             checks.add_report("un_laws", {"n": n}, rep, tolerance=tol)
             checks.add_residual("telescoping", {"n": n}, tensorops.telescoping_residual(alg.T, n), tol)
             rep = spectral.kernel_1mU2_diag(alg, n, rank_tol=rank_tol, tol=tol)
             checks.add_report("kernel_1mU2", {"n": n}, rep)
-        for n in range(2, min(n_max, 4) + 1):
+        for n in wick_levels:
             rep = spectral.wick_ideal_checks(alg, n, rank_tol=rank_tol, tol=tol)
             checks.add_report("wick_ideal", {"n": n}, rep, tolerance=tol)
-        N = min(n_max, fock.default_max_degree(spec.d))
         rep = fock.relation_check(alg, max(N, 2), seed=args.seed, tol=tol)
         checks.add_report(
             "fock_relations", {"max_degree": rep["max_degree"], "seed": args.seed}, rep, tolerance=tol

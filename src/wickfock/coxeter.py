@@ -98,14 +98,15 @@ class Walk:
     walk's layout: row ``mask`` of ``buckets`` holds the entries of every
     diagonal block (an array of words) in turn, row-major within each, as
     :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads them.
-    ``record`` names the layout with its block count and largest block.
+    ``record`` names the layout, ``"weight"`` for the weight spaces and
+    ``"dense"`` for one block, with its block count and largest block.
     Indexing and iteration yield single buckets as dense matrices."""
 
-    def __init__(self, d: int, level: int, buckets: np.ndarray, blocks, layout: str) -> None:
+    def __init__(self, d: int, level: int, buckets: np.ndarray, blocks) -> None:
         for array in (buckets, *blocks):
             array.flags.writeable = False
         self.d, self.level, self.buckets, self.blocks = d, level, buckets, tuple(blocks)
-        self.record = {"layout": layout, "blocks": len(blocks),
+        self.record = {"layout": "weight" if len(blocks) > 1 else "dense", "blocks": len(blocks),
                        "largest_block": max(map(len, blocks))}
 
     def sum(self, masks=None) -> BlockOperator:
@@ -151,16 +152,16 @@ def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
     return sums
 
 
-def descent_sums(T: TensorOperator, n: int) -> Walk:
+def descent_sums(T: TensorOperator, n: int, blocks=None) -> Walk:
     """Sums of phi over the descent classes of S_{n+1}: bucket ``mask`` adds
     phi(w) over the w whose descent set is {i : bit i-1 of mask}.
 
     One depth-first walk (:func:`_walk`), one application of T_i per group
-    element, with each phi(w) packed in the blocks of
-    :func:`~wickfock.tensorops.layout` (the weight spaces when T is
-    weight-preserving, else one dense block) and right multiplication by
-    T_i the :func:`~wickfock.tensorops.slot_step`.  Refused by
-    :func:`check_walk` before anything is allocated.
+    element, with each phi(w) packed in the diagonal blocks ``blocks`` of
+    H^(x)(n+1) (by default the :func:`~wickfock.tensorops.layout` of T: the
+    weight spaces when T is weight-preserving, else one dense block), and right
+    multiplication by T_i the :func:`~wickfock.tensorops.slot_step`.
+    Refused by :func:`check_walk` before anything is allocated.
     """
     check_walk(T.d, n)
     r = braid_residual(T)
@@ -170,10 +171,9 @@ def descent_sums(T: TensorOperator, n: int) -> Walk:
             "defined for braided operators"
         )
     d, level = T.d, n + 1
-    blocks = layout(T, level)
-    step = slot_step(T.mat, d, level, blocks, keep=True)
-    kind = "weight" if weight_preserving(T) else "dense"
-    return Walk(d, level, _walk(n, packed_identity(blocks), step), blocks, kind)
+    blocks = layout(d, level, weight_preserving(T)) if blocks is None else blocks
+    step = slot_step(T.mat, d, level, blocks)
+    return Walk(d, level, _walk(n, packed_identity(blocks), step), blocks)
 
 
 def _young_sum(alg: Algebra, n: int, J: int) -> np.ndarray:

@@ -36,7 +36,6 @@ from .tensorops import (
     apply_slots,
     braid_residual,
     by_shape,
-    layout,
     op_norm,
     packed_identity,
     slot_step,
@@ -177,25 +176,28 @@ def _hypotheses(T: TensorOperator, tol: float) -> dict:
     }
 
 
-def ideal_complement(T: TensorOperator, level: int, rank_tol: float = RANK_TOL) -> Subspace:
+def ideal_complement(alg: Algebra, level: int, rank_tol: float = RANK_TOL) -> Subspace:
     """The orthogonal complement in H^(x)level of I = sum_k ker(1 + T_k),
     k = 1..level-1: the kernel of the positive S = sum_k 1 (x) Pi (x) 1, Pi
     the projector onto the level-2 kernel of 1 + T.  S has range I, and its
     kernel is decided by :func:`kernel`, under the rank rule of ker P.  Pi
     keeps the layout of T, so it is built per level-2 block and S per block
-    of the level, by the :func:`~wickfock.tensorops.slot_step` of Pi.
+    of the level, in the layouts ``alg`` holds, by the
+    :func:`~wickfock.tensorops.slot_step` of Pi.
 
-    For the flip at d=2, I is spanned by the antisymmetric pairs in every
-    slot pair; its complement at level 3 is Sym^3(C^2), of dimension 4:
+    For the flip at d=2 (q-CCR with q = 1), I is spanned by the
+    antisymmetric pairs in every slot pair; its complement at level 3 is
+    Sym^3(C^2), of dimension 4:
 
-    >>> flip = np.eye(4)[[0, 2, 1, 3]]
-    >>> ideal_complement(TensorOperator(2, 2, flip), 3).dim
+    >>> from wickfock.algebra import Algebra
+    >>> from wickfock.model import preset
+    >>> ideal_complement(Algebra(preset("q-ccr", 2, q=1.0)), 3).dim
     4
     """
-    d = T.d
-    one_plus_T = BlockOperator.restrict(d, 2, layout(T, 2), np.eye(d**2) + T.mat)
+    d = alg.T.d
+    one_plus_T = BlockOperator.restrict(d, 2, alg.layout(2), np.eye(d**2) + alg.T.mat)
     Pi = kernel(one_plus_T, rank_tol).projector().mat
-    blocks = layout(T, level)
+    blocks = alg.layout(level)
     step, eye = slot_step(Pi, d, level, blocks), packed_identity(blocks)
     S = sum((step(k, eye) for k in range(1, level)), np.zeros_like(eye))
     return kernel(BlockOperator.from_packed(d, level, blocks, S), rank_tol)
@@ -225,7 +227,7 @@ def kernel_theorem_check(
 
     P = alg.P(level)
     ker_P = alg.ker_P(level, rank_tol)
-    complement = ideal_complement(T, level, rank_tol)
+    complement = ideal_complement(alg, level, rank_tol)
 
     dim_sum = T.d**level - complement.dim
     eye = BlockOperator(T.d, level, P.words, [np.eye(len(w), dtype=np.complex128) for w in P.words])

@@ -41,6 +41,7 @@ from .model import TensorOperator
 
 __all__ = [
     "MAX_LEVEL_BYTES",
+    "MAX_BUILD_BYTES",
     "check_level",
     "op_norm",
     "apply_slots",
@@ -59,6 +60,10 @@ __all__ = [
 
 BRAID_TOL = 1e-8
 MAX_LEVEL_BYTES = 128 * 1024**2  # fixed guard on one complex matrix: a block, or a dense d^L x d^L
+MAX_BUILD_BYTES = 1024**3  # fixed guard on one build in the weight layout, at its peak
+PACKED_ENTRY_BYTES = 256  # what a build holds per packed entry at its peak (210-230 measured)
+TABLE_BYTES = 40  # slot_step's tables of one slot, per packed entry: two complex, one int64
+MAX_KEPT_TABLE_BYTES = 64 * 1024**2  # fixed budget for the tables slot_step keeps
 
 
 def _largest_weight_space(d: int, level: int) -> int:
@@ -68,10 +73,27 @@ def _largest_weight_space(d: int, level: int) -> int:
     return math.factorial(level) // (math.factorial(q + 1) ** r * math.factorial(q) ** (d - r))
 
 
+def _packed_size(d: int, level: int) -> int:
+    """The number of entries of one operator packed in the weight layout of
+    H^(x)level: the sum over letter contents of the squared multinomial,
+    summed letter by letter (``counts[m]`` over the contents of m slots in
+    the letters so far)."""
+    counts = [1] + [0] * level
+    for _ in range(d):
+        counts = [sum(math.comb(m, k) ** 2 * counts[m - k] for k in range(m + 1))
+                  for m in range(level + 1)]
+    return counts[level]
+
+
 def check_level(d: int, level: int, weight: bool = False) -> None:
-    """Refuse, before anything is allocated, a level whose largest matrix
-    needs more than MAX_LEVEL_BYTES: the dense d^L x d^L one, or, with
-    ``weight``, the largest weight-space block."""
+    """Refuse, before anything is allocated, a level whose operators need
+    more than the guards allow.  Without ``weight``: one dense d^L x d^L
+    matrix over MAX_LEVEL_BYTES.  With ``weight`` (the layout of a
+    weight-preserving T): the largest weight-space block over
+    MAX_LEVEL_BYTES, or a build over MAX_BUILD_BYTES at its peak, counted as
+    PACKED_ENTRY_BYTES per entry of one packed operator (:func:`_packed_size`)
+    plus the 16 L + 32 bytes per word that :func:`weight_spaces` takes to
+    sort the d^L words."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     capped = min(level, 32)  # exact up to level 32, a lower bound beyond
@@ -83,6 +105,14 @@ def check_level(d: int, level: int, weight: bool = False) -> None:
             f"{what} at level {level}, d={d} needs {need} bytes or more, "
             f"over the {MAX_LEVEL_BYTES} byte guard"
         )
+    if weight:
+        entries = _packed_size(d, capped)
+        need = PACKED_ENTRY_BYTES * entries + (16 * capped + 32) * d**capped
+        if need > MAX_BUILD_BYTES:
+            raise ValueError(
+                f"the weight blocks at level {level}, d={d} hold {entries} entries per operator; "
+                f"building them needs {need} bytes or more, over the {MAX_BUILD_BYTES} byte guard"
+            )
 
 
 def op_norm(op: BlockOperator | TensorOperator | np.ndarray) -> float:
@@ -209,12 +239,13 @@ def weight_spaces(d: int, level: int) -> tuple[np.ndarray, ...]:
     return tuple(np.split(order, np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1))
 
 
-def layout(T: TensorOperator, level: int) -> tuple[np.ndarray, ...]:
-    """The diagonal blocks of H^(x)level that every operator built from T
-    keeps: the weight spaces when T is weight-preserving, else one block."""
-    if level >= 1 and weight_preserving(T):
-        return weight_spaces(T.d, level)
-    return (np.arange(T.d**level),)
+def layout(d: int, level: int, weight: bool) -> tuple[np.ndarray, ...]:
+    """The diagonal blocks of H^(x)level that every operator built from a T
+    keeps: the weight spaces when T is weight-preserving (``weight``, as
+    :func:`weight_preserving` decides it), else one block."""
+    if level >= 1 and weight:
+        return weight_spaces(d, level)
+    return (np.arange(d**level),)
 
 
 class BlockOperator:
@@ -272,7 +303,10 @@ class BlockOperator:
         return self.place()
 
     def _blockwise(self, other: BlockOperator, fn) -> BlockOperator:
-        if [len(w) for w in self.words] != [len(w) for w in other.words]:
+        same = self.words is other.words or (
+            len(self.words) == len(other.words) and all(map(np.array_equal, self.words, other.words))
+        )
+        if not same:
             raise ValueError("block-diagonal operators in different layouts")
         return BlockOperator(self.d, self.level, self.words, map(fn, self.mats, other.mats))
 
@@ -283,7 +317,7 @@ class BlockOperator:
         return self._blockwise(other, np.matmul)
 
 
-def slot_step(M: np.ndarray, d: int, level: int, words, keep: bool = False):
+def slot_step(M: np.ndarray, d: int, level: int, words):
     """``apply(i, X)``: X (1 (x) M (x) 1), M on slots i, i+1, for X a
     block-diagonal operator in the layout ``words`` packed as in
     :meth:`BlockOperator.from_packed`; M is a d^2 x d^2 matrix that keeps the
@@ -291,9 +325,11 @@ def slot_step(M: np.ndarray, d: int, level: int, words, keep: bool = False):
     weight spaces it is the two-term gather X D_i + X[S_i] O_i, where S_i
     indexes (r, swap_i(c)) and D_i, O_i are the coefficients of M taking the
     letters of column c at slots i, i+1 to themselves and to their swap.
-    The tables of each slot, about 40 bytes per packed entry, are made at
-    each step, or made once and kept with ``keep`` (for a walk, which
-    steps many times through few slots)."""
+    The tables of a slot, TABLE_BYTES per packed entry, are made at its
+    first step and kept from its second step on, when the tables of all
+    level - 1 slots fit in MAX_KEPT_TABLE_BYTES (every walk the walk guard
+    admits, and U_n at small levels); a build that steps each slot once,
+    or one above that budget, holds the tables of one slot at a time."""
     if len(words) == 1:
         D = d**level
         return lambda i, X: apply_slots(M, d, i, X.reshape(D, D)).reshape(-1)
@@ -306,7 +342,8 @@ def slot_step(M: np.ndarray, d: int, level: int, words, keep: bool = False):
     diagonal = M.diagonal().copy()
     crossed = np.where(pairs != swapped, M[swapped, pairs], 0)
     every = np.arange(d**level)
-    tables: dict | None = {} if keep else None
+    keep = (level - 1) * TABLE_BYTES * cols.size <= MAX_KEPT_TABLE_BYTES
+    tables: dict = {}  # slot -> its kept tables, or None after its first step
 
     def table(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per word, then per entry through its column word: the pair of
@@ -318,7 +355,12 @@ def slot_step(M: np.ndarray, d: int, level: int, words, keep: bool = False):
         return diagonal[pair][cols], row + swap[cols], crossed[pair][cols]
 
     def apply(i: int, X: np.ndarray) -> np.ndarray:
-        diag, swap, off = table(i) if tables is None else tables.get(i) or tables.setdefault(i, table(i))
+        kept = tables.get(i)
+        if kept is None:
+            kept = table(i)
+            if keep:
+                tables[i] = kept if i in tables else None
+        diag, swap, off = kept
         out = X[swap]
         out *= off
         out += X * diag  # X D_i + X[S_i] O_i, one temporary fewer

@@ -2,6 +2,7 @@
 one build of each operator per CLI run."""
 
 import collections
+import itertools
 import json
 import sys
 import tracemalloc
@@ -104,6 +105,14 @@ def test_level_guard():
     check_level(1, 10**9, weight=True)
     with pytest.raises(ValueError, match="over the"):
         check_level(2, 10**9, weight=True)
+    # and on what the blocks of one operator hold together, 256 bytes a
+    # packed entry: 17,319,837 entries at d=3 level 9, about 9.7e12 at d=50
+    # level 6, where every block has at most 720 words
+    for d, level, entries in ((3, 9, 17319837), (10, 6, 329009500), (50, 6, 9669367129500)):
+        with pytest.raises(ValueError, match=f"hold {entries} entries per operator; building them needs "
+                           f"[0-9]+ bytes or more, over the {tensorops.MAX_BUILD_BYTES} byte guard"):
+            check_level(d, level, weight=True)
+    check_level(2, 12, weight=True)  # 2,704,156 entries
     # the Algebra refuses before it allocates: at d=3 level 8 each dense
     # matrix is 689 MB, and at d=2 level 14 the largest weight block is 188 MB
     for alg, level in ((Algebra(rotated(qccr(3, 0.5), 1)), 8), (Algebra(qccr(2, 0.5)), 14)):
@@ -113,6 +122,14 @@ def test_level_guard():
         with pytest.raises(ValueError, match="byte guard"):
             alg.U(level - 1)
     assert max(map(len, Algebra(qccr(3, 0.5)).layout(8))) == 560
+
+
+def test_build_guard_counts_the_packed_entries():
+    # the closed form against a count over the words: each weight space of
+    # k words contributes k^2 entries
+    for d, level in ((1, 4), (2, 5), (3, 4), (4, 3)):
+        contents = collections.Counter(tuple(sorted(w)) for w in itertools.product(range(d), repeat=level))
+        assert tensorops._packed_size(d, level) == sum(k * k for k in contents.values()), (d, level)
 
 
 def _count_calls(monkeypatch, fn):

@@ -106,7 +106,7 @@ def check_against_dense_references(spec, max_level: int, exact: bool) -> None:
             (alg.U(level - 1).mat, oracles.build_U(T, level - 1).mat),
             (alg.ker_P(level, spectral.RANK_TOL).projector().mat,
              oracles.kernel_projector(P, spectral.RANK_TOL)),
-            (spectral.ideal_complement(T, level).projector().mat,
+            (spectral.ideal_complement(alg, level).projector().mat,
              oracles.ideal_complement_projector(T, level, spectral.RANK_TOL)),
         ]
         for built, reference in pairs:

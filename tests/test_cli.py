@@ -339,6 +339,34 @@ def test_level_guard_reads_the_largest_weight_block(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_level_guard_bounds_what_the_weight_blocks_hold_together(tmp_path, capsys):
+    # each block passes the guard (720 words at level 6), but together the
+    # blocks of one operator hold the sum over letter contents of the squared
+    # multinomials: 329,009,500 entries at d=10, and 31,397,827,200 at d=20,
+    # where the layout alone would sort 20^6 = 64e6 words
+    d10 = write_spec(tmp_path, "qccr_d10.json", {"d": 10, "preset": {"name": "q-ccr", "q": 0.5}})
+    d20 = write_spec(tmp_path, "qccr_d20.json", {"d": 20, "preset": {"name": "q-ccr", "q": 0.5}})
+    for args, entries in (
+        (["positivity", "--spec", d10, "--n-max", "6"], 329009500),
+        (["pn", "--spec", d20, "--n", "6", "--method", "recursive"], 31397827200),
+    ):
+        code, report = run(args, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and report is None, args
+        assert f"hold {entries} entries per operator" in err, (args, err)
+        assert f"over the {1024**3} byte guard" in err and "Traceback" not in err, (args, err)
+
+
+def test_full_is_guarded_at_the_deepest_dense_report(tmp_path, capsys):
+    # at --n-max 4 the Wick-ideal check at n = 4 reads the chain T_1...T_4
+    # at level 5, a dense matrix of 156 MB at d=5
+    d5 = write_spec(tmp_path, "qccr_d5.json", {"d": 5, "preset": {"name": "q-ccr", "q": 0.5}})
+    code, report = run(["full", "--spec", d5, "--n-max", "4"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert f"one dense matrix at level 5, d=5 needs {5 ** 10 * 16} bytes or more" in err
+
+
 def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeypatch):
     # both runs pass the level guard; the deepest walk of S_{n+1} does not
     built = []

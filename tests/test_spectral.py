@@ -69,8 +69,9 @@ def test_nullspace_svd_of_zero_and_full_rank():
 
 def test_subspace_sum_flip_level3():
     # oracle: d^n - C(d+n-1, n) = 8 - 4, the non-symmetric complement
-    flip = model.build_T(qccr(2, 1.0))
-    complement = spectral.ideal_complement(flip, 3)
+    alg = Algebra(qccr(2, 1.0))
+    flip = alg.T
+    complement = spectral.ideal_complement(alg, 3)
     dim_sum = 2**3 - complement.dim
     assert dim_sum == 2**3 - math.comb(2 + 3 - 1, 3)
     kerP = spectral.kernel(oracles.build_P(flip, 3))
@@ -215,7 +216,8 @@ def test_ideal_complement_matches_the_stacked_level_L_kernels():
     ]
     d3 += [unimodular_flip(3, s) for s in range(4)]
     for spec, max_level in [(s, 5) for s in d2] + [(s, 4) for s in d3]:
-        T = model.build_T(spec)
+        alg = Algebra(spec)
+        T = alg.T
         for level in range(2, max_level + 1):
             eye = np.eye(T.d**level, dtype=complex)
             stacked = np.concatenate(
@@ -227,7 +229,7 @@ def test_ideal_complement_matches_the_stacked_level_L_kernels():
             )
             u, s, _ = np.linalg.svd(stacked, full_matrices=False)
             ref = u[:, s > 1e-8 * max(1.0, s.max(initial=0.0))]
-            complement = spectral.ideal_complement(T, level)
+            complement = spectral.ideal_complement(alg, level)
             assert isinstance(complement, spectral.Subspace)
             assert ref.shape[1] + complement.dim == T.d**level, (spec.source, level)
             residual = np.linalg.norm(ref @ ref.conj().T + complement.projector().mat - eye, 2)
