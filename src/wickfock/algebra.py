@@ -123,8 +123,9 @@ class Algebra:
         return self._get(("ker_P", n, rank_tol), n, lambda: kernel(self.P(n), rank_tol))
 
     def descent_sums(self, n: int) -> coxeter.Walk:
-        """The descent-set buckets of the walk of S_{n+1}, in the walk's own
-        layout; :meth:`coxeter.Walk.sum` places the sums a caller reads."""
+        """The descent-set buckets of the walk of S_{n+1}, in the layout of
+        level n+1; :meth:`coxeter.Walk.sum` adds the sums a caller reads in
+        that layout."""
         return self._get(
             ("walk", n), n + 1, lambda: coxeter.descent_sums(self.T, n, self.layout(n + 1))
         )

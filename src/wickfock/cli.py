@@ -34,9 +34,10 @@ MAX_FULL_WICK_LEVEL = 4
 
 def _full_dense_reports(n_max: int, d: int) -> tuple[range, range, int]:
     """What the full suite runs on dense matrices: the ranks n of the
-    Coxeter, U_n, telescoping and ker(1 - U_n^2) reports (each at level
-    n+1), the levels n of the Wick-ideal checks (the chain T_1 ... T_n at
-    level n+1), and the Fock truncation degree N (R_n and P_n up to N)."""
+    Coxeter and U_n reports, whose telescoping and ker(1 - U_n^2) reports
+    read level n+1 densely, the levels n of the Wick-ideal checks (the chain
+    T_1 ... T_n at level n+1), and the Fock truncation degree N (R_n and
+    P_n up to N)."""
     coxeter_ranks = range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1)
     wick_levels = range(2, min(n_max, MAX_FULL_WICK_LEVEL) + 1)
     return coxeter_ranks, wick_levels, min(n_max, fock.default_max_degree(d))
@@ -180,7 +181,7 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
         top = dense = max([len(w) for w in X] + [len(w) for w in Y] + [2])
     elif args.command == "coxeter":
         walk = args.n
-        top = dense = walk + 1
+        top, dense = walk + 1, 2  # every operand in the layout, under alg.check_level(top)
     else:  # check takes neither --n nor --n-max
         top = args.n if args.n is not None else args.n_max or 2
         walks = args.command == "full" or (args.command == "pn" and args.method != "recursive")
@@ -194,7 +195,7 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     alg = Algebra(spec)
     alg.check_level(top)  # the largest block, or the dense matrix when T is not weight-preserving
     if walk is not None:
-        coxeter.check_walk(spec.d, walk)
+        coxeter.check_walk(spec.d, walk, alg.weight)
     checks = _Checks()
     tol = args.tol
     rank_tol = args.rank_tol

@@ -22,7 +22,11 @@ group sum P(S_{n+1}), every descent-class sum P(D_J) and both sides of the
 Euler-Solomon identity are sums of buckets, which :func:`coxeter_checks`
 compares against the independent product constructions of P_{n+1}, U_n
 and P(W_J), read from the :class:`~wickfock.algebra.Algebra` that holds
-the walk.  :func:`check_walk` is the walk's guard.
+the walk.  Every operand stays in the walk's layout, P(W_J) included (built
+per block from the blocks of the recursive P_b), so each residual is the
+largest over the blocks and a weight-preserving T places no dense matrix.
+:func:`check_walk` is the walk's guard, on the operators' entries in the
+layout the walk takes.
 
 >>> sums = descent_sums(TensorOperator(1, 2, [[0.5]]), 2)  # d=1: phi(w) = q^length(w)
 >>> [s.item().real for s in sums]  # descent sets {}, {1}, {2}, {1, 2}
@@ -39,7 +43,8 @@ from .model import TensorOperator
 from .tensorops import (
     BRAID_TOL,
     BlockOperator,
-    apply_slots,
+    _entries,
+    _packed_size,
     braid_residual,
     layout,
     op_norm,
@@ -63,6 +68,7 @@ __all__ = [
 
 MAX_RANK = 6  # guard: S_7 has 5040 elements
 MAX_WALK_BYTES = 2 * 1024**3  # fixed guard on the matrices one walk keeps live
+WALK_ENTRY_BYTES = 400  # per packed entry, beyond the operators of 16-byte entries
 
 
 class BraidConditionError(ValueError):
@@ -77,18 +83,29 @@ def _apply_right(perm: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def check_walk(d: int, n: int) -> None:
+def check_walk(d: int, n: int, weight: bool = False) -> None:
     """Refuse, before anything is allocated, a walk of S_{n+1} at dimension d
-    whose rank lies outside 1..MAX_RANK or whose dense layout (2^n buckets,
-    the products along one path, the sum and P_{n+1}/U_n) would hold more
-    than MAX_WALK_BYTES, whatever layout the walk then takes."""
+    whose rank lies outside 1..MAX_RANK or whose matrices would hold more
+    than MAX_WALK_BYTES: the 2^n buckets, the products along one path, and
+    the sum and P_{n+1}/U_n, each one operator of 16-byte entries.  In the
+    dense layout an operator has d^(2(n+1)) entries; in the weight layout
+    (``weight``: T is weight-preserving) it has the packed entries of the
+    level (:func:`~wickfock.tensorops._packed_size`), and each entry adds
+    WALK_ENTRY_BYTES for the slot step's tables and index arrays and the
+    operands of :func:`coxeter_checks`."""
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
-    dim = d ** (n + 1)
-    need = (2**n + n * (n + 1) // 2 + 3) * dim * dim * 16
+    held = 2**n + n * (n + 1) // 2 + 3
+    if weight:
+        entries = _packed_size(d, n + 1)
+        need = (16 * held + WALK_ENTRY_BYTES) * entries
+        layout = f" in weight blocks of {entries} entries"
+    else:
+        need = 16 * held * d ** (2 * (n + 1))
+        layout = ""
     if need > MAX_WALK_BYTES:
         raise ValueError(
-            f"the Coxeter sums at rank n={n}, d={d} need about {need} bytes, "
+            f"the Coxeter sums at rank n={n}, d={d}{layout} need about {need} bytes, "
             f"over the {MAX_WALK_BYTES} byte guard"
         )
 
@@ -163,7 +180,8 @@ def descent_sums(T: TensorOperator, n: int, blocks=None) -> Walk:
     multiplication by T_i the :func:`~wickfock.tensorops.slot_step`.
     Refused by :func:`check_walk` before anything is allocated.
     """
-    check_walk(T.d, n)
+    weight = weight_preserving(T)
+    check_walk(T.d, n, weight)
     r = braid_residual(T)
     if r > BRAID_TOL:
         raise BraidConditionError(
@@ -171,24 +189,49 @@ def descent_sums(T: TensorOperator, n: int, blocks=None) -> Walk:
             "defined for braided operators"
         )
     d, level = T.d, n + 1
-    blocks = layout(d, level, weight_preserving(T)) if blocks is None else blocks
+    blocks = layout(d, level, weight) if blocks is None else blocks
     step = slot_step(T.mat, d, level, blocks)
     return Walk(d, level, _walk(n, packed_identity(blocks), step), blocks)
 
 
-def _young_sum(alg: Algebra, n: int, J: int) -> np.ndarray:
-    """P(W_J) for the generator set J (a bit mask), built independently of
-    the walk: W_J is the Young subgroup of the blocks of consecutive slots
-    that J joins (slots s, s+1 share a block iff s is in J), so P(W_J) is
-    the tensor product of the block P_b."""
-    acc = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
-    start = 1
-    for s in range(1, n + 2):
-        if not J >> (s - 1) & 1:  # bit n is never set: the last block closes at slot n+1
-            if s > start:
-                acc = apply_slots(alg.P(s - start + 1).mat, alg.T.d, start, acc, left=True)
-            start = s + 1
-    return acc
+def _young_sums(alg: Algebra, n: int):
+    """P(W_J) for every generator set J (a bit mask), in mask order, built
+    independently of the walk: W_J is the Young subgroup of the groups of
+    consecutive slots that J joins (slots s, s+1 share a group iff s is in
+    J), so P(W_J) is the tensor product of the block P_b of each group.  In
+    the layout of H^(x)(n+1), entry [u, v] of P(W_J) is the product over the
+    groups g of P_b[u_g, v_g], u_g the segment of the word u on the slots of
+    g, read from the blocks of ``alg.P(b)``: zero where the letter contents
+    of u_g and v_g differ."""
+    d, level = alg.T.d, n + 1
+    blocks = alg.layout(level)
+    _, _, rows, cols = _entries(blocks)  # the words of each packed entry
+    lookups: dict = {}  # width b -> P_b packed, and per word of level b its block and position
+
+    def factor(first: int, last: int) -> np.ndarray:
+        """P_b[u_g, v_g] for every packed entry [u, v], g = slots first..last."""
+        width = last - first + 1
+        if width not in lookups:
+            P_b = alg.P(width)
+            sizes = np.array([len(w) for w in P_b.words])
+            block, pos = np.empty((2, d**width), dtype=np.int64)
+            for b, w in enumerate(P_b.words):
+                block[w], pos[w] = b, np.arange(len(w))
+            lookups[width] = P_b.packed(), block, pos, np.cumsum(sizes**2) - sizes**2, sizes
+        packed, block, pos, starts, sizes = lookups[width]
+        u, v = (words // d ** (level - last) % d**width for words in (rows, cols))
+        b = block[u]
+        same = b == block[v]
+        return np.where(same, packed[np.where(same, starts[b] + pos[u] * sizes[b] + pos[v], 0)], 0)
+
+    for J in range(2**n):
+        product = np.ones(rows.size, dtype=np.complex128)
+        first = 1
+        for s in range(1, level + 1):
+            if not J >> (s - 1) & 1:  # bit n is never set: the last group closes at slot n+1
+                product *= factor(first, s)
+                first = s + 1
+        yield BlockOperator.from_packed(d, level, blocks, product)
 
 
 def coxeter_checks(alg: Algebra, n: int) -> dict:
@@ -208,28 +251,32 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
       the larger of the two residuals; the second right side uses the
       independent product constructions of U_n and P_{n+1};
     - ``longest_vs_U``: phi(sigma_0) against U_n.
+
+    Every operand is a :class:`~wickfock.tensorops.BlockOperator` in the
+    layout of the walk, so no dense matrix is placed when T is
+    weight-preserving, and every residual is the largest over the blocks.
     """
     walk = alg.descent_sums(n)
     full = 2**n - 1
-    eye = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
-    P = alg.P(n + 1).mat
-    U = alg.U(n).mat
-    total = alg.group_sum(n).mat
+    P = alg.P(n + 1)
+    U = alg.U(n)
+    total = alg.group_sum(n)
+    eye = BlockOperator.identity(walk.d, walk.level, walk.blocks)
 
     factorization = []
-    alternating = np.zeros_like(eye)
-    for J in range(2**n):
-        PDJ = walk.sum(D for D in range(2**n) if not D & J).mat
+    alternating = 0.0 * eye
+    for J, PWJ in enumerate(_young_sums(alg, n)):
+        PDJ = walk.sum(D for D in range(2**n) if not D & J)
         J_set = [s for s in range(1, n + 1) if J >> (s - 1) & 1]
-        factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ _young_sum(alg, n, J))})
+        factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ PWJ)})
         if 0 < J < full:
             alternating = alternating + (-1.0) ** len(J_set) * PDJ
 
     sign_S = (-1.0) ** n
-    longest = walk[full]
+    longest = walk.sum([full])
     euler = max(
         op_norm(alternating - (-sign_S * eye + longest - total)),
-        op_norm(alternating.conj().T - (-sign_S * eye + U - P)),
+        op_norm(alternating.adjoint() - (-sign_S * eye + U - P)),
     )
     return {
         "n": n,

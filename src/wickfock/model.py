@@ -371,13 +371,19 @@ def build_T(spec: WickSpec) -> TensorOperator:
 
     Equivalently, the stored coefficient T_ab^cd lands at row pair (a,d),
     column pair (b,c).  Self-adjointness of the result (the operator form
-    of hermitian symmetry) is re-checked at tolerance 1e-12.
+    of hermitian symmetry) is re-checked at tolerance 1e-12 on the 2-norm
+    of A = M - M^H.  The bound ||A||_2 <= sqrt(||A||_1 ||A||_inf) is tried
+    first; the exact 2-norm, a full SVD, is taken only when the bound
+    exceeds the tolerance, so every decision is the exact norm's.
     """
     d = spec.d
     M = np.zeros((d * d, d * d), dtype=np.complex128)
     for (a, b, c, e), v in spec.coeffs.items():
         M[a * d + e, b * d + c] = v
-    defect = float(np.linalg.norm(M - M.conj().T, 2))
-    if defect > HERMITIAN_TOL:
-        raise SpecError(f"level-2 operator is not self-adjoint: defect {defect:.3e}")
+    A = M - M.conj().T
+    size = np.abs(A)
+    if np.sqrt(size.sum(axis=0).max() * size.sum(axis=1).max()) > HERMITIAN_TOL:
+        defect = float(np.linalg.norm(A, 2))
+        if defect > HERMITIAN_TOL:
+            raise SpecError(f"level-2 operator is not self-adjoint: defect {defect:.3e}")
     return TensorOperator(d=d, level=2, mat=M)

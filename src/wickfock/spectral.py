@@ -19,7 +19,7 @@ kernel equality ker P_{n+1} = sum_k ker(1 + T_k), decided as the orthogonal
 decomposition ker P_{n+1} (+) ker(sum_k 1 (x) Pi (x) 1) = H^(x)(n+1) with Pi
 the projector onto the level-2 kernel of 1 + T, strict positivity, the U_n
 invariance and commutation laws, the Wick-ideal membership residuals, and
-the diagnostics on ker(1 - U_n^2).  The first two are decided per block;
+the diagnostics on ker(1 - U_n^2).  The first three are decided per block;
 the others read dense matrices placed from the blocks.
 """
 
@@ -230,7 +230,7 @@ def kernel_theorem_check(
     complement = ideal_complement(alg, level, rank_tol)
 
     dim_sum = T.d**level - complement.dim
-    eye = BlockOperator(T.d, level, P.words, [np.eye(len(w), dtype=np.complex128) for w in P.words])
+    eye = BlockOperator.identity(T.d, level, P.words)
     sum_proj = eye - complement.projector()
     distance = op_norm(ker_P.projector() - sum_proj)
     margin = op_norm(P @ sum_proj)
@@ -287,19 +287,24 @@ def positivity_check(
 
 def un_checks(alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL) -> dict:
     """Residuals for the two U_n laws at level n+1: invariance of ker P_{n+1}
-    under U_n, and the commutation T_k U_n = U_n T_{n+1-k}."""
+    under U_n, and the commutation T_k U_n = U_n T_{n+1-k}, each the largest
+    over the blocks of the layout.  Both sides of the commutation are one
+    :func:`~wickfock.tensorops.slot_step`: T_k U_n = (U_n^H T_k)^H, since
+    ``build_T`` admits only a self-adjoint T."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     T = alg.T
     level = n + 1
-    U = alg.U(n).mat
-    proj = alg.ker_P(level, rank_tol).projector().mat
-    eye = np.eye(T.d**level, dtype=np.complex128)
+    U = alg.U(n)
+    proj = alg.ker_P(level, rank_tol).projector()
+    eye = BlockOperator.identity(T.d, level, U.words)
     invariance = op_norm((eye - proj) @ U @ proj)
+    step = slot_step(T.mat, T.d, level, U.words)
+    U_packed, UH_packed = U.packed(), U.adjoint().packed()
     commutation = 0.0
     for k in range(1, n + 1):
-        tk_U = apply_slots(T.mat, T.d, k, U, left=True)
-        U_tmirror = apply_slots(T.mat, T.d, n + 1 - k, U)
+        tk_U = BlockOperator.from_packed(T.d, level, U.words, step(k, UH_packed)).adjoint()
+        U_tmirror = BlockOperator.from_packed(T.d, level, U.words, step(n + 1 - k, U_packed))
         commutation = max(commutation, op_norm(tk_U - U_tmirror))
     return {
         "level": level,

@@ -272,6 +272,10 @@ class BlockOperator:
         return cls(d, level, words, [p.reshape(len(w), len(w)) for w, p in zip(words, parts)])
 
     @classmethod
+    def identity(cls, d: int, level: int, words) -> BlockOperator:
+        return cls(d, level, words, [np.eye(len(w), dtype=np.complex128) for w in words])
+
+    @classmethod
     def restrict(cls, d: int, level: int, words, mat: np.ndarray) -> BlockOperator:
         """The diagonal blocks ``words`` of a dense matrix."""
         if len(words) == 1:
@@ -302,6 +306,15 @@ class BlockOperator:
     def mat(self) -> np.ndarray:
         return self.place()
 
+    def packed(self) -> np.ndarray:
+        """The blocks row-major one after another, as :meth:`from_packed`
+        reads them."""
+        return np.concatenate([m.ravel() for m in self.mats])
+
+    def adjoint(self) -> BlockOperator:
+        """The conjugate transpose, block by block."""
+        return BlockOperator(self.d, self.level, self.words, [m.conj().T for m in self.mats])
+
     def _blockwise(self, other: BlockOperator, fn) -> BlockOperator:
         same = self.words is other.words or (
             len(self.words) == len(other.words) and all(map(np.array_equal, self.words, other.words))
@@ -310,8 +323,14 @@ class BlockOperator:
             raise ValueError("block-diagonal operators in different layouts")
         return BlockOperator(self.d, self.level, self.words, map(fn, self.mats, other.mats))
 
+    def __add__(self, other: BlockOperator) -> BlockOperator:
+        return self._blockwise(other, np.add)
+
     def __sub__(self, other: BlockOperator) -> BlockOperator:
         return self._blockwise(other, np.subtract)
+
+    def __rmul__(self, scalar: complex) -> BlockOperator:
+        return BlockOperator(self.d, self.level, self.words, [scalar * m for m in self.mats])
 
     def __matmul__(self, other: BlockOperator) -> BlockOperator:
         return self._blockwise(other, np.matmul)

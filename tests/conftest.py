@@ -155,6 +155,24 @@ def braided_families(d: int):
     return st.floats(0.0, 1.0, exclude_min=True).map(lambda q: hecke(d, q)) | unimodular_flips(d)
 
 
+def residuals(report: dict) -> dict:
+    """The residuals of a ``coxeter_checks`` or ``un_checks`` report by
+    name, each factorization residual under its J."""
+    flat = {k: v for k, v in report.items() if isinstance(v, float)}
+    flat.update((f"J={f['J']}", f["residual"]) for f in report.get("factorization", ()))
+    return flat
+
+
+def check_against_reference(report: dict, reference: dict, context) -> None:
+    """Every residual of a blocked report is within 1e-13 of the dense
+    reference's and at most 1e-10."""
+    got, want = residuals(report), residuals(reference)
+    assert got.keys() == want.keys() and got, context
+    for name, value in got.items():
+        assert abs(value - want[name]) <= 1e-13, (context, name, value, want[name])
+        assert value <= 1e-10, (context, name, value)
+
+
 def braided_presets() -> list[tuple[str, model.WickSpec]]:
     """The d=2 presets exercised by the acceptance suite."""
     return [

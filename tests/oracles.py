@@ -39,6 +39,12 @@ definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
 - :func:`build_Rtilde` and :func:`build_PDm`, P(D_m) as the product of the
   Rt_k: the reference for the walk's bucket sum P(D_J), J = {1..m-1}
   (``test_factorization_m_form``, acceptance criterion 07).
+- :func:`coxeter_checks`, :func:`young_sum` and :func:`un_checks`, the
+  Coxeter and U_n reports with every operand placed as one dense matrix and
+  P(W_J) a product of dense P_b by ``apply_slots``: the references for the
+  reports taken per block (``test_coxeter_checks_on_hecke_and_unimodular_flips``,
+  ``test_un_laws_on_hecke_and_unimodular_flips``,
+  ``test_blocked_reports_on_one_dense_block``).
 - :func:`annihilate_mu`, the free left contraction, which ``fock.annihilate``
   must equal when T = 0 (``test_annihilate_free_reduces_to_mu``).
 - :func:`normal_order_paths`, Wick ordering path by path, each word rewritten
@@ -65,7 +71,7 @@ from wickfock import rewrite
 from wickfock.coxeter import MAX_RANK, _apply_right
 from wickfock.fock import GradedVector
 from wickfock.model import SpecError, TensorOperator, WickSpec
-from wickfock.tensorops import _require_level2, apply_slots, longest_word, word_product
+from wickfock.tensorops import _require_level2, apply_slots, longest_word, op_norm, word_product
 
 
 @dataclass(frozen=True)
@@ -285,3 +291,73 @@ def normal_order_paths(spec: WickSpec, w) -> rewrite.WickPolynomial:
             for new_word, c in rewrite.rewrite_step(spec, word, t).items():
                 pending.append((new_word, coeff * c))
     return rewrite.WickPolynomial(result)
+
+
+def young_sum(alg, n: int, J: int) -> np.ndarray:
+    """P(W_J) as one dense matrix: the tensor product of the dense block
+    P_b over the groups of consecutive slots that J joins (slots s, s+1
+    share a group iff s is in J), each applied by ``apply_slots``."""
+    acc = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
+    start = 1
+    for s in range(1, n + 2):
+        if not J >> (s - 1) & 1:  # bit n is never set: the last group closes at slot n+1
+            if s > start:
+                acc = apply_slots(alg.P(s - start + 1).mat, alg.T.d, start, acc, left=True)
+            start = s + 1
+    return acc
+
+
+def coxeter_checks(alg, n: int) -> dict:
+    """``coxeter.coxeter_checks`` with every operand placed as one dense
+    matrix and every residual the norm of a dense difference."""
+    walk = alg.descent_sums(n)
+    full = 2**n - 1
+    eye = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
+    P = alg.P(n + 1).mat
+    U = alg.U(n).mat
+    total = alg.group_sum(n).mat
+
+    factorization = []
+    alternating = np.zeros_like(eye)
+    for J in range(2**n):
+        PDJ = walk.sum(D for D in range(2**n) if not D & J).mat
+        J_set = [s for s in range(1, n + 1) if J >> (s - 1) & 1]
+        factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ young_sum(alg, n, J))})
+        if 0 < J < full:
+            alternating = alternating + (-1.0) ** len(J_set) * PDJ
+
+    sign_S = (-1.0) ** n
+    longest = walk[full]
+    euler = max(
+        op_norm(alternating - (-sign_S * eye + longest - total)),
+        op_norm(alternating.conj().T - (-sign_S * eye + U - P)),
+    )
+    return {
+        "n": n,
+        "group_sum": op_norm(total - P),
+        "factorization": factorization,
+        "euler_solomon": euler,
+        "longest_vs_U": op_norm(longest - U),
+    }
+
+
+def un_checks(alg, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
+    """``spectral.un_checks`` on dense matrices, with T_k U_n taken from
+    the left by ``apply_slots``."""
+    T = alg.T
+    level = n + 1
+    U = alg.U(n).mat
+    proj = alg.ker_P(level, rank_tol).projector().mat
+    eye = np.eye(T.d**level, dtype=np.complex128)
+    invariance = op_norm((eye - proj) @ U @ proj)
+    commutation = 0.0
+    for k in range(1, n + 1):
+        tk_U = apply_slots(T.mat, T.d, k, U, left=True)
+        U_tmirror = apply_slots(T.mat, T.d, n + 1 - k, U)
+        commutation = max(commutation, op_norm(tk_U - U_tmirror))
+    return {
+        "level": level,
+        "invariance_residual": invariance,
+        "commutation_residual": commutation,
+        "status": "pass" if invariance <= tol and commutation <= tol else "fail",
+    }

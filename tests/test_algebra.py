@@ -211,7 +211,8 @@ def test_group_sum_memory_stays_near_the_packed_walk():
 
 
 def test_coxeter_checks_place_one_sum_at_a_time():
-    # d=3, rank 4: beside P_5, U_4, the group sum and a few working matrices
-    # of 243 x 243, not 16 dense buckets
+    # d=3, rank 4: the walk, P_5, U_4 and every operand are kept in weight
+    # blocks of 4,653 entries; 3.01 dense 243 x 243 matrices were measured at
+    # the peak, the walk's 16 buckets 1.26 of them
     alg = Algebra(qccr(3, 0.5))
-    assert peak_bytes(lambda: coxeter.coxeter_checks(alg, 4)) < 16 * 16 * 243**2
+    assert peak_bytes(lambda: coxeter.coxeter_checks(alg, 4)) < 4 * 16 * 243**2

@@ -4,6 +4,7 @@ closed forms per block.
 The closed forms compute each block's size from the multinomial of its
 letter content and share no code with the build."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -13,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import braided_families, hecke, qccr, rotated
-from wickfock import spectral, tensorops
+from conftest import (
+    braided_families,
+    check_against_reference,
+    hecke,
+    qccr,
+    rotated,
+    twisted_flip,
+    unimodular_flip,
+)
+from wickfock import coxeter, spectral, tensorops
 from wickfock.algebra import Algebra
 
 TOL = 1e-12
@@ -130,3 +139,64 @@ def test_one_dense_block_is_the_dense_build(d, max_level, data):
     spec = rotated(data.draw(braided_families(d)), data.draw(st.integers(0, 2**16)))
     assert not Algebra(spec).weight
     check_against_dense_references(spec, max_level, exact=True)
+
+
+def test_blocked_reports_on_one_dense_block():
+    # a rotated T is one dense block: the blocked Coxeter and U_n reports run
+    # the same code on it and give the dense references' residuals
+    for spec, max_rank in ((rotated(hecke(2, 0.6), 1), 4), (rotated(unimodular_flip(3, seed=5), 2), 3)):
+        alg = Algebra(spec)
+        assert not alg.weight
+        for n in range(1, max_rank + 1):
+            check_against_reference(coxeter.coxeter_checks(alg, n), oracles.coxeter_checks(alg, n), n)
+            check_against_reference(spectral.un_checks(alg, n), oracles.un_checks(alg, n), n)
+
+
+@pytest.mark.parametrize("spec", [qccr(3, 0.5), twisted_flip(3, seed=3)], ids=["q-ccr", "twisted flip"])
+def test_blocked_reports_place_no_dense_matrix(spec, monkeypatch):
+    alg = Algebra(spec)
+    assert alg.weight
+
+    def place(self, basis=False):
+        raise AssertionError(f"placed a dense matrix at level {self.level}")
+
+    monkeypatch.setattr(tensorops.BlockOperator, "place", place)
+    assert coxeter.coxeter_checks(alg, 4)["group_sum"] <= 1e-10
+    assert spectral.un_checks(alg, 4)["status"] == "pass"
+
+
+def relabelled(blocks, d: int, level: int, sigma) -> list[tuple[int, np.ndarray]]:
+    """Per block: the block that holds the images of its words under the
+    letter permutation ``sigma``, and where each image sits in it; read digit
+    by digit, and checked to be a bijection of one block onto another."""
+    where = {int(w): (b, k) for b, words in enumerate(blocks) for k, w in enumerate(words)}
+    images = []
+    for words in blocks:
+        found = []
+        for w in words:
+            digits = [int(w) // d ** (level - 1 - t) % d for t in range(level)]
+            found.append(where[sum(sigma[x] * d ** (level - 1 - t) for t, x in enumerate(digits))])
+        [target] = {b for b, _ in found}
+        positions = np.array([k for _, k in found])
+        assert sorted(positions) == list(range(len(words)))
+        images.append((target, positions))
+    return images
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_letter_relabelling_maps_each_block_onto_its_image(level):
+    # q-CCR treats the letters alike, so P_L and every bucket of the walk of
+    # S_L commute with relabelling the letters: block b read through the
+    # relabelled words is the block of the images.  The gather does the same
+    # arithmetic on an entry and its image, so the buckets agree bit for bit;
+    # P_L's matmuls add in the order of the words, so it agrees within TOL
+    alg = Algebra(qccr(3, 0.37))
+    walk = alg.descent_sums(level - 1)
+    P = alg.P(level)
+    buckets = [walk.sum([mask]) for mask in range(len(walk))]
+    for sigma in itertools.permutations(range(3)):
+        for b, (target, positions) in enumerate(relabelled(alg.layout(level), 3, level, sigma)):
+            image = np.ix_(positions, positions)
+            assert within(P.mats[target][image], P.mats[b]), sigma
+            for bucket in buckets:
+                assert np.array_equal(bucket.mats[target][image], bucket.mats[b]), sigma

@@ -342,13 +342,16 @@ def test_level_guard_reads_the_largest_weight_block(tmp_path, capsys):
 def test_level_guard_bounds_what_the_weight_blocks_hold_together(tmp_path, capsys):
     # each block passes the guard (720 words at level 6), but together the
     # blocks of one operator hold the sum over letter contents of the squared
-    # multinomials: 329,009,500 entries at d=10, and 31,397,827,200 at d=20,
-    # where the layout alone would sort 20^6 = 64e6 words
+    # multinomials: 329,009,500 entries at d=10, 31,397,827,200 at d=20,
+    # where the layout alone would sort 20^6 = 64e6 words, and
+    # 9,669,367,129,500 at d=50, the README's case
     d10 = write_spec(tmp_path, "qccr_d10.json", {"d": 10, "preset": {"name": "q-ccr", "q": 0.5}})
     d20 = write_spec(tmp_path, "qccr_d20.json", {"d": 20, "preset": {"name": "q-ccr", "q": 0.5}})
+    d50 = write_spec(tmp_path, "qccr_d50.json", {"d": 50, "preset": {"name": "q-ccr", "q": 0.5}})
     for args, entries in (
         (["positivity", "--spec", d10, "--n-max", "6"], 329009500),
         (["pn", "--spec", d20, "--n", "6", "--method", "recursive"], 31397827200),
+        (["pn", "--spec", d50, "--n", "6", "--method", "recursive"], 9669367129500),
     ):
         code, report = run(args, tmp_path)
         err = capsys.readouterr().err
@@ -368,21 +371,29 @@ def test_full_is_guarded_at_the_deepest_dense_report(tmp_path, capsys):
 
 
 def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeypatch):
-    # both runs pass the level guard; the deepest walk of S_{n+1} does not
+    # every run passes the level guard; the deepest walk of S_{n+1} does not
     built = []
     original_P = Algebra.P
     monkeypatch.setattr(Algebra, "P", lambda self, n: built.append(n) or original_P(self, n))
     d2 = write_spec(tmp_path, "qccr_d2.json", {"d": 2, "preset": {"name": "q-ccr", "q": 0.5}})
-    d3 = write_spec(tmp_path, "qccr_d3.json", {"d": 3, "preset": {"name": "q-ccr", "q": 0.5}})
+    d5 = write_spec(tmp_path, "qccr_d5.json", {"d": 5, "preset": {"name": "q-ccr", "q": 0.5}})
+    rotated_d3 = write_spec(tmp_path, "rotated_d3.json", model.to_document(rotated(qccr(3, 0.5), 1)))
     rank7 = f"rank n=7 out of guard range 1..{coxeter.MAX_RANK}"
-    # d=3, rank 6: 88 matrices of 3^7 x 3^7 complex numbers, about 6.7 GB
-    bytes6 = f"need about {(2**6 + 21 + 3) * 3**14 * 16} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"
+    guard = f"bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"
+    # a rotated T at d=3, rank 6, is one dense block: 88 matrices of 3^7 x 3^7
+    # complex numbers, about 6.7 GB
+    dense6 = f"d=3 need about {(2**6 + 21 + 3) * 3**14 * 16} {guard}"
+    # q-CCR at d=5, rank 5: 2,241,225 packed entries an operator, about 2.7 GB
+    need5 = (16 * (2**5 + 15 + 3) + coxeter.WALK_ENTRY_BYTES) * 2241225
+    weight5 = f"d=5 in weight blocks of 2241225 entries need about {need5} {guard}"
     cases = [
         (["full", "--spec", d2, "--n-max", "8"], rank7),
-        (["full", "--spec", d3, "--n-max", "7"], bytes6),
-        (["pn", "--spec", d3, "--n", "7"], bytes6),
-        (["pn", "--spec", d3, "--n", "7", "--method", "coxeter"], bytes6),
-        (["coxeter", "--spec", d3, "--n", "6"], bytes6),
+        (["full", "--spec", rotated_d3, "--n-max", "7"], dense6),
+        (["pn", "--spec", rotated_d3, "--n", "7"], dense6),
+        (["pn", "--spec", rotated_d3, "--n", "7", "--method", "coxeter"], dense6),
+        (["coxeter", "--spec", rotated_d3, "--n", "6"], dense6),
+        (["pn", "--spec", d5, "--n", "6", "--method", "coxeter"], weight5),
+        (["coxeter", "--spec", d5, "--n", "5"], weight5),
     ]
     for args, message in cases:
         code, report = run(args, tmp_path)

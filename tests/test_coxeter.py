@@ -2,6 +2,7 @@
 
 The element-by-element constructions are the references in ``oracles``."""
 
+import collections
 import gc
 import itertools
 import math
@@ -15,6 +16,7 @@ import oracles
 from conftest import (
     braided_families,
     braided_presets,
+    check_against_reference,
     free_spec,
     hecke,
     matrix_spec,
@@ -399,6 +401,22 @@ def test_separated_blocks_factor_and_commute():
     assert np.linalg.norm(a @ b - b @ a, 2) <= 1e-12
 
 
+def packed_entries(d: int, level: int) -> int:
+    """Entries of one operator in the weight layout, by brute force: the
+    sum over letter contents of the squared number of words."""
+    counts = collections.Counter(tuple(sorted(w)) for w in itertools.product(range(d), repeat=level))
+    return sum(k * k for k in counts.values())
+
+
+def walk_bytes(d: int, n: int, weight: bool) -> int:
+    """The walk guard's estimate: 2^n buckets, n(n+1)/2 path products and 3
+    more operators of 16-byte entries, plus WALK_ENTRY_BYTES a packed entry."""
+    held = 2**n + n * (n + 1) // 2 + 3
+    if weight:
+        return (16 * held + coxeter.WALK_ENTRY_BYTES) * packed_entries(d, n + 1)
+    return 16 * held * d ** (2 * (n + 1))
+
+
 def test_descent_sums_guards():
     T = model.build_T(qccr(2, 0.5))
     for n in (0, coxeter.MAX_RANK + 1):
@@ -408,17 +426,32 @@ def test_descent_sums_guards():
             coxeter.descent_sums(T, n)
     coxeter.check_walk(2, coxeter.MAX_RANK)
     coxeter.check_walk(3, 5)
-    # d=3 at n=6: 88 matrices of 3^7 x 3^7 complex numbers, about 6.7 GB,
-    # refused before anything is allocated
-    T3 = model.build_T(qccr(3, 0.5))
-    need = (2**6 + 21 + 3) * 3**14 * 16
-    message = f"need about {need} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"
+    # d=3 at n=6: in weight blocks 272,835 entries an operator, about 490 MB
+    # (459 MiB peak RSS measured for `coxeter --n 6`); a rotated T is one
+    # dense block, 88 matrices of 3^7 x 3^7, about 6.7 GB, refused before
+    # anything is allocated
+    assert packed_entries(3, 7) == 272835
+    coxeter.check_walk(3, 6, weight=True)
+    T3 = model.build_T(rotated(qccr(3, 0.5), 1))
+    message = f"need about {walk_bytes(3, 6, False)} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"
     with pytest.raises(ValueError, match=message):
         coxeter.check_walk(3, 6)
     with pytest.raises(ValueError, match=message):
         coxeter.descent_sums(T3, 6)
     with pytest.raises(ValueError, match=message):
-        Algebra(qccr(3, 0.5)).group_sum(6)
+        Algebra(rotated(qccr(3, 0.5), 1)).group_sum(6)
+    # d=5 at n=5 passes the level guard, but its 2,241,225 packed entries
+    # an operator put the walk over the guard
+    alg5 = Algebra(qccr(5, 0.5))
+    alg5.check_level(6)
+    message = (f"in weight blocks of 2241225 entries need about {walk_bytes(5, 5, True)} bytes, "
+               f"over the {coxeter.MAX_WALK_BYTES} byte guard")
+    with pytest.raises(ValueError, match=message):
+        coxeter.check_walk(5, 5, weight=True)
+    with pytest.raises(ValueError, match=message):
+        coxeter.descent_sums(alg5.T, 5)
+    with pytest.raises(ValueError, match=message):
+        alg5.group_sum(5)
 
 
 def test_coxeter_checks_report_shape():
@@ -455,25 +488,23 @@ def test_euler_solomon_zero_operator():
 
 
 def test_euler_solomon_guard():
-    # the checks take the walk's own guard: rank 6 runs at d=2, not at d=3
+    # the checks take the walk's own guard: rank 6 runs at d=2, and at d=3
+    # in weight blocks, not for a rotated T at d=3 nor in weight blocks at d=5
     alg = Algebra(qccr(2, 0.5))
     for n in (0, coxeter.MAX_RANK + 1):
         with pytest.raises(ValueError, match=f"rank n={n} out of guard range 1..{coxeter.MAX_RANK}"):
             coxeter.coxeter_checks(alg, n)
-    need = (2**6 + 21 + 3) * 3**14 * 16
-    with pytest.raises(ValueError, match=f"need about {need} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"):
-        coxeter.coxeter_checks(Algebra(qccr(3, 0.5)), 6)
+    for spec, n, weight in ((rotated(qccr(3, 0.5), 1), 6, False), (qccr(5, 0.5), 5, True)):
+        need = walk_bytes(spec.d, n, weight)
+        with pytest.raises(ValueError, match=f"need about {need} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"):
+            coxeter.coxeter_checks(Algebra(spec), n)
 
 
 @pytest.mark.parametrize("d, max_rank", [(2, 4), (3, 3)])
 @given(data=st.data())
 def test_coxeter_checks_on_hecke_and_unimodular_flips(d, max_rank, data):
     # non-monomial (Hecke) and complex unimodular T, beyond the presets
+    # and every residual, taken per weight block, is the dense reference's
     alg = Algebra(data.draw(braided_families(d)))
     for n in range(1, max_rank + 1):
-        rep = coxeter.coxeter_checks(alg, n)
-        worst = max(
-            [rep["group_sum"], rep["euler_solomon"], rep["longest_vs_U"]]
-            + [f["residual"] for f in rep["factorization"]]
-        )
-        assert worst <= 1e-10, (alg.spec.source, n, rep)
+        check_against_reference(coxeter.coxeter_checks(alg, n), oracles.coxeter_checks(alg, n), (alg.spec.source, n))

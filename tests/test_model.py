@@ -178,6 +178,32 @@ def test_build_T_selfadjoint_across_presets():
         assert np.linalg.norm(M - M.conj().T, 2) <= 1e-12
 
 
+def defect_spec(sign: np.ndarray, eps: float) -> model.WickSpec:
+    """A d=2 coefficient spec whose level-2 matrix is M = (i eps / 2) sign,
+    for a real symmetric 4 x 4 ``sign``: A = M - M^H = i eps sign, and each
+    quadruple's defect against its partner is eps |sign| entry by entry."""
+    entries = []
+    for p, row in enumerate(sign):
+        for r, s in enumerate(row):
+            (a, e), (b, c) = divmod(p, 2), divmod(r, 2)  # M[a d + e, b d + c] = T_ab^ce
+            entries.append({"i": a + 1, "j": b + 1, "k": c + 1, "l": e + 1, "re": 0.0, "im": eps * s / 2})
+    return model.load_spec({"d": 2, "coefficients": entries})
+
+
+def test_build_T_decides_on_the_exact_two_norm():
+    # every per-entry defect passes the 1e-12 check of the loader; the 2-norm
+    # of A decides: 4 eps for the all-ones sign, 2 eps for a Hadamard sign,
+    # whose bound sqrt(||A||_1 ||A||_inf) = 4 eps overestimates it
+    ones = np.ones((4, 4))
+    hadamard = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
+    with pytest.raises(SpecError, match="not self-adjoint: defect 3.600e-12"):
+        model.build_T(defect_spec(ones, 0.9e-12))
+    T = model.build_T(defect_spec(hadamard, 0.4e-12))  # bound 1.6e-12, 2-norm 0.8e-12
+    assert np.linalg.norm(T.mat - T.mat.conj().T, 2) <= model.HERMITIAN_TOL
+    with pytest.raises(SpecError, match="not self-adjoint: defect 1.800e-12"):
+        model.build_T(defect_spec(hadamard, 0.9e-12))
+
+
 def test_presets_are_braided():
     samples = [
         qccr(1, 0.5), qccr(2, 0.5), qccr(2, 1.0), qccr(2, -1.0), qccr(3, 0.3),

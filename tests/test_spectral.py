@@ -11,6 +11,7 @@ import oracles
 from conftest import (
     braided_families,
     braided_presets,
+    check_against_reference,
     example3,
     free_spec,
     hecke,
@@ -308,10 +309,12 @@ def test_un_checks():
 @pytest.mark.parametrize("d, max_rank", [(2, 4), (3, 3)])
 @given(data=st.data())
 def test_un_laws_on_hecke_and_unimodular_flips(d, max_rank, data):
+    # every residual, taken per weight block, is the dense reference's
     alg = Algebra(data.draw(braided_families(d)))
     for n in range(1, max_rank + 1):
         rep = spectral.un_checks(alg, n)
         assert rep["status"] == "pass", (alg.spec.source, n, rep)
+        check_against_reference(rep, oracles.un_checks(alg, n), (alg.spec.source, n))
         assert tensorops.telescoping_residual(alg.T, n) <= 1e-10, (alg.spec.source, n)
 
 
