@@ -192,6 +192,10 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command != "inner" and getattr(args, "method", None) != "recursive":
         dense = max(dense, 3)  # the braid residual, taken at level 3
     check_level(spec.d, dense)
+    try:  # a level both layouts refuse is refused before T is built
+        check_level(spec.d, top)
+    except ValueError:
+        check_level(spec.d, top, weight=True)
     alg = Algebra(spec)
     alg.check_level(top)  # the largest block, or the dense matrix when T is not weight-preserving
     if walk is not None:

@@ -1,32 +1,37 @@
 """The symmetric group S_{n+1} as a Coxeter group, and its operator sums.
 
-Permutations are tuples in one-line notation over {1, ..., n+1}; generator
-letters are 1-based adjacent transpositions s_i = (i, i+1).  Right
-multiplication by s_i swaps the entries at positions i, i+1 of the one-line
-form.
+Generator letters are 1-based adjacent transpositions s_i = (i, i+1); right
+multiplication by s_i swaps the entries at positions i, i+1 of a one-line form.
 
 The quasimultiplicative map sends a reduced word i_1 ... i_k to the matrix
 product T_{i_1} ... T_{i_k}; it is well defined only when T satisfies the
 braid condition, so every walk is gated on the braid residual.
 
 Every operator sum over the group comes from one walk of S_{n+1}:
-:func:`descent_sums` adds each phi(w) into one of 2^n buckets keyed by the
-descent set of w, kept in the walk's layout in one read-only :class:`Walk`.
-When T is weight-preserving (it maps e_a (x) e_b into the span of
-e_a (x) e_b and e_b (x) e_a), every phi(w) is block-diagonal on the weight
-spaces of H^(x)(n+1), the spans of the words with one letter content, and
-the walk keeps only those blocks (:func:`~wickfock.tensorops.layout`); any
-other T is one dense block.  A sum of buckets is a
-:class:`~wickfock.tensorops.BlockOperator`.  The
-group sum P(S_{n+1}), every descent-class sum P(D_J) and both sides of the
+:func:`descent_sums` adds phi over each of the 2^n descent classes into one
+bucket, kept in the walk's layout in one read-only :class:`Walk`.  The walk
+visits descent classes, not elements: every w in S_{m+1} is uniquely
+u s_m s_{m-1} ... s_k with u in S_m and 1 <= k <= m+1 (m+1 inserted at
+position k of u's one-line form, the lengths adding), so
+phi(w) = phi(u) T_m ... T_k and the descent set of w depends only on that
+of u and on k (:func:`_walk`).  When T is weight-preserving (it maps
+e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a), every phi(w) is
+block-diagonal on the weight spaces of H^(x)(n+1), the spans of the words
+with one letter content, and the walk keeps only those blocks
+(:func:`~wickfock.tensorops.layout`); any other T is one dense block.  A
+sum of buckets is a :class:`~wickfock.tensorops.BlockOperator`.  The group
+sum P(S_{n+1}), every descent-class sum P(D_J) and both sides of the
 Euler-Solomon identity are sums of buckets, which :func:`coxeter_checks`
 compares against the independent product constructions of P_{n+1}, U_n
 and P(W_J), read from the :class:`~wickfock.algebra.Algebra` that holds
-the walk.  Every operand stays in the walk's layout, P(W_J) included (built
-per block from the blocks of the recursive P_b), so each residual is the
-largest over the blocks and a weight-preserving T places no dense matrix.
-:func:`check_walk` is the walk's guard, on the operators' entries in the
-layout the walk takes.
+the walk.  The walk factors the group into right cosets of S_m, its group
+sum P(S_m)(1 + T_m + T_m T_{m-1} + ...) level by level, while the
+Algebra's P_{m+1} = (1 (x) P_m) R_{m+1} is the left factorization: the
+group-sum check compares the two.  Every operand stays in the walk's
+layout, P(W_J) included (built per block from the blocks of the recursive
+P_b), so each residual is the largest over the blocks and a
+weight-preserving T places no dense matrix.  :func:`check_walk` is the
+walk's guard, on the operators' entries in the layout the walk takes.
 
 >>> sums = descent_sums(TensorOperator(1, 2, [[0.5]]), 2)  # d=1: phi(w) = q^length(w)
 >>> [s.item().real for s in sums]  # descent sets {}, {1}, {2}, {1, 2}
@@ -68,7 +73,7 @@ __all__ = [
 
 MAX_RANK = 6  # guard: S_7 has 5040 elements
 MAX_WALK_BYTES = 2 * 1024**3  # fixed guard on the matrices one walk keeps live
-WALK_ENTRY_BYTES = 400  # per packed entry, beyond the operators of 16-byte entries
+WALK_ENTRY_BYTES = 480  # per packed entry, beyond the operators of 16-byte entries
 
 
 class BraidConditionError(ValueError):
@@ -76,26 +81,20 @@ class BraidConditionError(ValueError):
     map is not well defined on reduced words."""
 
 
-def _apply_right(perm: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """perm * s_i: swap entries at positions i, i+1 (1-based)."""
-    p = list(perm)
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
-
-
 def check_walk(d: int, n: int, weight: bool = False) -> None:
     """Refuse, before anything is allocated, a walk of S_{n+1} at dimension d
     whose rank lies outside 1..MAX_RANK or whose matrices would hold more
-    than MAX_WALK_BYTES: the 2^n buckets, the products along one path, and
-    the sum and P_{n+1}/U_n, each one operator of 16-byte entries.  In the
-    dense layout an operator has d^(2(n+1)) entries; in the weight layout
-    (``weight``: T is weight-preserving) it has the packed entries of the
-    level (:func:`~wickfock.tensorops._packed_size`), and each entry adds
+    than MAX_WALK_BYTES: the 2^n buckets, the current product of the walk's
+    chain and the next, and the sum and P_{n+1}/U_n, each one operator of
+    16-byte entries.  In the dense layout an operator has d^(2(n+1))
+    entries; in the weight layout (``weight``: T is weight-preserving) it
+    has the packed entries of the level
+    (:func:`~wickfock.tensorops._packed_size`), and each entry adds
     WALK_ENTRY_BYTES for the slot step's tables and index arrays and the
     operands of :func:`coxeter_checks`."""
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
-    held = 2**n + n * (n + 1) // 2 + 3
+    held = 2**n + 5
     if weight:
         entries = _packed_size(d, n + 1)
         need = (16 * held + WALK_ENTRY_BYTES) * entries
@@ -142,30 +141,26 @@ class Walk:
 
 
 def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
-    """One depth-first walk of the canonical-word tree of S_{n+1} from the
-    image ``start`` of the identity, ``apply(i, X)`` giving X T_i: each
-    element of length >= 1 is reached from the shorter element obtained by
-    peeling its smallest descent, so only the 2^n buckets and the products
-    along the current path are live.  Returns the buckets, stacked."""
+    """The descent-class sums of phi over S_{n+1}, from the image ``start``
+    of the identity, ``apply(i, X)`` giving X T_i.  Level by level, bucket J
+    of S_m (a mask over descents 1..m-1) holds the sum of phi(u) over its
+    class; each w = u s_m ... s_k of S_{m+1} has the descents of u below
+    k-1, the descent k when k <= m, and each descent j >= k of u moved to
+    j+1, so bucket J times the chain T_m, T_m T_{m-1}, ..., T_m ... T_1 adds
+    into the buckets K(J, k) of S_{m+1}.  K > J for k <= m, and k = m+1
+    leaves bucket J where it is, so running J downward updates one array in
+    place: sum_{m<=n} m 2^(m-1) calls of ``apply`` (321 at rank 6), with only
+    the buckets and the current chain product live.  Returns the buckets,
+    stacked."""
     sums = np.zeros((2**n, *start.shape), dtype=start.dtype)
-
-    def visit(perm: tuple[int, ...], mask: int, mat: np.ndarray) -> None:
-        sums[mask] += mat
-        for i in range(1, n + 1):
-            if perm[i - 1] < perm[i]:
-                child = _apply_right(perm, i)
-                child_mask = mask | 1 << (i - 1)
-                for j in (i - 1, i + 1):  # the swap moves no other descent
-                    if 1 <= j <= n:
-                        child_mask &= ~(1 << (j - 1))
-                        child_mask |= (child[j - 1] > child[j]) << (j - 1)
-                if child_mask & -child_mask == 1 << (i - 1):
-                    visit(child, child_mask, apply(i, mat))
-
-    try:
-        visit(tuple(range(1, n + 2)), 0, start)
-    finally:
-        del visit  # visit reaches itself through its closure cell; free it now, not at the next gc
+    sums[0] = start
+    for m in range(1, n + 1):
+        for J in range(2 ** (m - 1) - 1, -1, -1):
+            product = sums[J]
+            for k in range(m, 0, -1):
+                product = apply(k, product)
+                below = J & ((1 << (k - 1)) - 1) >> 1  # the descents 1..k-2 of u
+                sums[(J >> (k - 1)) << k | 1 << (k - 1) | below] += product
     return sums
 
 
@@ -173,11 +168,11 @@ def descent_sums(T: TensorOperator, n: int, blocks=None) -> Walk:
     """Sums of phi over the descent classes of S_{n+1}: bucket ``mask`` adds
     phi(w) over the w whose descent set is {i : bit i-1 of mask}.
 
-    One depth-first walk (:func:`_walk`), one application of T_i per group
-    element, with each phi(w) packed in the diagonal blocks ``blocks`` of
-    H^(x)(n+1) (by default the :func:`~wickfock.tensorops.layout` of T: the
-    weight spaces when T is weight-preserving, else one dense block), and right
-    multiplication by T_i the :func:`~wickfock.tensorops.slot_step`.
+    One walk over the descent classes (:func:`_walk`), with each sum packed
+    in the diagonal blocks ``blocks`` of H^(x)(n+1) (by default the
+    :func:`~wickfock.tensorops.layout` of T: the weight spaces when T is
+    weight-preserving, else one dense block), and right multiplication by
+    T_i the :func:`~wickfock.tensorops.slot_step`.
     Refused by :func:`check_walk` before anything is allocated.
     """
     weight = weight_preserving(T)

@@ -11,6 +11,11 @@ definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
   ``test_coxeter.py`` checks them by brute force (``test_enumerate_*``,
   ``test_reduced_word_basics``, ``test_reduced_words_multiply_back``) and
   builds D_J and W_J from them (``test_unique_factorization``).
+- :func:`walk_elements`, the descent-class sums by a depth-first walk of
+  the group, one right multiplication by a T_i per element: the reference
+  for the walk over descent classes, bucket by bucket
+  (``test_descent_sums_match_the_element_walk``) and for its work
+  (``test_walk_makes_one_step_per_class_and_letter``).
 - :func:`phi`, one element along its canonical reduced word: the reference
   for the walk's buckets (``test_descent_sums_extremes``,
   ``test_descent_sums_match_phi_grouped_by_descent_set``,
@@ -68,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wickfock import rewrite
-from wickfock.coxeter import MAX_RANK, _apply_right
+from wickfock.coxeter import MAX_RANK
 from wickfock.fock import GradedVector
 from wickfock.model import SpecError, TensorOperator, WickSpec
 from wickfock.tensorops import _require_level2, apply_slots, longest_word, op_norm, word_product
@@ -81,6 +86,13 @@ class CoxeterElement:
     perm: tuple[int, ...]
     length: int
     word: tuple[int, ...]
+
+
+def _apply_right(perm: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """perm * s_i: swap entries at positions i, i+1 (1-based)."""
+    p = list(perm)
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
 
 
 def inversion_count(perm: tuple[int, ...]) -> int:
@@ -139,6 +151,32 @@ def enumerate_group(n: int) -> list[CoxeterElement]:
         )
     elements.sort(key=lambda e: (e.length, e.perm))
     return elements
+
+
+def walk_elements(n: int, start: np.ndarray, apply) -> np.ndarray:
+    """The descent-class sums of phi over S_{n+1} element by element: one
+    depth-first walk of the canonical-word tree from the image ``start`` of
+    the identity, ``apply(i, X)`` giving X T_i.  Each element of length
+    >= 1 is reached from the shorter element obtained by peeling its
+    smallest descent, and phi(w) is added into the bucket of its descent
+    set: (n+1)! - 1 calls of ``apply``.  Returns the buckets, stacked."""
+    sums = np.zeros((2**n, *start.shape), dtype=start.dtype)
+
+    def visit(perm: tuple[int, ...], mask: int, mat: np.ndarray) -> None:
+        sums[mask] += mat
+        for i in range(1, n + 1):
+            if perm[i - 1] < perm[i]:
+                child = _apply_right(perm, i)
+                child_mask = mask | 1 << (i - 1)
+                for j in (i - 1, i + 1):  # the swap moves no other descent
+                    if 1 <= j <= n:
+                        child_mask &= ~(1 << (j - 1))
+                        child_mask |= (child[j - 1] > child[j]) << (j - 1)
+                if child_mask & -child_mask == 1 << (i - 1):
+                    visit(child, child_mask, apply(i, mat))
+
+    visit(tuple(range(1, n + 2)), 0, start)
+    return sums
 
 
 def phi(T: TensorOperator, element: CoxeterElement, n: int) -> TensorOperator:

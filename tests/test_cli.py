@@ -360,6 +360,26 @@ def test_level_guard_bounds_what_the_weight_blocks_hold_together(tmp_path, capsy
         assert f"over the {1024**3} byte guard" in err and "Traceback" not in err, (args, err)
 
 
+def test_level_both_layouts_refuse_builds_no_T(tmp_path):
+    # q-CCR at d=50, level 6: both layouts refuse the level, so the run stops
+    # before T (d^4 entries) and its weight test take hundreds of MiB, near
+    # the 29 MiB an import takes.  The child reports the peak RSS of its own
+    # address space (VmHWM); getrusage would also count the pages of the
+    # test process it was forked from.
+    d50 = write_spec(tmp_path, "qccr_d50.json", {"d": 50, "preset": {"name": "q-ccr", "q": 0.5}})
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    child = ("import sys\nfrom wickfock.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\nsys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "pn", "--spec", d50, "--n", "6", "--method", "recursive"],
+        env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "hold 9669367129500 entries per operator" in proc.stderr and "Traceback" not in proc.stderr
+    assert int(proc.stdout) < 64 * 1024, proc.stdout  # KiB
+
+
 def test_full_is_guarded_at_the_deepest_dense_report(tmp_path, capsys):
     # at --n-max 4 the Wick-ideal check at n = 4 reads the chain T_1...T_4
     # at level 5, a dense matrix of 156 MB at d=5
@@ -380,11 +400,11 @@ def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeyp
     rotated_d3 = write_spec(tmp_path, "rotated_d3.json", model.to_document(rotated(qccr(3, 0.5), 1)))
     rank7 = f"rank n=7 out of guard range 1..{coxeter.MAX_RANK}"
     guard = f"bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"
-    # a rotated T at d=3, rank 6, is one dense block: 88 matrices of 3^7 x 3^7
-    # complex numbers, about 6.7 GB
-    dense6 = f"d=3 need about {(2**6 + 21 + 3) * 3**14 * 16} {guard}"
-    # q-CCR at d=5, rank 5: 2,241,225 packed entries an operator, about 2.7 GB
-    need5 = (16 * (2**5 + 15 + 3) + coxeter.WALK_ENTRY_BYTES) * 2241225
+    # a rotated T at d=3, rank 6, is one dense block: 69 matrices of 3^7 x 3^7
+    # complex numbers, about 5.3 GB
+    dense6 = f"d=3 need about {(2**6 + 5) * 3**14 * 16} {guard}"
+    # q-CCR at d=5, rank 5: 2,241,225 packed entries an operator, about 2.4 GB
+    need5 = (16 * (2**5 + 5) + coxeter.WALK_ENTRY_BYTES) * 2241225
     weight5 = f"d=5 in weight blocks of 2241225 entries need about {need5} {guard}"
     cases = [
         (["full", "--spec", d2, "--n-max", "8"], rank7),

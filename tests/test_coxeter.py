@@ -277,6 +277,101 @@ def test_packed_walk_matches_dense_walk(d, max_rank, data):
             assert np.linalg.norm(packed - dense, 2) <= 1e-13, (n, T.mat)
 
 
+def assert_matches_element_walk(T, n: int, context) -> None:
+    """Each bucket of descent_sums within 1e-13 of the largest entry of the
+    element-by-element walk, in the same layout.  The scale is the walk's:
+    in a rotated basis a bucket of small entries still carries the rounding
+    of products of entries near 1."""
+    walk = coxeter.descent_sums(T, n)
+    step = tensorops.slot_step(T.mat, T.d, n + 1, walk.blocks)
+    reference = oracles.walk_elements(n, tensorops.packed_identity(walk.blocks), step)
+    scale = np.abs(reference).max()
+    for mask, (got, want) in enumerate(zip(walk.buckets, reference, strict=True)):
+        assert np.abs(got - want).max() <= 1e-13 * scale, (context, n, mask)
+
+
+@pytest.mark.parametrize("d, max_rank", [(2, 5), (3, 3)])
+@given(data=st.data())
+def test_descent_sums_match_the_element_walk(d, max_rank, data):
+    T = model.build_T(data.draw(braided_families(d)))
+    for n in range(1, max_rank + 1):
+        assert_matches_element_walk(T, n, T.mat)
+
+
+@given(q=st.floats(0.0, 1.0, exclude_min=True))
+def test_descent_sums_match_the_element_walk_on_one_dense_block(q):
+    T = model.build_T(rotated(hecke(2, q), 1))
+    for n in range(1, 6):
+        assert coxeter.descent_sums(T, n).record["layout"] == "dense"
+        assert_matches_element_walk(T, n, q)
+
+
+def insert_top(u: tuple, k: int) -> tuple:
+    """u s_m s_{m-1} ... s_k for u in S_m, as a permutation of S_{m+1}: m+1
+    inserted at position k of u's one-line form."""
+    return u[: k - 1] + (len(u) + 1,) + u[k - 1 :]
+
+
+def predicted_descents(u: tuple, k: int) -> set:
+    """The descent set of u s_m ... s_k by the walk's rule: the descents of
+    u below k-1, the descent k when k <= m, each descent j >= k moved up."""
+    m = len(u)
+    Des = oracles.descents(u)
+    return {j for j in Des if j <= k - 2} | ({k} if k <= m else set()) | {j + 1 for j in Des if j >= k}
+
+
+def test_insertion_rule_reaches_each_element_once_with_its_descents():
+    # oracle: brute force over S_m, m <= 6, against S_{m+1}
+    for m in range(2, 7):
+        reached = collections.Counter()
+        for element in oracles.enumerate_group(m - 1):
+            u = element.perm
+            chain = u + (m + 1,)
+            for k in range(m + 1, 0, -1):
+                if k <= m:
+                    chain = oracles._apply_right(chain, k)
+                w = insert_top(u, k)
+                assert chain == w, (u, k)
+                assert oracles.inversion_count(w) == element.length + m + 1 - k, (u, k)
+                assert set(oracles.descents(w)) == predicted_descents(u, k), (u, k)
+                reached[w] += 1
+        assert set(reached) == set(itertools.permutations(range(1, m + 2))), m
+        assert set(reached.values()) == {1}, m
+
+
+def test_walk_sums_each_element_once_into_its_descent_class():
+    # the regular representation of S_{n+1}: X T_i moves the coordinate of
+    # each element w to that of w s_i, so bucket J must be the indicator of
+    # the descent class J, every element counted once
+    for n in range(1, 7):
+        elements = list(itertools.permutations(range(1, n + 2)))
+        index = {w: p for p, w in enumerate(elements)}
+        right = {i: np.array([index[oracles._apply_right(w, i)] for w in elements]) for i in range(1, n + 1)}
+
+        def apply(i, X):
+            out = np.empty_like(X)
+            out[right[i]] = X
+            return out
+
+        start = np.zeros(len(elements), dtype=np.int64)
+        start[index[tuple(range(1, n + 2))]] = 1
+        sums = coxeter._walk(n, start, apply)
+        for w, p in index.items():
+            mask = sum(1 << (s - 1) for s in oracles.descents(w))
+            assert [sums[J, p] for J in range(2**n)] == [int(J == mask) for J in range(2**n)], (n, w)
+
+
+def test_walk_makes_one_step_per_class_and_letter():
+    # sum_{m<=n} m 2^(m-1) right multiplications, against (n+1)! - 1 for the
+    # element-by-element walk
+    for n, steps in zip(range(1, 7), (1, 5, 17, 49, 129, 321), strict=True):
+        calls = []
+        coxeter._walk(n, np.ones(1), lambda i, X: calls.append(i) or X)
+        assert len(calls) == steps == sum(m * 2 ** (m - 1) for m in range(1, n + 1)), n
+        oracles.walk_elements(n, np.ones(1), lambda i, X: calls.append(i) or X)
+        assert len(calls) - steps == math.factorial(n + 1) - 1, n
+
+
 def test_walk_layout_detection():
     weight = [spec for _, spec in braided_presets()] + [
         hecke(2, 0.6), hecke(3, 0.8), twisted_flip(2, seed=1), twisted_flip(3, seed=2),
@@ -409,9 +504,10 @@ def packed_entries(d: int, level: int) -> int:
 
 
 def walk_bytes(d: int, n: int, weight: bool) -> int:
-    """The walk guard's estimate: 2^n buckets, n(n+1)/2 path products and 3
-    more operators of 16-byte entries, plus WALK_ENTRY_BYTES a packed entry."""
-    held = 2**n + n * (n + 1) // 2 + 3
+    """The walk guard's estimate: 2^n buckets, the chain's product and the
+    next, and 3 more operators of 16-byte entries, plus WALK_ENTRY_BYTES a
+    packed entry."""
+    held = 2**n + 5
     if weight:
         return (16 * held + coxeter.WALK_ENTRY_BYTES) * packed_entries(d, n + 1)
     return 16 * held * d ** (2 * (n + 1))
@@ -426,9 +522,9 @@ def test_descent_sums_guards():
             coxeter.descent_sums(T, n)
     coxeter.check_walk(2, coxeter.MAX_RANK)
     coxeter.check_walk(3, 5)
-    # d=3 at n=6: in weight blocks 272,835 entries an operator, about 490 MB
-    # (459 MiB peak RSS measured for `coxeter --n 6`); a rotated T is one
-    # dense block, 88 matrices of 3^7 x 3^7, about 6.7 GB, refused before
+    # d=3 at n=6: in weight blocks 272,835 entries an operator, about 432 MB
+    # (382 MiB peak RSS measured for `coxeter --n 6`); a rotated T is one
+    # dense block, 69 matrices of 3^7 x 3^7, about 5.3 GB, refused before
     # anything is allocated
     assert packed_entries(3, 7) == 272835
     coxeter.check_walk(3, 6, weight=True)
