@@ -4,8 +4,9 @@ Builds the coefficient operator T and its amplifications, the row sums R_n,
 the positivity operators P_n, the Coxeter-group sums behind them, and the
 longest-element operator U_n; certifies numerically that the kernel of the
 Fock inner product at each degree equals the sum of the kernels of 1 + T_k;
-and cross-validates the operator-side inner product against a Wick-ordering
-rewrite engine on the abstract algebra.
+and cross-validates the operator-side inner product against the Fock
+functional, evaluated on free words of the abstract algebra by the Wick
+rewrite rule.
 """
 
 __version__ = "0.1.0"

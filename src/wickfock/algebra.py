@@ -1,14 +1,17 @@
 """The algebra of one run, which the certification reports in
 :mod:`spectral`, :mod:`fock` and :func:`coxeter.coxeter_checks` take; the
-primitives in :mod:`tensorops` and :mod:`coxeter` take its ``T``, and the
-rewrite engine its ``spec``."""
+primitives in :mod:`tensorops` and :mod:`coxeter` take its ``T``, and its
+Fock functional (:class:`rewrite.FockFunctional`) its ``spec``."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from . import coxeter
 from .model import WickSpec, build_T
+from .rewrite import FockFunctional
 from .spectral import Subspace, kernel
 from .tensorops import (
     MAX_LEVEL_BYTES,
@@ -52,6 +55,12 @@ class Algebra:
         self.T.mat.flags.writeable = False
         self.weight = weight_preserving(self.T)
         self._memo: dict = {}
+
+    @cached_property
+    def f(self) -> FockFunctional:
+        """The Fock functional on free words, with one memo of word values
+        for the life of this algebra."""
+        return FockFunctional(self.spec)
 
     def check_level(self, level: int) -> None:
         """The level guard for the operators this algebra builds."""

@@ -157,7 +157,7 @@ def _suite_rewrite_cross(alg: Algebra, checks: _Checks, max_degree: int, tol: fl
     worst = 0.0
     for wx in words:
         for wy in words:
-            via_f = rewrite.inner_via_f(alg.spec, {wx: 1.0 + 0j}, {wy: 1.0 + 0j})
+            via_f = rewrite.inner_via_f(alg, {wx: 1.0 + 0j}, {wy: 1.0 + 0j})
             worst = max(worst, abs(via_f - fock.fock_inner(alg, vectors[wx], vectors[wy])))
     checks.add_residual("rewrite_fock_agreement", {"max_degree": max_degree}, worst, tol)
 
@@ -215,18 +215,19 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     elif args.command == "coxeter":
         _suite_coxeter(alg, checks, args.n, tol)
     elif args.command == "inner":
-        via_f = rewrite.inner_via_f(spec, X, Y)
+        via_f = rewrite.inner_via_f(alg, X, Y)
         gx = rewrite.creation_vector(X, spec.d, top)
         gy = rewrite.creation_vector(Y, spec.d, top)
         via_fock = fock.fock_inner(alg, gx, gy)
+        bound = tol * max(1.0, abs(via_fock))  # relative once |<X, Y>_0| > 1
         checks.add(
             "inner_product",
             {"x": args.x, "y": args.y},
-            "pass" if abs(via_f - via_fock) <= tol else "fail",
+            "pass" if abs(via_f - via_fock) <= bound else "fail",
             via_functional={"re": via_f.real, "im": via_f.imag},
             via_fock={"re": via_fock.real, "im": via_fock.imag},
             difference=abs(via_f - via_fock),
-            tolerance=tol,
+            tolerance=bound,
         )
     elif args.command == "full":
         n_max = args.n_max

@@ -1,4 +1,4 @@
-"""Wick-ordering rewrite engine on the abstract *-algebra.
+"""The Fock functional on the abstract *-algebra, evaluated on free words.
 
 Free words are tuples of letters ``(index, starred)`` with 0-based generator
 indices; a starred letter is an annihilator ``a_i*``.  The single rewrite
@@ -8,18 +8,25 @@ rule replaces an adjacent pair ``a_i* a_j`` by
 
 and the canonical strategy always rewrites the leftmost such pair.  Every
 step strictly lowers the inversion count, the number of (starred,
-unstarred) letter pairs with the starred letter on the left: the T branch
-swaps one adjacent pair, so the count drops by exactly 1, and the delta
-branch deletes the pair, so it drops by at least 1.  Rewriting therefore
-terminates, and the normal form is a polynomial in Wick ordered monomials
-(all plain letters before all starred ones), the words of count 0.
+unstarred) letter pairs with the starred letter on the left, so rewriting
+terminates in a polynomial of Wick ordered monomials (all plain letters
+before all starred ones).  The Fock functional ``f`` is the coefficient of
+the empty monomial in that normal form, and ``<X, Y>_0 = f(X* Y)``.
 
-:func:`normal_order` uses the same bound to rewrite each distinct word
-once: pending words wait in buckets keyed by inversion count, each a
-word -> coefficient map; the pass pops the highest bucket, rewrites every
-word in it once with its merged coefficient, and adds the results into
-lower buckets.  A popped bucket is complete, since every contribution to
-its words came from a higher one.
+:class:`FockFunctional` evaluates ``f`` without forming the normal form:
+
+- ``f(()) = 1``;
+- ``f(w) = 0`` when ``w`` starts with a plain letter or ends with a starred
+  one, since the rule never touches a leading creation letter or a trailing
+  annihilation letter;
+- ``f(w) = 0`` when ``w`` has more starred than plain letters or fewer,
+  since both branches of the rule keep the difference;
+- otherwise one leftmost step: ``f(w) = delta_ij f(pre suf) +
+  sum_kl T_ij^kl f(pre a_l a_k* suf)``.
+
+Each word is expanded once and its value kept for the life of the
+functional; an :class:`~wickfock.algebra.Algebra` holds one, so a run shares
+it across every pair it evaluates.
 
 Text syntax (1-based, for the CLI): words are space-separated tokens such
 as ``a1 a2* a1*``, the unit is ``1``, and linear combinations are JSON
@@ -36,25 +43,22 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING
 
 from .model import SpecError, WickSpec, _as_float
+
+if TYPE_CHECKING:
+    from .algebra import Algebra
 
 __all__ = [
     "Letter",
     "FreeWord",
-    "WickMonomial",
-    "WickPolynomial",
+    "FockFunctional",
     "parse_word",
     "parse_word_expr",
     "format_word",
     "star",
     "free_mul",
-    "redex_position",
-    "rewrite_step",
-    "normal_order",
-    "fock_functional",
     "inner_via_f",
     "creation_vector",
 ]
@@ -64,61 +68,6 @@ FreeWord = tuple[Letter, ...]
 FreePolynomial = dict[FreeWord, complex]
 
 _TOKEN = re.compile(r"^a([1-9][0-9]*)(\*)?$")
-
-
-class WickMonomial(NamedTuple):
-    """A Wick ordered monomial: creation indices then annihilation indices,
-    each a tuple of 0-based generator indices."""
-
-    creation: tuple[int, ...]
-    annihilation: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.creation) + len(self.annihilation)
-
-    def to_word(self) -> FreeWord:
-        return tuple((i, False) for i in self.creation) + tuple(
-            (j, True) for j in self.annihilation
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class WickPolynomial:
-    """A finite linear combination of Wick ordered monomials.
-
-    Exact zero coefficients are pruned at construction; near-zeros are kept
-    so that every tolerance decision happens in comparisons, not storage.
-    Iteration follows (degree, creation word, annihilation word).
-    """
-
-    terms: Mapping[WickMonomial, complex] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        cleaned = {m: complex(c) for m, c in self.terms.items() if c != 0}
-        object.__setattr__(self, "terms", cleaned)
-
-    def canonical_items(self) -> list[tuple[WickMonomial, complex]]:
-        return sorted(
-            self.terms.items(), key=lambda mc: (mc[0].degree, mc[0].creation, mc[0].annihilation)
-        )
-
-    def coefficient(self, m: WickMonomial) -> complex:
-        return self.terms.get(m, 0j)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WickPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "WickPolynomial(0)"
-        parts = [
-            f"({c.real:+g}{c.imag:+g}j)*{format_word(m.to_word())}"
-            for m, c in self.canonical_items()
-        ]
-        return "WickPolynomial(" + " ".join(parts) + ")"
 
 
 def parse_word(text: str) -> FreeWord:
@@ -159,10 +108,14 @@ def parse_word_expr(text: str, d: int) -> FreePolynomial:
     else:
         poly[parse_word(text)] = 1.0 + 0j
     for word in poly:
-        for idx, _ in word:
-            if not 0 <= idx < d:
-                raise SpecError(f"generator a{idx + 1} out of range 1..{d}")
+        _check_indices(word, d)
     return poly
+
+
+def _check_indices(word: FreeWord, d: int) -> None:
+    for idx, _ in word:
+        if not 0 <= idx < d:
+            raise SpecError(f"generator a{idx + 1} out of range 1..{d}")
 
 
 def format_word(word: FreeWord) -> str:
@@ -177,15 +130,7 @@ def _star_word(word: FreeWord) -> FreeWord:
 
 def star(p):
     """The involution: reverse each word, toggle stars, conjugate
-    coefficients.  Accepts a free word, a free polynomial, or a
-    WickPolynomial (whose image is again Wick ordered)."""
-    if isinstance(p, WickPolynomial):
-        return WickPolynomial(
-            {
-                WickMonomial(tuple(reversed(m.annihilation)), tuple(reversed(m.creation))): c.conjugate()
-                for m, c in p.terms.items()
-            }
-        )
+    coefficients.  Accepts a free word or a free polynomial."""
     if isinstance(p, tuple):
         return _star_word(p)
     if isinstance(p, dict):
@@ -207,88 +152,73 @@ def free_mul(p: FreePolynomial, q: FreePolynomial) -> FreePolynomial:
     return out
 
 
-def redex_position(word: FreeWord) -> int | None:
-    """Index of the leftmost adjacent (starred, unstarred) pair, or None if
-    the word is already Wick ordered."""
-    for t in range(len(word) - 1):
-        if word[t][1] and not word[t + 1][1]:
-            return t
-    return None
+def _live(key: str) -> bool:
+    """False when f = 0 on the word because it starts with a plain letter
+    or ends with a starred one."""
+    return not key or (ord(key[0]) & 1 == 1 and ord(key[-1]) & 1 == 0)
 
 
-def rewrite_step(spec: WickSpec, word: FreeWord, t: int) -> FreePolynomial:
-    """Apply the basic relation to the pair at position t (which must be a
-    starred letter followed by an unstarred one)."""
-    (i, si), (j, sj) = word[t], word[t + 1]
-    if not (si and not sj):
-        raise ValueError(f"position {t} is not an a_i* a_j pair in {format_word(word)}")
-    prefix, suffix = word[:t], word[t + 2 :]
-    out: FreePolynomial = {}
-    if i == j:
-        w = prefix + suffix
-        out[w] = out.get(w, 0j) + 1.0
-    for (a, b, k, l), c in spec.coeffs.items():
-        if (a, b) != (i, j):
-            continue
-        w = prefix + ((l, False), (k, True)) + suffix
-        out[w] = out.get(w, 0j) + c
-    return out
+class FockFunctional:
+    """The Fock functional f of one spec on free words, each word's value
+    kept once computed.
 
+    ``values`` maps each word met so far to f.  Words are kept as strings,
+    one character per letter: ``chr(2 i)`` for ``a_i`` and ``chr(2 i + 1)``
+    for ``a_i*``, so slicing, joining and hashing a word stay in C and a
+    letter takes a byte for d < 128.
 
-def _inversions(word: FreeWord) -> int:
-    """The number of (starred, unstarred) letter pairs with the starred
-    letter on the left; zero exactly when the word is Wick ordered."""
-    count = starred = 0
-    for _, s in word:
-        if s:
-            starred += 1
-        else:
-            count += starred
-    return count
+    >>> from wickfock.model import preset
+    >>> f = FockFunctional(preset("q-ccr", 1, q=0.5))
+    >>> f(parse_word("a1* a1* a1 a1")).real  # [2]_q! = 1 + q
+    1.5
+    """
 
+    def __init__(self, spec: WickSpec) -> None:
+        self.d = spec.d
+        # each redex a_i* a_j -> its terms (replacement, coefficient): the
+        # empty word when i == j, and a_l a_k* with T_ij^kl
+        self._rules: dict[str, list[tuple[str, complex]]] = {
+            chr(2 * i + 1) + chr(2 * i): [("", 1.0)] for i in range(spec.d)
+        }
+        for (i, j, k, l), c in spec.coeffs.items():
+            if c != 0:
+                redex = chr(2 * i + 1) + chr(2 * j)
+                self._rules.setdefault(redex, []).append((chr(2 * l) + chr(2 * k + 1), c))
+        self.values: dict[str, complex] = {"": 1.0 + 0j}
 
-def normal_order(spec: WickSpec, w) -> WickPolynomial:
-    """Wick order a free word or a linear combination of free words,
-    rewriting the leftmost redex of each distinct word once, with its
-    merged coefficient, from the most inversions down."""
-    if isinstance(w, tuple):
-        w = {w: 1.0 + 0j}
-    elif not isinstance(w, dict):
-        raise TypeError(f"cannot normal order a {type(w).__name__}")
-    # pending words by inversion count; every step lowers the count, so a
-    # popped bucket can receive nothing more
-    buckets: dict[int, FreePolynomial] = {}
+    def __call__(self, word: FreeWord) -> complex:
+        _check_indices(word, self.d)
+        key = "".join(chr(2 * i + starred) for i, starred in word)
+        if 2 * sum(s for _, s in word) != len(word) or not _live(key):
+            return 0j
+        values = self.values
+        # post-order on an explicit stack: a word's frame carries its terms
+        # once expanded, and is summed after every term has a value
+        stack: list[tuple[str, list | None]] = [(key, None)]
+        while stack:
+            w, terms = stack.pop()
+            if terms is not None:
+                values[w] = sum((c * values[child] for c, child in terms), 0j)
+            elif w not in values:
+                terms = self._expand(w)
+                stack.append((w, terms))
+                stack.extend((child, None) for _, child in terms if child not in values)
+        return values[key]
 
-    def add(word: FreeWord, coeff: complex) -> None:
-        bucket = buckets.setdefault(_inversions(word), {})
-        bucket[word] = bucket.get(word, 0j) + coeff
-
-    for word, coeff in w.items():
-        for idx, _starred in word:
-            if not 0 <= idx < spec.d:
-                raise SpecError(f"generator a{idx + 1} out of range 1..{spec.d}")
-        add(word, complex(coeff))
-    result: dict[WickMonomial, complex] = {}
-    while buckets:
-        for word, coeff in buckets.pop(max(buckets)).items():
-            if coeff == 0:
-                continue
-            t = redex_position(word)
-            if t is None:
-                mono = WickMonomial(
-                    tuple(i for i, s in word if not s), tuple(i for i, s in word if s)
-                )
-                result[mono] = coeff
-            else:
-                for new_word, c in rewrite_step(spec, word, t).items():
-                    add(new_word, coeff * c)
-    return WickPolynomial(result)
-
-
-def fock_functional(p: WickPolynomial) -> complex:
-    """The Fock state: 1 on the empty monomial, 0 on every other Wick
-    ordered monomial."""
-    return p.coefficient(WickMonomial((), ()))
+    def _expand(self, key: str) -> list[tuple[complex, str]]:
+        """The live terms of one leftmost step on a live word of two or more
+        letters, whose leftmost redex closes its leading run of starred
+        letters."""
+        t = 1
+        while ord(key[t]) & 1:
+            t += 1
+        pre, suf = key[: t - 1], key[t + 1 :]
+        terms = []
+        for replacement, c in self._rules.get(key[t - 1 : t + 1], ()):
+            child = pre + replacement + suf
+            if _live(child):
+                terms.append((c, child))
+        return terms
 
 
 def _require_creation_only(p: FreePolynomial, name: str) -> None:
@@ -297,11 +227,12 @@ def _require_creation_only(p: FreePolynomial, name: str) -> None:
             raise ValueError(f"{name} must be creation-only, got {format_word(word)}")
 
 
-def inner_via_f(spec: WickSpec, X: FreePolynomial, Y: FreePolynomial) -> complex:
-    """< X, Y >_0 = f(X* Y) for creation-only polynomials X, Y."""
+def inner_via_f(alg: Algebra, X: FreePolynomial, Y: FreePolynomial) -> complex:
+    """< X, Y >_0 = f(X* Y) for creation-only polynomials X, Y, by the
+    algebra's Fock functional."""
     _require_creation_only(X, "X")
     _require_creation_only(Y, "Y")
-    return fock_functional(normal_order(spec, free_mul(star(X), Y)))
+    return sum((c * alg.f(w) for w, c in free_mul(star(X), Y).items()), 0j)
 
 
 def creation_vector(p: FreePolynomial, d: int, N: int):

@@ -52,12 +52,18 @@ definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
   ``test_blocked_reports_on_one_dense_block``).
 - :func:`annihilate_mu`, the free left contraction, which ``fock.annihilate``
   must equal when T = 0 (``test_annihilate_free_reduces_to_mu``).
+- :func:`normal_order`, Wick ordering into a :class:`WickPolynomial` by the
+  leftmost rewrite step (:func:`rewrite_step`), each distinct word once from
+  the most inversions down, and :func:`fock_functional`, its vacuum
+  coefficient: the reference for ``rewrite.FockFunctional``, which
+  evaluates f without the normal form
+  (``test_fock_functional_matches_the_normal_form``), and for confluence
+  (``conftest.max_confluence_defect``, acceptance criterion 09).
 - :func:`normal_order_paths`, Wick ordering path by path, each word rewritten
   again every time a path reaches it: the reference for the merged pass of
-  ``rewrite.normal_order`` (``test_normal_order_matches_the_path_expansion``,
+  :func:`normal_order` (``test_normal_order_matches_the_path_expansion``,
   ``test_normal_order_matches_the_path_expansion_on_braided_families``,
-  ``test_normal_order_matches_the_path_expansion_on_rotated_hecke``) and for
-  its work (``test_normal_order_rewrites_each_distinct_word_once``).
+  ``test_normal_order_matches_the_path_expansion_on_rotated_hecke``).
 
 >>> reduced_word((3, 2, 1))
 (1, 2, 1)
@@ -68,7 +74,8 @@ definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -299,36 +306,185 @@ def annihilate_mu(i: int, v: GradedVector) -> GradedVector:
     return GradedVector(d, tuple(out))
 
 
-def normal_order_paths(spec: WickSpec, w) -> rewrite.WickPolynomial:
-    """Wick order a free word or a linear combination of free words,
-    rewriting the leftmost redex until none remains, one path of the
-    rewrite tree at a time."""
+class WickMonomial(NamedTuple):
+    """A Wick ordered monomial: creation indices then annihilation indices,
+    each a tuple of 0-based generator indices."""
+
+    creation: tuple[int, ...]
+    annihilation: tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.creation) + len(self.annihilation)
+
+    def to_word(self) -> rewrite.FreeWord:
+        return tuple((i, False) for i in self.creation) + tuple(
+            (j, True) for j in self.annihilation
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class WickPolynomial:
+    """A finite linear combination of Wick ordered monomials.
+
+    Exact zero coefficients are pruned at construction; near-zeros are kept
+    so that every tolerance decision happens in comparisons, not storage.
+    Iteration follows (degree, creation word, annihilation word).
+    """
+
+    terms: Mapping[WickMonomial, complex] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        cleaned = {m: complex(c) for m, c in self.terms.items() if c != 0}
+        object.__setattr__(self, "terms", cleaned)
+
+    def canonical_items(self) -> list[tuple[WickMonomial, complex]]:
+        return sorted(
+            self.terms.items(), key=lambda mc: (mc[0].degree, mc[0].creation, mc[0].annihilation)
+        )
+
+    def coefficient(self, m: WickMonomial) -> complex:
+        return self.terms.get(m, 0j)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WickPolynomial):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "WickPolynomial(0)"
+        parts = [
+            f"({c.real:+g}{c.imag:+g}j)*{rewrite.format_word(m.to_word())}"
+            for m, c in self.canonical_items()
+        ]
+        return "WickPolynomial(" + " ".join(parts) + ")"
+
+
+def _monomial(word: rewrite.FreeWord) -> WickMonomial:
+    """The monomial of a Wick ordered word."""
+    return WickMonomial(tuple(i for i, s in word if not s), tuple(i for i, s in word if s))
+
+
+def star(p):
+    """The involution on free words and polynomials (``rewrite.star``) and
+    on WickPolynomials, whose image is again Wick ordered."""
+    if isinstance(p, WickPolynomial):
+        return WickPolynomial(
+            {
+                WickMonomial(tuple(reversed(m.annihilation)), tuple(reversed(m.creation))): c.conjugate()
+                for m, c in p.terms.items()
+            }
+        )
+    return rewrite.star(p)
+
+
+def redex_position(word: rewrite.FreeWord) -> int | None:
+    """Index of the leftmost adjacent (starred, unstarred) pair, or None if
+    the word is already Wick ordered."""
+    for t in range(len(word) - 1):
+        if word[t][1] and not word[t + 1][1]:
+            return t
+    return None
+
+
+def rewrite_step(spec: WickSpec, word: rewrite.FreeWord, t: int) -> dict:
+    """Apply the basic relation to the pair at position t (which must be a
+    starred letter followed by an unstarred one), scanning every
+    coefficient of the spec."""
+    (i, si), (j, sj) = word[t], word[t + 1]
+    if not (si and not sj):
+        raise ValueError(f"position {t} is not an a_i* a_j pair in {rewrite.format_word(word)}")
+    prefix, suffix = word[:t], word[t + 2 :]
+    out: dict = {}
+    if i == j:
+        w = prefix + suffix
+        out[w] = out.get(w, 0j) + 1.0
+    for (a, b, k, l), c in spec.coeffs.items():
+        if (a, b) != (i, j):
+            continue
+        w = prefix + ((l, False), (k, True)) + suffix
+        out[w] = out.get(w, 0j) + c
+    return out
+
+
+def _inversions(word: rewrite.FreeWord) -> int:
+    """The number of (starred, unstarred) letter pairs with the starred
+    letter on the left; zero exactly when the word is Wick ordered."""
+    count = starred = 0
+    for _, s in word:
+        if s:
+            starred += 1
+        else:
+            count += starred
+    return count
+
+
+def _pending(spec: WickSpec, w) -> list[tuple[rewrite.FreeWord, complex]]:
+    """The words of a free word or polynomial with their coefficients,
+    after the index guard."""
     if isinstance(w, tuple):
-        pending: list[tuple[rewrite.FreeWord, complex]] = [(w, 1.0 + 0j)]
-    elif isinstance(w, dict):
-        pending = [(word, complex(c)) for word, c in w.items()]
-    else:
+        w = {w: 1.0 + 0j}
+    elif not isinstance(w, dict):
         raise TypeError(f"cannot normal order a {type(w).__name__}")
-    for word, _ in pending:
+    for word in w:
         for idx, _starred in word:
             if not 0 <= idx < spec.d:
                 raise SpecError(f"generator a{idx + 1} out of range 1..{spec.d}")
+    return [(word, complex(c)) for word, c in w.items()]
 
-    result: dict[rewrite.WickMonomial, complex] = {}
+
+def normal_order(spec: WickSpec, w) -> WickPolynomial:
+    """Wick order a free word or a linear combination of free words,
+    rewriting the leftmost redex of each distinct word once, with its
+    merged coefficient, from the most inversions down (every step lowers
+    the count, so a popped bucket can receive nothing more)."""
+    buckets: dict[int, dict] = {}
+
+    def add(word: rewrite.FreeWord, coeff: complex) -> None:
+        bucket = buckets.setdefault(_inversions(word), {})
+        bucket[word] = bucket.get(word, 0j) + coeff
+
+    for word, coeff in _pending(spec, w):
+        add(word, coeff)
+    result: dict[WickMonomial, complex] = {}
+    while buckets:
+        for word, coeff in buckets.pop(max(buckets)).items():
+            if coeff == 0:
+                continue
+            t = redex_position(word)
+            if t is None:
+                result[_monomial(word)] = coeff
+            else:
+                for new_word, c in rewrite_step(spec, word, t).items():
+                    add(new_word, coeff * c)
+    return WickPolynomial(result)
+
+
+def fock_functional(p: WickPolynomial) -> complex:
+    """The Fock state: 1 on the empty monomial, 0 on every other Wick
+    ordered monomial."""
+    return p.coefficient(WickMonomial((), ()))
+
+
+def normal_order_paths(spec: WickSpec, w) -> WickPolynomial:
+    """Wick order a free word or a linear combination of free words,
+    rewriting the leftmost redex until none remains, one path of the
+    rewrite tree at a time."""
+    pending = _pending(spec, w)
+    result: dict[WickMonomial, complex] = {}
     while pending:
         word, coeff = pending.pop()
         if coeff == 0:
             continue
-        t = rewrite.redex_position(word)
+        t = redex_position(word)
         if t is None:
-            mono = rewrite.WickMonomial(
-                tuple(i for i, s in word if not s), tuple(i for i, s in word if s)
-            )
+            mono = _monomial(word)
             result[mono] = result.get(mono, 0j) + coeff
         else:
-            for new_word, c in rewrite.rewrite_step(spec, word, t).items():
+            for new_word, c in rewrite_step(spec, word, t).items():
                 pending.append((new_word, coeff * c))
-    return rewrite.WickPolynomial(result)
+    return WickPolynomial(result)
 
 
 def young_sum(alg, n: int, J: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import hecke, qccr, rotated
-from wickfock import cli, coxeter, model
+from wickfock import cli, coxeter, model, rewrite
 from wickfock.algebra import Algebra
 
 
@@ -167,14 +167,17 @@ def test_reports_say_which_walk_ran(qccr_path, tmp_path):
 
 
 def test_full_on_a_dense_T_runs_the_degree_3_rewrite_cross_check(tmp_path):
-    # rotated Hecke mixes every basis tensor; the rewrite engine merges
-    # equal words, so the degree-3 cross-check of full --n-max 3 stays quick
-    path = write_spec(tmp_path, "rotated.json", model.to_document(rotated(hecke(2, 0.6), 1)))
-    code, report = run(["full", "--spec", path, "--n-max", "3"], tmp_path)
-    assert code == 0
-    [cross] = [c for c in report["checks"] if c["name"] == "rewrite_fock_agreement"]
-    assert cross["params"] == {"max_degree": 3}
-    assert cross["status"] == "pass"
+    # rotated Hecke mixes every basis tensor, so each a_i* a_j has d^2
+    # coefficients; the Fock functional expands each word once per run, so
+    # the degree-3 cross-check of full --n-max 3 stays quick at d=3 too
+    for d in (2, 3):
+        doc = model.to_document(rotated(hecke(d, 0.6), 1))
+        path = write_spec(tmp_path, f"rotated{d}.json", doc)
+        code, report = run(["full", "--spec", path, "--n-max", "3"], tmp_path, f"report{d}.json")
+        assert code == 0
+        [cross] = [c for c in report["checks"] if c["name"] == "rewrite_fock_agreement"]
+        assert cross["params"] == {"max_degree": 3}
+        assert cross["status"] == "pass"
 
 
 def test_inner_command(qccr_path, tmp_path):
@@ -186,6 +189,33 @@ def test_inner_command(qccr_path, tmp_path):
     assert abs(check["via_functional"]["re"] - 1.5) <= 1e-12
     assert abs(check["via_fock"]["re"] - 1.5) <= 1e-12
     assert check["difference"] <= 1e-9
+
+
+@pytest.mark.parametrize("q, degree", [(0.9, 15), (0.5, 30), (0.7, 25), (0.5, 60)])
+def test_inner_tolerance_is_relative_to_the_inner_product(tmp_path, q, degree):
+    # <a1^n, a1^n>_0 = [n]_q! reaches 1e17 at q=0.5, n=60, where the two
+    # routes differ by a few ulp, far above an absolute 1e-8
+    path = write_spec(tmp_path, "qccr1.json", {"d": 1, "preset": {"name": "q-ccr", "q": q}})
+    word = " ".join(["a1"] * degree)
+    code, report = run(["inner", "--spec", path, "--x", word, "--y", word], tmp_path)
+    assert code == 0
+    [check] = report["checks"]
+    via_fock = abs(complex(check["via_fock"]["re"], check["via_fock"]["im"]))
+    assert via_fock > 1e8
+    assert check["tolerance"] == 1e-8 * via_fock
+    assert check["difference"] <= check["tolerance"]
+
+
+def test_inner_fails_on_a_relative_error(tmp_path, monkeypatch):
+    path = write_spec(tmp_path, "qccr1.json", {"d": 1, "preset": {"name": "q-ccr", "q": 0.9}})
+    word = " ".join(["a1"] * 15)
+    inner = rewrite.inner_via_f
+    monkeypatch.setattr(rewrite, "inner_via_f", lambda *args: inner(*args) * (1 + 1e-6))
+    code, report = run(["inner", "--spec", path, "--x", word, "--y", word], tmp_path)
+    assert code == 1
+    [check] = report["checks"]
+    assert check["status"] == "fail"
+    assert check["difference"] > check["tolerance"] > 1e-8
 
 
 def test_inner_rejects_bad_expression(qccr_path):
