@@ -16,12 +16,15 @@ from .spectral import Subspace, kernel
 from .tensorops import (
     MAX_LEVEL_BYTES,
     BlockOperator,
+    braid_residual,
     check_level,
     layout,
     longest_word,
+    op_norm,
     packed_identity,
     slot_step,
     weight_preserving,
+    word_product,
 )
 
 __all__ = ["MAX_LEVEL_BYTES", "check_level", "Algebra"]
@@ -29,17 +32,18 @@ __all__ = ["MAX_LEVEL_BYTES", "check_level", "Algebra"]
 
 class Algebra:
     """A spec with its ``T``, the block layout of each level
-    (:func:`~wickfock.tensorops.layout`), and R_n, P_n, U_n, ker P_n, the
-    walk of S_{n+1} (:func:`coxeter.descent_sums`) and the group sum
-    P(S_{n+1}), each built read-only on first use, after the level guard
-    (:func:`check_level`: when T is weight-preserving, on the largest block
-    and on what the blocks of one operator hold together).
+    (:func:`~wickfock.tensorops.layout`), R_n, P_n, the words in the T_i
+    (U_n among them), ker P_n, the walk of S_{n+1} (:func:`coxeter.descent_sums`)
+    and the group sum P(S_{n+1}), each built read-only on first use, after
+    the level guard (:func:`check_level`: when T is weight-preserving, on
+    the largest block and on what the blocks of one operator hold together).
     A second call returns the same object, so each rank is walked once.
 
-    R_n, P_n and U_n are :class:`~wickfock.tensorops.BlockOperator` values
-    built block by block: R_n and U_n by the slot step of ``T``, and
-    P_{n+1} = (1 (x) P_n) R_{n+1}, where 1 (x) P_n on the words a w of a
-    block is P_n on the block of the words w.
+    R_n, P_n and the words are :class:`~wickfock.tensorops.BlockOperator`
+    values built block by block: R_n and the words by the slot step of ``T``,
+    and P_{n+1} = (1 (x) P_n) R_{n+1}, where 1 (x) P_n on the words a w of a
+    block is P_n on the block of the words w.  The hypotheses of the reports,
+    the braid residual and the norm of ``T``, are taken once.
 
     >>> from wickfock.model import preset
     >>> alg = Algebra(preset("q-ccr", 1, q=0.5))
@@ -55,6 +59,16 @@ class Algebra:
         self.T.mat.flags.writeable = False
         self.weight = weight_preserving(self.T)
         self._memo: dict = {}
+
+    @cached_property
+    def braid_residual(self) -> float:
+        """The braid residual of T (:func:`~wickfock.tensorops.braid_residual`)."""
+        return braid_residual(self.T)
+
+    @cached_property
+    def norm_T(self) -> float:
+        """The operator norm of T."""
+        return op_norm(self.T)
 
     @cached_property
     def f(self) -> FockFunctional:
@@ -75,24 +89,19 @@ class Algebra:
     def layout(self, level: int) -> tuple:
         return self._get(("layout", level), level, lambda: layout(self.T.d, level, self.weight))
 
-    def _blocks(self, level: int, build) -> BlockOperator:
-        """The operator that ``build(step, eye)`` returns packed, given the
-        slot step of T and the identity in the layout of the level."""
-        blocks = self.layout(level)
-        packed = build(slot_step(self.T.mat, self.T.d, level, blocks), packed_identity(blocks))
-        return BlockOperator.from_packed(self.T.d, level, blocks, packed)
-
     def R(self, n: int) -> BlockOperator:
         """R_n = 1 + T_1 + T_1 T_2 + ... + T_1 ... T_{n-1}; R_0 = R_1 = 1."""
 
-        def build(step, term):
+        def build():
+            blocks = self.layout(n)
+            step, term = slot_step(self.T.mat, self.T.d, n, blocks), packed_identity(blocks)
             total = term
             for i in range(1, n):
                 term = step(i, term)
                 total = total + term
-            return total
+            return BlockOperator.from_packed(self.T.d, n, blocks, total)
 
-        return self._get(("R", n), n, lambda: self._blocks(n, build))
+        return self._get(("R", n), n, build)
 
     def P(self, n: int) -> BlockOperator:
         """P_n by P_{n+1} = (1 (x) P_n) R_{n+1}, from P_0 = P_1 = 1."""
@@ -103,7 +112,7 @@ class Algebra:
         a w start with one letter a are those of R_n times the block of
         P_{n-1} that holds the words w."""
         if n < 2:
-            return self._blocks(n, lambda step, eye: eye)
+            return self.word((), n)
         below, R = self.P(n - 1), self.R(n)
         k = self.T.d ** (n - 1)
         home = {int(w[0]): b for b, w in enumerate(below.words)}  # first word -> its block
@@ -116,17 +125,16 @@ class Algebra:
             mats.append(out)
         return BlockOperator(self.T.d, n, R.words, mats)
 
+    def word(self, word, level: int) -> BlockOperator:
+        """T_{w_1} ... T_{w_k} on H^(x)level in the layout of the level."""
+        key = ("word", tuple(word), level)
+        return self._get(key, level, lambda: word_product(self.T, key[1], level, self.layout(level)))
+
     def U(self, n: int) -> BlockOperator:
         """U_n = (T_1 ... T_n)(T_1 ... T_{n-1}) ... (T_1 T_2) T_1 on H^(x)(n+1)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-
-        def build(step, acc):
-            for i in longest_word(n):
-                acc = step(i, acc)
-            return acc
-
-        return self._get(("U", n), n + 1, lambda: self._blocks(n + 1, build))
+        return self.word(longest_word(n), n + 1)
 
     def ker_P(self, n: int, rank_tol: float) -> Subspace:
         return self._get(("ker_P", n, rank_tol), n, lambda: kernel(self.P(n), rank_tol))

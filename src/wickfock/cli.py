@@ -33,11 +33,10 @@ MAX_FULL_WICK_LEVEL = 4
 
 
 def _full_dense_reports(n_max: int, d: int) -> tuple[range, range, int]:
-    """What the full suite runs on dense matrices: the ranks n of the
-    Coxeter and U_n reports, whose telescoping and ker(1 - U_n^2) reports
-    read level n+1 densely, the levels n of the Wick-ideal checks (the chain
-    T_1 ... T_n at level n+1), and the Fock truncation degree N (R_n and
-    P_n up to N)."""
+    """The bounded reports of the full suite: the ranks n of the Coxeter
+    and U_n reports (all taken in the layout), and the two that read dense
+    matrices, the levels n of the Wick-ideal checks (the chain T_1 ... T_n
+    at level n+1) and the Fock truncation degree N (R_n and P_n up to N)."""
     coxeter_ranks = range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1)
     wick_levels = range(2, min(n_max, MAX_FULL_WICK_LEVEL) + 1)
     return coxeter_ranks, wick_levels, min(n_max, fock.default_max_degree(d))
@@ -45,8 +44,8 @@ def _full_dense_reports(n_max: int, d: int) -> tuple[range, range, int]:
 
 def _full_dense_level(n_max: int, d: int) -> int:
     """The deepest level at which the full suite reads a dense matrix."""
-    coxeter_ranks, wick_levels, N = _full_dense_reports(n_max, d)
-    return max(N, *(n + 1 for n in coxeter_ranks), *(n + 1 for n in wick_levels))
+    _, wick_levels, N = _full_dense_reports(n_max, d)
+    return max(N, *(n + 1 for n in wick_levels))
 
 
 class _Checks:
@@ -80,11 +79,10 @@ class _Checks:
 
 
 def _suite_check(alg: Algebra, checks: _Checks, tol: float) -> None:
-    T = alg.T
-    herm = tensorops.op_norm(T.mat - T.mat.conj().T)
+    herm = tensorops.op_norm(alg.T.mat - alg.T.mat.conj().T)
     checks.add_residual("hermiticity", {}, herm, 1e-12)
-    checks.add("operator_norm", {}, "info", value=tensorops.op_norm(T))
-    checks.add_residual("braid", {}, tensorops.braid_residual(T), tol)
+    checks.add("operator_norm", {}, "info", value=alg.norm_T)
+    checks.add_residual("braid", {}, alg.braid_residual, tol)
 
 
 def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) -> None:
@@ -241,7 +239,7 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
             _suite_coxeter(alg, checks, n, tol)
             rep = spectral.un_checks(alg, n, rank_tol=rank_tol, tol=tol)
             checks.add_report("un_laws", {"n": n}, rep, tolerance=tol)
-            checks.add_residual("telescoping", {"n": n}, tensorops.telescoping_residual(alg.T, n), tol)
+            checks.add_residual("telescoping", {"n": n}, spectral.telescoping_residual(alg, n), tol)
             rep = spectral.kernel_1mU2_diag(alg, n, rank_tol=rank_tol, tol=tol)
             checks.add_report("kernel_1mU2", {"n": n}, rep)
         for n in wick_levels:

@@ -7,8 +7,8 @@ H^(x)n is carried as a :class:`Subspace`, an orthonormal basis per block.
 Kernels of self-adjoint operators come from an eigendecomposition of the
 symmetrization of each block, those of non-normal operators (the R_n) from
 an SVD, each cut by one rank rule whose scale is the largest |eigenvalue|
-over all blocks, so a blocked kernel has the dimension the dense
-eigendecomposition decides.  Subspace equality is always judged by the
+or singular value over all blocks, so a blocked kernel has the dimension
+the dense decomposition decides.  Subspace equality is always judged by the
 operator norm of the projector difference, never by comparing bases; the
 norm of a block-diagonal operator is the largest norm of its blocks, so
 every residual is taken block by block.
@@ -18,9 +18,11 @@ memoized operators, and return plain dicts (JSON-ready report fragments): the
 kernel equality ker P_{n+1} = sum_k ker(1 + T_k), decided as the orthogonal
 decomposition ker P_{n+1} (+) ker(sum_k 1 (x) Pi (x) 1) = H^(x)(n+1) with Pi
 the projector onto the level-2 kernel of 1 + T, strict positivity, the U_n
-invariance and commutation laws, the Wick-ideal membership residuals, and
-the diagnostics on ker(1 - U_n^2).  The first three are decided per block;
-the others read dense matrices placed from the blocks.
+invariance and commutation laws, the telescoping expansion of 1 - U_n^2,
+the diagnostics on ker(1 - U_n^2), and the Wick-ideal membership residuals.
+Every product of the T_i is a word of the Algebra (``alg.word``), and all
+is taken per block but the Wick-ideal contraction and intertwining
+residuals, which leave the weight blocks and read dense matrices.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from .model import TensorOperator
 from .tensorops import (
     BlockOperator,
     apply_slots,
-    braid_residual,
     by_shape,
+    longest_word,
     op_norm,
     packed_identity,
     slot_step,
-    word_product,
 )
 
 if TYPE_CHECKING:
@@ -58,6 +59,7 @@ __all__ = [
     "positivity_check",
     "un_checks",
     "wick_ideal_checks",
+    "telescoping_residual",
     "kernel_1mU2_diag",
 ]
 
@@ -103,13 +105,6 @@ class Subspace:
         )
 
 
-def _check_same_space(a: Subspace, b: Subspace) -> None:
-    if (a.d, a.level) != (b.d, b.level):
-        raise ValueError(
-            f"subspace mismatch: (d={a.d}, level={a.level}) vs (d={b.d}, level={b.level})"
-        )
-
-
 def _is_zero(values: np.ndarray, rank_tol: float, top: float) -> np.ndarray:
     """The rank rule: |value| <= rank_tol * max(1, top), ``top`` the largest
     |value| of the whole operator (over all its blocks)."""
@@ -125,6 +120,13 @@ def _largest(values) -> float:
     return max((float(np.max(np.abs(v), initial=0.0)) for v in values), default=0.0)
 
 
+def _as_blocks(A: BlockOperator | TensorOperator) -> BlockOperator:
+    """A dense operator as one block."""
+    if isinstance(A, BlockOperator):
+        return A
+    return BlockOperator.restrict(A.d, A.level, (np.arange(A.d**A.level),), A.mat)
+
+
 def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
     """Kernel of a self-adjoint operator (||A - A^H||_F within 1e-8 of its
     largest |eigenvalue|): per block, the eigenvectors of (A + A^H)/2 whose
@@ -136,8 +138,7 @@ def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Sub
     >>> K.dim, np.round((K.basis[:, 0] / K.basis[1, 0]).real, 12) + 0.0
     (1, array([ 0.,  1., -1.,  0.]))
     """
-    if not isinstance(A, BlockOperator):
-        A = BlockOperator.restrict(A.d, A.level, (np.arange(A.d**A.level),), A.mat)
+    A = _as_blocks(A)
     pairs = by_shape(lambda m: np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0), A.mats)
     top = _largest(evals for evals, _ in pairs)
     scale = max(1.0, top)
@@ -151,24 +152,27 @@ def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Sub
 
 
 def nullspace_svd(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
-    """Nullspace of an arbitrary (not necessarily normal) operator, via SVD
-    of its dense matrix: right singular vectors with singular values the
-    rank rule counts as zero."""
-    u, s, vh = np.linalg.svd(A.mat)
-    return Subspace(A.d, A.level, vh.conj().T[:, _is_zero(s, rank_tol, _largest([s]))])
+    """Nullspace of an arbitrary (not necessarily normal) operator: per
+    block, the right singular vectors whose singular values the rank rule,
+    at the scale of the whole operator, counts as zero.  A dense operator is
+    one block."""
+    A = _as_blocks(A)
+    triples = by_shape(np.linalg.svd, A.mats)
+    top = _largest(s for _, s, _ in triples)
+    bases = [vh.conj().T[:, _is_zero(s, rank_tol, top)] for _, s, vh in triples]
+    return Subspace(A.d, A.level, BlockOperator(A.d, A.level, A.words, bases))
 
 
 def subspace_intersection(a: Subspace, b: Subspace, rank_tol: float = RANK_TOL) -> Subspace:
-    """Intersection via the kernel of (1 - Pi_A) + (1 - Pi_B)."""
-    _check_same_space(a, b)
-    eye = np.eye(a.d**a.level, dtype=np.complex128)
-    op = TensorOperator(a.d, a.level, (eye - a.projector().mat) + (eye - b.projector().mat))
-    return kernel(op, rank_tol)
+    """The kernel of (1 - Pi_A) + (1 - Pi_B), for two bases in one layout."""
+    if (a.d, a.level) != (b.d, b.level):
+        raise ValueError(f"subspace mismatch: (d={a.d}, level={a.level}) vs (d={b.d}, level={b.level})")
+    eye = BlockOperator.identity(a.d, a.level, a.parts.words)
+    return kernel((eye - a.projector()) + (eye - b.projector()), rank_tol)
 
 
-def _hypotheses(T: TensorOperator, tol: float) -> dict:
-    br = braid_residual(T)
-    norm_T = op_norm(T.mat)
+def _hypotheses(alg: Algebra, tol: float) -> dict:
+    br, norm_T = alg.braid_residual, alg.norm_T
     return {
         "braid_residual": br,
         "norm_T": norm_T,
@@ -223,7 +227,7 @@ def kernel_theorem_check(
         raise ValueError(f"need n >= 1, got {n}")
     T = alg.T
     level = n + 1
-    hyp = _hypotheses(T, tol)
+    hyp = _hypotheses(alg, tol)
 
     P = alg.P(level)
     ker_P = alg.ker_P(level, rank_tol)
@@ -270,7 +274,7 @@ def positivity_check(
     else:
         classification = "indefinite"
     dim_ker = int(np.sum(np.abs(evals) <= rank_tol))
-    if not _hypotheses(T, tol)["applicable"]:
+    if not _hypotheses(alg, tol)["applicable"]:
         status = "inapplicable"
     elif np.linalg.eigvalsh((T.mat + T.mat.conj().T) / 2.0)[0] > -1.0 + rank_tol:
         status = "pass" if classification == "strictly positive" else "fail"
@@ -329,20 +333,18 @@ def wick_ideal_checks(
     and max_{i,k} ||P_n mu(e_i^*) T_1...T_n (X (x) e_k)||, together with the
     intertwining residual ||(1 (x) P_n)(T_1...T_n) - (T_1...T_n)(P_n (x) 1)||
     and the margin ||P_n B|| over a basis B of ker R_n, certifying the
-    containment ker R_n <= ker P_n.
+    containment ker R_n <= ker P_n, the only one taken block by block.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    T = alg.T
-    d = T.d
-
+    d = alg.T.d
     P_n = alg.P(n)
     P_nm1 = alg.P(n - 1).mat
     R_n = alg.R(n)
     ker_P = alg.ker_P(n, rank_tol)
     ker_R = nullspace_svd(R_n, rank_tol)
 
-    chain_n = word_product(T, range(1, n + 1), n + 1).mat
+    chain_n = alg.word(range(1, n + 1), n + 1).mat
     RX = R_n.mat @ ker_P.basis
     annihilation = max(op_norm(P_nm1 @ _mu_columns(d, i, RX)) for i in range(d))
     coaction = 0.0
@@ -355,7 +357,7 @@ def wick_ideal_checks(
     intertwining = op_norm(
         apply_slots(P_n.mat, d, 2, chain_n, left=True) - apply_slots(P_n.mat, d, 1, chain_n)
     )
-    kerR_margin = op_norm(P_n.mat @ ker_R.basis)
+    kerR_margin = op_norm(P_n @ ker_R.parts)
 
     ok = max(annihilation, coaction, intertwining, kerR_margin) <= tol
     return {
@@ -370,26 +372,43 @@ def wick_ideal_checks(
     }
 
 
+def telescoping_residual(alg: Algebra, n: int) -> float:
+    """Residual of the telescoping expansion of 1 - U_n^2 on H^(x)(n+1):
+
+    (1 - T_1^2) + T_1 (1 - T_2^2) T_1 + ... +
+    T_1...T_{n-1} (1 - T_n^2) T_{n-1}...T_1 +
+    T_1...T_n (1 - U_{n-1}^2) T_n...T_1,
+
+    every product a word of ``alg``, the norm the largest over the blocks."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    level = n + 1
+    eye = BlockOperator.identity(alg.T.d, level, alg.layout(level))
+
+    def sandwich(m: int, inner: BlockOperator) -> BlockOperator:
+        """T_1 ... T_m inner T_m ... T_1."""
+        return alg.word(range(1, m + 1), level) @ inner @ alg.word(range(m, 0, -1), level)
+
+    U, Um1 = alg.U(n), alg.word(longest_word(n - 1), level)
+    terms = [sandwich(k - 1, eye - alg.word((k, k), level)) for k in range(1, n + 1)]
+    terms.append(sandwich(n, eye - Um1 @ Um1))
+    return op_norm(eye - U @ U - sum(terms[1:], terms[0]))
+
+
 def kernel_1mU2_diag(
     alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
 ) -> dict:
     """On ker(1 - U_n^2) intersected with ker P_{n+1}, every T_k must square
-    to the identity: report max_k,v ||(1 - T_k^2) v||."""
+    to the identity: report max_k ||(1 - T_k^2) V||, V an orthonormal basis
+    of the intersection, each norm the largest over the blocks."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    T = alg.T
     level = n + 1
-    U = alg.U(n).mat
-    ker_U = kernel(TensorOperator(T.d, level, np.eye(T.d**level) - U @ U), rank_tol)
-    ker_P = alg.ker_P(level, rank_tol)
-    inter = subspace_intersection(ker_U, ker_P, rank_tol)
-
-    residual = 0.0
-    if inter.dim:
-        T2 = T.mat @ T.mat
-        for k in range(1, n + 1):
-            tk2_basis = apply_slots(T2, T.d, k, inter.basis, left=True)
-            residual = max(residual, op_norm(inter.basis - tk2_basis))
+    U = alg.U(n)
+    eye = BlockOperator.identity(alg.T.d, level, U.words)
+    ker_U = kernel(eye - U @ U, rank_tol)
+    inter = subspace_intersection(ker_U, alg.ker_P(level, rank_tol), rank_tol)
+    residual = max(op_norm((eye - alg.word((k, k), level)) @ inter.parts) for k in range(1, n + 1))
     return {
         "level": level,
         "dim_ker_1mU2": ker_U.dim,

@@ -7,10 +7,9 @@ sum recursions
     P_2  = R_2,   P_{n+1} = (1 (x) P_n) R_{n+1}
     U_n  = (T_1 ... T_n)(T_1 ... T_{n-1}) ... (T_1 T_2) T_1
 
-where T_i is T on slots i, i+1 with identity factors on the others.  A dense
-product of amplified operators goes through :func:`apply_slots`, which
-applies ``1 (x) op (x) 1`` from either side by a reshape and a matmul, never
-forming it; :func:`word_product` loops it over a word in the T_i.
+where T_i is T on slots i, i+1 with identity factors on the others.
+:func:`apply_slots` applies ``1 (x) op (x) 1`` to a dense matrix from either
+side by a reshape and a matmul, never forming it.
 
 When T is weight-preserving (:func:`weight_preserving`: it maps
 e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a), so is every
@@ -23,8 +22,10 @@ place where blocks become a dense matrix.  :func:`slot_step` is right
 multiplication by T_i (or any level-2 operator that keeps the layout) on
 the blocks, packed as one flat array: the two-term gather over the weight
 spaces, or :func:`apply_slots` on the single dense block, so both layouts
-run the same code.  The :class:`~wickfock.algebra.Algebra` builds R_n, P_n
-and U_n with it; the symmetric-group sums live in :mod:`coxeter`.
+run the same code.  Every product of the T_i goes through it:
+:func:`word_product` steps it over a word in the T_i, the
+:class:`~wickfock.algebra.Algebra` builds R_n, P_n, U_n and its other words
+with it, and the symmetric-group sums in :mod:`coxeter` walk with it.
 
 Products and sums accumulate left to right in exactly this written order so
 residuals are bit-reproducible run to run.
@@ -48,7 +49,6 @@ __all__ = [
     "word_product",
     "longest_word",
     "braid_residual",
-    "telescoping_residual",
     "weight_preserving",
     "weight_spaces",
     "layout",
@@ -120,7 +120,8 @@ def op_norm(op: BlockOperator | TensorOperator | np.ndarray) -> float:
     self-adjoint square m^H m; for a block-diagonal operator, the largest
     over its blocks."""
     if isinstance(op, BlockOperator):
-        squares = by_shape(lambda m: np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m), op.mats)
+        mats = [m for m in op.mats if m.size]  # a basis may hold no vector in a block
+        squares = by_shape(lambda m: np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m), mats)
         return float(np.sqrt(max(max((float(ev[-1]) for ev in squares), default=0.0), 0.0)))
     m = op.mat if isinstance(op, TensorOperator) else np.asarray(op)
     if m.size == 0:
@@ -168,54 +169,25 @@ def apply_slots(op: np.ndarray, d: int, i: int, X: np.ndarray, left: bool = Fals
     return (op.T @ X.reshape(X.shape[0] * d ** (i - 1), k, -1)).reshape(X.shape)
 
 
-def word_product(T: TensorOperator, word, level: int) -> TensorOperator:
-    """T_{w_1} T_{w_2} ... T_{w_k} on H^(x)level, multiplied left to right
-    starting from the identity (the identity for the empty word)."""
+def word_product(T: TensorOperator, word, level: int, words) -> BlockOperator:
+    """T_{w_1} T_{w_2} ... T_{w_k} on H^(x)level in the layout ``words``, by
+    :func:`slot_step` left to right from the identity (for the empty word)."""
     _require_level2(T)
-    acc = np.eye(T.d**level, dtype=np.complex128)
+    step, acc = slot_step(T.mat, T.d, level, words), packed_identity(words)
     for i in word:
-        acc = apply_slots(T.mat, T.d, i, acc)
-    return TensorOperator(T.d, level, acc)
+        acc = step(i, acc)
+    return BlockOperator.from_packed(T.d, level, words, acc)
 
 
 def braid_residual(T: TensorOperator) -> float:
-    """|| T_1 T_2 T_1 - T_2 T_1 T_2 ||_2 on H^(x)3."""
-    return op_norm(word_product(T, (1, 2, 1), 3).mat - word_product(T, (2, 1, 2), 3).mat)
+    """|| T_1 T_2 T_1 - T_2 T_1 T_2 ||_2 on H^(x)3, in one dense block."""
+    one = (np.arange(T.d**3),)
+    return op_norm(word_product(T, (1, 2, 1), 3, one) - word_product(T, (2, 1, 2), 3, one))
 
 
 def longest_word(n: int) -> tuple[int, ...]:
     """The word (1 ... n)(1 ... n-1) ... (1 2)(1) of U_n (empty for n = 0)."""
     return tuple(i for m in range(n, 0, -1) for i in range(1, m + 1))
-
-
-def telescoping_residual(T: TensorOperator, n: int) -> float:
-    """Residual of the telescoping expansion of 1 - U_n^2 on H^(x)(n+1):
-
-    (1 - T_1^2) + T_1 (1 - T_2^2) T_1 + ... +
-    T_1...T_{n-1} (1 - T_n^2) T_{n-1}...T_1 +
-    T_1...T_n (1 - U_{n-1}^2) T_n...T_1.
-    """
-    _require_level2(T)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    d = T.d
-    level = n + 1
-    eye = np.eye(d**level, dtype=np.complex128)
-
-    def sandwich(m: int, inner: np.ndarray) -> np.ndarray:
-        """T_1 ... T_m inner T_m ... T_1."""
-        for i in range(m, 0, -1):
-            inner = apply_slots(T.mat, d, i, apply_slots(T.mat, d, i, inner), left=True)
-        return inner
-
-    Un = word_product(T, longest_word(n), level).mat
-    lhs = eye - Un @ Un
-    rhs = np.zeros_like(eye)
-    for k in range(1, n + 1):
-        rhs = rhs + sandwich(k - 1, eye - word_product(T, (k, k), level).mat)
-    Um1 = word_product(T, longest_word(n - 1), level).mat
-    rhs = rhs + sandwich(n, eye - Um1 @ Um1)
-    return op_norm(lhs - rhs)
 
 
 def weight_preserving(T: TensorOperator) -> bool:
@@ -403,5 +375,7 @@ def _entries(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 def packed_identity(words) -> np.ndarray:
     """The identity in the packed layout of ``words``."""
+    if len(words) == 1:  # one dense block needs no index tables
+        return np.eye(len(words[0]), dtype=np.complex128).ravel()
     r, c, _, _ = _entries(words)
     return (r == c).astype(np.complex128)

@@ -1,7 +1,7 @@
 """Reference constructions that the tests compare the library against.
 
 No wickfock run uses these.  Each builds its object a second way, from the
-definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
+definitions, as one dense matrix; the products of the T_i reuse only
 ``apply_slots``, which the tests check against :func:`amplify`.
 
 - The group element by element (Bożejko-Speicher, Math. Ann. 300, 1994):
@@ -22,8 +22,11 @@ definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
   ``test_descent_factorization_example``), for U_n
   (``test_phi_longest_matches_U``) and for word independence
   (``test_matsumoto_word_independence``, acceptance criterion 09).
+- :func:`word_product`, a word in the T_i by ``apply_slots`` from the
+  identity: the dense side of :func:`phi` and :func:`build_U`, and of the
+  telescoping reference.
 - :func:`amplify`, T_i as an explicit Kronecker product: the reference for
-  ``apply_slots`` and ``word_product``
+  ``apply_slots`` and ``tensorops.word_product`` in either layout
   (``test_apply_slots_and_word_product_match_kron_products``), for the braid
   relation at every position (``test_braid_relation_at_every_position``)
   and for the per-k kernels ker(1 + T_k) of the kernel theorem
@@ -50,6 +53,13 @@ definitions; ``phi`` and ``build_Rtilde`` reuse ``word_product`` and
   reports taken per block (``test_coxeter_checks_on_hecke_and_unimodular_flips``,
   ``test_un_laws_on_hecke_and_unimodular_flips``,
   ``test_blocked_reports_on_one_dense_block``).
+- :func:`telescoping_residual`, :func:`kernel_1mU2_diag` and
+  :func:`nullspace_basis`, the telescoping expansion of 1 - U_n^2, the
+  diagnostic on ker(1 - U_n^2) and the nullspace of R_n on dense matrices,
+  with the intersection from one eigendecomposition of the whole matrix:
+  the references for the reports taken per block
+  (``test_blocked_diagnostics_equal_the_dense_references``,
+  ``test_blocked_diagnostics_on_rotated_hecke``).
 - :func:`annihilate_mu`, the free left contraction, which ``fock.annihilate``
   must equal when T = 0 (``test_annihilate_free_reduces_to_mu``).
 - :func:`normal_order`, Wick ordering into a :class:`WickPolynomial` by the
@@ -83,7 +93,7 @@ from wickfock import rewrite
 from wickfock.coxeter import MAX_RANK
 from wickfock.fock import GradedVector
 from wickfock.model import SpecError, TensorOperator, WickSpec
-from wickfock.tensorops import _require_level2, apply_slots, longest_word, op_norm, word_product
+from wickfock.tensorops import _require_level2, apply_slots, longest_word, op_norm
 
 
 @dataclass(frozen=True)
@@ -186,6 +196,16 @@ def walk_elements(n: int, start: np.ndarray, apply) -> np.ndarray:
     return sums
 
 
+def word_product(T: TensorOperator, word, level: int) -> TensorOperator:
+    """T_{w_1} T_{w_2} ... T_{w_k} on H^(x)level as one dense matrix,
+    multiplied left to right starting from the identity."""
+    _require_level2(T)
+    acc = np.eye(T.d**level, dtype=np.complex128)
+    for i in word:
+        acc = apply_slots(T.mat, T.d, i, acc)
+    return TensorOperator(T.d, level, acc)
+
+
 def phi(T: TensorOperator, element: CoxeterElement, n: int) -> TensorOperator:
     """Image of one group element: the product of amplified T_i along the
     canonical reduced word, on H^(x)(n+1)."""
@@ -246,12 +266,38 @@ def build_U(T: TensorOperator, n: int) -> TensorOperator:
     return word_product(T, longest_word(n), n + 1)
 
 
-def kernel_projector(A: np.ndarray, rank_tol: float) -> np.ndarray:
-    """The projector onto the kernel of a dense self-adjoint matrix, from one
-    eigendecomposition of the whole matrix under the rank rule."""
-    evals, evecs = np.linalg.eigh((A + A.conj().T) / 2.0)
-    zero = np.abs(evals) <= rank_tol * max(1.0, float(np.max(np.abs(evals), initial=0.0)))
-    return evecs[:, zero] @ evecs[:, zero].conj().T
+def _is_zero(values: np.ndarray, rank_tol: float) -> np.ndarray:
+    return np.abs(values) <= rank_tol * max(1.0, float(np.max(np.abs(values), initial=0.0)))
+
+
+def kernel_basis(A: np.ndarray, rank_tol: float, refine: bool = False) -> np.ndarray:
+    """An orthonormal basis of the kernel of a dense self-adjoint matrix, from
+    one eigendecomposition of the whole matrix under the rank rule.  That
+    tilts the kernel by about eps ||A|| / gap, gap the smallest kept
+    |eigenvalue|, where a block of the weight layout sees only its own norm;
+    ``refine`` removes the tilt to first order by the step
+    B - C L^-1 C^H A B (C, L the kept eigenvectors and eigenvalues), A B
+    taken by a matmul that keeps the exact zeros of A."""
+    H = (A + A.conj().T) / 2.0
+    evals, evecs = np.linalg.eigh(H)
+    zero = _is_zero(evals, rank_tol)
+    if not refine:
+        return evecs[:, zero]
+    B, C = evecs[:, zero], evecs[:, ~zero]
+    return np.linalg.qr(B - C @ ((C.conj().T @ (H @ B)) / evals[~zero][:, None]))[0]
+
+
+def kernel_projector(A: np.ndarray, rank_tol: float, refine: bool = False) -> np.ndarray:
+    """The projector onto the kernel of a dense self-adjoint matrix."""
+    B = kernel_basis(A, rank_tol, refine)
+    return B @ B.conj().T
+
+
+def nullspace_basis(A: np.ndarray, rank_tol: float) -> np.ndarray:
+    """An orthonormal basis of the nullspace of a dense matrix, from one SVD
+    of the whole matrix under the rank rule."""
+    _, s, vh = np.linalg.svd(A)
+    return vh.conj().T[:, _is_zero(s, rank_tol)]
 
 
 def ideal_complement_projector(T: TensorOperator, level: int, rank_tol: float) -> np.ndarray:
@@ -554,4 +600,52 @@ def un_checks(alg, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
         "invariance_residual": invariance,
         "commutation_residual": commutation,
         "status": "pass" if invariance <= tol and commutation <= tol else "fail",
+    }
+
+
+def telescoping_residual(T: TensorOperator, n: int) -> float:
+    """``spectral.telescoping_residual`` on dense matrices, each sandwich
+    T_1 ... T_m X T_m ... T_1 taken from both sides by ``apply_slots``."""
+    _require_level2(T)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    d = T.d
+    level = n + 1
+    eye = np.eye(d**level, dtype=np.complex128)
+
+    def sandwich(m: int, inner: np.ndarray) -> np.ndarray:
+        """T_1 ... T_m inner T_m ... T_1."""
+        for i in range(m, 0, -1):
+            inner = apply_slots(T.mat, d, i, apply_slots(T.mat, d, i, inner), left=True)
+        return inner
+
+    Un = word_product(T, longest_word(n), level).mat
+    lhs = eye - Un @ Un
+    rhs = np.zeros_like(eye)
+    for k in range(1, n + 1):
+        rhs = rhs + sandwich(k - 1, eye - word_product(T, (k, k), level).mat)
+    Um1 = word_product(T, longest_word(n - 1), level).mat
+    rhs = rhs + sandwich(n, eye - Um1 @ Um1)
+    return op_norm(lhs - rhs)
+
+
+def kernel_1mU2_diag(T: TensorOperator, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
+    """``spectral.kernel_1mU2_diag`` on dense matrices: the kernels of
+    1 - U_n^2 and of P_{n+1} and their intersection, the kernel of
+    (1 - Pi_A) + (1 - Pi_B), each from one refined eigendecomposition, and
+    T_k^2 applied to the basis from the left by ``apply_slots``."""
+    level = n + 1
+    eye = np.eye(T.d**level, dtype=np.complex128)
+    U = build_U(T, n).mat
+    ker_U = kernel_basis(eye - U @ U, rank_tol, refine=True)
+    proj_P = kernel_projector(build_P(T, level).mat, rank_tol, refine=True)
+    inter = kernel_basis((eye - ker_U @ ker_U.conj().T) + (eye - proj_P), rank_tol, refine=True)
+    T2 = T.mat @ T.mat
+    residual = max(op_norm(inter - apply_slots(T2, T.d, k, inter, left=True)) for k in range(1, n + 1))
+    return {
+        "level": level,
+        "dim_ker_1mU2": ker_U.shape[1],
+        "dim_intersection": inter.shape[1],
+        "involution_residual": residual,
+        "status": "pass" if residual <= tol else "fail",
     }

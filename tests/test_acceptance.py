@@ -128,12 +128,11 @@ def test_criterion_06_un_laws():
     worst_comm = worst_inv = worst_tel = 0.0
     for label, spec in braided_presets():
         alg = Algebra(spec)
-        T = alg.T
         for n in range(1, 5):
             rep = spectral.un_checks(alg, n)
             worst_comm = max(worst_comm, rep["commutation_residual"])
             worst_inv = max(worst_inv, rep["invariance_residual"])
-            worst_tel = max(worst_tel, tensorops.telescoping_residual(T, n))
+            worst_tel = max(worst_tel, spectral.telescoping_residual(alg, n))
     ok = worst_comm <= 1e-10 and worst_inv <= 1e-8 and worst_tel <= 1e-10
     report(
         6,

@@ -157,11 +157,13 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     lift = Algebra._lift
     monkeypatch.setattr(Algebra, "_lift", lambda self, n: build_P.append(n) or lift(self, n))
     walks = _count_calls(monkeypatch, coxeter.descent_sums)
+    braids = _count_calls(monkeypatch, tensorops.braid_residual)
     out = tmp_path / "report.json"
     assert cli.main(["full", "--spec", str(path), "--n-max", "4", "--out", str(out)]) == 0
     assert len(build_T) == 1
     assert build_P and max(collections.Counter(build_P).values()) == 1, build_P
     assert sorted(walks) == [1, 2, 3]
+    assert len(braids) == 1 + len(walks)  # the Algebra's hypothesis, and each walk's gate
     # the Coxeter suites run first, but their records keep their place
     per_rank = [
         ["group_sum_agreement"] + ["factorization_DJ_WJ"] * 2**n

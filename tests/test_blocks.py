@@ -104,7 +104,10 @@ def within(built: np.ndarray, reference: np.ndarray) -> bool:
 def check_against_dense_references(spec, max_level: int, exact: bool) -> None:
     """R, P, U, the ker P and ker S projectors of the Algebra against the
     dense constructions in tests/oracles.py: within TOL of the operator's
-    norm, and bit for bit when T is one dense block (``exact``)."""
+    norm, and bit for bit when T is one dense block (``exact``).  Across
+    weight blocks the ker P reference is refined once
+    (:func:`oracles.kernel_basis`): a dense eigendecomposition tilts the
+    kernel by eps ||P|| / gap, a block's by its own norm over the gap."""
     alg = Algebra(spec)
     T = alg.T
     for level in range(2, max_level + 1):
@@ -114,7 +117,7 @@ def check_against_dense_references(spec, max_level: int, exact: bool) -> None:
             (alg.P(level).mat, P),
             (alg.U(level - 1).mat, oracles.build_U(T, level - 1).mat),
             (alg.ker_P(level, spectral.RANK_TOL).projector().mat,
-             oracles.kernel_projector(P, spectral.RANK_TOL)),
+             oracles.kernel_projector(P, spectral.RANK_TOL, refine=not exact)),
             (spectral.ideal_complement(alg, level).projector().mat,
              oracles.ideal_complement_projector(T, level, spectral.RANK_TOL)),
         ]
@@ -163,6 +166,45 @@ def test_blocked_reports_place_no_dense_matrix(spec, monkeypatch):
     monkeypatch.setattr(tensorops.BlockOperator, "place", place)
     assert coxeter.coxeter_checks(alg, 4)["group_sum"] <= 1e-10
     assert spectral.un_checks(alg, 4)["status"] == "pass"
+    assert spectral.telescoping_residual(alg, 4) <= 1e-10
+    assert spectral.kernel_1mU2_diag(alg, 4)["status"] == "pass"
+
+
+def check_diagnostics_against_dense(alg: Algebra, max_rank: int) -> None:
+    """The telescoping residual, the ker(1 - U_n^2) diagnostic and ker R_{n+1}
+    taken per block against the dense references in tests/oracles.py: equal
+    dimensions, residuals within 1e-13 and projectors within TOL."""
+    T = alg.T
+    for n in range(1, max_rank + 1):
+        context = (alg.spec.source, n)
+        telescoping = spectral.telescoping_residual(alg, n)
+        assert abs(telescoping - oracles.telescoping_residual(T, n)) <= 1e-13, context
+        assert telescoping <= 1e-10, context
+        rep, ref = spectral.kernel_1mU2_diag(alg, n), oracles.kernel_1mU2_diag(T, n)
+        for key in ("dim_ker_1mU2", "dim_intersection", "status"):
+            assert rep[key] == ref[key], (context, key)
+        check_against_reference(rep, ref, context)
+        ker_R = spectral.nullspace_svd(alg.R(n + 1))
+        basis = oracles.nullspace_basis(oracles.build_R(T, n + 1).mat, spectral.RANK_TOL)
+        assert ker_R.dim == basis.shape[1], context
+        assert within(ker_R.projector().mat, basis @ basis.conj().T), context
+
+
+@pytest.mark.parametrize("d, max_rank", [(2, 4), (3, 3)])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_blocked_diagnostics_equal_the_dense_references(d, max_rank, data):
+    alg = Algebra(data.draw(braided_families(d)))
+    assert alg.weight
+    check_diagnostics_against_dense(alg, max_rank)
+
+
+def test_blocked_diagnostics_on_rotated_hecke():
+    # one dense block: the same code as the weight layout, on the whole space
+    for spec, max_rank in ((rotated(hecke(2, 0.6), 1), 4), (rotated(hecke(3, 0.6), 2), 3)):
+        alg = Algebra(spec)
+        assert not alg.weight
+        check_diagnostics_against_dense(alg, max_rank)
 
 
 def relabelled(blocks, d: int, level: int, sigma) -> list[tuple[int, np.ndarray]]:

@@ -315,7 +315,7 @@ def test_un_laws_on_hecke_and_unimodular_flips(d, max_rank, data):
         rep = spectral.un_checks(alg, n)
         assert rep["status"] == "pass", (alg.spec.source, n, rep)
         check_against_reference(rep, oracles.un_checks(alg, n), (alg.spec.source, n))
-        assert tensorops.telescoping_residual(alg.T, n) <= 1e-10, (alg.spec.source, n)
+        assert spectral.telescoping_residual(alg, n) <= 1e-10, (alg.spec.source, n)
 
 
 def test_wick_ideal_checks_free():

@@ -19,7 +19,7 @@ from conftest import (
     rotated,
     unimodular_flip,
 )
-from wickfock import coxeter, model, tensorops
+from wickfock import coxeter, model, spectral, tensorops
 from wickfock.algebra import Algebra
 from wickfock.model import TensorOperator
 
@@ -92,15 +92,22 @@ def _rel_err(got: np.ndarray, expected: np.ndarray) -> float:
 def test_apply_slots_and_word_product_match_kron_products(d):
     # Every preset T is real symmetric, so a transpose or adjoint slip in the
     # slot contraction would pass the preset tests; a random complex,
-    # non-Hermitian, non-braided T does not.  Reference: products of the
-    # explicit Kronecker amplifications.
+    # non-Hermitian, non-braided T does not.  word_product runs on T in one
+    # block and, in the weight layout, on Tw, T without the entries that take
+    # a letter pair elsewhere than to itself or its swap.  Reference:
+    # products of the explicit Kronecker amplifications.
     rng = np.random.default_rng(d)
 
     def crandn(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     T = TensorOperator(d, 2, crandn(d * d, d * d) / (2 * d))
-    assert tensorops.op_norm(T.mat - T.mat.conj().T) > 0.1 or d == 1
+    a, b = np.divmod(np.arange(d * d), d)
+    kept = ((a[:, None] == a) & (b[:, None] == b)) | ((a[:, None] == b) & (b[:, None] == a))
+    Tw = TensorOperator(d, 2, np.where(kept, T.mat, 0))
+    assert tensorops.weight_preserving(Tw)
+    for op in (T, Tw):
+        assert tensorops.op_norm(op.mat - op.mat.conj().T) > 0.1 or d == 1
     tol = 1e-12  # float64 rounding over at most ten factors of size <= 3^5
     for level in range(2, 6):
         dim = d**level
@@ -112,11 +119,13 @@ def test_apply_slots_and_word_product_match_kron_products(d):
             assert _rel_err(tensorops.apply_slots(T.mat, d, i, X, left=True), Ti @ X) <= tol
             assert _rel_err(tensorops.apply_slots(T.mat, d, i, tall, left=True), Ti @ tall) <= tol
         word = tuple(int(i) for i in rng.integers(1, level, size=2 * level))
-        expected = np.eye(dim)
-        for i in word:
-            expected = expected @ oracles.amplify(T, i, level).mat
-        assert _rel_err(tensorops.word_product(T, word, level).mat, expected) <= tol
-        assert np.array_equal(tensorops.word_product(T, (), level).mat, np.eye(dim))
+        for op, weight in ((T, False), (Tw, True)):
+            expected = np.eye(dim)
+            for i in word:
+                expected = expected @ oracles.amplify(op, i, level).mat
+            words = tensorops.layout(d, level, weight)
+            assert _rel_err(tensorops.word_product(op, word, level, words).mat, expected) <= tol
+            assert np.array_equal(tensorops.word_product(op, (), level, words).mat, np.eye(dim))
 
         # multi-slot operators as build_P and the P(D_m) check use them:
         # (1 (x) P_{level-1}) R_level and X (P_{level-1} (x) 1)
@@ -325,12 +334,20 @@ def test_build_U_selfadjoint_contraction():
 
 def test_telescoping_identity():
     for label, spec in braided_presets():
-        T = model.build_T(spec)
+        alg = Algebra(spec)
         for n in range(1, 5):
-            assert tensorops.telescoping_residual(T, n) <= 1e-10, (label, n)
-    T1 = model.build_T(qccr(1, 0.5))
+            assert spectral.telescoping_residual(alg, n) <= 1e-10, (label, n)
     # scalar oracle: 1 - q^(n(n+1)) telescopes through the q powers
-    assert tensorops.telescoping_residual(T1, 3) <= 1e-15
+    assert spectral.telescoping_residual(Algebra(qccr(1, 0.5)), 3) <= 1e-15
+
+
+def test_op_norm_skips_blocks_without_vectors():
+    # P_3 of q-CCR at q=0.5 is strictly positive: no block of ker P_3 holds a vector
+    assert tensorops.op_norm(Algebra(qccr(2, 0.5)).ker_P(3, 1e-8).parts) == 0.0
+    # at q=1 the symmetric words' block holds none, the mixed ones two each
+    parts = Algebra(qccr(2, 1.0)).ker_P(3, 1e-8).parts
+    assert sorted(m.shape[1] for m in parts.mats) == [0, 0, 2, 2]
+    assert abs(tensorops.op_norm(parts) - 1.0) <= 1e-12  # an orthonormal basis
 
 
 def test_op_norm_conventions():
