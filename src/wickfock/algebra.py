@@ -41,8 +41,10 @@ class Algebra:
 
     R_n, P_n and the words are :class:`~wickfock.tensorops.BlockOperator`
     values built block by block: R_n and the words by the slot step of ``T``,
-    and P_{n+1} = (1 (x) P_n) R_{n+1}, where 1 (x) P_n on the words a w of a
-    block is P_n on the block of the words w.  The hypotheses of the reports,
+    and P_{n+1} = (1 (x) P_n) R_{n+1} by :meth:`apply_tensor`, where
+    1 (x) P_n on the words a w of a block is P_n on the block of the words w
+    (:meth:`split`, which the Wick-ideal and Fock reports read too).  The
+    hypotheses of the reports,
     the braid residual and the norm of ``T``, are taken once.
 
     >>> from wickfock.model import preset
@@ -105,25 +107,42 @@ class Algebra:
 
     def P(self, n: int) -> BlockOperator:
         """P_n by P_{n+1} = (1 (x) P_n) R_{n+1}, from P_0 = P_1 = 1."""
-        return self._get(("P", n), n, lambda: self._lift(n))
-
-    def _lift(self, n: int) -> BlockOperator:
-        """(1 (x) P_{n-1}) R_n block by block: the rows of a block whose words
-        a w start with one letter a are those of R_n times the block of
-        P_{n-1} that holds the words w."""
         if n < 2:
             return self.word((), n)
-        below, R = self.P(n - 1), self.R(n)
-        k = self.T.d ** (n - 1)
-        home = {int(w[0]): b for b, w in enumerate(below.words)}  # first word -> its block
+        return self._get(("P", n), n, lambda: self.apply_tensor(self.P(n - 1), self.R(n)))
+
+    def split(self, level: int, last: bool = False) -> tuple:
+        """Per block of the level, per letter a that starts (with ``last``:
+        ends) some of its words, in increasing order: (a, rows, home), the
+        rows of those words in the block (a slice for a first letter) and the
+        block of level - 1 that holds their tails, in the order of its words."""
+
+        def build():
+            d, k = self.T.d, self.T.d ** (level - 1)
+            home = np.empty(k, dtype=np.int64)
+            for b, words in enumerate(self.layout(level - 1)):
+                home[words] = b
+            blocks = []
+            for words in self.layout(level):
+                letter, tail = (words % d, words // d) if last else divmod(words, k)
+                rows = [np.flatnonzero(letter == a) for a in sorted(set(letter.tolist()))]
+                blocks.append(tuple((int(letter[r[0]]), r if last else slice(int(r[0]), int(r[-1]) + 1),
+                                     int(home[tail[r[0]]])) for r in rows))
+            return tuple(blocks)
+
+        return self._get(("split", level, last), level, build)
+
+    def apply_tensor(self, op: BlockOperator, A: BlockOperator, last: bool = False) -> BlockOperator:
+        """(1 (x) op) A, or (op (x) 1) A with ``last``, op one level below A:
+        by :meth:`split`, the rows of the words a w (w a) of a block of A
+        times op's block of the words w."""
         mats = []
-        for words, m in zip(R.words, R.mats):
+        for m, pieces in zip(A.mats, self.split(A.level, last)):
             out = np.empty_like(m)
-            starts = np.flatnonzero(np.diff(words // k, prepend=-1))  # rows of one first letter
-            for lo, hi in zip(starts, [*starts[1:], len(words)]):
-                np.matmul(below.mats[home[int(words[lo]) % k]], m[lo:hi], out=out[lo:hi])
+            for _, rows, home in pieces:
+                out[rows] = op.mats[home] @ m[rows]
             mats.append(out)
-        return BlockOperator(self.T.d, n, R.words, mats)
+        return BlockOperator(self.T.d, A.level, A.words, mats)
 
     def word(self, word, level: int) -> BlockOperator:
         """T_{w_1} ... T_{w_k} on H^(x)level in the layout of the level."""

@@ -29,23 +29,18 @@ from .model import SpecError, load_spec_file
 __all__ = ["main", "entry", "build_report"]
 
 MAX_FULL_COXETER_RANK = 4
-MAX_FULL_WICK_LEVEL = 4
+MAX_FULL_WICK_LEVEL = 4  # fixes which records `full` emits, which the benchmark's fingerprints pin
 
 
-def _full_dense_reports(n_max: int, d: int) -> tuple[range, range, int]:
-    """The bounded reports of the full suite: the ranks n of the Coxeter
-    and U_n reports (all taken in the layout), and the two that read dense
-    matrices, the levels n of the Wick-ideal checks (the chain T_1 ... T_n
-    at level n+1) and the Fock truncation degree N (R_n and P_n up to N)."""
+def _full_reports(n_max: int, d: int) -> tuple[range, range, int]:
+    """The bounded reports of the full suite, all taken in the layout: the
+    ranks n of the Coxeter and U_n reports, the levels n of the Wick-ideal
+    checks (the chain T_1 ... T_n at level n+1) and the Fock truncation
+    degree N (R_n and P_n up to N).  Memory no longer asks for the last two
+    bounds; they stay because they fix which records the suite emits."""
     coxeter_ranks = range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1)
     wick_levels = range(2, min(n_max, MAX_FULL_WICK_LEVEL) + 1)
     return coxeter_ranks, wick_levels, min(n_max, fock.default_max_degree(d))
-
-
-def _full_dense_level(n_max: int, d: int) -> int:
-    """The deepest level at which the full suite reads a dense matrix."""
-    _, wick_levels, N = _full_dense_reports(n_max, d)
-    return max(N, *(n + 1 for n in wick_levels))
 
 
 class _Checks:
@@ -176,20 +171,19 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command == "inner":
         X = rewrite.parse_word_expr(args.x, spec.d)
         Y = rewrite.parse_word_expr(args.y, spec.d)
-        top = dense = max([len(w) for w in X] + [len(w) for w in Y] + [2])
+        top = max([len(w) for w in X] + [len(w) for w in Y] + [2])
     elif args.command == "coxeter":
         walk = args.n
-        top, dense = walk + 1, 2  # every operand in the layout, under alg.check_level(top)
+        top = walk + 1
     else:  # check takes neither --n nor --n-max
         top = args.n if args.n is not None else args.n_max or 2
         walks = args.command == "full" or (args.command == "pn" and args.method != "recursive")
         if walks and top >= 2:
             walk = top - 1
-        # the largest dense matrix: full's reports that read one; the rest only T
-        dense = _full_dense_level(top, spec.d) if args.command == "full" else 2
+        if args.command == "full":  # the chain T_1 ... T_n of the deepest Wick-ideal check
+            top = max(top, _full_reports(top, spec.d)[1][-1] + 1)
     if args.command != "inner" and getattr(args, "method", None) != "recursive":
-        dense = max(dense, 3)  # the braid residual, taken at level 3
-    check_level(spec.d, dense)
+        top = max(top, 3)  # the braid residual, taken at level 3
     try:  # a level both layouts refuse is refused before T is built
         check_level(spec.d, top)
     except ValueError:
@@ -229,7 +223,7 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
         )
     elif args.command == "full":
         n_max = args.n_max
-        coxeter_ranks, wick_levels, N = _full_dense_reports(n_max, spec.d)
+        coxeter_ranks, wick_levels, N = _full_reports(n_max, spec.d)
         _suite_check(alg, checks, tol)
         for n in range(2, n_max + 1):
             _suite_pn(alg, checks, n, "both", tol)

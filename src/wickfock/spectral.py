@@ -21,13 +21,13 @@ the projector onto the level-2 kernel of 1 + T, strict positivity, the U_n
 invariance and commutation laws, the telescoping expansion of 1 - U_n^2,
 the diagnostics on ker(1 - U_n^2), and the Wick-ideal membership residuals.
 Every product of the T_i is a word of the Algebra (``alg.word``), and all
-is taken per block but the Wick-ideal contraction and intertwining
-residuals, which leave the weight blocks and read dense matrices.
+is taken per block, the Wick-ideal contractions and amplifications through
+the first- and last-letter split of the blocks
+(:meth:`~wickfock.algebra.Algebra.split`).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,7 +35,6 @@ import numpy as np
 from .model import TensorOperator
 from .tensorops import (
     BlockOperator,
-    apply_slots,
     by_shape,
     longest_word,
     op_norm,
@@ -71,18 +70,11 @@ SELFADJOINT_TOL = 1e-8
 class Subspace:
     """An orthonormal basis of a subspace of H^(x)level, kept per diagonal
     block: block b of ``parts`` (a :class:`~wickfock.tensorops.BlockOperator`)
-    holds the basis vectors that lie in block b, one column each, and a
-    dense ``basis`` is one block.  The Gram defect is at most 1e-10 in the
-    Frobenius norm over the blocks, which equals the dense one and bounds
-    the operator norm."""
+    holds the basis vectors that lie in block b, one column each.  The Gram
+    defect is at most 1e-10 in the Frobenius norm over the blocks, which
+    equals the dense one and bounds the operator norm."""
 
-    def __init__(self, d: int, level: int, basis: np.ndarray | BlockOperator) -> None:
-        if not isinstance(basis, BlockOperator):
-            b = np.array(basis, dtype=np.complex128)
-            dim = d**level
-            if b.ndim != 2 or b.shape[0] != dim:
-                raise ValueError(f"basis shape {b.shape} does not match dimension {dim}")
-            basis = BlockOperator(d, level, (np.arange(dim),), (b,))
+    def __init__(self, d: int, level: int, basis: BlockOperator) -> None:
         gram_defect = float(np.linalg.norm(
             [np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])) for B in basis.mats]
         ))
@@ -93,11 +85,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return sum(B.shape[1] for B in self.parts.mats)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """The basis as one dense matrix, the blocks' vectors in turn."""
-        return self.parts.place(basis=True)
 
     def projector(self) -> BlockOperator:
         return BlockOperator(
@@ -124,7 +111,7 @@ def _as_blocks(A: BlockOperator | TensorOperator) -> BlockOperator:
     """A dense operator as one block."""
     if isinstance(A, BlockOperator):
         return A
-    return BlockOperator.restrict(A.d, A.level, (np.arange(A.d**A.level),), A.mat)
+    return BlockOperator(A.d, A.level, (np.arange(A.d**A.level),), (A.mat.astype(np.complex128),))
 
 
 def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
@@ -135,7 +122,8 @@ def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Sub
 
     >>> flip = np.eye(4)[[0, 2, 1, 3]]  # e_i (x) e_j -> e_j (x) e_i at d=2
     >>> K = kernel(TensorOperator(2, 2, np.eye(4) + flip))
-    >>> K.dim, np.round((K.basis[:, 0] / K.basis[1, 0]).real, 12) + 0.0
+    >>> [v] = K.parts.mats[0].T
+    >>> K.dim, np.round((v / v[1]).real, 12) + 0.0
     (1, array([ 0.,  1., -1.,  0.]))
     """
     A = _as_blocks(A)
@@ -198,9 +186,12 @@ def ideal_complement(alg: Algebra, level: int, rank_tol: float = RANK_TOL) -> Su
     >>> ideal_complement(Algebra(preset("q-ccr", 2, q=1.0)), 3).dim
     4
     """
-    d = alg.T.d
-    one_plus_T = BlockOperator.restrict(d, 2, alg.layout(2), np.eye(d**2) + alg.T.mat)
-    Pi = kernel(one_plus_T, rank_tol).projector().mat
+    d, words = alg.T.d, alg.layout(2)
+    one_plus_T = np.eye(d**2) + alg.T.mat
+    K = kernel(BlockOperator(d, 2, words, [one_plus_T[np.ix_(w, w)] for w in words]), rank_tol)
+    Pi = np.zeros_like(one_plus_T)  # at level 2, dense as T is
+    for w, B in zip(words, K.parts.mats):
+        Pi[np.ix_(w, w)] = B @ B.conj().T
     blocks = alg.layout(level)
     step, eye = slot_step(Pi, d, level, blocks), packed_identity(blocks)
     S = sum((step(k, eye) for k in range(1, level)), np.zeros_like(eye))
@@ -318,12 +309,6 @@ def un_checks(alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHE
     }
 
 
-def _mu_columns(d: int, i: int, cols: np.ndarray) -> np.ndarray:
-    """Apply the left contraction mu(e_i^*) to every column (0-based i)."""
-    dim, r = cols.shape
-    return cols.reshape(d, dim // d, r)[i]
-
-
 def wick_ideal_checks(
     alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
 ) -> dict:
@@ -333,30 +318,30 @@ def wick_ideal_checks(
     and max_{i,k} ||P_n mu(e_i^*) T_1...T_n (X (x) e_k)||, together with the
     intertwining residual ||(1 (x) P_n)(T_1...T_n) - (T_1...T_n)(P_n (x) 1)||
     and the margin ||P_n B|| over a basis B of ker R_n, certifying the
-    containment ker R_n <= ker P_n, the only one taken block by block.
+    containment ker R_n <= ker P_n.  By ``alg.split``, mu(e_i^*) takes the
+    rows i w of a block to the block of the words w, and X (x) e_k lies in
+    the rows w k of a block: for fixed letters, distinct blocks give pieces
+    in distinct rows and columns, so each norm is the largest piece's.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    d = alg.T.d
-    P_n = alg.P(n)
-    P_nm1 = alg.P(n - 1).mat
-    R_n = alg.R(n)
-    ker_P = alg.ker_P(n, rank_tol)
-    ker_R = nullspace_svd(R_n, rank_tol)
+    P_n, P_below, R_n = alg.P(n), alg.P(n - 1), alg.R(n)
+    ker_P, ker_R = alg.ker_P(n, rank_tol), nullspace_svd(R_n, rank_tol)
+    X, C = ker_P.parts.mats, alg.word(range(1, n + 1), n + 1)  # C the chain T_1 ... T_n
 
-    chain_n = alg.word(range(1, n + 1), n + 1).mat
-    RX = R_n.mat @ ker_P.basis
-    annihilation = max(op_norm(P_nm1 @ _mu_columns(d, i, RX)) for i in range(d))
-    coaction = 0.0
-    for k in range(d):
-        Xk = np.kron(ker_P.basis, np.eye(d, dtype=np.complex128)[:, [k]])  # X (x) e_k
-        CXk = chain_n @ Xk
-        for i in range(d):
-            coaction = max(coaction, op_norm(P_n.mat @ _mu_columns(d, i, CXk)))
-
-    intertwining = op_norm(
-        apply_slots(P_n.mat, d, 2, chain_n, left=True) - apply_slots(P_n.mat, d, 1, chain_n)
-    )
+    annihilation = op_norm([
+        P_below.mats[home] @ RX[rows]
+        for RX, pieces in zip(map(np.matmul, R_n.mats, X), alg.split(n))
+        for _, rows, home in pieces
+    ])
+    coaction = op_norm([
+        P_n.mats[home] @ CX[rows]
+        for m, firsts, lasts in zip(C.mats, alg.split(n + 1), alg.split(n + 1, last=True))
+        for CX in (m[:, cols] @ X[tails] for _, cols, tails in lasts)
+        for _, rows, home in firsts
+    ])
+    right = alg.apply_tensor(P_n.adjoint(), C.adjoint(), last=True).adjoint()  # C (P_n (x) 1)
+    intertwining = op_norm(alg.apply_tensor(P_n, C) - right)
     kerR_margin = op_norm(P_n @ ker_R.parts)
 
     ok = max(annihilation, coaction, intertwining, kerR_margin) <= tol

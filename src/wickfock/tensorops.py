@@ -8,8 +8,8 @@ sum recursions
     U_n  = (T_1 ... T_n)(T_1 ... T_{n-1}) ... (T_1 T_2) T_1
 
 where T_i is T on slots i, i+1 with identity factors on the others.
-:func:`apply_slots` applies ``1 (x) op (x) 1`` to a dense matrix from either
-side by a reshape and a matmul, never forming it.
+:func:`apply_slots` multiplies a dense matrix on the right by
+``1 (x) op (x) 1`` with a reshape and a matmul, never forming it.
 
 When T is weight-preserving (:func:`weight_preserving`: it maps
 e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a), so is every
@@ -115,19 +115,16 @@ def check_level(d: int, level: int, weight: bool = False) -> None:
             )
 
 
-def op_norm(op: BlockOperator | TensorOperator | np.ndarray) -> float:
+def op_norm(op: BlockOperator | TensorOperator | np.ndarray | list) -> float:
     """Operator norm: largest singular value, via eigendecomposition of the
-    self-adjoint square m^H m; for a block-diagonal operator, the largest
-    over its blocks."""
-    if isinstance(op, BlockOperator):
-        mats = [m for m in op.mats if m.size]  # a basis may hold no vector in a block
-        squares = by_shape(lambda m: np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m), mats)
-        return float(np.sqrt(max(max((float(ev[-1]) for ev in squares), default=0.0), 0.0)))
-    m = op.mat if isinstance(op, TensorOperator) else np.asarray(op)
-    if m.size == 0:
-        return 0.0
-    ev = np.linalg.eigvalsh(m.conj().T @ m)
-    return float(np.sqrt(max(ev[-1], 0.0)))
+    self-adjoint square m^H m; for a block-diagonal operator, or a list of
+    the pieces of an operator that lie in disjoint rows and disjoint
+    columns, the largest over its blocks."""
+    if not isinstance(op, (BlockOperator, list)):
+        op = [np.asarray(getattr(op, "mat", op))]
+    mats = [m for m in getattr(op, "mats", op) if m.size]  # a basis may hold no vector in a block
+    squares = by_shape(lambda m: np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m), mats)
+    return float(np.sqrt(max(max((float(ev[-1]) for ev in squares), default=0.0), 0.0)))
 
 
 def by_shape(fn, mats) -> list:
@@ -152,20 +149,17 @@ def _require_level2(T: TensorOperator) -> None:
         raise ValueError(f"expected a level-2 operator, got level {T.level}")
 
 
-def apply_slots(op: np.ndarray, d: int, i: int, X: np.ndarray, left: bool = False) -> np.ndarray:
-    """X (1 (x) op (x) 1), or (1 (x) op (x) 1) X with ``left=True``, where
-    the square ``op`` acts on the consecutive slots of H^(x)level starting at
-    slot i (1-based) and the level is read off X.
+def apply_slots(op: np.ndarray, d: int, i: int, X: np.ndarray) -> np.ndarray:
+    """X (1 (x) op (x) 1), where the square ``op`` acts on the consecutive
+    slots of H^(x)level starting at slot i (1-based) and the level is read
+    off X.
 
     X is viewed as a stack of (slots acted on) x (trailing slots) blocks, and
     op is applied to every block with one matmul.
     """
     k = op.shape[0]
-    dim = X.shape[0] if left else X.shape[1]
-    if i < 1 or dim % (d ** (i - 1) * k):
-        raise ValueError(f"a {k}x{k} operator at slot {i} does not fit dimension {dim}")
-    if left:
-        return (op @ X.reshape(d ** (i - 1), k, -1)).reshape(X.shape)
+    if i < 1 or X.shape[1] % (d ** (i - 1) * k):
+        raise ValueError(f"a {k}x{k} operator at slot {i} does not fit dimension {X.shape[1]}")
     return (op.T @ X.reshape(X.shape[0] * d ** (i - 1), k, -1)).reshape(X.shape)
 
 
@@ -180,9 +174,9 @@ def word_product(T: TensorOperator, word, level: int, words) -> BlockOperator:
 
 
 def braid_residual(T: TensorOperator) -> float:
-    """|| T_1 T_2 T_1 - T_2 T_1 T_2 ||_2 on H^(x)3, in one dense block."""
-    one = (np.arange(T.d**3),)
-    return op_norm(word_product(T, (1, 2, 1), 3, one) - word_product(T, (2, 1, 2), 3, one))
+    """|| T_1 T_2 T_1 - T_2 T_1 T_2 ||_2 on H^(x)3, in the layout of T."""
+    words = layout(T.d, 3, weight_preserving(T))
+    return op_norm(word_product(T, (1, 2, 1), 3, words) - word_product(T, (2, 1, 2), 3, words))
 
 
 def longest_word(n: int) -> tuple[int, ...]:
@@ -247,36 +241,31 @@ class BlockOperator:
     def identity(cls, d: int, level: int, words) -> BlockOperator:
         return cls(d, level, words, [np.eye(len(w), dtype=np.complex128) for w in words])
 
-    @classmethod
-    def restrict(cls, d: int, level: int, words, mat: np.ndarray) -> BlockOperator:
-        """The diagonal blocks ``words`` of a dense matrix."""
-        if len(words) == 1:
-            return cls(d, level, words, [np.array(mat, dtype=np.complex128)])
-        return cls(d, level, words, [mat[np.ix_(w, w)].astype(np.complex128) for w in words])
-
-    def place(self, basis: bool = False) -> np.ndarray:
-        """The dense matrix: block b at rows ``words[b]`` and, for an
-        operator, at columns ``words[b]``; a ``basis`` keeps its vectors
-        block after block.  One block is returned as it is."""
+    def place(self) -> np.ndarray:
+        """The dense matrix: block b at rows and columns ``words[b]``.  One
+        block is returned as it is."""
         if len(self.mats) == 1:
             return self.mats[0]
         check_level(self.d, self.level)
-        if basis:
-            out = np.zeros((self.d**self.level, sum(m.shape[1] for m in self.mats)), dtype=np.complex128)
-            start = 0
-            for words, m in zip(self.words, self.mats):
-                out[words, start:start + m.shape[1]] = m
-                start += m.shape[1]
-        else:
-            _, _, rows, cols = _entries(self.words)
-            out = np.zeros((self.d**self.level,) * 2, dtype=np.complex128)
-            out[rows, cols] = np.concatenate([m.ravel() for m in self.mats])
+        _, _, rows, cols = _entries(self.words)
+        out = np.zeros((self.d**self.level,) * 2, dtype=np.complex128)
+        out[rows, cols] = np.concatenate([m.ravel() for m in self.mats])
         out.flags.writeable = False
         return out
 
     @cached_property
     def mat(self) -> np.ndarray:
         return self.place()
+
+    @cached_property
+    def stacks(self) -> tuple:
+        """Per shape of block, in order of first appearance: the words (blocks
+        x rows) and the matrices of those blocks, stacked (a lone one a view)."""
+        groups: dict = {}
+        for words, m in zip(self.words, self.mats):
+            groups.setdefault(m.shape, []).append((words, m))
+        return tuple(tuple(np.stack(a) if len(a) > 1 else a[0][None] for a in zip(*group))
+                     for group in groups.values())
 
     def packed(self) -> np.ndarray:
         """The blocks row-major one after another, as :meth:`from_packed`

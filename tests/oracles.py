@@ -2,7 +2,8 @@
 
 No wickfock run uses these.  Each builds its object a second way, from the
 definitions, as one dense matrix; the products of the T_i reuse only
-``apply_slots``, which the tests check against :func:`amplify`.
+``apply_slots`` and its left-hand twin :func:`apply_left`, which the tests
+check against :func:`amplify`.
 
 - The group element by element (Bożejko-Speicher, Math. Ann. 300, 1994):
   :class:`CoxeterElement`, :func:`enumerate_group`, :func:`reduced_word`,
@@ -26,7 +27,7 @@ definitions, as one dense matrix; the products of the T_i reuse only
   identity: the dense side of :func:`phi` and :func:`build_U`, and of the
   telescoping reference.
 - :func:`amplify`, T_i as an explicit Kronecker product: the reference for
-  ``apply_slots`` and ``tensorops.word_product`` in either layout
+  ``apply_slots``, :func:`apply_left` and ``tensorops.word_product`` in either layout
   (``test_apply_slots_and_word_product_match_kron_products``), for the braid
   relation at every position (``test_braid_relation_at_every_position``)
   and for the per-k kernels ker(1 + T_k) of the kernel theorem
@@ -49,7 +50,7 @@ definitions, as one dense matrix; the products of the T_i reuse only
   (``test_factorization_m_form``, acceptance criterion 07).
 - :func:`coxeter_checks`, :func:`young_sum` and :func:`un_checks`, the
   Coxeter and U_n reports with every operand placed as one dense matrix and
-  P(W_J) a product of dense P_b by ``apply_slots``: the references for the
+  P(W_J) a product of dense P_b by :func:`apply_left`: the references for the
   reports taken per block (``test_coxeter_checks_on_hecke_and_unimodular_flips``,
   ``test_un_laws_on_hecke_and_unimodular_flips``,
   ``test_blocked_reports_on_one_dense_block``).
@@ -60,6 +61,12 @@ definitions, as one dense matrix; the products of the T_i reuse only
   the references for the reports taken per block
   (``test_blocked_diagnostics_equal_the_dense_references``,
   ``test_blocked_diagnostics_on_rotated_hecke``).
+- :func:`wick_ideal_checks` and :func:`relation_check`, the Wick-ideal and
+  Fock relation reports on dense matrices, with the dense basis of ker P_n
+  (:func:`dense_basis`) and the dense :func:`annihilate` and
+  :func:`fock_inner`: the references for the reports taken per block
+  through ``Algebra.split`` (``test_blocked_wick_and_fock_reports_equal_the_dense_references``,
+  ``test_blocked_wick_and_fock_reports_on_rotated_hecke``).
 - :func:`annihilate_mu`, the free left contraction, which ``fock.annihilate``
   must equal when T = 0 (``test_annihilate_free_reduces_to_mu``).
 - :func:`normal_order`, Wick ordering into a :class:`WickPolynomial` by the
@@ -91,7 +98,7 @@ import numpy as np
 
 from wickfock import rewrite
 from wickfock.coxeter import MAX_RANK
-from wickfock.fock import GradedVector
+from wickfock.fock import GradedVector, _pad, _random_graded, create
 from wickfock.model import SpecError, TensorOperator, WickSpec
 from wickfock.tensorops import _require_level2, apply_slots, longest_word, op_norm
 
@@ -196,6 +203,28 @@ def walk_elements(n: int, start: np.ndarray, apply) -> np.ndarray:
     return sums
 
 
+def apply_left(op: np.ndarray, d: int, i: int, X: np.ndarray) -> np.ndarray:
+    """(1 (x) op (x) 1) X, ``op`` on the consecutive slots from slot i
+    (1-based): X viewed as a stack of (slots acted on) x (trailing slots)
+    blocks, op applied to each by one matmul; ``tensorops.apply_slots`` is
+    the product from the right."""
+    k = op.shape[0]
+    if i < 1 or X.shape[0] % (d ** (i - 1) * k):
+        raise ValueError(f"a {k}x{k} operator at slot {i} does not fit dimension {X.shape[0]}")
+    return (op @ X.reshape(d ** (i - 1), k, -1)).reshape(X.shape)
+
+
+def dense_basis(K) -> np.ndarray:
+    """The basis of a ``spectral.Subspace`` as one dense matrix, the
+    vectors of its blocks in turn."""
+    out = np.zeros((K.d**K.level, K.dim), dtype=np.complex128)
+    start = 0
+    for words, m in zip(K.parts.words, K.parts.mats):
+        out[words, start:start + m.shape[1]] = m
+        start += m.shape[1]
+    return out
+
+
 def word_product(T: TensorOperator, word, level: int) -> TensorOperator:
     """T_{w_1} T_{w_2} ... T_{w_k} on H^(x)level as one dense matrix,
     multiplied left to right starting from the identity."""
@@ -253,7 +282,7 @@ def build_P(T: TensorOperator, n: int) -> TensorOperator:
         return TensorOperator(d, n, np.eye(d**n, dtype=np.complex128))
     P = np.eye(d, dtype=np.complex128)
     for m in range(2, n + 1):
-        P = apply_slots(P, d, 2, build_R(T, m).mat, left=True)
+        P = apply_left(P, d, 2, build_R(T, m).mat)
     return TensorOperator(d, n, P)
 
 
@@ -318,7 +347,7 @@ def build_Rtilde(T: TensorOperator, k: int, n: int) -> TensorOperator:
     d = T.d
     total = term = np.eye(d**n, dtype=np.complex128)
     for j in range(k - 1, 0, -1):
-        term = apply_slots(T.mat, d, j, term, left=True)
+        term = apply_left(T.mat, d, j, term)
         total = total + term
     return TensorOperator(d, n, total)
 
@@ -536,13 +565,13 @@ def normal_order_paths(spec: WickSpec, w) -> WickPolynomial:
 def young_sum(alg, n: int, J: int) -> np.ndarray:
     """P(W_J) as one dense matrix: the tensor product of the dense block
     P_b over the groups of consecutive slots that J joins (slots s, s+1
-    share a group iff s is in J), each applied by ``apply_slots``."""
+    share a group iff s is in J), each applied by :func:`apply_left`."""
     acc = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
     start = 1
     for s in range(1, n + 2):
         if not J >> (s - 1) & 1:  # bit n is never set: the last group closes at slot n+1
             if s > start:
-                acc = apply_slots(alg.P(s - start + 1).mat, alg.T.d, start, acc, left=True)
+                acc = apply_left(alg.P(s - start + 1).mat, alg.T.d, start, acc)
             start = s + 1
     return acc
 
@@ -583,7 +612,7 @@ def coxeter_checks(alg, n: int) -> dict:
 
 def un_checks(alg, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
     """``spectral.un_checks`` on dense matrices, with T_k U_n taken from
-    the left by ``apply_slots``."""
+    the left by :func:`apply_left`."""
     T = alg.T
     level = n + 1
     U = alg.U(n).mat
@@ -592,7 +621,7 @@ def un_checks(alg, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
     invariance = op_norm((eye - proj) @ U @ proj)
     commutation = 0.0
     for k in range(1, n + 1):
-        tk_U = apply_slots(T.mat, T.d, k, U, left=True)
+        tk_U = apply_left(T.mat, T.d, k, U)
         U_tmirror = apply_slots(T.mat, T.d, n + 1 - k, U)
         commutation = max(commutation, op_norm(tk_U - U_tmirror))
     return {
@@ -605,7 +634,8 @@ def un_checks(alg, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
 
 def telescoping_residual(T: TensorOperator, n: int) -> float:
     """``spectral.telescoping_residual`` on dense matrices, each sandwich
-    T_1 ... T_m X T_m ... T_1 taken from both sides by ``apply_slots``."""
+    T_1 ... T_m X T_m ... T_1 taken from both sides by ``apply_slots`` and
+    :func:`apply_left`."""
     _require_level2(T)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -616,7 +646,7 @@ def telescoping_residual(T: TensorOperator, n: int) -> float:
     def sandwich(m: int, inner: np.ndarray) -> np.ndarray:
         """T_1 ... T_m inner T_m ... T_1."""
         for i in range(m, 0, -1):
-            inner = apply_slots(T.mat, d, i, apply_slots(T.mat, d, i, inner), left=True)
+            inner = apply_left(T.mat, d, i, apply_slots(T.mat, d, i, inner))
         return inner
 
     Un = word_product(T, longest_word(n), level).mat
@@ -633,7 +663,7 @@ def kernel_1mU2_diag(T: TensorOperator, n: int, rank_tol: float = 1e-8, tol: flo
     """``spectral.kernel_1mU2_diag`` on dense matrices: the kernels of
     1 - U_n^2 and of P_{n+1} and their intersection, the kernel of
     (1 - Pi_A) + (1 - Pi_B), each from one refined eigendecomposition, and
-    T_k^2 applied to the basis from the left by ``apply_slots``."""
+    T_k^2 applied to the basis from the left by :func:`apply_left`."""
     level = n + 1
     eye = np.eye(T.d**level, dtype=np.complex128)
     U = build_U(T, n).mat
@@ -641,11 +671,124 @@ def kernel_1mU2_diag(T: TensorOperator, n: int, rank_tol: float = 1e-8, tol: flo
     proj_P = kernel_projector(build_P(T, level).mat, rank_tol, refine=True)
     inter = kernel_basis((eye - ker_U @ ker_U.conj().T) + (eye - proj_P), rank_tol, refine=True)
     T2 = T.mat @ T.mat
-    residual = max(op_norm(inter - apply_slots(T2, T.d, k, inter, left=True)) for k in range(1, n + 1))
+    residual = max(op_norm(inter - apply_left(T2, T.d, k, inter)) for k in range(1, n + 1))
     return {
         "level": level,
         "dim_ker_1mU2": ker_U.shape[1],
         "dim_intersection": inter.shape[1],
         "involution_residual": residual,
         "status": "pass" if residual <= tol else "fail",
+    }
+
+
+def _mu_columns(d: int, i: int, cols: np.ndarray) -> np.ndarray:
+    """Apply the left contraction mu(e_i^*) to every column (0-based i)."""
+    dim, r = cols.shape
+    return cols.reshape(d, dim // d, r)[i]
+
+
+def wick_ideal_checks(alg, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
+    """``spectral.wick_ideal_checks`` on dense matrices: the contractions
+    of the dense basis of ker P_n, and the intertwining of the dense chain
+    T_1 ... T_n from both sides."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    d = alg.T.d
+    P_n = alg.P(n)
+    P_nm1 = alg.P(n - 1).mat
+    R_n = alg.R(n)
+    ker_P = alg.ker_P(n, rank_tol)
+    basis = dense_basis(ker_P)
+    ker_R = nullspace_basis(R_n.mat, rank_tol)
+
+    chain_n = alg.word(range(1, n + 1), n + 1).mat
+    RX = R_n.mat @ basis
+    annihilation = max(op_norm(P_nm1 @ _mu_columns(d, i, RX)) for i in range(d))
+    coaction = 0.0
+    for k in range(d):
+        Xk = np.kron(basis, np.eye(d, dtype=np.complex128)[:, [k]])  # X (x) e_k
+        CXk = chain_n @ Xk
+        for i in range(d):
+            coaction = max(coaction, op_norm(P_n.mat @ _mu_columns(d, i, CXk)))
+
+    intertwining = op_norm(
+        apply_left(P_n.mat, d, 2, chain_n) - apply_slots(P_n.mat, d, 1, chain_n)
+    )
+    kerR_margin = op_norm(P_n.mat @ ker_R)
+
+    ok = max(annihilation, coaction, intertwining, kerR_margin) <= tol
+    return {
+        "level": n,
+        "dim_ker_P": ker_P.dim,
+        "dim_ker_R": ker_R.shape[1],
+        "annihilation_residual": annihilation,
+        "coaction_residual": coaction,
+        "intertwining_residual": intertwining,
+        "kerR_inclusion_margin": kerR_margin,
+        "status": "pass" if ok else "fail",
+    }
+
+
+def annihilate(alg, i: int, v: GradedVector) -> GradedVector:
+    """``fock.annihilate`` with the dense R_n: mu(e_i^*) R_n on each
+    degree-n component."""
+    d = v.d
+    out = [np.zeros(d**n, dtype=np.complex128) for n in range(v.max_degree + 1)]
+    for n in range(1, v.max_degree + 1):
+        out[n - 1] = (alg.R(n).mat @ v.comps[n]).reshape(d, d ** (n - 1))[i].copy()
+    return GradedVector(d, tuple(out))
+
+
+def fock_inner(alg, x: GradedVector, y: GradedVector) -> complex:
+    """``fock.fock_inner`` with the dense P_n."""
+    total = 0j
+    for n in range(x.max_degree + 1):
+        yn = y.comps[n] if n < 2 else alg.P(n).mat @ y.comps[n]
+        total += np.vdot(x.comps[n], yn)
+    return complex(total)
+
+
+def relation_check(alg, N: int, seed: int = 42, tol: float = 1e-8) -> dict:
+    """``fock.relation_check`` on dense matrices: each relation residual
+    the norm of a dense (i, j) block of R_{n+1} against its right side,
+    the lam(a_k^*) row blocks of the dense R_n placed by Kronecker
+    products, and the adjointness residual on the same 50 seeded graded
+    vectors through the dense :func:`annihilate` and :func:`fock_inner`."""
+    if N < 2:
+        raise ValueError(f"need N >= 2, got {N}")
+    d = alg.T.d
+    units = np.eye(d, dtype=np.complex128)
+    relation_residual = 0.0
+    for n in range(0, N):
+        eye_n = np.eye(d**n, dtype=np.complex128)
+        blocks = alg.R(n + 1).mat.reshape(d, d**n, d, d**n)
+        ann = alg.R(n).mat.reshape(d, -1, d**n) if n >= 1 else None
+        for i in range(d):
+            for j in range(d):
+                rhs = (1.0 if i == j else 0.0) * eye_n
+                if n >= 1:
+                    for (a, b, k, l), c in alg.spec.coeffs.items():
+                        if (a, b) != (i, j):
+                            continue
+                        rhs = rhs + c * np.kron(units[:, [l]], ann[k])
+                residual = op_norm(blocks[i, :, j, :] - rhs)
+                relation_residual = max(relation_residual, residual)
+
+    rng = np.random.default_rng(seed)
+    adjoint_residual = 0.0
+    for _ in range(50):
+        x = _random_graded(d, N - 1, rng)
+        y = _random_graded(d, N, rng)
+        i = int(rng.integers(0, d))
+        lhs = fock_inner(alg, _pad(create(i, _pad(x, N)), N), y)
+        rhs = fock_inner(alg, _pad(x, N), _pad(annihilate(alg, i, y), N))
+        scale = 1.0 + x.norm() * y.norm()
+        adjoint_residual = max(adjoint_residual, abs(lhs - rhs) / scale)
+
+    ok = relation_residual <= tol and adjoint_residual <= tol
+    return {
+        "max_degree": N,
+        "relation_residual": relation_residual,
+        "adjointness_residual": adjoint_residual,
+        "status": "pass" if ok else "fail",
     }

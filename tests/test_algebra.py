@@ -59,8 +59,8 @@ def test_kernel_is_memoized_per_rank_tolerance():
     alg = Algebra(qccr(2, 1.0))
     K = alg.ker_P(3, 1e-8)
     assert alg.ker_P(3, 1e-8) is K
-    assert not K.basis.flags.writeable
-    assert np.array_equal(K.basis, spectral.kernel(alg.P(3), 1e-8).basis)
+    assert not any(m.flags.writeable for m in K.parts.mats)
+    assert np.array_equal(oracles.dense_basis(K), oracles.dense_basis(spectral.kernel(alg.P(3), 1e-8)))
     reference = oracles.kernel_projector(oracles.build_P(alg.T, 3).mat, 1e-8)
     assert tensorops.op_norm(K.projector().mat - reference) <= 1e-12
     assert alg.ker_P(3, 1e-6) is not K
@@ -153,9 +153,15 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     path = tmp_path / "qccr_d3.json"
     path.write_text(json.dumps({"d": 3, "preset": {"name": "q-ccr", "q": 0.5}}))
     build_T = _count_calls(monkeypatch, model.build_T)
-    build_P = []
-    lift = Algebra._lift
-    monkeypatch.setattr(Algebra, "_lift", lambda self, n: build_P.append(n) or lift(self, n))
+    build_P = []  # the level of each (1 (x) P_{n-1}) R_n, the step that builds P_n
+    tensor = Algebra.apply_tensor
+
+    def counted(self, op, A, last=False):
+        if A is self._memo.get(("R", A.level)):
+            build_P.append(A.level)
+        return tensor(self, op, A, last)
+
+    monkeypatch.setattr(Algebra, "apply_tensor", counted)
     walks = _count_calls(monkeypatch, coxeter.descent_sums)
     braids = _count_calls(monkeypatch, tensorops.braid_residual)
     out = tmp_path / "report.json"

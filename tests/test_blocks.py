@@ -21,9 +21,11 @@ from conftest import (
     qccr,
     rotated,
     twisted_flip,
+    twisted_flip_spec,
     unimodular_flip,
+    unimodular_q,
 )
-from wickfock import coxeter, spectral, tensorops
+from wickfock import cli, coxeter, fock, model, spectral, tensorops
 from wickfock.algebra import Algebra
 
 TOL = 1e-12
@@ -144,6 +146,15 @@ def test_one_dense_block_is_the_dense_build(d, max_level, data):
     check_against_dense_references(spec, max_level, exact=True)
 
 
+@pytest.mark.parametrize("phases", [(0.0, 0.0, 0.0), (0.5, 1.0, 2.0), (1.0, 4.0, 2.5), (3.0, 5.5, 0.25)])
+def test_blocked_operators_on_a_near_degenerate_unimodular_flip(phases):
+    # moduli 1 and 0.875, diagonal -1 and 1: a relative gap of about 0.083/24
+    # in P_4, where one dense eigh tilts the kernel by eps ||P|| / gap; the
+    # property test above met it only by the draw of its examples
+    spec = twisted_flip_spec(unimodular_q(3, [1.0, 0.875], phases, [-1.0, 1.0]))
+    check_against_dense_references(spec, 4, exact=False)
+
+
 def test_blocked_reports_on_one_dense_block():
     # a rotated T is one dense block: the blocked Coxeter and U_n reports run
     # the same code on it and give the dense references' residuals
@@ -156,11 +167,11 @@ def test_blocked_reports_on_one_dense_block():
 
 
 @pytest.mark.parametrize("spec", [qccr(3, 0.5), twisted_flip(3, seed=3)], ids=["q-ccr", "twisted flip"])
-def test_blocked_reports_place_no_dense_matrix(spec, monkeypatch):
+def test_blocked_reports_place_no_dense_matrix(spec, monkeypatch, tmp_path):
     alg = Algebra(spec)
     assert alg.weight
 
-    def place(self, basis=False):
+    def place(self):
         raise AssertionError(f"placed a dense matrix at level {self.level}")
 
     monkeypatch.setattr(tensorops.BlockOperator, "place", place)
@@ -168,6 +179,15 @@ def test_blocked_reports_place_no_dense_matrix(spec, monkeypatch):
     assert spectral.un_checks(alg, 4)["status"] == "pass"
     assert spectral.telescoping_residual(alg, 4) <= 1e-10
     assert spectral.kernel_1mU2_diag(alg, 4)["status"] == "pass"
+    assert spectral.wick_ideal_checks(alg, 4)["status"] == "pass"
+    assert fock.relation_check(alg, 4)["status"] == "pass"
+    x = fock._random_graded(3, 4, np.random.default_rng(1))
+    assert fock.fock_inner(alg, x, x).real > 0
+    # and a whole `full --n-max 4` run, which reads T itself and the
+    # level-2 projector Pi of the kernel theorem as dense d^2 x d^2 matrices
+    path = tmp_path / "spec.json"
+    path.write_text(model.to_json(spec))
+    assert cli.main(["full", "--spec", str(path), "--n-max", "4", "--out", str(tmp_path / "out.json")]) == 0
 
 
 def check_diagnostics_against_dense(alg: Algebra, max_rank: int) -> None:
@@ -205,6 +225,62 @@ def test_blocked_diagnostics_on_rotated_hecke():
         alg = Algebra(spec)
         assert not alg.weight
         check_diagnostics_against_dense(alg, max_rank)
+
+
+def check_wick_and_fock_against_dense(alg: Algebra, max_level: int) -> None:
+    """The Wick-ideal reports at n <= max_level and the Fock relation
+    report at degree max_level, taken through ``alg.split``, against the
+    dense references in tests/oracles.py: equal dimensions and statuses,
+    residuals within 1e-13."""
+    pairs = [(spectral.wick_ideal_checks(alg, n), oracles.wick_ideal_checks(alg, n))
+             for n in range(2, max_level + 1)]
+    pairs.append((fock.relation_check(alg, max_level), oracles.relation_check(alg, max_level)))
+    for rep, ref in pairs:
+        context = (alg.spec.source, rep.get("level", rep.get("max_degree")))
+        assert rep.keys() == ref.keys(), context
+        for key, value in rep.items():
+            if isinstance(value, float):
+                assert abs(value - ref[key]) <= 1e-13, (context, key, value, ref[key])
+            else:
+                assert value == ref[key], (context, key)
+        assert rep["status"] == "pass", context
+
+
+@pytest.mark.parametrize("d, max_level", [(2, 4), (3, 3)])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_blocked_wick_and_fock_reports_equal_the_dense_references(d, max_level, data):
+    alg = Algebra(data.draw(braided_families(d)))
+    assert alg.weight
+    check_wick_and_fock_against_dense(alg, max_level)
+
+
+def test_blocked_wick_and_fock_reports_on_rotated_hecke():
+    # one dense block: the split of the whole space by first and last letter
+    for spec, max_level in ((rotated(hecke(2, 0.6), 1), 4), (rotated(hecke(3, 0.6), 2), 3)):
+        alg = Algebra(spec)
+        assert not alg.weight
+        check_wick_and_fock_against_dense(alg, max_level)
+
+
+def test_split_takes_each_letter_to_the_block_of_its_tails():
+    # for every block and first (last) letter, the tails of the rows are the
+    # words of the home block, in order, and the rows cover the block once
+    for spec in (qccr(3, 0.5), rotated(hecke(2, 0.6), 1)):
+        alg = Algebra(spec)
+        d = alg.T.d
+        for level in range(1, 5):
+            below = alg.layout(level - 1)
+            for last in (False, True):
+                for words, pieces in zip(alg.layout(level), alg.split(level, last)):
+                    covered = np.concatenate([np.arange(len(words))[rows] for _, rows, _ in pieces])
+                    assert sorted(covered) == list(range(len(words))), (level, last)
+                    for a, rows, home in pieces:
+                        letter, tail = divmod(words[rows], d ** (level - 1))
+                        if last:
+                            tail, letter = divmod(words[rows], d)
+                        assert set(letter) == {a}, (level, last)
+                        assert np.array_equal(tail, below[home]), (level, last)
 
 
 def relabelled(blocks, d: int, level: int, sigma) -> list[tuple[int, np.ndarray]]:

@@ -111,7 +111,7 @@ def test_kernel_vectors_are_null():
                 b = fock.GradedVector(
                     2,
                     tuple(
-                        K.basis[:, col] if m == n else np.zeros(2**m, dtype=complex)
+                        oracles.dense_basis(K)[:, col] if m == n else np.zeros(2**m, dtype=complex)
                         for m in range(n + 1)
                     ),
                 )

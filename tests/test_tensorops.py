@@ -116,8 +116,8 @@ def test_apply_slots_and_word_product_match_kron_products(d):
         for i in range(1, level):
             Ti = oracles.amplify(T, i, level).mat
             assert _rel_err(tensorops.apply_slots(T.mat, d, i, X), X @ Ti) <= tol
-            assert _rel_err(tensorops.apply_slots(T.mat, d, i, X, left=True), Ti @ X) <= tol
-            assert _rel_err(tensorops.apply_slots(T.mat, d, i, tall, left=True), Ti @ tall) <= tol
+            assert _rel_err(oracles.apply_left(T.mat, d, i, X), Ti @ X) <= tol
+            assert _rel_err(oracles.apply_left(T.mat, d, i, tall), Ti @ tall) <= tol
         word = tuple(int(i) for i in rng.integers(1, level, size=2 * level))
         for op, weight in ((T, False), (Tw, True)):
             expected = np.eye(dim)
@@ -132,13 +132,13 @@ def test_apply_slots_and_word_product_match_kron_products(d):
         P = oracles.build_P(T, level - 1).mat
         R = oracles.build_R(T, level).mat
         eye_d = np.eye(d)
-        assert _rel_err(tensorops.apply_slots(P, d, 2, R, left=True), np.kron(eye_d, P) @ R) <= tol
+        assert _rel_err(oracles.apply_left(P, d, 2, R), np.kron(eye_d, P) @ R) <= tol
         assert _rel_err(tensorops.apply_slots(P, d, 1, X), X @ np.kron(P, eye_d)) <= tol
         if level >= 4:  # a three-slot operator strictly inside the tensor power
             op = crandn(d**3, d**3)
             amp = np.kron(np.kron(eye_d, op), np.eye(d ** (level - 4)))
             assert _rel_err(tensorops.apply_slots(op, d, 2, X), X @ amp) <= tol
-            assert _rel_err(tensorops.apply_slots(op, d, 2, X, left=True), amp @ X) <= tol
+            assert _rel_err(oracles.apply_left(op, d, 2, X), amp @ X) <= tol
 
 
 def test_braid_residual_presets_and_zero():
