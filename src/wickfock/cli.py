@@ -16,11 +16,18 @@ byte-identical across reruns on the same input unless --timestamps is on.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import datetime
+import functools
+import glob
 import itertools
 import json
 import math
+import os
 import sys
+
+import numpy as np
 
 from . import __version__, coxeter, fock, rewrite, spectral, tensorops
 from .algebra import Algebra, check_level
@@ -30,6 +37,56 @@ __all__ = ["main", "entry", "build_report"]
 
 MAX_FULL_COXETER_RANK = 4
 MAX_FULL_WICK_LEVEL = 4  # fixes which records `full` emits, which the benchmark's fingerprints pin
+
+# A command whose largest block (tensorops.largest_block at its deepest
+# level) holds fewer words than this runs on one OpenBLAS thread: a second
+# thread stalls on products this small and pays from 243 words on.  Measured
+# on 2 vCPUs with numpy 2.4's bundled OpenBLAS 0.3.31, one thread against its
+# default two:
+#   eigh of one n x n block      n=126: 6.0 ms vs 8.8   n=243: 23.8 vs 19.0
+#                                n=729: 582 ms vs 349
+#   q-CCR, weight blocks         d=4 kernel-theorem --n-max 6 (180 words):
+#                                  0.69-0.79 s vs 0.60-0.75, CPU 0.7-0.8 s vs 1.1-1.4
+#                                d=3 full --n-max 7 (210 words): 2.55-3.36 s vs 2.89-4.32
+#   rotated Hecke, one dense     d=2 pn --n 7 --method coxeter (128 words): 0.48 s vs 0.53
+#   block per level              d=3 full --n-max 5 (243 words): 1.58 s vs 1.49
+#                                d=3 kernel-theorem --n-max 6 (729 words): 2.45 s vs 1.79
+ONE_BLAS_THREAD_BELOW = 243
+
+
+@functools.cache
+def _openblas_threads():
+    """The getter and setter of the thread count of the OpenBLAS that
+    numpy's wheel bundles (scipy-openblas, under ``numpy.libs``), or None
+    when numpy uses another BLAS or the symbols are missing."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):  # not loadable, or an OpenBLAS with other symbol names
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, and restore the count found on
+    the way out, however the body ends; do nothing when OpenBLAS is not
+    found or already runs on one thread."""
+    blas = _openblas_threads()
+    before = blas[0]() if blas else 1
+    if before <= 1:
+        yield
+        return
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](before)
 
 
 def _full_reports(n_max: int, d: int) -> tuple[range, range, int]:
@@ -139,19 +196,20 @@ def _suite_coxeter(alg: Algebra, checks: _Checks, n: int, tol: float) -> None:
 
 
 def _suite_rewrite_cross(alg: Algebra, checks: _Checks, max_degree: int, tol: float) -> None:
-    d = alg.T.d
-    N = max(max_degree, 2)
-    words = [
-        tuple((i, False) for i in w)
-        for deg in range(max_degree + 1)
-        for w in itertools.product(range(d), repeat=deg)
-    ]
-    vectors = {w: rewrite.creation_vector({w: 1.0 + 0j}, d, N) for w in words}
+    """|f(u* w) - <u, w>_0| over every pair of creation words u, w of degree
+    at most ``max_degree``: <u, w>_0 is the entry [u, w] of the block of P_n
+    when both have degree n and lie in one block, else 0."""
+    words = []  # per creation word: the free word, the block of P_n that holds it, its row there
+    for n in range(max_degree + 1):
+        P, letters = alg.P(n), list(itertools.product(range(alg.T.d), repeat=n))
+        for block, m in zip(P.words, P.mats):
+            words += [(tuple((i, False) for i in letters[w]), m, row) for row, w in enumerate(block.tolist())]
     worst = 0.0
-    for wx in words:
-        for wy in words:
-            via_f = rewrite.inner_via_f(alg, {wx: 1.0 + 0j}, {wy: 1.0 + 0j})
-            worst = max(worst, abs(via_f - fock.fock_inner(alg, vectors[wx], vectors[wy])))
+    for u, block, row in words:
+        u_star = rewrite.star(u)
+        for w, other, col in words:
+            inner = complex(block[row, col]) if other is block else 0j
+            worst = max(worst, abs(alg.f(u_star + w) - inner))
     checks.add_residual("rewrite_fock_agreement", {"max_degree": max_degree}, worst, tol)
 
 
@@ -195,57 +253,59 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     checks = _Checks()
     tol = args.tol
     rank_tol = args.rank_tol
-
-    if args.command == "check":
-        _suite_check(alg, checks, tol)
-    elif args.command == "pn":
-        _suite_pn(alg, checks, args.n, args.method, tol)
-    elif args.command == "kernel-theorem":
-        _suite_kernel_theorem(alg, checks, args.n_max, rank_tol, tol)
-    elif args.command == "positivity":
-        _suite_positivity(alg, checks, args.n_max, rank_tol, tol)
-    elif args.command == "coxeter":
-        _suite_coxeter(alg, checks, args.n, tol)
-    elif args.command == "inner":
-        via_f = rewrite.inner_via_f(alg, X, Y)
-        gx = rewrite.creation_vector(X, spec.d, top)
-        gy = rewrite.creation_vector(Y, spec.d, top)
-        via_fock = fock.fock_inner(alg, gx, gy)
-        bound = tol * max(1.0, abs(via_fock))  # relative once |<X, Y>_0| > 1
-        checks.add(
-            "inner_product",
-            {"x": args.x, "y": args.y},
-            "pass" if abs(via_f - via_fock) <= bound else "fail",
-            via_functional={"re": via_f.real, "im": via_f.imag},
-            via_fock={"re": via_fock.real, "im": via_fock.imag},
-            difference=abs(via_f - via_fock),
-            tolerance=bound,
-        )
-    elif args.command == "full":
-        n_max = args.n_max
-        coxeter_ranks, wick_levels, N = _full_reports(n_max, spec.d)
-        _suite_check(alg, checks, tol)
-        for n in range(2, n_max + 1):
-            _suite_pn(alg, checks, n, "both", tol)
-        _suite_kernel_theorem(alg, checks, n_max, rank_tol, tol)
-        _suite_positivity(alg, checks, n_max, rank_tol, tol)
-        for n in coxeter_ranks:
-            _suite_coxeter(alg, checks, n, tol)
-            rep = spectral.un_checks(alg, n, rank_tol=rank_tol, tol=tol)
-            checks.add_report("un_laws", {"n": n}, rep, tolerance=tol)
-            checks.add_residual("telescoping", {"n": n}, spectral.telescoping_residual(alg, n), tol)
-            rep = spectral.kernel_1mU2_diag(alg, n, rank_tol=rank_tol, tol=tol)
-            checks.add_report("kernel_1mU2", {"n": n}, rep)
-        for n in wick_levels:
-            rep = spectral.wick_ideal_checks(alg, n, rank_tol=rank_tol, tol=tol)
-            checks.add_report("wick_ideal", {"n": n}, rep, tolerance=tol)
-        rep = fock.relation_check(alg, max(N, 2), seed=args.seed, tol=tol)
-        checks.add_report(
-            "fock_relations", {"max_degree": rep["max_degree"], "seed": args.seed}, rep, tolerance=tol
-        )
-        _suite_rewrite_cross(alg, checks, min(3, N), tol)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SpecError(f"unknown command {args.command}")
+    # the largest block of the deepest level decides whether a second BLAS thread pays
+    small = tensorops.largest_block(spec.d, top, alg.weight) < ONE_BLAS_THREAD_BELOW
+    with _one_blas_thread() if small else contextlib.nullcontext():
+        if args.command == "check":
+            _suite_check(alg, checks, tol)
+        elif args.command == "pn":
+            _suite_pn(alg, checks, args.n, args.method, tol)
+        elif args.command == "kernel-theorem":
+            _suite_kernel_theorem(alg, checks, args.n_max, rank_tol, tol)
+        elif args.command == "positivity":
+            _suite_positivity(alg, checks, args.n_max, rank_tol, tol)
+        elif args.command == "coxeter":
+            _suite_coxeter(alg, checks, args.n, tol)
+        elif args.command == "inner":
+            via_f = rewrite.inner_via_f(alg, X, Y)
+            gx = rewrite.creation_vector(X, spec.d, top)
+            gy = rewrite.creation_vector(Y, spec.d, top)
+            via_fock = fock.fock_inner(alg, gx, gy)
+            bound = tol * max(1.0, abs(via_fock))  # relative once |<X, Y>_0| > 1
+            checks.add(
+                "inner_product",
+                {"x": args.x, "y": args.y},
+                "pass" if abs(via_f - via_fock) <= bound else "fail",
+                via_functional={"re": via_f.real, "im": via_f.imag},
+                via_fock={"re": via_fock.real, "im": via_fock.imag},
+                difference=abs(via_f - via_fock),
+                tolerance=bound,
+            )
+        elif args.command == "full":
+            n_max = args.n_max
+            coxeter_ranks, wick_levels, N = _full_reports(n_max, spec.d)
+            _suite_check(alg, checks, tol)
+            for n in range(2, n_max + 1):
+                _suite_pn(alg, checks, n, "both", tol)
+            _suite_kernel_theorem(alg, checks, n_max, rank_tol, tol)
+            _suite_positivity(alg, checks, n_max, rank_tol, tol)
+            for n in coxeter_ranks:
+                _suite_coxeter(alg, checks, n, tol)
+                rep = spectral.un_checks(alg, n, rank_tol=rank_tol, tol=tol)
+                checks.add_report("un_laws", {"n": n}, rep, tolerance=tol)
+                checks.add_residual("telescoping", {"n": n}, spectral.telescoping_residual(alg, n), tol)
+                rep = spectral.kernel_1mU2_diag(alg, n, rank_tol=rank_tol, tol=tol)
+                checks.add_report("kernel_1mU2", {"n": n}, rep)
+            for n in wick_levels:
+                rep = spectral.wick_ideal_checks(alg, n, rank_tol=rank_tol, tol=tol)
+                checks.add_report("wick_ideal", {"n": n}, rep, tolerance=tol)
+            rep = fock.relation_check(alg, max(N, 2), seed=args.seed, tol=tol)
+            checks.add_report(
+                "fock_relations", {"max_degree": rep["max_degree"], "seed": args.seed}, rep, tolerance=tol
+            )
+            _suite_rewrite_cross(alg, checks, min(3, N), tol)
+        else:  # pragma: no cover - argparse restricts choices
+            raise SpecError(f"unknown command {args.command}")
 
     report = {
         "tool": {"name": "wickfock", "version": __version__},

@@ -36,6 +36,7 @@ from .model import TensorOperator
 from .tensorops import (
     BlockOperator,
     by_shape,
+    layout,
     longest_word,
     op_norm,
     packed_identity,
@@ -111,7 +112,7 @@ def _as_blocks(A: BlockOperator | TensorOperator) -> BlockOperator:
     """A dense operator as one block."""
     if isinstance(A, BlockOperator):
         return A
-    return BlockOperator(A.d, A.level, (np.arange(A.d**A.level),), (A.mat.astype(np.complex128),))
+    return BlockOperator(A.d, A.level, layout(A.d, A.level, False), (A.mat.astype(np.complex128),))
 
 
 def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:

@@ -52,6 +52,7 @@ __all__ = [
     "weight_preserving",
     "weight_spaces",
     "layout",
+    "largest_block",
     "BlockOperator",
     "slot_step",
     "packed_identity",
@@ -66,9 +67,12 @@ TABLE_BYTES = 40  # slot_step's tables of one slot, per packed entry: two comple
 MAX_KEPT_TABLE_BYTES = 64 * 1024**2  # fixed budget for the tables slot_step keeps
 
 
-def _largest_weight_space(d: int, level: int) -> int:
-    """The number of words in the largest weight space of H^(x)level: the
-    multinomial of the most even letter content."""
+def largest_block(d: int, level: int, weight: bool) -> int:
+    """The number of words in the largest block of the layout of
+    H^(x)level (:func:`layout`): with ``weight``, the largest weight space,
+    the multinomial of the most even letter content; else all d^level."""
+    if not weight:
+        return d**level
     q, r = divmod(level, d)
     return math.factorial(level) // (math.factorial(q + 1) ** r * math.factorial(q) ** (d - r))
 
@@ -97,7 +101,7 @@ def check_level(d: int, level: int, weight: bool = False) -> None:
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     capped = min(level, 32)  # exact up to level 32, a lower bound beyond
-    size = _largest_weight_space(d, capped) if weight else d**capped
+    size = largest_block(d, capped, weight)
     need = 16 * size**2
     if need > MAX_LEVEL_BYTES:
         what = f"one block of {size} words" if weight else "one dense matrix"
@@ -197,10 +201,11 @@ def weight_preserving(T: TensorOperator) -> bool:
 def weight_spaces(d: int, level: int) -> tuple[np.ndarray, ...]:
     """The words of each weight space of H^(x)level (slot 1 the most
     significant digit), in increasing order, the spaces ordered by their
-    sorted letter content."""
+    sorted letter content; read-only views of one array."""
     words = np.arange(d**level)
     content = np.sort(words[:, None] // d ** np.arange(level - 1, -1, -1) % d, axis=1)
     order = np.lexsort(content.T[::-1])  # stable: each space keeps its words in order
+    order.flags.writeable = False
     rows = content[order]
     return tuple(np.split(order, np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1))
 
@@ -208,17 +213,21 @@ def weight_spaces(d: int, level: int) -> tuple[np.ndarray, ...]:
 def layout(d: int, level: int, weight: bool) -> tuple[np.ndarray, ...]:
     """The diagonal blocks of H^(x)level that every operator built from a T
     keeps: the weight spaces when T is weight-preserving (``weight``, as
-    :func:`weight_preserving` decides it), else one block."""
+    :func:`weight_preserving` decides it), else one block.  The word
+    arrays are read-only, so every operator in the layout shares them."""
     if level >= 1 and weight:
         return weight_spaces(d, level)
-    return (np.arange(d**level),)
+    words = np.arange(d**level)
+    words.flags.writeable = False
+    return (words,)
 
 
 class BlockOperator:
     """A block-diagonal operator on H^(x)level, read-only: ``words`` holds
-    the words of each diagonal block in increasing order, ``mats`` one matrix
-    per block, its rows (and, for an operator, its columns) in the order of
-    the block's words.  A :class:`~wickfock.spectral.Subspace` keeps its
+    the words of each diagonal block in increasing order (read-only arrays,
+    as :func:`layout` makes them, shared by every operator in the layout),
+    ``mats`` one matrix per block, its rows (and, for an operator, its
+    columns) in the order of the block's words.  A :class:`~wickfock.spectral.Subspace` keeps its
     basis the same way, each block's matrix holding the basis vectors that
     lie in the block, numbered block after block.  A dense operator is one
     block.  ``mat`` places the blocks in one dense matrix, once."""
@@ -226,8 +235,8 @@ class BlockOperator:
     def __init__(self, d: int, level: int, words, mats) -> None:
         self.d, self.level = d, level
         self.words, self.mats = tuple(words), tuple(mats)
-        for array in (*self.words, *self.mats):
-            array.flags.writeable = False
+        for m in self.mats:
+            m.flags.writeable = False
 
     @classmethod
     def from_packed(cls, d: int, level: int, words, packed: np.ndarray) -> BlockOperator:

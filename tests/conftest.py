@@ -10,9 +10,10 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from hypothesis.internal.conjecture import providers
 
 import oracles
-from wickfock import fock, model, rewrite
+from wickfock import model, rewrite
 from wickfock.algebra import Algebra
 
 # property tests replay the same examples on every run and keep no database
@@ -20,6 +21,13 @@ settings.register_profile(
     "wickfock", derandomize=True, database=None, deadline=None, max_examples=20
 )
 settings.load_profile("wickfock")
+
+# Hypothesis mixes into its draws constants it mines from every local module
+# loaded so far, so a new constant anywhere in the package, or one more
+# module imported, would change what these derandomized tests draw.  The
+# pool is fixed and empty instead (hypothesis has no public switch for it).
+_NO_LOCAL_CONSTANTS = providers.Constants()
+providers._get_local_constants = lambda: _NO_LOCAL_CONSTANTS
 
 
 def pytest_configure(config):
@@ -196,18 +204,7 @@ def creation_words(d: int, max_degree: int) -> list[rewrite.FreeWord]:
 
 def max_cross_residual(spec: model.WickSpec, max_degree: int) -> float:
     """Worst |f(X*Y) - <X, Y>_0| over all creation monomial pairs."""
-    d = spec.d
-    N = max(max_degree, 2)
-    alg = Algebra(spec)
-    words = creation_words(d, max_degree)
-    vectors = {w: rewrite.creation_vector({w: 1.0 + 0j}, d, N) for w in words}
-    worst = 0.0
-    for wx in words:
-        for wy in words:
-            lhs = rewrite.inner_via_f(alg, {wx: 1.0 + 0j}, {wy: 1.0 + 0j})
-            rhs = fock.fock_inner(alg, vectors[wx], vectors[wy])
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    return oracles.rewrite_cross_residual(Algebra(spec), max_degree)
 
 
 def normal_order_random_strategy(

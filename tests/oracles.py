@@ -67,6 +67,13 @@ check against :func:`amplify`.
   :func:`fock_inner`: the references for the reports taken per block
   through ``Algebra.split`` (``test_blocked_wick_and_fock_reports_equal_the_dense_references``,
   ``test_blocked_wick_and_fock_reports_on_rotated_hecke``).
+- :func:`rewrite_cross_residual`, f(u* w) against <u, w>_0 pair by pair,
+  each side through the library's free-polynomial and graded-vector
+  routes (``rewrite.inner_via_f`` on one-word polynomials,
+  ``fock.fock_inner`` on ``rewrite.creation_vector``): the reference for
+  the CLI's cross-check, which reads <u, w>_0 off the blocks of P_n
+  (``test_rewrite_cross_check_equals_the_pairwise_reference``), and the
+  cross-check of the acceptance and rewrite tests (``conftest.max_cross_residual``).
 - :func:`annihilate_mu`, the free left contraction, which ``fock.annihilate``
   must equal when T = 0 (``test_annihilate_free_reduces_to_mu``).
 - :func:`normal_order`, Wick ordering into a :class:`WickPolynomial` by the
@@ -96,7 +103,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from wickfock import rewrite
+from wickfock import fock, rewrite
 from wickfock.coxeter import MAX_RANK
 from wickfock.fock import GradedVector, _pad, _random_graded, create
 from wickfock.model import SpecError, TensorOperator, WickSpec
@@ -792,3 +799,23 @@ def relation_check(alg, N: int, seed: int = 42, tol: float = 1e-8) -> dict:
         "adjointness_residual": adjoint_residual,
         "status": "pass" if ok else "fail",
     }
+
+
+def rewrite_cross_residual(alg, max_degree: int) -> float:
+    """Worst |f(X* Y) - <X, Y>_0| over every pair of creation words X, Y of
+    degree at most ``max_degree``, by ``rewrite.inner_via_f`` and by
+    ``fock.fock_inner`` on graded vectors truncated at max(max_degree, 2)."""
+    d = alg.T.d
+    N = max(max_degree, 2)
+    words = [
+        tuple((i, False) for i in w)
+        for deg in range(max_degree + 1)
+        for w in itertools.product(range(d), repeat=deg)
+    ]
+    vectors = {w: rewrite.creation_vector({w: 1.0 + 0j}, d, N) for w in words}
+    worst = 0.0
+    for wx in words:
+        for wy in words:
+            via_f = rewrite.inner_via_f(alg, {wx: 1.0 + 0j}, {wy: 1.0 + 0j})
+            worst = max(worst, abs(via_f - fock.fock_inner(alg, vectors[wx], vectors[wy])))
+    return worst

@@ -55,6 +55,22 @@ def test_memoized_operators_equal_the_builders_bit_for_bit():
         assert not alg.T.mat.flags.writeable
 
 
+def test_every_operator_the_algebra_returns_is_read_only():
+    # the word arrays are frozen once, where the layout makes them, and
+    # shared by every operator in it; each operator freezes its own matrices
+    for spec in (qccr(3, 0.5), rotated(hecke(2, 0.6), 1)):
+        alg = Algebra(spec)
+        ops = [alg.R(4), alg.P(4), alg.U(3), alg.word((2, 1), 3), alg.group_sum(3),
+               alg.descent_sums(2).sum([0, 3]), alg.ker_P(4, 1e-8).parts, alg.ker_P(4, 1e-8).projector(),
+               spectral.ideal_complement(alg, 4).parts, alg.apply_tensor(alg.P(3), alg.R(4), last=True)]
+        for op in ops:
+            assert all(w is v for w, v in zip(op.words, alg.layout(op.level), strict=True))
+            assert not any(w.flags.writeable for w in op.words), spec.source
+            assert not any(m.flags.writeable for m in op.mats), spec.source
+            with pytest.raises(ValueError):
+                op.words[0][0] = 1
+
+
 def test_kernel_is_memoized_per_rank_tolerance():
     alg = Algebra(qccr(2, 1.0))
     K = alg.ker_P(3, 1e-8)

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from conftest import (
     twisted_flip,
 )
 from oracles import WickMonomial, WickPolynomial
-from wickfock import cli, rewrite
+from wickfock import cli, model, rewrite
 from wickfock.algebra import Algebra
 from wickfock.model import SpecError
+
+SPECS = {p.stem: p for p in sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json"))}
 
 
 def test_parse_and_format_words():
@@ -334,24 +337,39 @@ def test_fock_functional_expands_each_distinct_word_once(monkeypatch):
     # full's degree-3 cross-check at d=3: 1,600 pairs share the algebra's f
     alg = Algebra(rotated(hecke(3, 0.6), 1))
     expanded, pairs = [], []
-    expand, inner = alg.f._expand, rewrite.inner_via_f
+    expand, evaluate = alg.f._expand, rewrite.FockFunctional.__call__
 
     def counted_expand(word):
         expanded.append(word)
         return expand(word)
 
-    def counted_inner(*args):
-        pairs.append(args[1:])
-        return inner(*args)
+    def counted_call(self, word):
+        pairs.append(word)
+        return evaluate(self, word)
 
     monkeypatch.setattr(alg.f, "_expand", counted_expand)
-    monkeypatch.setattr(rewrite, "inner_via_f", counted_inner)
+    monkeypatch.setattr(rewrite.FockFunctional, "__call__", counted_call)
     checks = cli._Checks()
     cli._suite_rewrite_cross(alg, checks, 3, 1e-8)
     assert checks.overall == "pass"
     assert len(pairs) == 40 * 40
     assert len(expanded) == len(set(expanded)) == len(alg.f.values) - 1  # all but the empty word
     assert len(expanded) > 1000
+
+
+@pytest.mark.parametrize("name", [*SPECS, "rotated hecke d=2"])
+def test_rewrite_cross_check_equals_the_pairwise_reference(name):
+    # for one-word X and Y, every sum of the pairwise route has one nonzero
+    # term, the entry of P_n the CLI reads, so the two agree bit for bit
+    if name in SPECS:
+        spec = model.load_spec_file(SPECS[name])
+    else:
+        spec = rotated(hecke(2, 0.6), 1)
+    checks = cli._Checks()
+    cli._suite_rewrite_cross(Algebra(spec), checks, 3, 1e-8)
+    [record] = checks.records
+    assert record["residual"] == oracles.rewrite_cross_residual(Algebra(spec), 3)
+    assert record["status"] == "pass"
 
 
 def test_each_algebra_keeps_its_own_word_values():
