@@ -16,6 +16,7 @@ display strings are 1-based.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -183,11 +184,17 @@ def relation_check(alg: Algebra, N: int, seed: int = 42, tol: float = 1e-8) -> d
     distinct blocks of R_{n+1} map distinct blocks of words v to distinct
     blocks of words w, and so does each term (T keeps the layout), so the
     residual is the largest piece's.  The adjointness residual pairs
-    creation against annihilation on 50 seeded pseudo-random graded vectors
-    via the Fock inner product.
+    creation against annihilation, through the Fock inner product, on 50
+    trials drawn from ``random.Random(seed)``: per trial a graded vector x
+    up to degree N-1, then y up to degree N, every entry a standard
+    complex Gaussian by Box-Muller, then the index i.  The standard
+    library's generator keeps ``numpy.random`` unloaded, and its stream does
+    not depend on the numpy version.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
+    if seed < 0:  # random.Random takes |seed|: -1 would draw the samples of 1
+        raise ValueError(f"need seed >= 0, got {seed}")
     d = alg.T.d
     terms: dict = {}  # (i, j) -> its (k, l, T_ij^kl)
     for (i, j, k, l), c in alg.spec.coeffs.items():
@@ -207,12 +214,12 @@ def relation_check(alg: Algebra, N: int, seed: int = 42, tol: float = 1e-8) -> d
                     pieces.append(piece)
     relation_residual = op_norm(pieces)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     adjoint_residual = 0.0
     for _ in range(50):
         x = _random_graded(d, N - 1, rng)
         y = _random_graded(d, N, rng)
-        i = int(rng.integers(0, d))
+        i = rng.randrange(d)
         lhs = fock_inner(alg, _pad(create(i, _pad(x, N)), N), y)
         rhs = fock_inner(alg, _pad(x, N), _pad(annihilate(alg, i, y), N))
         scale = 1.0 + x.norm() * y.norm()
@@ -227,12 +234,20 @@ def relation_check(alg: Algebra, N: int, seed: int = 42, tol: float = 1e-8) -> d
     }
 
 
-def _random_graded(d: int, N: int, rng: np.random.Generator) -> GradedVector:
-    comps = []
-    for n in range(N + 1):
-        size = d**n
-        comps.append(rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    return GradedVector(d, tuple(comps))
+def _random_graded(d: int, N: int, rng: random.Random) -> GradedVector:
+    """A graded vector up to degree N whose entries, degree by degree, are
+    standard complex Gaussians: real and imaginary parts independent N(0, 1)."""
+    sizes = [d**n for n in range(N + 1)]
+    return GradedVector(d, tuple(np.split(_complex_gaussians(rng, sum(sizes)), np.cumsum(sizes)[:-1])))
+
+
+def _complex_gaussians(rng: random.Random, size: int) -> np.ndarray:
+    """``size`` standard complex Gaussians by Box-Muller on 2 * size uniforms
+    u in [0, 1), the top 53 bits of each little-endian uint64 of
+    ``rng.randbytes``: radius sqrt(-2 log(1 - u1)), phase 2 pi u2."""
+    u = (np.frombuffer(rng.randbytes(16 * size), dtype="<u8") >> 11) * 2.0**-53
+    u1, u2 = u.reshape(2, size)
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
 
 
 def _pad(v: GradedVector, N: int) -> GradedVector:

@@ -98,6 +98,7 @@ check against :func:`amplify`.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -759,8 +760,9 @@ def relation_check(alg, N: int, seed: int = 42, tol: float = 1e-8) -> dict:
     """``fock.relation_check`` on dense matrices: each relation residual
     the norm of a dense (i, j) block of R_{n+1} against its right side,
     the lam(a_k^*) row blocks of the dense R_n placed by Kronecker
-    products, and the adjointness residual on the same 50 seeded graded
-    vectors through the dense :func:`annihilate` and :func:`fock_inner`."""
+    products, and the adjointness residual on the same 50 trials, drawn
+    from ``random.Random(seed)`` in the same order, through the dense
+    :func:`annihilate` and :func:`fock_inner`."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     d = alg.T.d
@@ -781,12 +783,12 @@ def relation_check(alg, N: int, seed: int = 42, tol: float = 1e-8) -> dict:
                 residual = op_norm(blocks[i, :, j, :] - rhs)
                 relation_residual = max(relation_residual, residual)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     adjoint_residual = 0.0
     for _ in range(50):
         x = _random_graded(d, N - 1, rng)
         y = _random_graded(d, N, rng)
-        i = int(rng.integers(0, d))
+        i = rng.randrange(d)
         lhs = fock_inner(alg, _pad(create(i, _pad(x, N)), N), y)
         rhs = fock_inner(alg, _pad(x, N), _pad(annihilate(alg, i, y), N))
         scale = 1.0 + x.norm() * y.norm()

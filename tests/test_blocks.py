@@ -6,6 +6,7 @@ letter content and share no code with the build."""
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -181,7 +182,7 @@ def test_blocked_reports_place_no_dense_matrix(spec, monkeypatch, tmp_path):
     assert spectral.kernel_1mU2_diag(alg, 4)["status"] == "pass"
     assert spectral.wick_ideal_checks(alg, 4)["status"] == "pass"
     assert fock.relation_check(alg, 4)["status"] == "pass"
-    x = fock._random_graded(3, 4, np.random.default_rng(1))
+    x = fock._random_graded(3, 4, random.Random(1))
     assert fock.fock_inner(alg, x, x).real > 0
     # and a whole `full --n-max 4` run, which reads T itself and the
     # level-2 projector Pi of the kernel theorem as dense d^2 x d^2 matrices

@@ -218,6 +218,39 @@ def test_inner_fails_on_a_relative_error(tmp_path, monkeypatch):
     assert check["difference"] > check["tolerance"] > 1e-8
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # finite coefficients whose product is inf, and a NaN through f
+        ('[{"re":1e200,"im":0,"word":"a1 a2"}]', '[{"re":1e200,"im":0,"word":"a2 a1"}]'),
+        # finite on both routes, but |<X, Y>_0| overflows
+        ('[{"re":1e154,"im":0,"word":"a1"}]', '[{"re":1.3e154,"im":1.3e154,"word":"a1"}]'),
+    ],
+)
+def test_inner_refuses_an_overflowing_inner_product(qccr_path, tmp_path, capsys, x, y):
+    code, report = run(["inner", "--spec", qccr_path, "--x", x, "--y", y], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "<X, Y>_0 leaves the float range" in err and "Traceback" not in err, err
+
+
+def test_a_non_finite_report_value_is_an_input_error(qccr_path, tmp_path, capsys, monkeypatch):
+    # NaN and Infinity are not JSON: no report is written, and no traceback
+    build = cli.build_report
+
+    def with_nan(args):
+        report, code = build(args)
+        report["checks"][0]["residual"] = float("nan")
+        return report, code
+
+    monkeypatch.setattr(cli, "build_report", with_nan)
+    code, report = run(["check", "--spec", qccr_path], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "input error: Out of range float values are not JSON compliant" in err, err
+    assert "Traceback" not in err
+
+
 def test_inner_rejects_bad_expression(qccr_path):
     assert cli.main(["inner", "--spec", qccr_path, "--x", "a9", "--y", "a1"]) == 2
     assert (
@@ -243,6 +276,30 @@ def test_module_entry_point_writes_report():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["overall"] == "pass"
+
+
+def test_full_never_loads_numpy_random(tmp_path):
+    # the adjointness samples come from the standard library's random, so
+    # a whole `full` run in a fresh interpreter leaves numpy.random unloaded
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from wickfock import cli\n"
+        "code = cli.main(['full', '--spec', 'specs/qccr_d2_q05.json', '--n-max', '4', '--out', sys.argv[1]])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "r.json")],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert json.loads((tmp_path / "r.json").read_text())["overall"] == "pass"
 
 
 def test_full_on_free_spec_is_vacuous_pass(tmp_path):
@@ -483,8 +540,8 @@ def test_braid_gate_reason_names_no_override(braid_violating_path, tmp_path):
 
 
 def test_negative_seed_is_input_error_before_the_spec_is_read(tmp_path, capsys):
-    # numpy refuses a negative seed only once the random suite runs, and
-    # without naming the flag
+    # random.Random takes the absolute value of a negative seed, so without
+    # the check -1 would silently draw the samples of seed 1
     missing = str(tmp_path / "absent.json")
     for spec in (missing, "specs/qccr_d2_q05.json"):
         code, report = run(["full", "--spec", spec, "--n-max", "2", "--seed", "-1"], tmp_path)

@@ -1,5 +1,7 @@
 """Creation, annihilation, and the Fock inner product on the graded space."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -96,9 +98,41 @@ def test_relation_check_free_case_exact():
     assert rep["adjointness_residual"] <= 1e-12
 
 
+def test_samples_repeat_bit_for_bit_under_one_seed():
+    def draw(seed):
+        return b"".join(c.tobytes() for c in fock._random_graded(3, 4, random.Random(seed)).comps)
+
+    assert draw(5) == draw(5)
+    assert draw(5) != draw(6)
+    v = fock._random_graded(3, 4, random.Random(5))
+    assert [c.shape for c in v.comps] == [(1,), (3,), (9,), (27,), (81,)]
+
+
+def test_samples_are_standard_complex_gaussians():
+    # fixed seed: the moments are fixed numbers, a few standard errors
+    # (0.007 for a mean, 0.01 for a variance) from the target
+    z = fock._complex_gaussians(random.Random(2024), 20_000)
+    assert z.shape == (20_000,) and np.isfinite(z).all()
+    for part in (z.real, z.imag):
+        assert abs(part.mean()) <= 0.03
+        assert abs(part.var() - 1.0) <= 0.05
+
+
+def test_relation_check_fails_on_a_slightly_wrong_annihilation(monkeypatch):
+    alg = Algebra(qccr(2, 0.5))
+    assert fock.relation_check(alg, 4)["status"] == "pass"
+    annihilate = fock.annihilate
+    monkeypatch.setattr(fock, "annihilate", lambda *args: annihilate(*args) * (1 + 1e-6))
+    rep = fock.relation_check(alg, 4)
+    assert rep["status"] == "fail"
+    assert rep["adjointness_residual"] > 1e-8
+
+
 def test_relation_check_guard():
     with pytest.raises(ValueError):
         fock.relation_check(Algebra(qccr(2, 0.5)), 1)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        fock.relation_check(Algebra(qccr(2, 0.5)), 4, seed=-1)
 
 
 def test_kernel_vectors_are_null():

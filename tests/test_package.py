@@ -34,3 +34,22 @@ def test_modules_import_only_the_standard_library_numpy_and_wickfock():
             else:
                 continue
             assert set(roots) <= allowed, (path.name, node.lineno, roots)
+
+
+def test_no_module_references_numpy_random():
+    # the library draws its samples from the standard library's random;
+    # numpy.random would add its bit generators to every run's memory
+    for path in sorted(Path(wickfock.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.value.id if isinstance(node.value, ast.Name) else None
+                found = node.attr == "random" and name in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                found = any(alias.name.startswith("numpy.random") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                found = (node.module or "").startswith("numpy.random") or (
+                    node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+                )
+            else:
+                continue
+            assert not found, (path.name, node.lineno)
