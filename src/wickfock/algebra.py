@@ -1,7 +1,7 @@
 """The algebra of one run, which the certification reports in
-:mod:`spectral`, :mod:`fock` and :func:`coxeter.coxeter_checks` take; the
-primitives in :mod:`tensorops` and :mod:`coxeter` take its ``T``, and its
-Fock functional (:class:`rewrite.FockFunctional`) its ``spec``."""
+:mod:`spectral`, :mod:`fock` and :mod:`coxeter` take; the primitives in
+:mod:`tensorops` take its ``T``, and its Fock functional
+(:class:`rewrite.FockFunctional`) its ``spec``."""
 
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ import numpy as np
 from . import coxeter
 from .model import WickSpec, build_T
 from .rewrite import FockFunctional
-from .spectral import Subspace, kernel
+from .spectral import Subspace, kernel, symmetric_eigenvalues
 from .tensorops import (
     MAX_LEVEL_BYTES,
     BlockOperator,
-    braid_residual,
+    by_shape,
     check_level,
     layout,
     longest_word,
@@ -31,21 +31,22 @@ __all__ = ["MAX_LEVEL_BYTES", "check_level", "Algebra"]
 
 
 class Algebra:
-    """A spec with its ``T``, the block layout of each level
-    (:func:`~wickfock.tensorops.layout`), R_n, P_n, the words in the T_i
-    (U_n among them), ker P_n, the walk of S_{n+1} (:func:`coxeter.descent_sums`)
-    and the group sum P(S_{n+1}), each built read-only on first use, after
-    the level guard (:func:`check_level`: when T is weight-preserving, on
-    the largest block and on what the blocks of one operator hold together).
-    A second call returns the same object, so each rank is walked once.
+    """A spec with its ``T`` and each fact about ``T`` the reports read,
+    decided once: ``weight`` (whether T is weight-preserving), the braid
+    residual, the norm and the smallest eigenvalue of ``T``.  On first use,
+    after the level guard (:func:`check_level`: when T is weight-preserving,
+    on the largest block and on what the blocks of one operator hold
+    together), it builds read-only the block layout of each level
+    (:func:`~wickfock.tensorops.layout`), R_n, P_n and its eigenvalues, the
+    words in the T_i (U_n among them), ker P_n, the walk of S_{n+1}
+    (:func:`coxeter.descent_sums`) and the group sum P(S_{n+1}); a second
+    call returns the same object, so each rank is walked once.
 
     R_n, P_n and the words are :class:`~wickfock.tensorops.BlockOperator`
     values built block by block: R_n and the words by the slot step of ``T``,
     and P_{n+1} = (1 (x) P_n) R_{n+1} by :meth:`apply_tensor`, where
     1 (x) P_n on the words a w of a block is P_n on the block of the words w
-    (:meth:`split`, which the Wick-ideal and Fock reports read too).  The
-    hypotheses of the reports,
-    the braid residual and the norm of ``T``, are taken once.
+    (:meth:`split`, which the Wick-ideal and Fock reports read too).
 
     >>> from wickfock.model import preset
     >>> alg = Algebra(preset("q-ccr", 1, q=0.5))
@@ -64,13 +65,18 @@ class Algebra:
 
     @cached_property
     def braid_residual(self) -> float:
-        """The braid residual of T (:func:`~wickfock.tensorops.braid_residual`)."""
-        return braid_residual(self.T)
+        """||T_1 T_2 T_1 - T_2 T_1 T_2|| on H^(x)3, in the layout of T."""
+        return op_norm(self.word((1, 2, 1), 3) - self.word((2, 1, 2), 3))
 
     @cached_property
     def norm_T(self) -> float:
         """The operator norm of T."""
         return op_norm(self.T)
+
+    @cached_property
+    def min_eig_T(self) -> float:
+        """The smallest eigenvalue of the symmetrized T."""
+        return float(symmetric_eigenvalues(self.T.mat)[0])
 
     @cached_property
     def f(self) -> FockFunctional:
@@ -110,6 +116,17 @@ class Algebra:
         if n < 2:
             return self.word((), n)
         return self._get(("P", n), n, lambda: self.apply_tensor(self.P(n - 1), self.R(n)))
+
+    def eigenvalues(self, n: int) -> tuple:
+        """The eigenvalues of the symmetrized P_n, per block, ascending."""
+
+        def build():
+            evals = by_shape(symmetric_eigenvalues, self.P(n).mats)
+            for e in evals:
+                e.flags.writeable = False
+            return tuple(evals)
+
+        return self._get(("eigenvalues", n), n, build)
 
     def split(self, level: int, last: bool = False) -> tuple:
         """Per block of the level, per letter a that starts (with ``last``:
@@ -162,9 +179,7 @@ class Algebra:
         """The descent-set buckets of the walk of S_{n+1}, in the layout of
         level n+1; :meth:`coxeter.Walk.sum` adds the sums a caller reads in
         that layout."""
-        return self._get(
-            ("walk", n), n + 1, lambda: coxeter.descent_sums(self.T, n, self.layout(n + 1))
-        )
+        return self._get(("walk", n), n + 1, lambda: coxeter.descent_sums(self, n))
 
     def group_sum(self, n: int) -> BlockOperator:
         """P(S_{n+1}), the sum of every bucket of the walk."""

@@ -152,7 +152,8 @@ def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) ->
     if method in ("recursive", "both"):
         ops = {"recursive": alg.P(n), **ops}
     for name, op in ops.items():
-        evals = tensorops.by_shape(spectral.symmetric_eigenvalues, op.mats)
+        evals = (alg.eigenvalues(n) if name == "recursive"
+                 else tensorops.by_shape(spectral.symmetric_eigenvalues, op.mats))
         walk = {"walk": alg.descent_sums(n - 1).record} if name == "coxeter" else {}
         checks.add("pn_spectrum", {"n": n, "method": name}, "info",
                    min_eig=min(float(e[0]) for e in evals),

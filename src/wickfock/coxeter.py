@@ -33,8 +33,10 @@ P_b), so each residual is the largest over the blocks and a
 weight-preserving T places no dense matrix.  :func:`check_walk` is the
 walk's guard, on the operators' entries in the layout the walk takes.
 
->>> sums = descent_sums(TensorOperator(1, 2, [[0.5]]), 2)  # d=1: phi(w) = q^length(w)
->>> [s.item().real for s in sums]  # descent sets {}, {1}, {2}, {1, 2}
+>>> from wickfock.algebra import Algebra
+>>> from wickfock.model import preset
+>>> walk = descent_sums(Algebra(preset("q-ccr", 1, q=0.5)), 2)  # d=1: phi(w) = q^length(w)
+>>> [walk.sum([mask]).mat.item().real for mask in range(4)]  # descent sets {}, {1}, {2}, {1, 2}
 [1.0, 0.75, 0.75, 0.125]
 """
 
@@ -44,18 +46,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import TensorOperator
 from .tensorops import (
     BRAID_TOL,
     BlockOperator,
     _entries,
     _packed_size,
-    braid_residual,
-    layout,
     op_norm,
     packed_identity,
     slot_step,
-    weight_preserving,
 )
 
 if TYPE_CHECKING:
@@ -115,8 +113,7 @@ class Walk:
     diagonal block (an array of words) in turn, row-major within each, as
     :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads them.
     ``record`` names the layout, ``"weight"`` for the weight spaces and
-    ``"dense"`` for one block, with its block count and largest block.
-    Indexing and iteration yield single buckets as dense matrices."""
+    ``"dense"`` for one block, with its block count and largest block."""
 
     def __init__(self, d: int, level: int, buckets: np.ndarray, blocks) -> None:
         for array in (buckets, *blocks):
@@ -135,9 +132,6 @@ class Walk:
 
     def __len__(self) -> int:
         return len(self.buckets)
-
-    def __getitem__(self, mask: int) -> np.ndarray:
-        return self.sum([mask]).mat
 
 
 def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
@@ -164,29 +158,26 @@ def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
     return sums
 
 
-def descent_sums(T: TensorOperator, n: int, blocks=None) -> Walk:
+def descent_sums(alg: Algebra, n: int) -> Walk:
     """Sums of phi over the descent classes of S_{n+1}: bucket ``mask`` adds
     phi(w) over the w whose descent set is {i : bit i-1 of mask}.
 
     One walk over the descent classes (:func:`_walk`), with each sum packed
-    in the diagonal blocks ``blocks`` of H^(x)(n+1) (by default the
-    :func:`~wickfock.tensorops.layout` of T: the weight spaces when T is
+    in the blocks of ``alg.layout(n + 1)`` (the weight spaces when T is
     weight-preserving, else one dense block), and right multiplication by
-    T_i the :func:`~wickfock.tensorops.slot_step`.
-    Refused by :func:`check_walk` before anything is allocated.
+    T_i the :func:`~wickfock.tensorops.slot_step`.  Refused by
+    :func:`check_walk` before anything is allocated, and gated on the braid
+    residual of ``alg``.
     """
-    weight = weight_preserving(T)
-    check_walk(T.d, n, weight)
-    r = braid_residual(T)
-    if r > BRAID_TOL:
+    check_walk(alg.T.d, n, alg.weight)
+    if alg.braid_residual > BRAID_TOL:
         raise BraidConditionError(
-            f"braid residual {r:.3e} exceeds {BRAID_TOL:.1e}; the map is only well "
-            "defined for braided operators"
+            f"braid residual {alg.braid_residual:.3e} exceeds {BRAID_TOL:.1e}; "
+            "the map is only well defined for braided operators"
         )
-    d, level = T.d, n + 1
-    blocks = layout(d, level, weight) if blocks is None else blocks
-    step = slot_step(T.mat, d, level, blocks)
-    return Walk(d, level, _walk(n, packed_identity(blocks), step), blocks)
+    blocks = alg.layout(n + 1)
+    step = slot_step(alg.T.mat, alg.T.d, n + 1, blocks)
+    return Walk(alg.T.d, n + 1, _walk(n, packed_identity(blocks), step), blocks)
 
 
 def _young_sums(alg: Algebra, n: int):

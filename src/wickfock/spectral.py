@@ -245,19 +245,18 @@ def kernel_theorem_check(
 def positivity_check(
     alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
 ) -> dict:
-    """Minimum eigenvalue of the symmetrized P_n, over its blocks, with its
-    classification: strictly positive, positive semidefinite, or
-    indefinite.  ``dim_ker_P``
-    counts the eigenvalues within the absolute tolerance rank_tol, the same
-    threshold the classification uses, so the two stay consistent.
+    """Minimum eigenvalue of the symmetrized P_n, over its blocks
+    (``alg.eigenvalues(n)``), with its classification: strictly positive,
+    positive semidefinite, or indefinite.  ``dim_ker_P`` counts the
+    eigenvalues within the absolute tolerance rank_tol, the same threshold
+    the classification uses, so the two stay consistent.
 
     The status applies the positivity criterion: for braided T with
-    ||T|| <= 1 and min eig T > -1 + rank_tol, P_n must be strictly positive;
-    for braided contractive T otherwise, min_eig >= -rank_tol; for any other
-    T the check is inapplicable.
+    ||T|| <= 1 and min eig T > -1 + rank_tol (``alg.min_eig_T``), P_n must
+    be strictly positive; for braided contractive T otherwise,
+    min_eig >= -rank_tol; for any other T the check is inapplicable.
     """
-    T = alg.T
-    evals = np.concatenate(by_shape(symmetric_eigenvalues, alg.P(n).mats))
+    evals = np.concatenate(alg.eigenvalues(n))
     min_eig = float(evals.min()) if evals.size else 1.0
     if min_eig > rank_tol:
         classification = "strictly positive"
@@ -268,7 +267,7 @@ def positivity_check(
     dim_ker = int(np.sum(np.abs(evals) <= rank_tol))
     if not _hypotheses(alg, tol)["applicable"]:
         status = "inapplicable"
-    elif np.linalg.eigvalsh((T.mat + T.mat.conj().T) / 2.0)[0] > -1.0 + rank_tol:
+    elif alg.min_eig_T > -1.0 + rank_tol:
         status = "pass" if classification == "strictly positive" else "fail"
     else:
         status = "pass" if min_eig >= -rank_tol else "fail"

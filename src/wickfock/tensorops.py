@@ -48,7 +48,6 @@ __all__ = [
     "apply_slots",
     "word_product",
     "longest_word",
-    "braid_residual",
     "weight_preserving",
     "weight_spaces",
     "layout",
@@ -175,12 +174,6 @@ def word_product(T: TensorOperator, word, level: int, words) -> BlockOperator:
     for i in word:
         acc = step(i, acc)
     return BlockOperator.from_packed(T.d, level, words, acc)
-
-
-def braid_residual(T: TensorOperator) -> float:
-    """|| T_1 T_2 T_1 - T_2 T_1 T_2 ||_2 on H^(x)3, in the layout of T."""
-    words = layout(T.d, 3, weight_preserving(T))
-    return op_norm(word_product(T, (1, 2, 1), 3, words) - word_product(T, (2, 1, 2), 3, words))
 
 
 def longest_word(n: int) -> tuple[int, ...]:

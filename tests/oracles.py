@@ -604,7 +604,7 @@ def coxeter_checks(alg, n: int) -> dict:
             alternating = alternating + (-1.0) ** len(J_set) * PDJ
 
     sign_S = (-1.0) ** n
-    longest = walk[full]
+    longest = walk.sum([full]).mat
     euler = max(
         op_norm(alternating - (-sign_S * eye + longest - total)),
         op_norm(alternating.conj().T - (-sign_S * eye + U - P)),

@@ -16,9 +16,11 @@ from wickfock import cli, coxeter, model, spectral, tensorops
 from wickfock.algebra import MAX_LEVEL_BYTES, Algebra, check_level
 
 
-def walk_total(T: model.TensorOperator, n: int) -> model.TensorOperator:
-    """P(S_{n+1}) as the sum of the buckets of one walk."""
-    return model.TensorOperator(T.d, n + 1, sum(coxeter.descent_sums(T, n)))
+def walk_total(alg: Algebra, n: int) -> model.TensorOperator:
+    """P(S_{n+1}) as the sum of the buckets of a second walk, each bucket
+    placed densely."""
+    walk = coxeter.descent_sums(alg, n)
+    return model.TensorOperator(alg.T.d, n + 1, sum(walk.sum([mask]).mat for mask in range(len(walk))))
 
 
 def relative_gap(op, reference: np.ndarray) -> float:
@@ -42,7 +44,7 @@ def test_memoized_operators_equal_the_builders_bit_for_bit():
             pairs += [(alg.U, oracles.build_U, n), (alg.group_sum, walk_total, n)]
         for method, builder, n in pairs:
             first = method(n)
-            reference = builder(T, n).mat
+            reference = builder(alg if builder is walk_total else T, n).mat
             if alg.weight:
                 assert relative_gap(first, reference) <= 1e-12, (spec.source, builder.__name__, n)
             else:
@@ -92,11 +94,12 @@ def test_walk_leaves_its_total_as_the_group_sum():
         walk.buckets[0, 0] = 7.0
     # sums added within the layout and placed once equal the sums of the
     # placed buckets bit for bit
-    assert np.array_equal(alg.group_sum(3).mat, sum(walk))
-    assert np.array_equal(walk.sum([0, 2, 5]).mat, walk[0] + walk[2] + walk[5])
+    buckets = [walk.sum([mask]).mat for mask in range(len(walk))]
+    assert np.array_equal(alg.group_sum(3).mat, sum(buckets))
+    assert np.array_equal(walk.sum([0, 2, 5]).mat, buckets[0] + buckets[2] + buckets[5])
     rep = coxeter.coxeter_checks(alg, 2)
     assert rep["group_sum"] <= 1e-10
-    assert np.array_equal(alg.group_sum(2).mat, sum(coxeter.descent_sums(alg.T, 2)))
+    assert np.array_equal(alg.group_sum(2).mat, walk_total(alg, 2).mat)
 
 
 def test_level_guard():
@@ -148,13 +151,14 @@ def test_build_guard_counts_the_packed_entries():
         assert tensorops._packed_size(d, level) == sum(k * k for k in contents.values()), (d, level)
 
 
-def _count_calls(monkeypatch, fn):
+def _count_calls(monkeypatch, fn, key=lambda args: args[1] if len(args) > 1 else None):
     """Wrap fn in every wickfock namespace that binds it; return the list
-    of the second positional argument of each call."""
+    of ``key`` of the positional arguments of each call (by default the
+    second)."""
     seen = []
 
     def counted(*args, **kwargs):
-        seen.append(args[1] if len(args) > 1 else None)
+        seen.append(key(args))
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -168,7 +172,26 @@ def _count_calls(monkeypatch, fn):
 def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     path = tmp_path / "qccr_d3.json"
     path.write_text(json.dumps({"d": 3, "preset": {"name": "q-ccr", "q": 0.5}}))
+    algebras = []
+    init = Algebra.__init__
+    monkeypatch.setattr(Algebra, "__init__", lambda self, spec: algebras.append(self) or init(self, spec))
     build_T = _count_calls(monkeypatch, model.build_T)
+    weights = _count_calls(monkeypatch, tensorops.weight_preserving)
+    words = _count_calls(monkeypatch, tensorops.word_product, key=lambda args: (tuple(args[1]), args[2]))
+    # the operators whose symmetrized eigenvalues are taken, block by block
+    spectra = _count_calls(
+        monkeypatch, tensorops.by_shape, key=lambda args: args[1] if args[0] is spectral.symmetric_eigenvalues else None
+    )
+    T_spectra = []  # eigvalsh of the symmetrized T
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        T = algebras[0].T.mat
+        if a.shape == T.shape and np.array_equal(a, (T + T.conj().T) / 2.0):
+            T_spectra.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     build_P = []  # the level of each (1 (x) P_{n-1}) R_n, the step that builds P_n
     tensor = Algebra.apply_tensor
 
@@ -179,13 +202,21 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Algebra, "apply_tensor", counted)
     walks = _count_calls(monkeypatch, coxeter.descent_sums)
-    braids = _count_calls(monkeypatch, tensorops.braid_residual)
     out = tmp_path / "report.json"
     assert cli.main(["full", "--spec", str(path), "--n-max", "4", "--out", str(out)]) == 0
+    [alg] = algebras
     assert len(build_T) == 1
+    assert len(weights) == 1  # the Algebra's, which every walk's layout reads
     assert build_P and max(collections.Counter(build_P).values()) == 1, build_P
     assert sorted(walks) == [1, 2, 3]
-    assert len(braids) == 1 + len(walks)  # the Algebra's hypothesis, and each walk's gate
+    # each word in the T_i is built once: the braid residual reads the
+    # Algebra's two words at level 3, U_2 = T_1 T_2 T_1 among them
+    built = collections.Counter(words)
+    assert built[(1, 2, 1), 3] == built[(2, 1, 2), 3] == 1 and max(built.values()) == 1, built
+    # the spectrum of each P_n is taken once, for pn_spectrum and positivity alike
+    for n in range(2, 5):
+        assert sum(mats is alg.P(n).mats for mats in spectra) == 1, n
+    assert len(T_spectra) == 1  # min eig T, which every positivity record reads
     # the Coxeter suites run first, but their records keep their place
     per_rank = [
         ["group_sum_agreement"] + ["factorization_DJ_WJ"] * 2**n

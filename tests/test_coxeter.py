@@ -29,7 +29,6 @@ from conftest import (
 from wickfock import coxeter, model, tensorops
 from wickfock.algebra import Algebra
 from wickfock.coxeter import BraidConditionError
-from wickfock.model import TensorOperator
 
 
 def brute_inversions(perm) -> int:
@@ -123,10 +122,11 @@ def test_phi_gate_rejects_non_braided():
     M = model.build_T(qccr(2, 0.5)).mat.copy()
     M[0, 3] = 0.1
     M[3, 0] = 0.1
+    alg = Algebra(matrix_spec(M))
     with pytest.raises(BraidConditionError):
-        coxeter.descent_sums(TensorOperator(2, 2, M), 2)
+        coxeter.descent_sums(alg, 2)
     with pytest.raises(BraidConditionError):
-        Algebra(matrix_spec(M)).group_sum(2)
+        alg.group_sum(2)
 
 
 def random_reduced_word(perm, rng) -> tuple:
@@ -164,31 +164,28 @@ def test_matsumoto_word_independence():
 
 def test_group_sum_scalar_poincare():
     # oracle: the Poincare polynomial sum q^inv over brute-force inversions
-    T = model.build_T(qccr(1, 0.5))
     expected = sum(
         0.5 ** brute_inversions(p) for p in itertools.permutations(range(3))
     )
-    value = sum(coxeter.descent_sums(T, 2))[0, 0]
+    value = Algebra(qccr(1, 0.5)).descent_sums(2).sum().mat[0, 0]
     assert abs(value - expected) <= 1e-15
     assert abs(value - 2.625) <= 1e-15
-    T1 = model.build_T(qccr(1, 1.0))
-    assert abs(sum(coxeter.descent_sums(T1, 2))[0, 0] - 6.0) <= 1e-15
+    assert abs(Algebra(qccr(1, 1.0)).descent_sums(2).sum().mat[0, 0] - 6.0) <= 1e-15
 
 
 def test_group_sum_free_is_identity():
-    T = model.build_T(free_spec(2))
-    assert np.array_equal(sum(coxeter.descent_sums(T, 2)), np.eye(8))
+    assert np.array_equal(Algebra(free_spec(2)).descent_sums(2).sum().mat, np.eye(8))
 
 
 def test_group_sum_matches_recursive_P():
     for label, spec in braided_presets():
-        T = model.build_T(spec)
+        alg = Algebra(spec)
         for n in range(1, 5):
-            residual = tensorops.op_norm(sum(coxeter.descent_sums(T, n)) - oracles.build_P(T, n + 1).mat)
+            residual = tensorops.op_norm(alg.descent_sums(n).sum().mat - oracles.build_P(alg.T, n + 1).mat)
             assert residual <= 1e-10, (label, n)
-    T3 = model.build_T(qccr(3, 0.5))
+    alg3 = Algebra(qccr(3, 0.5))
     for n in range(1, 4):
-        residual = tensorops.op_norm(sum(coxeter.descent_sums(T3, n)) - oracles.build_P(T3, n + 1).mat)
+        residual = tensorops.op_norm(alg3.descent_sums(n).sum().mat - oracles.build_P(alg3.T, n + 1).mat)
         assert residual <= 1e-10
 
 
@@ -224,12 +221,12 @@ def mask_to_set(mask: int, n: int) -> set:
 
 def test_descent_sums_extremes():
     # only the identity has no descent, only the longest element has all
-    T = model.build_T(qccr(2, 0.5))
-    sums = coxeter.descent_sums(T, 3)
+    alg = Algebra(qccr(2, 0.5))
+    sums = alg.descent_sums(3)
     assert len(sums) == 8
-    assert np.array_equal(sums[0], np.eye(16))
+    assert np.array_equal(sums.sum([0]).mat, np.eye(16))
     longest = oracles.enumerate_group(3)[-1]
-    assert np.array_equal(sums[7], oracles.phi(T, longest, 3).mat)
+    assert np.array_equal(sums.sum([7]).mat, oracles.phi(alg.T, longest, 3).mat)
 
 
 def test_descent_sums_match_phi_grouped_by_descent_set():
@@ -246,17 +243,17 @@ def test_descent_sums_match_phi_grouped_by_descent_set():
         ("rotated unimodular flip d=3", rotated(unimodular_flip(3, seed=5), 2), "dense"),
     ]
     for label, spec, layout in cases:
-        T = model.build_T(spec)
-        d = T.d
+        alg = Algebra(spec)
+        T, d = alg.T, alg.T.d
         for n in (1, 2, 3):
-            assert coxeter.descent_sums(T, n).record["layout"] == layout, label
+            sums = alg.descent_sums(n)
+            assert sums.record["layout"] == layout, label
             expected = [np.zeros((d ** (n + 1),) * 2, dtype=complex) for _ in range(2**n)]
             for e in oracles.enumerate_group(n):
                 mask = sum(1 << (s - 1) for s in oracles.descents(e.perm))
                 expected[mask] += oracles.phi(T, e, n).mat
-            sums = coxeter.descent_sums(T, n)
             for mask in range(2**n):
-                assert np.linalg.norm(sums[mask] - expected[mask], 2) <= 1e-12, (label, n, mask)
+                assert np.linalg.norm(sums.sum([mask]).mat - expected[mask], 2) <= 1e-12, (label, n, mask)
 
 
 def dense_walk(T, n: int) -> np.ndarray:
@@ -269,21 +266,21 @@ def dense_walk(T, n: int) -> np.ndarray:
 @pytest.mark.parametrize("d, max_rank", [(2, 4), (3, 3)])
 @given(data=st.data())
 def test_packed_walk_matches_dense_walk(d, max_rank, data):
-    T = model.build_T(data.draw(braided_families(d)))
+    alg = Algebra(data.draw(braided_families(d)))
     for n in range(1, max_rank + 1):
-        walk = coxeter.descent_sums(T, n)
+        walk = alg.descent_sums(n)
         assert walk.record["layout"] == "weight"
-        for packed, dense in zip(walk, dense_walk(T, n), strict=True):
-            assert np.linalg.norm(packed - dense, 2) <= 1e-13, (n, T.mat)
+        for mask, dense in zip(range(len(walk)), dense_walk(alg.T, n), strict=True):
+            assert np.linalg.norm(walk.sum([mask]).mat - dense, 2) <= 1e-13, (n, alg.T.mat)
 
 
-def assert_matches_element_walk(T, n: int, context) -> None:
+def assert_matches_element_walk(alg, n: int, context) -> None:
     """Each bucket of descent_sums within 1e-13 of the largest entry of the
     element-by-element walk, in the same layout.  The scale is the walk's:
     in a rotated basis a bucket of small entries still carries the rounding
     of products of entries near 1."""
-    walk = coxeter.descent_sums(T, n)
-    step = tensorops.slot_step(T.mat, T.d, n + 1, walk.blocks)
+    walk = alg.descent_sums(n)
+    step = tensorops.slot_step(alg.T.mat, alg.T.d, n + 1, walk.blocks)
     reference = oracles.walk_elements(n, tensorops.packed_identity(walk.blocks), step)
     scale = np.abs(reference).max()
     for mask, (got, want) in enumerate(zip(walk.buckets, reference, strict=True)):
@@ -293,17 +290,17 @@ def assert_matches_element_walk(T, n: int, context) -> None:
 @pytest.mark.parametrize("d, max_rank", [(2, 5), (3, 3)])
 @given(data=st.data())
 def test_descent_sums_match_the_element_walk(d, max_rank, data):
-    T = model.build_T(data.draw(braided_families(d)))
+    alg = Algebra(data.draw(braided_families(d)))
     for n in range(1, max_rank + 1):
-        assert_matches_element_walk(T, n, T.mat)
+        assert_matches_element_walk(alg, n, alg.T.mat)
 
 
 @given(q=st.floats(0.0, 1.0, exclude_min=True))
 def test_descent_sums_match_the_element_walk_on_one_dense_block(q):
-    T = model.build_T(rotated(hecke(2, q), 1))
+    alg = Algebra(rotated(hecke(2, q), 1))
     for n in range(1, 6):
-        assert coxeter.descent_sums(T, n).record["layout"] == "dense"
-        assert_matches_element_walk(T, n, q)
+        assert alg.descent_sums(n).record["layout"] == "dense"
+        assert_matches_element_walk(alg, n, q)
 
 
 def insert_top(u: tuple, k: int) -> tuple:
@@ -378,37 +375,38 @@ def test_walk_layout_detection():
         unimodular_flip(3, seed=4), free_spec(3),
     ]
     for spec in weight:
-        assert tensorops.weight_preserving(model.build_T(spec)), spec.source
+        assert Algebra(spec).weight, spec.source
     dense = [rotated(hecke(2, 0.6), 1), rotated(qccr(2, 0.5), 3), rotated(unimodular_flip(3, seed=5), 2)]
     for spec in dense:
-        T = model.build_T(spec)
-        walk = coxeter.descent_sums(T, 3)
-        assert walk.record == {"layout": "dense", "blocks": 1, "largest_block": T.d**4}
+        alg = Algebra(spec)
+        walk = alg.descent_sums(3)
+        assert walk.record == {"layout": "dense", "blocks": 1, "largest_block": alg.T.d**4}
         # the one block is the dense square, flattened row-major: the same
         # walk as the dense reference, bit for bit
-        reference = dense_walk(T, 3)
+        reference = dense_walk(alg.T, 3)
         assert np.array_equal(walk.buckets, reference.reshape(len(reference), -1))
-        assert np.array_equal(walk, reference)
+        assert np.array_equal([walk.sum([mask]).mat for mask in range(len(walk))], reference)
     # one off-pattern coefficient, however small, leaves the weight layout:
     # the test is exact, so no coefficient is dropped
     M = model.build_T(hecke(2, 0.6)).mat.copy()
     M[1, 0] = M[0, 1] = 1e-300
-    T = TensorOperator(2, 2, M)
-    assert not tensorops.weight_preserving(T)
-    walk = coxeter.descent_sums(T, 2)
+    alg = Algebra(matrix_spec(M))
+    assert np.array_equal(alg.T.mat, M)
+    assert not alg.weight
+    walk = alg.descent_sums(2)
     assert walk.record["layout"] == "dense"
-    assert np.array_equal(walk, dense_walk(T, 2))
+    assert np.array_equal([walk.sum([mask]).mat for mask in range(len(walk))], dense_walk(alg.T, 2))
 
 
 def test_walk_leaves_nothing_for_the_cycle_collector():
     # the walk's working arrays go when descent_sums returns, not at the
     # next run of the cyclic garbage collector
     for spec in (qccr(2, 0.5), rotated(hecke(2, 0.6), 1)):
-        T = model.build_T(spec)
+        alg = Algebra(spec)
         gc.collect()
         gc.disable()
         try:
-            walk = coxeter.descent_sums(T, 4)
+            walk = coxeter.descent_sums(alg, 4)
             assert gc.collect() == 0, walk.record
         finally:
             gc.enable()
@@ -427,8 +425,7 @@ def test_weight_blocks_count_words_by_letter_content():
         for words in spaces:
             assert list(words) == sorted(words)
             assert len({contents[w] for w in words}) == 1
-        T = model.build_T(qccr(d, 0.5))
-        assert coxeter.descent_sums(T, level - 1).record == {
+        assert Algebra(qccr(d, 0.5)).descent_sums(level - 1).record == {
             "layout": "weight", "blocks": len(counts), "largest_block": max(counts.values())
         }
 
@@ -436,13 +433,13 @@ def test_weight_blocks_count_words_by_letter_content():
 def test_descent_class_sizes_count_permutations():
     # at d=1, q=1 every phi(w) is 1, so the buckets count permutations by
     # descent set; oracle: itertools.permutations
-    T = model.build_T(qccr(1, 1.0))
+    alg = Algebra(qccr(1, 1.0))
     for n in (1, 2, 3, 4, 5):
         counts = [0] * 2**n
         for perm in itertools.permutations(range(n + 1)):
             counts[sum(1 << s for s in range(n) if perm[s] > perm[s + 1])] += 1
-        sums = coxeter.descent_sums(T, n)
-        assert [s.item() for s in sums] == counts, n
+        sums = alg.descent_sums(n)
+        assert [sums.sum([mask]).mat.item() for mask in range(len(sums))] == counts, n
         order = math.factorial(n + 1)
         for J in range(2**n):
             size_D = sum(counts[D] for D in range(2**n) if not D & J)
@@ -477,8 +474,7 @@ def test_descent_factorization_example():
     assert len(W_J) == 2 and len(D_J) == 3
     alg = Algebra(qccr(2, 0.5))
     T = alg.T
-    sums = coxeter.descent_sums(T, 2)
-    PDJ = sums[0] + sums[2]  # the descent sets {} and {2} avoid J = {1}
+    PDJ = alg.descent_sums(2).sum([0, 2]).mat  # the descent sets {} and {2} avoid J = {1}
     assert np.linalg.norm(PDJ - phi_sum(T, D_J, 2), 2) <= 1e-12
     lhs = oracles.build_P(T, 3).mat
     assert np.linalg.norm(lhs - PDJ @ phi_sum(T, W_J, 2), 2) <= 1e-10
@@ -514,12 +510,12 @@ def walk_bytes(d: int, n: int, weight: bool) -> int:
 
 
 def test_descent_sums_guards():
-    T = model.build_T(qccr(2, 0.5))
+    alg = Algebra(qccr(2, 0.5))
     for n in (0, coxeter.MAX_RANK + 1):
         with pytest.raises(ValueError, match=f"rank n={n} out of guard range"):
             coxeter.check_walk(2, n)
         with pytest.raises(ValueError):
-            coxeter.descent_sums(T, n)
+            coxeter.descent_sums(alg, n)
     coxeter.check_walk(2, coxeter.MAX_RANK)
     coxeter.check_walk(3, 5)
     # d=3 at n=6: in weight blocks 272,835 entries an operator, about 432 MB
@@ -528,14 +524,14 @@ def test_descent_sums_guards():
     # anything is allocated
     assert packed_entries(3, 7) == 272835
     coxeter.check_walk(3, 6, weight=True)
-    T3 = model.build_T(rotated(qccr(3, 0.5), 1))
+    alg3 = Algebra(rotated(qccr(3, 0.5), 1))
     message = f"need about {walk_bytes(3, 6, False)} bytes, over the {coxeter.MAX_WALK_BYTES} byte guard"
     with pytest.raises(ValueError, match=message):
         coxeter.check_walk(3, 6)
     with pytest.raises(ValueError, match=message):
-        coxeter.descent_sums(T3, 6)
+        coxeter.descent_sums(alg3, 6)
     with pytest.raises(ValueError, match=message):
-        Algebra(rotated(qccr(3, 0.5), 1)).group_sum(6)
+        alg3.group_sum(6)
     # d=5 at n=5 passes the level guard, but its 2,241,225 packed entries
     # an operator put the walk over the guard
     alg5 = Algebra(qccr(5, 0.5))
@@ -545,7 +541,7 @@ def test_descent_sums_guards():
     with pytest.raises(ValueError, match=message):
         coxeter.check_walk(5, 5, weight=True)
     with pytest.raises(ValueError, match=message):
-        coxeter.descent_sums(alg5.T, 5)
+        coxeter.descent_sums(alg5, 5)
     with pytest.raises(ValueError, match=message):
         alg5.group_sum(5)
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import braided_presets, example3, free_spec, qccr, qij
 from wickfock import model, tensorops
+from wickfock.algebra import Algebra
 from wickfock.model import SpecError
 
 
@@ -211,7 +212,7 @@ def test_presets_are_braided():
         example3(2, 0.5), example3(2, -0.9), example3(3, 0.5),
     ]
     for spec in samples:
-        assert tensorops.braid_residual(model.build_T(spec)) <= 1e-12
+        assert Algebra(spec).braid_residual <= 1e-12
 
 
 def test_free_spec_has_zero_operator():

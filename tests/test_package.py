@@ -53,3 +53,15 @@ def test_no_module_references_numpy_random():
             else:
                 continue
             assert not found, (path.name, node.lineno)
+
+
+def test_only_the_algebra_builds_T_and_decides_its_layout():
+    # T and whether it is weight-preserving are decided once per run, by the
+    # Algebra; a call anywhere else in the package would decide them again
+    for path in sorted(Path(wickfock.__file__).parent.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert name not in ("build_T", "weight_preserving"), (path.name, node.lineno, name)

@@ -13,6 +13,7 @@ from conftest import (
     example3,
     free_spec,
     hecke,
+    matrix_spec,
     qccr,
     qij,
     random_unitary,
@@ -143,8 +144,8 @@ def test_apply_slots_and_word_product_match_kron_products(d):
 
 def test_braid_residual_presets_and_zero():
     for label, spec in braided_presets():
-        assert tensorops.braid_residual(model.build_T(spec)) <= 1e-12, label
-    assert tensorops.braid_residual(model.build_T(free_spec())) == 0.0
+        assert Algebra(spec).braid_residual <= 1e-12, label
+    assert Algebra(free_spec()).braid_residual == 0.0
 
 
 def test_braid_residual_detects_perturbation():
@@ -152,8 +153,10 @@ def test_braid_residual_detects_perturbation():
     M = model.build_T(qccr(2, 0.5)).mat.copy()
     M[0, 3] = 0.1
     M[3, 0] = 0.1
-    residual = tensorops.braid_residual(TensorOperator(2, 2, M))
-    assert residual > 1e-3
+    alg = Algebra(matrix_spec(M))
+    assert alg.braid_residual > 1e-3
+    # the residual is the difference of the Algebra's two words at level 3
+    assert alg.braid_residual == tensorops.op_norm(alg.U(2) - alg.word((2, 1, 2), 3))
 
 
 def test_braid_relation_at_every_position():
@@ -288,11 +291,12 @@ def test_factorization_m_form():
     # the walk's bucket sum P(D_J), J = {1..m-1} at rank n+m-1, against the
     # Rt product P(D_m), which also satisfies P_{n+m} = P(D_m) (P_m (x) 1_n)
     for spec in (free_spec(2), qccr(2, 1.0), qij(-1.0)):
-        T = model.build_T(spec)
+        alg = Algebra(spec)
+        T = alg.T
         for n, m in [(1, 2), (2, 2), (1, 3)]:
-            sums = coxeter.descent_sums(T, n + m - 1)
+            sums = alg.descent_sums(n + m - 1)
             J = 2 ** (m - 1) - 1
-            PDJ = sum(sums[D] for D in range(len(sums)) if not D & J)
+            PDJ = sums.sum(D for D in range(len(sums)) if not D & J).mat
             PDm = oracles.build_PDm(T, n, m).mat
             assert tensorops.op_norm(PDJ - PDm) <= 1e-10, (spec.source, n, m)
             rhs = tensorops.apply_slots(oracles.build_P(T, m).mat, T.d, 1, PDm)
