@@ -30,9 +30,11 @@ __all__ = [
     "preset",
     "build_T",
     "PRESET_NAMES",
+    "MAX_LEVEL_BYTES",
 ]
 
 HERMITIAN_TOL = 1e-12
+MAX_LEVEL_BYTES = 128 * 1024**2  # fixed guard on one complex matrix: a block, or a dense d^L x d^L
 
 PRESET_NAMES = ("q-ccr", "qij-ccr", "example3")
 
@@ -95,6 +97,17 @@ def _as_positive_int(value: Any, name: str) -> int:
     if value < 1:
         raise SpecError(f'"{name}" must be positive, got {value}')
     return value
+
+
+def _check_dimension(d: int) -> int:
+    """Refuse a d whose T, a dense d^2 x d^2 complex matrix of 16 d^4
+    bytes, would be over MAX_LEVEL_BYTES (so d <= 53); return d."""
+    if 16 * d**4 > MAX_LEVEL_BYTES:
+        raise SpecError(
+            f"d={d}: T is one dense {d * d} x {d * d} matrix of {16 * d**4} bytes, "
+            f"over the {MAX_LEVEL_BYTES} byte guard"
+        )
+    return d
 
 
 def _as_float(value: Any, name: str) -> float:
@@ -206,7 +219,7 @@ def preset(name: str, d: int, **params: Any) -> WickSpec:
     ``example3`` needs ``q`` in (-1, 1):  T e_i(x)e_i = e_i(x)e_i and
                  T e_j(x)e_i = q e_i(x)e_j for i != j.
     """
-    d = _as_positive_int(d, "d")
+    d = _check_dimension(_as_positive_int(d, "d"))
     coeffs: dict[tuple[int, int, int, int], complex] = {}
 
     if name == "q-ccr":
@@ -309,7 +322,7 @@ def load_spec(text: str | dict) -> WickSpec:
         raise SpecError("spec document must be a JSON object")
     if "d" not in doc:
         raise SpecError('spec document is missing "d"')
-    d = _as_positive_int(doc["d"], "d")
+    d = _check_dimension(_as_positive_int(doc["d"], "d"))
 
     forms = [k for k in ("preset", "coefficients", "matrix") if k in doc]
     if len(forms) != 1:
@@ -374,9 +387,11 @@ def build_T(spec: WickSpec) -> TensorOperator:
     of hermitian symmetry) is re-checked at tolerance 1e-12 on the 2-norm
     of A = M - M^H.  The bound ||A||_2 <= sqrt(||A||_1 ||A||_inf) is tried
     first; the exact 2-norm, a full SVD, is taken only when the bound
-    exceeds the tolerance, so every decision is the exact norm's.
+    exceeds the tolerance, so every decision is the exact norm's.  A d
+    whose T would be over MAX_LEVEL_BYTES is refused first.
     """
     d = spec.d
+    _check_dimension(d)
     M = np.zeros((d * d, d * d), dtype=np.complex128)
     for (a, b, c, e), v in spec.coeffs.items():
         M[a * d + e, b * d + c] = v

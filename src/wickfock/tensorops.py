@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import TensorOperator
+from .model import MAX_LEVEL_BYTES, TensorOperator
 
 __all__ = [
     "MAX_LEVEL_BYTES",
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 BRAID_TOL = 1e-8
-MAX_LEVEL_BYTES = 128 * 1024**2  # fixed guard on one complex matrix: a block, or a dense d^L x d^L
 MAX_BUILD_BYTES = 1024**3  # fixed guard on one build in the weight layout, at its peak
 PACKED_ENTRY_BYTES = 256  # what a build holds per packed entry at its peak (210-230 measured)
 TABLE_BYTES = 40  # slot_step's tables of one slot, per packed entry: two complex, one int64

@@ -452,6 +452,17 @@ def test_level_guard_bounds_what_the_weight_blocks_hold_together(tmp_path, capsy
         assert f"over the {1024**3} byte guard" in err and "Traceback" not in err, (args, err)
 
 
+def run_child(args):
+    """The CLI on ``args`` in a fresh interpreter that prints the peak RSS of
+    its own address space (VmHWM, in KiB) to stdout as it exits."""
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    child = ("import sys\nfrom wickfock.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\nsys.exit(code)")
+    return subprocess.run([sys.executable, "-c", child, *args], env=dict(os.environ, PYTHONPATH=pythonpath),
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_level_both_layouts_refuse_builds_no_T(tmp_path):
     # q-CCR at d=50, level 6: both layouts refuse the level, so the run stops
     # before T (d^4 entries) and its weight test take hundreds of MiB, near
@@ -459,17 +470,23 @@ def test_level_both_layouts_refuse_builds_no_T(tmp_path):
     # address space (VmHWM); getrusage would also count the pages of the
     # test process it was forked from.
     d50 = write_spec(tmp_path, "qccr_d50.json", {"d": 50, "preset": {"name": "q-ccr", "q": 0.5}})
-    root = Path(__file__).resolve().parents[1]
-    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    child = ("import sys\nfrom wickfock.cli import main\ncode = main(sys.argv[1:])\n"
-             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\nsys.exit(code)")
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "pn", "--spec", d50, "--n", "6", "--method", "recursive"],
-        env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True, timeout=120,
-    )
+    proc = run_child(["pn", "--spec", d50, "--n", "6", "--method", "recursive"])
     assert proc.returncode == 2, proc.stderr
     assert "hold 9669367129500 entries per operator" in proc.stderr and "Traceback" not in proc.stderr
     assert int(proc.stdout) < 64 * 1024, proc.stdout  # KiB
+
+
+def test_dimension_over_the_guard_builds_no_T(tmp_path):
+    # T at d=54 would take 136 MB, over the one-matrix guard, and 25.6 GB at
+    # d=200, where inner passes every level guard; both exit 2 while the spec
+    # is read, near the 29 MiB an import takes (VmHWM, as above)
+    for d in (54, 200):
+        spec = write_spec(tmp_path, f"qccr_d{d}.json", {"d": d, "preset": {"name": "q-ccr", "q": 0.5}})
+        proc = run_child(["inner", "--spec", spec, "--x", "a1", "--y", "a1"])
+        assert proc.returncode == 2, proc.stderr
+        message = f"d={d}: T is one dense {d * d} x {d * d} matrix of {16 * d**4} bytes, over the {128 * 1024**2} byte guard"
+        assert message in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        assert int(proc.stdout) < 64 * 1024, (d, proc.stdout)  # KiB
 
 
 def test_full_at_d5_takes_every_report_in_blocks(tmp_path):

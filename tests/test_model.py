@@ -79,6 +79,23 @@ def test_duplicate_quadruple_rejected():
         model.load_spec(json.dumps(doc))
 
 
+def test_dimension_guard_on_T():
+    # T is one dense d^2 x d^2 complex matrix of 16 d^4 bytes: 126 MB at
+    # d=53, within the one-matrix guard, and 136 MB at d=54, over it.  Every
+    # place that reads d refuses, before a coefficient is made
+    assert model.MAX_LEVEL_BYTES == 128 * 1024**2
+    assert model.load_spec({"d": 53, "coefficients": []}).d == 53
+    message = f"d=54: T is one dense 2916 x 2916 matrix of {16 * 54**4} bytes, over the {model.MAX_LEVEL_BYTES} byte guard"
+    with pytest.raises(SpecError, match=message):
+        model.load_spec({"d": 54, "coefficients": []})
+    with pytest.raises(SpecError, match=message):
+        model.load_spec({"d": 54, "preset": {"name": "q-ccr", "q": 0.5}})
+    with pytest.raises(SpecError, match="d=1000: T is one dense"):
+        model.preset("q-ccr", 1000, q=0.5)
+    with pytest.raises(SpecError, match=message):
+        model.build_T(model.WickSpec(54, {}))
+
+
 def test_build_T_qccr_is_scaled_flip():
     # oracle: T e_k (x) e_l = q e_l (x) e_k, written out column by column
     d, q = 2, 0.5
