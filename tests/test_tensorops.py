@@ -153,10 +153,7 @@ def test_braid_residual_detects_perturbation():
     M = model.build_T(qccr(2, 0.5)).mat.copy()
     M[0, 3] = 0.1
     M[3, 0] = 0.1
-    alg = Algebra(matrix_spec(M))
-    assert alg.braid_residual > 1e-3
-    # the residual is the difference of the Algebra's two words at level 3
-    assert alg.braid_residual == tensorops.op_norm(alg.U(2) - alg.word((2, 1, 2), 3))
+    assert Algebra(matrix_spec(M)).braid_residual > 1e-3
 
 
 def test_braid_relation_at_every_position():
