@@ -16,7 +16,6 @@ from .spectral import Subspace, kernel, symmetric_eigenvalues
 from .tensorops import (
     MAX_LEVEL_BYTES,
     BlockOperator,
-    by_shape,
     check_level,
     layout,
     longest_word,
@@ -106,7 +105,7 @@ class Algebra:
             total = term
             for i in range(1, n):
                 term = step(i, term)
-                total = total + term
+                total += term  # the identity's array, no longer term's
             return BlockOperator.from_packed(self.T.d, n, blocks, total)
 
         return self._get(("R", n), n, build)
@@ -121,7 +120,7 @@ class Algebra:
         """The eigenvalues of the symmetrized P_n, per block, ascending."""
 
         def build():
-            evals = by_shape(symmetric_eigenvalues, self.P(n).mats)
+            evals = [symmetric_eigenvalues(m) for m in self.P(n).mats]
             for e in evals:
                 e.flags.writeable = False
             return tuple(evals)

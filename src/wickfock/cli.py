@@ -153,12 +153,11 @@ def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) ->
         ops = {"recursive": alg.P(n), **ops}
     for name, op in ops.items():
         evals = (alg.eigenvalues(n) if name == "recursive"
-                 else tensorops.by_shape(spectral.symmetric_eigenvalues, op.mats))
+                 else [spectral.symmetric_eigenvalues(m) for m in op.mats])
         walk = {"walk": alg.descent_sums(n - 1).record} if name == "coxeter" else {}
-        checks.add("pn_spectrum", {"n": n, "method": name}, "info",
-                   min_eig=min(float(e[0]) for e in evals),
-                   max_eig=max(float(e[-1]) for e in evals),
-                   norm=tensorops.op_norm(op), **walk)
+        low, high = min(float(e[0]) for e in evals), max(float(e[-1]) for e in evals)
+        checks.add("pn_spectrum", {"n": n, "method": name}, "info", min_eig=low, max_eig=high,
+                   norm=max(abs(low), abs(high)), **walk)  # both sums are self-adjoint
     if len(ops) == 2:
         residual = tensorops.op_norm(ops["recursive"] - ops["coxeter"])
         checks.add_residual("pn_method_agreement", {"n": n}, residual, tol)

@@ -187,28 +187,20 @@ def _young_sums(alg: Algebra, n: int):
     J), so P(W_J) is the tensor product of the block P_b of each group.  In
     the layout of H^(x)(n+1), entry [u, v] of P(W_J) is the product over the
     groups g of P_b[u_g, v_g], u_g the segment of the word u on the slots of
-    g, read from the blocks of ``alg.P(b)``: zero where the letter contents
-    of u_g and v_g differ."""
+    g: for a group of one slot, whether the letters of u and v there agree;
+    for a wider one, read from the blocks of ``alg.P(b)`` where
+    :func:`_young_index` points, once per group (first, last) for all J."""
     d, level = alg.T.d, n + 1
     blocks = alg.layout(level)
     _, _, rows, cols = _entries(blocks)  # the words of each packed entry
-    lookups: dict = {}  # width b -> P_b packed, and per word of level b its block and position
+    groups: dict = {}  # (first, last) -> the letter test of one slot, or the index of a wider group
 
     def factor(first: int, last: int) -> np.ndarray:
-        """P_b[u_g, v_g] for every packed entry [u, v], g = slots first..last."""
-        width = last - first + 1
-        if width not in lookups:
-            P_b = alg.P(width)
-            sizes = np.array([len(w) for w in P_b.words])
-            block, pos = np.empty((2, d**width), dtype=np.int64)
-            for b, w in enumerate(P_b.words):
-                block[w], pos[w] = b, np.arange(len(w))
-            lookups[width] = P_b.packed(), block, pos, np.cumsum(sizes**2) - sizes**2, sizes
-        packed, block, pos, starts, sizes = lookups[width]
-        u, v = (words // d ** (level - last) % d**width for words in (rows, cols))
-        b = block[u]
-        same = b == block[v]
-        return np.where(same, packed[np.where(same, starts[b] + pos[u] * sizes[b] + pos[v], 0)], 0)
+        if (first, last) not in groups:
+            groups[first, last] = (rows // d ** (level - last) % d == cols // d ** (level - last) % d if first == last
+                                   else _young_index(alg.P(last - first + 1), level, last, rows, cols))
+        index = groups[first, last]
+        return index if first == last else np.where(index >= 0, alg.P(last - first + 1).packed()[index], 0)
 
     for J in range(2**n):
         product = np.ones(rows.size, dtype=np.complex128)
@@ -216,8 +208,26 @@ def _young_sums(alg: Algebra, n: int):
         for s in range(1, level + 1):
             if not J >> (s - 1) & 1:  # bit n is never set: the last group closes at slot n+1
                 product *= factor(first, s)
+                if J | 1 << (s - 1) | 1 << first >> 2 == 2**n - 1 | 1 << (s - 1):  # no later J reads the group
+                    del groups[first, s]
                 first = s + 1
         yield BlockOperator.from_packed(d, level, blocks, product)
+
+
+def _young_index(P_b: BlockOperator, level: int, last: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For every packed entry [u, v] of level ``level``, its words in
+    ``rows`` and ``cols``, g the slots of P_b ending at slot ``last``: the
+    position of P_b[u_g, v_g] in P_b packed, or -1 where the letter contents
+    of u_g and v_g differ, as int32."""
+    d, width = P_b.d, P_b.level
+    sizes = np.array([len(w) for w in P_b.words])
+    starts = np.cumsum(sizes**2) - sizes**2
+    block, pos = np.empty((2, d**width), dtype=np.int64)
+    for b, w in enumerate(P_b.words):
+        block[w], pos[w] = b, np.arange(len(w))
+    u, v = (words // d ** (level - last) % d**width for words in (rows, cols))
+    b = block[u]
+    return np.where(b == block[v], starts[b] + pos[u] * sizes[b] + pos[v], -1).astype(np.int32)
 
 
 def coxeter_checks(alg: Algebra, n: int) -> dict:

@@ -33,15 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import TensorOperator
-from .tensorops import (
-    BlockOperator,
-    by_shape,
-    layout,
-    longest_word,
-    op_norm,
-    packed_identity,
-    slot_step,
-)
+from .tensorops import BlockOperator, layout, longest_word, op_norm, slot_step, slot_sum
 
 if TYPE_CHECKING:
     from .algebra import Algebra
@@ -100,8 +92,8 @@ def _is_zero(values: np.ndarray, rank_tol: float, top: float) -> np.ndarray:
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """The eigenvalues of (m + m^H)/2, for one matrix or a stack."""
-    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    """The eigenvalues of (m + m^H)/2."""
+    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
 
 
 def _largest(values) -> float:
@@ -128,7 +120,7 @@ def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Sub
     (1, array([ 0.,  1., -1.,  0.]))
     """
     A = _as_blocks(A)
-    pairs = by_shape(lambda m: np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0), A.mats)
+    pairs = [np.linalg.eigh((m + m.conj().T) / 2.0) for m in A.mats]
     top = _largest(evals for evals, _ in pairs)
     scale = max(1.0, top)
     defect = float(np.linalg.norm([np.linalg.norm(m - m.conj().T) for m in A.mats]))
@@ -136,7 +128,10 @@ def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Sub
         raise ValueError(
             f"operator is not self-adjoint: defect {defect:.3e} at scale {scale:.3e}"
         )
-    bases = [evecs[:, _is_zero(evals, rank_tol, top)] for evals, evecs in pairs]
+    bases = []
+    for k, (evals, evecs) in enumerate(pairs):
+        pairs[k] = None  # each block's eigenvectors go once its basis is cut
+        bases.append(evecs[:, _is_zero(evals, rank_tol, top)])
     return Subspace(A.d, A.level, BlockOperator(A.d, A.level, A.words, bases))
 
 
@@ -146,7 +141,7 @@ def nullspace_svd(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL)
     at the scale of the whole operator, counts as zero.  A dense operator is
     one block."""
     A = _as_blocks(A)
-    triples = by_shape(np.linalg.svd, A.mats)
+    triples = [np.linalg.svd(m) for m in A.mats]
     top = _largest(s for _, s, _ in triples)
     bases = [vh.conj().T[:, _is_zero(s, rank_tol, top)] for _, s, vh in triples]
     return Subspace(A.d, A.level, BlockOperator(A.d, A.level, A.words, bases))
@@ -175,8 +170,8 @@ def ideal_complement(alg: Algebra, level: int, rank_tol: float = RANK_TOL) -> Su
     the projector onto the level-2 kernel of 1 + T.  S has range I, and its
     kernel is decided by :func:`kernel`, under the rank rule of ker P.  Pi
     keeps the layout of T, so it is built per level-2 block and S per block
-    of the level, in the layouts ``alg`` holds, by the
-    :func:`~wickfock.tensorops.slot_step` of Pi.
+    of the level, in the layouts ``alg`` holds, by
+    :func:`~wickfock.tensorops.slot_sum` of Pi.
 
     For the flip at d=2 (q-CCR with q = 1), I is spanned by the
     antisymmetric pairs in every slot pair; its complement at level 3 is
@@ -194,9 +189,7 @@ def ideal_complement(alg: Algebra, level: int, rank_tol: float = RANK_TOL) -> Su
     for w, B in zip(words, K.parts.mats):
         Pi[np.ix_(w, w)] = B @ B.conj().T
     blocks = alg.layout(level)
-    step, eye = slot_step(Pi, d, level, blocks), packed_identity(blocks)
-    S = sum((step(k, eye) for k in range(1, level)), np.zeros_like(eye))
-    return kernel(BlockOperator.from_packed(d, level, blocks, S), rank_tol)
+    return kernel(BlockOperator.from_packed(d, level, blocks, slot_sum(Pi, d, level, blocks)), rank_tol)
 
 
 def kernel_theorem_check(
@@ -211,9 +204,9 @@ def kernel_theorem_check(
     1 + T.  With Pi_sum = 1 - Pi_{ker S}, the report carries the dimensions
     (``dim_sum = d^(n+1) - dim ker S``), the projector distance
     ||Pi_{ker P} - Pi_sum||, and the easy-inclusion margin ||P_{n+1} Pi_sum||,
-    each the largest over the blocks of the layout, which all three share.
-    Hypothesis violations (braid, norm) do not stop the computation; they
-    mark the check inapplicable.
+    each the largest over the blocks of the layout, which all three share,
+    taken one block at a time.  Hypothesis violations (braid, norm) do not
+    stop the computation; they mark the check inapplicable.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -226,10 +219,11 @@ def kernel_theorem_check(
     complement = ideal_complement(alg, level, rank_tol)
 
     dim_sum = T.d**level - complement.dim
-    eye = BlockOperator.identity(T.d, level, P.words)
-    sum_proj = eye - complement.projector()
-    distance = op_norm(ker_P.projector() - sum_proj)
-    margin = op_norm(P @ sum_proj)
+    distance = margin = 0.0
+    for K, C, P_b in zip(ker_P.parts.mats, complement.parts.mats, P.mats):
+        sum_proj = np.eye(len(P_b), dtype=np.complex128) - C @ C.conj().T
+        distance = max(distance, op_norm([K @ K.conj().T - sum_proj]))
+        margin = max(margin, op_norm([P_b @ sum_proj]))
     ok = ker_P.dim == dim_sum and distance <= tol and margin <= tol
     return {
         "level": level,

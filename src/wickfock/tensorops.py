@@ -33,8 +33,9 @@ residuals are bit-reproducible run to run.
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -55,12 +56,12 @@ __all__ = [
     "BlockOperator",
     "slot_step",
     "packed_identity",
-    "by_shape",
+    "slot_sum",
 ]
 
 BRAID_TOL = 1e-8
 MAX_BUILD_BYTES = 1024**3  # fixed guard on one build in the weight layout, at its peak
-PACKED_ENTRY_BYTES = 256  # what a build holds per packed entry at its peak (210-230 measured)
+PACKED_ENTRY_BYTES = 128  # what a build holds per packed entry at its peak (78-110 measured)
 TABLE_BYTES = 40  # slot_step's tables of one slot, per packed entry: two complex, one int64
 MAX_KEPT_TABLE_BYTES = 64 * 1024**2  # fixed budget for the tables slot_step keeps
 
@@ -121,29 +122,14 @@ def op_norm(op: BlockOperator | TensorOperator | np.ndarray | list) -> float:
     """Operator norm: largest singular value, via eigendecomposition of the
     self-adjoint square m^H m; for a block-diagonal operator, or a list of
     the pieces of an operator that lie in disjoint rows and disjoint
-    columns, the largest over its blocks."""
+    columns, the largest over its blocks, taken one block at a time."""
     if not isinstance(op, (BlockOperator, list)):
         op = [np.asarray(getattr(op, "mat", op))]
-    mats = [m for m in getattr(op, "mats", op) if m.size]  # a basis may hold no vector in a block
-    squares = by_shape(lambda m: np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m), mats)
-    return float(np.sqrt(max(max((float(ev[-1]) for ev in squares), default=0.0), 0.0)))
-
-
-def by_shape(fn, mats) -> list:
-    """``[fn(m) for m in mats]`` with one call of ``fn`` per shape, on the
-    stack of the matrices of that shape (numpy's linear algebra runs over a
-    stack matrix by matrix, with the LAPACK call a single matrix gets)."""
-    if len(mats) == 1:
-        return [fn(mats[0])]
-    groups: dict = {}
-    for k, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(k)
-    out: list = [None] * len(mats)
-    for ks in groups.values():
-        result = fn(np.stack([mats[k] for k in ks]))
-        for j, k in enumerate(ks):
-            out[k] = tuple(r[j] for r in result) if isinstance(result, tuple) else result[j]
-    return out
+    top = 0.0
+    for m in getattr(op, "mats", op):
+        if m.size:  # a basis may hold no vector in a block
+            top = max(top, float(np.linalg.eigvalsh(m.conj().T @ m)[-1]))
+    return float(np.sqrt(top))
 
 
 def _require_level2(T: TensorOperator) -> None:
@@ -157,12 +143,16 @@ def apply_slots(op: np.ndarray, d: int, i: int, X: np.ndarray) -> np.ndarray:
     off X.
 
     X is viewed as a stack of (slots acted on) x (trailing slots) blocks, and
-    op is applied to every block with one matmul.
+    op is applied to every block with one matmul; when the trailing block is
+    narrower than op, as one product of the transposed stack and op.
     """
     k = op.shape[0]
     if i < 1 or X.shape[1] % (d ** (i - 1) * k):
         raise ValueError(f"a {k}x{k} operator at slot {i} does not fit dimension {X.shape[1]}")
-    return (op.T @ X.reshape(X.shape[0] * d ** (i - 1), k, -1)).reshape(X.shape)
+    blocks = X.reshape(X.shape[0] * d ** (i - 1), k, -1)
+    if blocks.shape[2] >= k:
+        return (op.T @ blocks).reshape(X.shape)
+    return (blocks.swapaxes(1, 2).reshape(-1, k) @ op).reshape(len(blocks), -1, k).swapaxes(1, 2).reshape(X.shape)
 
 
 def word_product(T: TensorOperator, word, level: int, words) -> BlockOperator:
@@ -234,9 +224,7 @@ class BlockOperator:
     def from_packed(cls, d: int, level: int, words, packed: np.ndarray) -> BlockOperator:
         """The operator whose square blocks are stored row-major one after
         another in the flat array ``packed`` (the layout of :func:`slot_step`)."""
-        ends = np.cumsum([len(w) ** 2 for w in words])
-        parts = np.split(packed, ends[:-1])
-        return cls(d, level, words, [p.reshape(len(w), len(w)) for w, p in zip(words, parts)])
+        return cls(d, level, words, _views(words, packed))
 
     @classmethod
     def identity(cls, d: int, level: int, words) -> BlockOperator:
@@ -303,51 +291,91 @@ def slot_step(M: np.ndarray, d: int, level: int, words):
     block-diagonal operator in the layout ``words`` packed as in
     :meth:`BlockOperator.from_packed`; M is a d^2 x d^2 matrix that keeps the
     layout.  One block is :func:`apply_slots` on its (D, D) view.  Over
-    weight spaces it is the two-term gather X D_i + X[S_i] O_i, where S_i
-    indexes (r, swap_i(c)) and D_i, O_i are the coefficients of M taking the
-    letters of column c at slots i, i+1 to themselves and to their swap.
-    The tables of a slot, TABLE_BYTES per packed entry, are made at its
-    first step and kept from its second step on, when the tables of all
-    level - 1 slots fit in MAX_KEPT_TABLE_BYTES (every walk the walk guard
-    admits, and U_n at small levels); a build that steps each slot once,
-    or one above that budget, holds the tables of one slot at a time."""
+    weight spaces it is the two-term gather X D_i + X[:, S_i] O_i, where S_i
+    takes each column c to the column of swap_i(c) and D_i, O_i are the
+    coefficients of M taking the letters of c at slots i, i+1 to themselves
+    and to their swap (:func:`_slot_columns`, tables over the words), taken
+    block by block.  From its second step on, a slot is one flat gather over
+    the packed entries, by tables of TABLE_BYTES per entry kept when the
+    tables of all level - 1 slots fit in MAX_KEPT_TABLE_BYTES (every walk the
+    walk guard admits, and U_n at small levels); a build that steps each slot
+    once, or one above that budget, holds no per-entry table."""
     if len(words) == 1:
         D = d**level
         return lambda i, X: apply_slots(M, d, i, X.reshape(D, D)).reshape(-1)
-    _, c, _, cols = _entries(words)
+    columns, order = _slot_columns(M, d, level, words), np.concatenate(words)
+    keep = (level - 1) * TABLE_BYTES * sum(len(w) ** 2 for w in words) <= MAX_KEPT_TABLE_BYTES
+    entries = cache(lambda: _entries(words)[1::2])  # per entry: column position and word, for kept tables
+    tables: dict = {}  # slot -> its kept tables, or None after its first step
+
+    def apply(i: int, X: np.ndarray) -> np.ndarray:
+        if keep and i in tables:
+            if tables[i] is None:
+                (c, cols), (diag, swap, off) = entries(), columns(i)
+                tables[i] = diag[cols], np.arange(cols.size) - c + swap[cols], off[cols]
+            diag, swap, off = tables[i]
+            out = X[swap]
+            out *= off
+            out += X * diag  # X D_i + X[S_i] O_i, one temporary fewer
+            return out
+        tables[i] = None
+        diag, swap, off = (table[order] for table in columns(i))  # the columns of block after block
+        out, end = np.empty_like(X), 0
+        for x, o in zip(_views(words, X), _views(words, out)):
+            span, end = slice(end, end + len(x)), end + len(x)
+            o[...] = x[:, swap[span]]
+            o *= off[span]
+            o += x * diag[span]
+        return out
+
+    return apply
+
+
+def _slot_columns(M: np.ndarray, d: int, level: int, words):
+    """``columns(i)``: per word of H^(x)level, the coefficients of M taking
+    its letters at slots i, i+1 to themselves and to their swap, and the
+    position in its block of the word with those letters swapped."""
     pos = np.empty(d**level, dtype=np.int64)
-    pos[cols] = c
-    row = np.arange(cols.size) - c  # where the row of each entry starts
+    for w in words:
+        pos[w] = np.arange(len(w))
     pairs = np.arange(d * d)
     swapped = pairs % d * d + pairs // d
     diagonal = M.diagonal().copy()
     crossed = np.where(pairs != swapped, M[swapped, pairs], 0)
     every = np.arange(d**level)
-    keep = (level - 1) * TABLE_BYTES * cols.size <= MAX_KEPT_TABLE_BYTES
-    tables: dict = {}  # slot -> its kept tables, or None after its first step
 
-    def table(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per word, then per entry through its column word: the pair of
-        letters at slots i, i+1, and where swapping them takes the word."""
+    def columns(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hi, lo = d ** (level - i), d ** (level - i - 1)
         x, y = every // hi % d, every // lo % d
         pair = x * d + y
-        swap = pos[every + (y - x) * (hi - lo)]  # in the block and the row of the word
-        return diagonal[pair][cols], row + swap[cols], crossed[pair][cols]
+        return diagonal[pair], pos[every + (y - x) * (hi - lo)], crossed[pair]
 
-    def apply(i: int, X: np.ndarray) -> np.ndarray:
-        kept = tables.get(i)
-        if kept is None:
-            kept = table(i)
-            if keep:
-                tables[i] = kept if i in tables else None
-        diag, swap, off = kept
-        out = X[swap]
-        out *= off
-        out += X * diag  # X D_i + X[S_i] O_i, one temporary fewer
-        return out
+    return columns
 
-    return apply
+
+def slot_sum(M: np.ndarray, d: int, level: int, words) -> np.ndarray:
+    """sum_i 1 (x) M (x) 1 over the slots i = 1..level-1, packed in the
+    layout ``words``, M as in :func:`slot_step`: over weight spaces
+    scattered per block from the tables of :func:`_slot_columns`, D_i on the
+    diagonal and O_i at (S_i(c), c), slot after slot into one array."""
+    if len(words) == 1:
+        step, eye = slot_step(M, d, level, words), packed_identity(words)
+        return sum((step(i, eye) for i in range(1, level)), np.zeros_like(eye))
+    columns = _slot_columns(M, d, level, words)
+    total = np.zeros(sum(len(w) ** 2 for w in words), dtype=np.complex128)
+    for i in range(1, level):
+        diag, swap, off = columns(i)
+        for w, block in zip(words, _views(words, total)):
+            block[swap[w], np.arange(len(w))] += off[w]
+            block[np.diag_indices(len(w))] += diag[w]
+    return total
+
+
+def _views(words, packed: np.ndarray) -> list:
+    """The square blocks of the flat array ``packed``, row-major one after
+    another as :meth:`BlockOperator.from_packed` reads them, as views."""
+    ends = itertools.accumulate(len(w) ** 2 for w in words)
+    return [packed[end - len(w) ** 2 : end].reshape(len(w), len(w)) for w, end in zip(words, ends)]
 
 
 def _entries(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -365,7 +393,7 @@ def _entries(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 def packed_identity(words) -> np.ndarray:
     """The identity in the packed layout of ``words``."""
-    if len(words) == 1:  # one dense block needs no index tables
-        return np.eye(len(words[0]), dtype=np.complex128).ravel()
-    r, c, _, _ = _entries(words)
-    return (r == c).astype(np.complex128)
+    eye = np.zeros(sum(len(w) ** 2 for w in words), dtype=np.complex128)
+    for block in _views(words, eye):
+        np.fill_diagonal(block, 1)
+    return eye

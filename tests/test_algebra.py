@@ -124,14 +124,17 @@ def test_level_guard():
     check_level(1, 10**9, weight=True)
     with pytest.raises(ValueError, match="over the"):
         check_level(2, 10**9, weight=True)
-    # and on what the blocks of one operator hold together, 256 bytes a
-    # packed entry: 17,319,837 entries at d=3 level 9, about 9.7e12 at d=50
-    # level 6, where every block has at most 720 words
-    for d, level, entries in ((3, 9, 17319837), (10, 6, 329009500), (50, 6, 9669367129500)):
+    # and on what the blocks of one operator hold together, 128 bytes a
+    # packed entry: 17,319,837 entries at d=3 level 9, 8,848,236 at d=6
+    # level 6 (1.06 GiB), about 9.7e12 at d=50 level 6, where every block has
+    # at most 720 words
+    assert tensorops.PACKED_ENTRY_BYTES == 128
+    for d, level, entries in ((3, 9, 17319837), (6, 6, 8848236), (10, 6, 329009500), (50, 6, 9669367129500)):
         with pytest.raises(ValueError, match=f"hold {entries} entries per operator; building them needs "
                            f"[0-9]+ bytes or more, over the {tensorops.MAX_BUILD_BYTES} byte guard"):
             check_level(d, level, weight=True)
     check_level(2, 12, weight=True)  # 2,704,156 entries
+    check_level(4, 7, weight=True)  # 4,951,552 entries, 0.59 GiB (1.18 GiB at 256 bytes an entry)
     # the Algebra refuses before it allocates: at d=3 level 8 each dense
     # matrix is 689 MB, and at d=2 level 14 the largest weight block is 188 MB
     for alg, level in ((Algebra(rotated(qccr(3, 0.5), 1)), 8), (Algebra(qccr(2, 0.5)), 14)):
@@ -178,10 +181,8 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     build_T = _count_calls(monkeypatch, model.build_T)
     weights = _count_calls(monkeypatch, tensorops.weight_preserving)
     words = _count_calls(monkeypatch, tensorops.word_product, key=lambda args: (tuple(args[1]), args[2]))
-    # the operators whose symmetrized eigenvalues are taken, block by block
-    spectra = _count_calls(
-        monkeypatch, tensorops.by_shape, key=lambda args: args[1] if args[0] is spectral.symmetric_eigenvalues else None
-    )
+    # the blocks whose symmetrized eigenvalues are taken
+    spectra = _count_calls(monkeypatch, spectral.symmetric_eigenvalues, key=lambda args: args[0])
     T_spectra = []  # eigvalsh of the symmetrized T
     eigvalsh = np.linalg.eigvalsh
 
@@ -215,7 +216,7 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     assert built[(1, 2, 1), 3] == built[(2, 1, 2), 3] == 1 and max(built.values()) == 1, built
     # the spectrum of each P_n is taken once, for pn_spectrum and positivity alike
     for n in range(2, 5):
-        assert sum(mats is alg.P(n).mats for mats in spectra) == 1, n
+        assert all(sum(m is block for m in spectra) == 1 for block in alg.P(n).mats), n
     assert len(T_spectra) == 1  # min eig T, which every positivity record reads
     # the Coxeter suites run first, but their records keep their place
     per_rank = [
@@ -263,6 +264,22 @@ def test_group_sum_memory_stays_near_the_packed_walk():
     # dense 128 x 128 matrices; scattering every bucket densely took 64 more
     alg = Algebra(qccr(2, 0.5))
     assert peak_bytes(lambda: alg.group_sum(6)) < 24 * 16 * 128**2
+
+
+def test_level_7_builds_hold_a_few_operators():
+    # one packed operator at d=3 level 7 holds 272,835 entries of 16 bytes.
+    # R_7 adds into one array and steps each slot once, block by block, with
+    # no per-entry table: 3.2 operators at the peak (7.5 with per-entry
+    # tables and a new array per sum).  The level-7 kernel theorem from P_6
+    # keeps R_7 and P_7 and decides ker P_7 and ker S block by block, S
+    # scattered from the level-2 Pi: 4.4 operators (10.5 with stacked copies
+    # and S stepped from the packed identity).
+    op = 16 * 272835
+    alg = Algebra(qccr(3, 0.5))
+    assert peak_bytes(lambda: alg.R(7)) < 4 * op
+    alg = Algebra(qccr(3, 0.5))
+    alg.P(6)
+    assert peak_bytes(lambda: spectral.kernel_theorem_check(alg, 6)) < 5 * op
 
 
 def test_coxeter_checks_place_one_sum_at_a_time():

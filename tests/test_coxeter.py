@@ -554,6 +554,21 @@ def test_coxeter_checks_report_shape():
     ]
 
 
+def test_young_factors_are_located_once_per_slot_group(monkeypatch):
+    # at rank 4 the slots 1..5 hold 10 groups of two or more consecutive
+    # slots; each is located in its P_b once for all 16 J (a group of one slot
+    # reads no P_b), and every P(W_J) is the dense tensor product of the P_b
+    alg = Algebra(qccr(3, 0.5))
+    located = []
+    index = coxeter._young_index
+    monkeypatch.setattr(coxeter, "_young_index", lambda *args: located.append((args[0].level, args[2])) or index(*args))
+    sums = list(coxeter._young_sums(alg, 4))
+    groups = [(last - first + 1, last) for first in range(1, 6) for last in range(first + 1, 6)]
+    assert len(located) == len(groups) == 10 and sorted(located) == sorted(groups)
+    for J, PWJ in enumerate(sums):
+        assert np.max(np.abs(PWJ.mat - oracles.young_sum(alg, 4, J))) <= 1e-12, J
+
+
 def test_coxeter_checks_twisted_flip():
     # complex coefficients: a conjugate/transpose slip on the adjoint
     # Euler-Solomon side, or in P(W_J), shows here and not on the presets

@@ -142,6 +142,30 @@ def test_apply_slots_and_word_product_match_kron_products(d):
             assert _rel_err(oracles.apply_left(op, d, 2, X), amp @ X) <= tol
 
 
+def test_slot_steps_and_slot_sum_agree_bit_for_bit():
+    # a slot's first step goes block by block, its later ones by one flat
+    # gather over kept per-entry tables; slot_sum scatters what stepping the
+    # identity through every slot adds up.  A random complex T that keeps
+    # the weight layout, so no symmetry hides a misplaced entry.
+    d, level = 3, 4
+    rng = np.random.default_rng(7)
+    a, b = np.divmod(np.arange(d * d), d)
+    kept = ((a[:, None] == a) & (b[:, None] == b)) | ((a[:, None] == b) & (b[:, None] == a))
+    M = np.where(kept, rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2), 0)
+    words = tensorops.layout(d, level, True)
+    step = tensorops.slot_step(M, d, level, words)
+    X = tensorops.BlockOperator(d, level, words, [rng.standard_normal((len(w),) * 2) + 0j for w in words])
+    for i in range(1, level):
+        first = step(i, X.packed())
+        assert np.array_equal(step(i, X.packed()), first) and np.array_equal(step(i, X.packed()), first)
+        expected = X.mat @ oracles.amplify(TensorOperator(d, 2, M), i, level).mat
+        assert np.max(np.abs(tensorops.BlockOperator.from_packed(d, level, words, first).mat - expected)) <= 1e-12
+    eye = tensorops.packed_identity(words)
+    fresh = tensorops.slot_step(M, d, level, words)
+    stepped = sum((fresh(i, eye) for i in range(1, level)), np.zeros_like(eye))
+    assert np.array_equal(tensorops.slot_sum(M, d, level, words), stepped)
+
+
 def test_braid_residual_presets_and_zero():
     for label, spec in braided_presets():
         assert Algebra(spec).braid_residual <= 1e-12, label
