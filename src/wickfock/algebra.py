@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from . import coxeter
-from .model import WickSpec, build_T
+from .model import T_blocks, WickSpec
 from .rewrite import FockFunctional
 from .spectral import Subspace, kernel, symmetric_eigenvalues
 from .tensorops import (
@@ -22,7 +22,6 @@ from .tensorops import (
     op_norm,
     packed_identity,
     slot_step,
-    weight_preserving,
     word_product,
 )
 
@@ -31,11 +30,13 @@ __all__ = ["MAX_LEVEL_BYTES", "check_level", "Algebra"]
 
 class Algebra:
     """A spec with its ``T`` and each fact about ``T`` the reports read,
-    decided once: ``weight`` (whether T is weight-preserving), the braid
-    residual, the norm and the smallest eigenvalue of ``T``.  On first use,
-    after the level guard (:func:`check_level`: when T is weight-preserving,
-    on the largest block and on what the blocks of one operator hold
-    together), it builds read-only the block layout of each level
+    decided once: ``weight`` (whether T is weight-preserving: each nonzero
+    T_ab^ce has {a, e} = {b, c}, decided exactly), the braid residual, the
+    norm and the smallest eigenvalue of ``T``, per block of ``T`` in the
+    layout of level 2.  On first use, after the level guard
+    (:func:`check_level`: when T is weight-preserving, on the largest block
+    and on what the blocks of one operator hold together), it builds
+    read-only ``T``, the block layout of each level
     (:func:`~wickfock.tensorops.layout`), R_n, P_n and its eigenvalues, the
     words in the T_i (U_n among them), ker P_n, the walk of S_{n+1}
     (:func:`coxeter.descent_sums`) and the group sum P(S_{n+1}); a second
@@ -57,10 +58,13 @@ class Algebra:
 
     def __init__(self, spec: WickSpec) -> None:
         self.spec = spec
-        self.T = build_T(spec)
-        self.T.mat.flags.writeable = False
-        self.weight = weight_preserving(self.T)
+        self.weight = all({a, e} == {b, c} for (a, b, c, e), v in spec.coeffs.items() if v != 0)
         self._memo: dict = {}
+
+    @cached_property
+    def T(self) -> BlockOperator:
+        """T on H^(x)2 in the layout of level 2, read-only."""
+        return BlockOperator(self.spec.d, 2, self.layout(2), T_blocks(self.spec, self.layout(2)))
 
     @cached_property
     def braid_residual(self) -> float:
@@ -74,8 +78,8 @@ class Algebra:
 
     @cached_property
     def min_eig_T(self) -> float:
-        """The smallest eigenvalue of the symmetrized T."""
-        return float(symmetric_eigenvalues(self.T.mat)[0])
+        """The smallest eigenvalue of the symmetrized T, over its blocks."""
+        return min(float(symmetric_eigenvalues(m)[0]) for m in self.T.mats)
 
     @cached_property
     def f(self) -> FockFunctional:
@@ -85,7 +89,7 @@ class Algebra:
 
     def check_level(self, level: int) -> None:
         """The level guard for the operators this algebra builds."""
-        check_level(self.T.d, level, self.weight)
+        check_level(self.spec.d, level, self.weight)
 
     def _get(self, key: tuple, level: int, build):
         if key not in self._memo:
@@ -94,27 +98,33 @@ class Algebra:
         return self._memo[key]
 
     def layout(self, level: int) -> tuple:
-        return self._get(("layout", level), level, lambda: layout(self.T.d, level, self.weight))
+        return self._get(("layout", level), level, lambda: layout(self.spec.d, level, self.weight))
 
     def R(self, n: int) -> BlockOperator:
         """R_n = 1 + T_1 + T_1 T_2 + ... + T_1 ... T_{n-1}; R_0 = R_1 = 1."""
 
         def build():
             blocks = self.layout(n)
-            step, term = slot_step(self.T.mat, self.T.d, n, blocks), packed_identity(blocks)
+            step, term = slot_step(self.T, n, blocks), packed_identity(blocks)
             total = term
             for i in range(1, n):
                 term = step(i, term)
                 total += term  # the identity's array, no longer term's
-            return BlockOperator.from_packed(self.T.d, n, blocks, total)
+            return BlockOperator.from_packed(self.spec.d, n, blocks, total)
 
         return self._get(("R", n), n, build)
 
     def P(self, n: int) -> BlockOperator:
-        """P_n by P_{n+1} = (1 (x) P_n) R_{n+1}, from P_0 = P_1 = 1."""
+        """P_n by P_{n+1} = (1 (x) P_n) R_{n+1}, from P_0 = P_1 = 1, the
+        missing levels built bottom-up after the guard of level n."""
         if n < 2:
             return self.word((), n)
-        return self._get(("P", n), n, lambda: self.apply_tensor(self.P(n - 1), self.R(n)))
+        if ("P", n) not in self._memo:
+            self.check_level(n)
+            P = self.P(1)
+            for m in range(2, n + 1):
+                P = self._get(("P", m), m, lambda: self.apply_tensor(P, self.R(m)))
+        return self._memo["P", n]
 
     def eigenvalues(self, n: int) -> tuple:
         """The eigenvalues of the symmetrized P_n, per block, ascending."""
@@ -134,7 +144,7 @@ class Algebra:
         block of level - 1 that holds their tails, in the order of its words."""
 
         def build():
-            d, k = self.T.d, self.T.d ** (level - 1)
+            d, k = self.spec.d, self.spec.d ** (level - 1)
             home = np.empty(k, dtype=np.int64)
             for b, words in enumerate(self.layout(level - 1)):
                 home[words] = b
@@ -158,7 +168,7 @@ class Algebra:
             for _, rows, home in pieces:
                 out[rows] = op.mats[home] @ m[rows]
             mats.append(out)
-        return BlockOperator(self.T.d, A.level, A.words, mats)
+        return BlockOperator(self.spec.d, A.level, A.words, mats)
 
     def word(self, word, level: int) -> BlockOperator:
         """T_{w_1} ... T_{w_k} on H^(x)level in the layout of the level."""

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__, coxeter, fock, rewrite, spectral, tensorops
-from .algebra import Algebra, check_level
+from .algebra import Algebra
 from .model import SpecError, load_spec_file
 
 __all__ = ["main", "entry", "build_report"]
@@ -131,8 +131,7 @@ class _Checks:
 
 
 def _suite_check(alg: Algebra, checks: _Checks, tol: float) -> None:
-    herm = tensorops.op_norm(alg.T.mat - alg.T.mat.conj().T)
-    checks.add_residual("hermiticity", {}, herm, 1e-12)
+    checks.add_residual("hermiticity", {}, tensorops.op_norm(alg.T - alg.T.adjoint()), 1e-12)
     checks.add("operator_norm", {}, "info", value=alg.norm_T)
     checks.add_residual("braid", {}, alg.braid_residual, tol)
 
@@ -201,7 +200,7 @@ def _suite_rewrite_cross(alg: Algebra, checks: _Checks, max_degree: int, tol: fl
     when both have degree n and lie in one block, else 0."""
     words = []  # per creation word: the free word, the block of P_n that holds it, its row there
     for n in range(max_degree + 1):
-        P, letters = alg.P(n), list(itertools.product(range(alg.T.d), repeat=n))
+        P, letters = alg.P(n), list(itertools.product(range(alg.spec.d), repeat=n))
         for block, m in zip(P.words, P.mats):
             words += [(tuple((i, False) for i in letters[w]), m, row) for row, w in enumerate(block.tolist())]
     worst = 0.0
@@ -242,11 +241,7 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
             top = max(top, _full_reports(top, spec.d)[1][-1] + 1)
     if args.command != "inner" and getattr(args, "method", None) != "recursive":
         top = max(top, 3)  # the braid residual, taken at level 3
-    try:  # a level both layouts refuse is refused before T is built
-        check_level(spec.d, top)
-    except ValueError:
-        check_level(spec.d, top, weight=True)
-    alg = Algebra(spec)
+    alg = Algebra(spec)  # decides the layout from the coefficients; T is built on first use
     alg.check_level(top)  # the largest block, or the dense matrix when T is not weight-preserving
     if walk is not None:
         coxeter.check_walk(spec.d, walk, alg.weight)

@@ -169,15 +169,15 @@ def descent_sums(alg: Algebra, n: int) -> Walk:
     :func:`check_walk` before anything is allocated, and gated on the braid
     residual of ``alg``.
     """
-    check_walk(alg.T.d, n, alg.weight)
+    check_walk(alg.spec.d, n, alg.weight)
     if alg.braid_residual > BRAID_TOL:
         raise BraidConditionError(
             f"braid residual {alg.braid_residual:.3e} exceeds {BRAID_TOL:.1e}; "
             "the map is only well defined for braided operators"
         )
     blocks = alg.layout(n + 1)
-    step = slot_step(alg.T.mat, alg.T.d, n + 1, blocks)
-    return Walk(alg.T.d, n + 1, _walk(n, packed_identity(blocks), step), blocks)
+    step = slot_step(alg.T, n + 1, blocks)
+    return Walk(alg.spec.d, n + 1, _walk(n, packed_identity(blocks), step), blocks)
 
 
 def _young_sums(alg: Algebra, n: int):
@@ -190,7 +190,7 @@ def _young_sums(alg: Algebra, n: int):
     g: for a group of one slot, whether the letters of u and v there agree;
     for a wider one, read from the blocks of ``alg.P(b)`` where
     :func:`_young_index` points, once per group (first, last) for all J."""
-    d, level = alg.T.d, n + 1
+    d, level = alg.spec.d, n + 1
     blocks = alg.layout(level)
     _, _, rows, cols = _entries(blocks)  # the words of each packed entry
     groups: dict = {}  # (first, last) -> the letter test of one slot, or the index of a wider group

@@ -141,8 +141,8 @@ def create(i: int, v: GradedVector) -> GradedVector:
 def annihilate(alg: Algebra, i: int, v: GradedVector) -> GradedVector:
     """The Fock annihilation: mu(e_i^*) R_n on each degree-n component."""
     d = v.d
-    if alg.T.d != d:
-        raise ValueError(f"spec dimension {alg.T.d} does not match vector dimension {d}")
+    if alg.spec.d != d:
+        raise ValueError(f"spec dimension {alg.spec.d} does not match vector dimension {d}")
     if not 0 <= i < d:
         raise ValueError(f"index {i} out of range 0..{d - 1}")
     N = v.max_degree
@@ -158,8 +158,8 @@ def annihilate(alg: Algebra, i: int, v: GradedVector) -> GradedVector:
 def fock_inner(alg: Algebra, x: GradedVector, y: GradedVector) -> complex:
     """< x, y >_0 = sum_n < x_n, P_n y_n >, conjugate-linear in x."""
     _check_compatible(x, y)
-    if alg.T.d != x.d:
-        raise ValueError(f"spec dimension {alg.T.d} does not match vectors (d={x.d})")
+    if alg.spec.d != x.d:
+        raise ValueError(f"spec dimension {alg.spec.d} does not match vectors (d={x.d})")
     total = 0j
     for n in range(x.max_degree + 1):
         if n < 2:
@@ -195,7 +195,7 @@ def relation_check(alg: Algebra, N: int, seed: int = 42, tol: float = 1e-8) -> d
         raise ValueError(f"need N >= 2, got {N}")
     if seed < 0:  # random.Random takes |seed|: -1 would draw the samples of 1
         raise ValueError(f"need seed >= 0, got {seed}")
-    d = alg.T.d
+    d = alg.spec.d
     terms: dict = {}  # (i, j) -> its (k, l, T_ij^kl)
     for (i, j, k, l), c in alg.spec.coeffs.items():
         terms.setdefault((i, j), []).append((k, l, c))

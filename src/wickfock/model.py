@@ -3,8 +3,9 @@
 An algebra instance is a :class:`WickSpec`: a dimension ``d`` and a map of
 coefficient quadruples ``(i, j, k, l) -> T_ij^kl`` subject to the hermitian
 symmetry ``T_ij^kl == conj(T_ji^lk)``.  The single derived object built here
-is the level-2 operator ``T`` on ``H (x) H``, stored as a dense ``d^2 x d^2``
-complex matrix under the canonical pair encoding ``p = i*d + j`` (0-based).
+is the level-2 operator ``T`` on ``H (x) H`` under the canonical pair
+encoding ``p = i*d + j`` (0-based): its blocks in a layout of the pairs
+(:func:`T_blocks`), or one dense ``d^2 x d^2`` complex matrix (:func:`build_T`).
 
 Indices are 1-based in JSON documents and error messages, 0-based in memory;
 the conversion happens only in :func:`load_spec` / :func:`to_document`.
@@ -28,6 +29,7 @@ __all__ = [
     "to_document",
     "to_json",
     "preset",
+    "T_blocks",
     "build_T",
     "PRESET_NAMES",
     "MAX_LEVEL_BYTES",
@@ -379,26 +381,33 @@ def to_json(spec: WickSpec) -> str:
     return json.dumps(to_document(spec), indent=2)
 
 
-def build_T(spec: WickSpec) -> TensorOperator:
-    """Assemble the level-2 operator: M[(i,j),(k,l)] = T_ik^lj.
-
-    Equivalently, the stored coefficient T_ab^cd lands at row pair (a,d),
-    column pair (b,c).  Self-adjointness of the result (the operator form
-    of hermitian symmetry) is re-checked at tolerance 1e-12 on the 2-norm
-    of A = M - M^H.  The bound ||A||_2 <= sqrt(||A||_1 ||A||_inf) is tried
-    first; the exact 2-norm, a full SVD, is taken only when the bound
-    exceeds the tolerance, so every decision is the exact norm's.  A d
-    whose T would be over MAX_LEVEL_BYTES is refused first.
-    """
-    d = spec.d
-    _check_dimension(d)
-    M = np.zeros((d * d, d * d), dtype=np.complex128)
+def T_blocks(spec: WickSpec, words) -> list[np.ndarray]:
+    """The diagonal blocks of the level-2 operator on the pair words
+    ``words`` (p = i*d + j), a layout that T keeps: T_ab^cd lands at row pair
+    (a,d), column pair (b,c), so M[(i,j),(k,l)] = T_ik^lj.  Each block is
+    checked self-adjoint (hermitian symmetry as an operator) at tolerance
+    1e-12 on the 2-norm of A = m - m^H: the bound
+    ||A||_2 <= sqrt(||A||_1 ||A||_inf) first, the exact 2-norm (a full SVD)
+    only when the bound exceeds the tolerance, so every decision is exact."""
+    d, mats = spec.d, [np.zeros((len(w), len(w)), dtype=np.complex128) for w in words]
+    at = {p: (k, i) for k, w in enumerate(words) for i, p in enumerate(w.tolist())}  # pair -> block, position
     for (a, b, c, e), v in spec.coeffs.items():
-        M[a * d + e, b * d + c] = v
-    A = M - M.conj().T
-    size = np.abs(A)
-    if np.sqrt(size.sum(axis=0).max() * size.sum(axis=1).max()) > HERMITIAN_TOL:
-        defect = float(np.linalg.norm(A, 2))
-        if defect > HERMITIAN_TOL:
-            raise SpecError(f"level-2 operator is not self-adjoint: defect {defect:.3e}")
-    return TensorOperator(d=d, level=2, mat=M)
+        if v != 0:  # a zero may lie between two blocks
+            (k, row), (_, col) = at[a * d + e], at[b * d + c]
+            mats[k][row, col] = v
+    for m in mats:
+        A = m - m.conj().T
+        size = np.abs(A)
+        if np.sqrt(size.sum(axis=0).max() * size.sum(axis=1).max()) > HERMITIAN_TOL:
+            defect = float(np.linalg.norm(A, 2))
+            if defect > HERMITIAN_TOL:
+                raise SpecError(f"level-2 operator is not self-adjoint: defect {defect:.3e}")
+    return mats
+
+
+def build_T(spec: WickSpec) -> TensorOperator:
+    """The level-2 operator as one dense matrix, :func:`T_blocks` in one
+    block; a d whose T would be over MAX_LEVEL_BYTES is refused first."""
+    _check_dimension(spec.d)
+    [M] = T_blocks(spec, (np.arange(spec.d**2),))
+    return TensorOperator(d=spec.d, level=2, mat=M)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import TensorOperator
-from .tensorops import BlockOperator, layout, longest_word, op_norm, slot_step, slot_sum
+from .tensorops import BlockOperator, longest_word, op_norm, slot_step, slot_sum
 
 if TYPE_CHECKING:
     from .algebra import Algebra
@@ -104,7 +104,7 @@ def _as_blocks(A: BlockOperator | TensorOperator) -> BlockOperator:
     """A dense operator as one block."""
     if isinstance(A, BlockOperator):
         return A
-    return BlockOperator(A.d, A.level, layout(A.d, A.level, False), (A.mat.astype(np.complex128),))
+    return BlockOperator(A.d, A.level, (np.arange(A.d**A.level),), (A.mat.astype(np.complex128),))
 
 
 def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
@@ -169,7 +169,7 @@ def ideal_complement(alg: Algebra, level: int, rank_tol: float = RANK_TOL) -> Su
     k = 1..level-1: the kernel of the positive S = sum_k 1 (x) Pi (x) 1, Pi
     the projector onto the level-2 kernel of 1 + T.  S has range I, and its
     kernel is decided by :func:`kernel`, under the rank rule of ker P.  Pi
-    keeps the layout of T, so it is built per level-2 block and S per block
+    keeps the layout of T, so it is built per block of T and S per block
     of the level, in the layouts ``alg`` holds, by
     :func:`~wickfock.tensorops.slot_sum` of Pi.
 
@@ -182,14 +182,9 @@ def ideal_complement(alg: Algebra, level: int, rank_tol: float = RANK_TOL) -> Su
     >>> ideal_complement(Algebra(preset("q-ccr", 2, q=1.0)), 3).dim
     4
     """
-    d, words = alg.T.d, alg.layout(2)
-    one_plus_T = np.eye(d**2) + alg.T.mat
-    K = kernel(BlockOperator(d, 2, words, [one_plus_T[np.ix_(w, w)] for w in words]), rank_tol)
-    Pi = np.zeros_like(one_plus_T)  # at level 2, dense as T is
-    for w, B in zip(words, K.parts.mats):
-        Pi[np.ix_(w, w)] = B @ B.conj().T
-    blocks = alg.layout(level)
-    return kernel(BlockOperator.from_packed(d, level, blocks, slot_sum(Pi, d, level, blocks)), rank_tol)
+    T, blocks = alg.T, alg.layout(level)
+    Pi = kernel(BlockOperator.identity(T.d, 2, T.words) + T, rank_tol).projector()
+    return kernel(BlockOperator.from_packed(T.d, level, blocks, slot_sum(Pi, level, blocks)), rank_tol)
 
 
 def kernel_theorem_check(
@@ -210,7 +205,6 @@ def kernel_theorem_check(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    T = alg.T
     level = n + 1
     hyp = _hypotheses(alg, tol)
 
@@ -218,7 +212,7 @@ def kernel_theorem_check(
     ker_P = alg.ker_P(level, rank_tol)
     complement = ideal_complement(alg, level, rank_tol)
 
-    dim_sum = T.d**level - complement.dim
+    dim_sum = alg.spec.d**level - complement.dim
     distance = margin = 0.0
     for K, C, P_b in zip(ker_P.parts.mats, complement.parts.mats, P.mats):
         sum_proj = np.eye(len(P_b), dtype=np.complex128) - C @ C.conj().T
@@ -279,7 +273,7 @@ def un_checks(alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHE
     under U_n, and the commutation T_k U_n = U_n T_{n+1-k}, each the largest
     over the blocks of the layout.  Both sides of the commutation are one
     :func:`~wickfock.tensorops.slot_step`: T_k U_n = (U_n^H T_k)^H, since
-    ``build_T`` admits only a self-adjoint T."""
+    ``T_blocks`` admits only a self-adjoint T."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     T = alg.T
@@ -288,7 +282,7 @@ def un_checks(alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHE
     proj = alg.ker_P(level, rank_tol).projector()
     eye = BlockOperator.identity(T.d, level, U.words)
     invariance = op_norm((eye - proj) @ U @ proj)
-    step = slot_step(T.mat, T.d, level, U.words)
+    step = slot_step(T, level, U.words)
     U_packed, UH_packed = U.packed(), U.adjoint().packed()
     commutation = 0.0
     for k in range(1, n + 1):

@@ -11,21 +11,21 @@ where T_i is T on slots i, i+1 with identity factors on the others.
 :func:`apply_slots` multiplies a dense matrix on the right by
 ``1 (x) op (x) 1`` with a reshape and a matmul, never forming it.
 
-When T is weight-preserving (:func:`weight_preserving`: it maps
-e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a), so is every
-T_i, and every operator built from them by products and sums maps each
-weight space of H^(x)level, the span of the words with one letter content,
-into itself.  :func:`layout` gives those spaces as the diagonal blocks of
-the level; any other T gives one block, the whole space.  A
-:class:`BlockOperator` keeps one square matrix per block, and it is the only
-place where blocks become a dense matrix.  :func:`slot_step` is right
-multiplication by T_i (or any level-2 operator that keeps the layout) on
-the blocks, packed as one flat array: the two-term gather over the weight
-spaces, or :func:`apply_slots` on the single dense block, so both layouts
-run the same code.  Every product of the T_i goes through it:
-:func:`word_product` steps it over a word in the T_i, the
-:class:`~wickfock.algebra.Algebra` builds R_n, P_n, U_n and its other words
-with it, and the symmetric-group sums in :mod:`coxeter` walk with it.
+When T is weight-preserving (it maps e_a (x) e_b into the span of
+e_a (x) e_b and e_b (x) e_a), so is every T_i, and every operator built
+from them by products and sums maps each weight space of H^(x)level, the
+span of the words with one letter content, into itself.  :func:`layout`
+gives those spaces as the diagonal blocks of the level; any other T gives
+one block, the whole space.  A :class:`BlockOperator` keeps one square
+matrix per block, and it is the only place where blocks become a dense
+matrix; T is one, at level 2.  :func:`slot_step` is right multiplication by
+T_i (or any level-2 operator in the layout of T) on the blocks, packed as
+one flat array: the two-term gather over the weight spaces, or
+:func:`apply_slots` on the single dense block, so both layouts run the same
+code.  Every product of the T_i goes through it: :func:`word_product` steps
+it over a word in the T_i, the :class:`~wickfock.algebra.Algebra` builds
+R_n, P_n, U_n and its other words with it, and the symmetric-group sums in
+:mod:`coxeter` walk with it.
 
 Products and sums accumulate left to right in exactly this written order so
 residuals are bit-reproducible run to run.
@@ -49,7 +49,6 @@ __all__ = [
     "apply_slots",
     "word_product",
     "longest_word",
-    "weight_preserving",
     "weight_spaces",
     "layout",
     "largest_block",
@@ -132,7 +131,7 @@ def op_norm(op: BlockOperator | TensorOperator | np.ndarray | list) -> float:
     return float(np.sqrt(top))
 
 
-def _require_level2(T: TensorOperator) -> None:
+def _require_level2(T: BlockOperator) -> None:
     if T.level != 2:
         raise ValueError(f"expected a level-2 operator, got level {T.level}")
 
@@ -155,11 +154,11 @@ def apply_slots(op: np.ndarray, d: int, i: int, X: np.ndarray) -> np.ndarray:
     return (blocks.swapaxes(1, 2).reshape(-1, k) @ op).reshape(len(blocks), -1, k).swapaxes(1, 2).reshape(X.shape)
 
 
-def word_product(T: TensorOperator, word, level: int, words) -> BlockOperator:
+def word_product(T: BlockOperator, word, level: int, words) -> BlockOperator:
     """T_{w_1} T_{w_2} ... T_{w_k} on H^(x)level in the layout ``words``, by
-    :func:`slot_step` left to right from the identity (for the empty word)."""
+    :func:`slot_step` of the level-2 T left to right from the identity."""
     _require_level2(T)
-    step, acc = slot_step(T.mat, T.d, level, words), packed_identity(words)
+    step, acc = slot_step(T, level, words), packed_identity(words)
     for i in word:
         acc = step(i, acc)
     return BlockOperator.from_packed(T.d, level, words, acc)
@@ -168,16 +167,6 @@ def word_product(T: TensorOperator, word, level: int, words) -> BlockOperator:
 def longest_word(n: int) -> tuple[int, ...]:
     """The word (1 ... n)(1 ... n-1) ... (1 2)(1) of U_n (empty for n = 0)."""
     return tuple(i for m in range(n, 0, -1) for i in range(1, m + 1))
-
-
-def weight_preserving(T: TensorOperator) -> bool:
-    """Whether T maps e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a:
-    every entry M[(a,b),(c,e)] with {a,b} != {c,e} is exactly zero (no
-    tolerance, so no coefficient is ever dropped)."""
-    a, b = np.divmod(np.arange(T.d**2), T.d)
-    same = (a[:, None] == a) & (b[:, None] == b)
-    swapped = (a[:, None] == b) & (b[:, None] == a)
-    return not np.any(T.mat[~(same | swapped)] != 0)
 
 
 def weight_spaces(d: int, level: int) -> tuple[np.ndarray, ...]:
@@ -194,9 +183,9 @@ def weight_spaces(d: int, level: int) -> tuple[np.ndarray, ...]:
 
 def layout(d: int, level: int, weight: bool) -> tuple[np.ndarray, ...]:
     """The diagonal blocks of H^(x)level that every operator built from a T
-    keeps: the weight spaces when T is weight-preserving (``weight``, as
-    :func:`weight_preserving` decides it), else one block.  The word
-    arrays are read-only, so every operator in the layout shares them."""
+    keeps: the weight spaces when T is weight-preserving (``weight``), else
+    one block.  The word arrays are read-only, so every operator in the
+    layout shares them."""
     if level >= 1 and weight:
         return weight_spaces(d, level)
     words = np.arange(d**level)
@@ -286,24 +275,24 @@ class BlockOperator:
         return self._blockwise(other, np.matmul)
 
 
-def slot_step(M: np.ndarray, d: int, level: int, words):
+def slot_step(M: BlockOperator, level: int, words):
     """``apply(i, X)``: X (1 (x) M (x) 1), M on slots i, i+1, for X a
     block-diagonal operator in the layout ``words`` packed as in
-    :meth:`BlockOperator.from_packed`; M is a d^2 x d^2 matrix that keeps the
-    layout.  One block is :func:`apply_slots` on its (D, D) view.  Over
-    weight spaces it is the two-term gather X D_i + X[:, S_i] O_i, where S_i
-    takes each column c to the column of swap_i(c) and D_i, O_i are the
-    coefficients of M taking the letters of c at slots i, i+1 to themselves
-    and to their swap (:func:`_slot_columns`, tables over the words), taken
-    block by block.  From its second step on, a slot is one flat gather over
-    the packed entries, by tables of TABLE_BYTES per entry kept when the
+    :meth:`BlockOperator.from_packed`; M is a level-2 operator in the layout
+    of T.  One block is :func:`apply_slots` of M's one block on its (D, D)
+    view.  Over weight spaces it is the two-term gather X D_i + X[:, S_i] O_i,
+    where S_i takes each column c to the column of swap_i(c) and D_i, O_i are
+    the coefficients of M taking the letters of c at slots i, i+1 to
+    themselves and to their swap (:func:`_slot_columns`, tables over the
+    words), taken block by block.  From its second step on, a slot is one
+    flat gather over the packed entries, by tables of TABLE_BYTES per entry kept when the
     tables of all level - 1 slots fit in MAX_KEPT_TABLE_BYTES (every walk the
     walk guard admits, and U_n at small levels); a build that steps each slot
     once, or one above that budget, holds no per-entry table."""
     if len(words) == 1:
-        D = d**level
-        return lambda i, X: apply_slots(M, d, i, X.reshape(D, D)).reshape(-1)
-    columns, order = _slot_columns(M, d, level, words), np.concatenate(words)
+        D = M.d**level
+        return lambda i, X: apply_slots(M.mat, M.d, i, X.reshape(D, D)).reshape(-1)
+    columns, order = _slot_columns(M, level, words), np.concatenate(words)
     keep = (level - 1) * TABLE_BYTES * sum(len(w) ** 2 for w in words) <= MAX_KEPT_TABLE_BYTES
     entries = cache(lambda: _entries(words)[1::2])  # per entry: column position and word, for kept tables
     tables: dict = {}  # slot -> its kept tables, or None after its first step
@@ -331,17 +320,20 @@ def slot_step(M: np.ndarray, d: int, level: int, words):
     return apply
 
 
-def _slot_columns(M: np.ndarray, d: int, level: int, words):
+def _slot_columns(M: BlockOperator, level: int, words):
     """``columns(i)``: per word of H^(x)level, the coefficients of M taking
     its letters at slots i, i+1 to themselves and to their swap, and the
-    position in its block of the word with those letters swapped."""
+    position in its block of the word with those letters swapped, read off
+    M's weight blocks of level 2: of the pair aa, or of ab and its swap ba."""
+    d = M.d
     pos = np.empty(d**level, dtype=np.int64)
     for w in words:
         pos[w] = np.arange(len(w))
-    pairs = np.arange(d * d)
-    swapped = pairs % d * d + pairs // d
-    diagonal = M.diagonal().copy()
-    crossed = np.where(pairs != swapped, M[swapped, pairs], 0)
+    diagonal, crossed = np.zeros((2, d * d), dtype=np.complex128)
+    for pairs, m in M.stacks:
+        diagonal[pairs] = m.diagonal(axis1=1, axis2=2)
+        if pairs.shape[1] == 2:
+            crossed[pairs] = m[:, ::-1].diagonal(axis1=1, axis2=2)
     every = np.arange(d**level)
 
     def columns(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,15 +345,15 @@ def _slot_columns(M: np.ndarray, d: int, level: int, words):
     return columns
 
 
-def slot_sum(M: np.ndarray, d: int, level: int, words) -> np.ndarray:
+def slot_sum(M: BlockOperator, level: int, words) -> np.ndarray:
     """sum_i 1 (x) M (x) 1 over the slots i = 1..level-1, packed in the
     layout ``words``, M as in :func:`slot_step`: over weight spaces
     scattered per block from the tables of :func:`_slot_columns`, D_i on the
     diagonal and O_i at (S_i(c), c), slot after slot into one array."""
     if len(words) == 1:
-        step, eye = slot_step(M, d, level, words), packed_identity(words)
+        step, eye = slot_step(M, level, words), packed_identity(words)
         return sum((step(i, eye) for i in range(1, level)), np.zeros_like(eye))
-    columns = _slot_columns(M, d, level, words)
+    columns = _slot_columns(M, level, words)
     total = np.zeros(sum(len(w) ** 2 for w in words), dtype=np.complex128)
     for i in range(1, level):
         diag, swap, off = columns(i)

@@ -23,6 +23,12 @@ check against :func:`amplify`.
   ``test_descent_factorization_example``), for U_n
   (``test_phi_longest_matches_U``) and for word independence
   (``test_matsumoto_word_independence``, acceptance criterion 09).
+- :func:`weight_preserving`, a scan of every entry of the dense T: the
+  reference for ``Algebra.weight``, decided from the coefficient map
+  (``test_weight_is_decided_from_the_coefficients_as_the_dense_scan``).
+- :func:`level2_blocks`, a dense level-2 operator cut into the blocks of a
+  layout it keeps: the operand of ``tensorops.word_product``,
+  ``slot_step`` and ``slot_sum`` in the tests that build T themselves.
 - :func:`word_product`, a word in the T_i by ``apply_slots`` from the
   identity: the dense side of :func:`phi` and :func:`build_U`, and of the
   telescoping reference.
@@ -108,7 +114,7 @@ from wickfock import fock, rewrite
 from wickfock.coxeter import MAX_RANK
 from wickfock.fock import GradedVector, _pad, _random_graded, create
 from wickfock.model import SpecError, TensorOperator, WickSpec
-from wickfock.tensorops import _require_level2, apply_slots, longest_word, op_norm
+from wickfock.tensorops import BlockOperator, _require_level2, apply_slots, layout, longest_word, op_norm
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,23 @@ def dense_basis(K) -> np.ndarray:
         out[words, start:start + m.shape[1]] = m
         start += m.shape[1]
     return out
+
+
+def weight_preserving(T: TensorOperator) -> bool:
+    """Whether T maps e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a:
+    every entry M[(a,b),(c,e)] with {a,b} != {c,e} is exactly zero (no
+    tolerance, so no coefficient is ever dropped)."""
+    a, b = np.divmod(np.arange(T.d**2), T.d)
+    same = (a[:, None] == a) & (b[:, None] == b)
+    swapped = (a[:, None] == b) & (b[:, None] == a)
+    return not np.any(T.mat[~(same | swapped)] != 0)
+
+
+def level2_blocks(M: np.ndarray, d: int, weight: bool) -> BlockOperator:
+    """The d^2 x d^2 matrix M in the layout of level 2, the weight spaces
+    with ``weight`` (M must keep them), else one block."""
+    words = layout(d, 2, weight)
+    return BlockOperator(d, 2, words, [M[np.ix_(w, w)] for w in words])
 
 
 def word_product(T: TensorOperator, word, level: int) -> TensorOperator:

@@ -4,14 +4,16 @@ one build of each operator per CLI run."""
 import collections
 import itertools
 import json
+import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import hecke, qccr, qij, rotated, twisted_flip
+from conftest import example3, hecke, qccr, qij, rotated, twisted_flip
 from wickfock import cli, coxeter, model, spectral, tensorops
 from wickfock.algebra import MAX_LEVEL_BYTES, Algebra, check_level
 
@@ -62,7 +64,7 @@ def test_every_operator_the_algebra_returns_is_read_only():
     # shared by every operator in it; each operator freezes its own matrices
     for spec in (qccr(3, 0.5), rotated(hecke(2, 0.6), 1)):
         alg = Algebra(spec)
-        ops = [alg.R(4), alg.P(4), alg.U(3), alg.word((2, 1), 3), alg.group_sum(3),
+        ops = [alg.T, alg.R(4), alg.P(4), alg.U(3), alg.word((2, 1), 3), alg.group_sum(3),
                alg.descent_sums(2).sum([0, 3]), alg.ker_P(4, 1e-8).parts, alg.ker_P(4, 1e-8).projector(),
                spectral.ideal_complement(alg, 4).parts, alg.apply_tensor(alg.P(3), alg.R(4), last=True)]
         for op in ops:
@@ -71,6 +73,37 @@ def test_every_operator_the_algebra_returns_is_read_only():
             assert not any(m.flags.writeable for m in op.mats), spec.source
             with pytest.raises(ValueError):
                 op.words[0][0] = 1
+
+
+def test_weight_is_decided_from_the_coefficients_as_the_dense_scan():
+    # the Algebra reads the coefficient map, the reference every entry of the
+    # dense T; both are exact, so a crossing coefficient of 1e-300, alone
+    # (its hermitian partner is within the 1e-12 tolerance of absent), is
+    # not dropped, and one of zero crosses nothing.  The blocks of T place
+    # every coefficient where the dense T does
+    specs = [qccr(d, q) for d in (1, 2, 3) for q in (0.0, 0.5, -1.0)]
+    specs += [qij(lam) for lam in (-1.0, 1.0)] + [example3(d, q) for d in (1, 2, 3) for q in (0.0, 0.5)]
+    specs.append(model.preset("qij-ccr", 3, qs=[0.5, 0.3, 0.7], lam=[[1, -1, 1], [-1, 1, -1], [1, -1, 1]]))
+    specs += [model.load_spec_file(str(path)) for path in sorted(Path(__file__).resolve().parents[1].glob("specs/*.json"))]
+    flip = [{"i": 1, "j": 2, "k": 1, "l": 2, "re": 0.5}, {"i": 2, "j": 1, "k": 2, "l": 1, "re": 0.5}]
+    specs += [model.load_spec({"d": 2, "coefficients": flip + [{"i": 1, "j": j, "k": 1, "l": l, "re": value}]})
+              for j, l, value in ((2, 1, 0.0), (1, 2, 1e-300))]
+    specs += [rotated(hecke(2, 0.6), 1), rotated(hecke(3, 0.6), 2)]
+    decided = []
+    for spec in specs:
+        alg, dense = Algebra(spec), model.build_T(spec)
+        assert alg.weight == oracles.weight_preserving(dense), spec.source
+        assert np.array_equal(alg.T.mat, dense.mat), spec.source
+        decided.append(alg.weight)
+    assert decided[-4:] == [True, False, False, False] and decided.count(False) == 3
+
+
+def test_P_builds_its_levels_bottom_up():
+    # P_n once recursed through P_{n-1}, one frame per level, so
+    # `pn --n 330 --method recursive` at d=1 ended in a RecursionError
+    q = 0.5
+    q_factorial = math.prod(sum(q**j for j in range(k)) for k in range(1, 401))  # [400]_q!
+    assert Algebra(qccr(1, q)).P(400).mats[0].item() == pytest.approx(q_factorial, rel=1e-12)
 
 
 def test_kernel_is_memoized_per_rank_tolerance():
@@ -179,20 +212,10 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     init = Algebra.__init__
     monkeypatch.setattr(Algebra, "__init__", lambda self, spec: algebras.append(self) or init(self, spec))
     build_T = _count_calls(monkeypatch, model.build_T)
-    weights = _count_calls(monkeypatch, tensorops.weight_preserving)
+    T_blocks = _count_calls(monkeypatch, model.T_blocks)
     words = _count_calls(monkeypatch, tensorops.word_product, key=lambda args: (tuple(args[1]), args[2]))
     # the blocks whose symmetrized eigenvalues are taken
     spectra = _count_calls(monkeypatch, spectral.symmetric_eigenvalues, key=lambda args: args[0])
-    T_spectra = []  # eigvalsh of the symmetrized T
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted_eigvalsh(a, *args, **kwargs):
-        T = algebras[0].T.mat
-        if a.shape == T.shape and np.array_equal(a, (T + T.conj().T) / 2.0):
-            T_spectra.append(a)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     build_P = []  # the level of each (1 (x) P_{n-1}) R_n, the step that builds P_n
     tensor = Algebra.apply_tensor
 
@@ -206,8 +229,8 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["full", "--spec", str(path), "--n-max", "4", "--out", str(out)]) == 0
     [alg] = algebras
-    assert len(build_T) == 1
-    assert len(weights) == 1  # the Algebra's, which every walk's layout reads
+    assert build_T == []  # no dense T: the Algebra builds its blocks, once
+    assert len(T_blocks) == 1
     assert build_P and max(collections.Counter(build_P).values()) == 1, build_P
     assert sorted(walks) == [1, 2, 3]
     # each word in the T_i is built once: the braid residual reads the
@@ -217,7 +240,8 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     # the spectrum of each P_n is taken once, for pn_spectrum and positivity alike
     for n in range(2, 5):
         assert all(sum(m is block for m in spectra) == 1 for block in alg.P(n).mats), n
-    assert len(T_spectra) == 1  # min eig T, which every positivity record reads
+    # min eig T, which every positivity record reads, one spectrum per block of T
+    assert all(sum(m is block for m in spectra) == 1 for block in alg.T.mats)
     # the Coxeter suites run first, but their records keep their place
     per_rank = [
         ["group_sum_agreement"] + ["factorization_DJ_WJ"] * 2**n

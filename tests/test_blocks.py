@@ -7,6 +7,7 @@ letter content and share no code with the build."""
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -175,7 +176,14 @@ def test_blocked_reports_place_no_dense_matrix(spec, monkeypatch, tmp_path):
     def place(self):
         raise AssertionError(f"placed a dense matrix at level {self.level}")
 
+    def build_T(spec):
+        raise AssertionError("built T as one dense matrix")
+
     monkeypatch.setattr(tensorops.BlockOperator, "place", place)
+    dense_T = model.build_T
+    for name, module in list(sys.modules.items()):  # wherever a module binds build_T
+        if name.split(".")[0] == "wickfock" and getattr(module, "build_T", None) is dense_T:
+            monkeypatch.setattr(module, "build_T", build_T)
     assert coxeter.coxeter_checks(alg, 4)["group_sum"] <= 1e-10
     assert spectral.un_checks(alg, 4)["status"] == "pass"
     assert spectral.telescoping_residual(alg, 4) <= 1e-10
@@ -184,8 +192,7 @@ def test_blocked_reports_place_no_dense_matrix(spec, monkeypatch, tmp_path):
     assert fock.relation_check(alg, 4)["status"] == "pass"
     x = fock._random_graded(3, 4, random.Random(1))
     assert fock.fock_inner(alg, x, x).real > 0
-    # and a whole `full --n-max 4` run, which reads T itself and the
-    # level-2 projector Pi of the kernel theorem as dense d^2 x d^2 matrices
+    # and a whole `full --n-max 4` run
     path = tmp_path / "spec.json"
     path.write_text(model.to_json(spec))
     assert cli.main(["full", "--spec", str(path), "--n-max", "4", "--out", str(tmp_path / "out.json")]) == 0

@@ -489,6 +489,17 @@ def test_dimension_over_the_guard_builds_no_T(tmp_path):
         assert int(proc.stdout) < 64 * 1024, (d, proc.stdout)  # KiB
 
 
+def test_check_at_d50_takes_T_in_its_weight_blocks(tmp_path):
+    # q-CCR at d=50: T is 1,275 blocks of one or two pair words, and the
+    # check reads them block by block.  As one dense 2500 x 2500 matrix, with
+    # a scan of its entries for the weight test and dense spectra, the run
+    # peaked at 417-419 MiB (VmHWM, as above)
+    d50 = write_spec(tmp_path, "qccr_d50.json", {"d": 50, "preset": {"name": "q-ccr", "q": 0.5}})
+    proc = run_child(["check", "--spec", d50, "--out", str(tmp_path / "report.json")])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200 * 1024, proc.stdout  # KiB
+
+
 def test_full_at_d5_takes_every_report_in_blocks(tmp_path):
     # the Wick-ideal check at n = 4 reads the chain T_1...T_4 at level 5,
     # which would be a dense matrix of 156 MB at d=5; in weight blocks the
@@ -513,6 +524,7 @@ def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeyp
     built = []
     original_P = Algebra.P
     monkeypatch.setattr(Algebra, "P", lambda self, n: built.append(n) or original_P(self, n))
+    d1 = write_spec(tmp_path, "qccr_d1.json", {"d": 1, "preset": {"name": "q-ccr", "q": 0.5}})
     d2 = write_spec(tmp_path, "qccr_d2.json", {"d": 2, "preset": {"name": "q-ccr", "q": 0.5}})
     d5 = write_spec(tmp_path, "qccr_d5.json", {"d": 5, "preset": {"name": "q-ccr", "q": 0.5}})
     rotated_d3 = write_spec(tmp_path, "rotated_d3.json", model.to_document(rotated(qccr(3, 0.5), 1)))
@@ -526,6 +538,10 @@ def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeyp
     weight5 = f"d=5 in weight blocks of 2241225 entries need about {need5} {guard}"
     cases = [
         (["full", "--spec", d2, "--n-max", "8"], rank7),
+        # at d=1 only the rank bounds the walk's work: the byte estimate
+        # admits rank 26 (1,073,742,384 bytes), where coxeter_checks would add
+        # about 2.5e12 (3^26) bucket sums
+        (["coxeter", "--spec", d1, "--n", "7"], rank7),
         (["full", "--spec", rotated_d3, "--n-max", "7"], dense6),
         (["pn", "--spec", rotated_d3, "--n", "7"], dense6),
         (["pn", "--spec", rotated_d3, "--n", "7", "--method", "coxeter"], dense6),

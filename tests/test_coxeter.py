@@ -280,7 +280,7 @@ def assert_matches_element_walk(alg, n: int, context) -> None:
     in a rotated basis a bucket of small entries still carries the rounding
     of products of entries near 1."""
     walk = alg.descent_sums(n)
-    step = tensorops.slot_step(alg.T.mat, alg.T.d, n + 1, walk.blocks)
+    step = tensorops.slot_step(alg.T, n + 1, walk.blocks)
     reference = oracles.walk_elements(n, tensorops.packed_identity(walk.blocks), step)
     scale = np.abs(reference).max()
     for mask, (got, want) in enumerate(zip(walk.buckets, reference, strict=True)):

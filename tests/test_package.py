@@ -56,12 +56,19 @@ def test_no_module_references_numpy_random():
 
 
 def test_only_the_algebra_builds_T_and_decides_its_layout():
-    # T and whether it is weight-preserving are decided once per run, by the
-    # Algebra; a call anywhere else in the package would decide them again
+    # whether T is weight-preserving, and so the layout of every level, is
+    # decided once per run, by the Algebra, which builds T in that layout; a
+    # call of the layout rule anywhere else would decide it again, and a
+    # call of build_T would place T as one dense d^2 x d^2 matrix
     for path in sorted(Path(wickfock.__file__).parent.glob("*.py")):
-        if path.name == "algebra.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                assert name not in ("build_T", "weight_preserving"), (path.name, node.lineno, name)
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func  # a bare name, or a name of a module (not a method such as alg.layout)
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = f"{func.value.id}.{func.attr}"
+            else:
+                name = getattr(func, "id", None)
+            assert name not in ("build_T", "model.build_T"), (path.name, node.lineno, name)
+            if path.name != "algebra.py":
+                assert name not in ("layout", "tensorops.layout"), (path.name, node.lineno, name)

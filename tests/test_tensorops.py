@@ -106,7 +106,7 @@ def test_apply_slots_and_word_product_match_kron_products(d):
     a, b = np.divmod(np.arange(d * d), d)
     kept = ((a[:, None] == a) & (b[:, None] == b)) | ((a[:, None] == b) & (b[:, None] == a))
     Tw = TensorOperator(d, 2, np.where(kept, T.mat, 0))
-    assert tensorops.weight_preserving(Tw)
+    assert oracles.weight_preserving(Tw)
     for op in (T, Tw):
         assert tensorops.op_norm(op.mat - op.mat.conj().T) > 0.1 or d == 1
     tol = 1e-12  # float64 rounding over at most ten factors of size <= 3^5
@@ -124,9 +124,9 @@ def test_apply_slots_and_word_product_match_kron_products(d):
             expected = np.eye(dim)
             for i in word:
                 expected = expected @ oracles.amplify(op, i, level).mat
-            words = tensorops.layout(d, level, weight)
-            assert _rel_err(tensorops.word_product(op, word, level, words).mat, expected) <= tol
-            assert np.array_equal(tensorops.word_product(op, (), level, words).mat, np.eye(dim))
+            words, blocks = tensorops.layout(d, level, weight), oracles.level2_blocks(op.mat, d, weight)
+            assert _rel_err(tensorops.word_product(blocks, word, level, words).mat, expected) <= tol
+            assert np.array_equal(tensorops.word_product(blocks, (), level, words).mat, np.eye(dim))
 
         # multi-slot operators as build_P and the P(D_m) check use them:
         # (1 (x) P_{level-1}) R_level and X (P_{level-1} (x) 1)
@@ -152,8 +152,8 @@ def test_slot_steps_and_slot_sum_agree_bit_for_bit():
     a, b = np.divmod(np.arange(d * d), d)
     kept = ((a[:, None] == a) & (b[:, None] == b)) | ((a[:, None] == b) & (b[:, None] == a))
     M = np.where(kept, rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2), 0)
-    words = tensorops.layout(d, level, True)
-    step = tensorops.slot_step(M, d, level, words)
+    words, T = tensorops.layout(d, level, True), oracles.level2_blocks(M, d, True)
+    step = tensorops.slot_step(T, level, words)
     X = tensorops.BlockOperator(d, level, words, [rng.standard_normal((len(w),) * 2) + 0j for w in words])
     for i in range(1, level):
         first = step(i, X.packed())
@@ -161,9 +161,9 @@ def test_slot_steps_and_slot_sum_agree_bit_for_bit():
         expected = X.mat @ oracles.amplify(TensorOperator(d, 2, M), i, level).mat
         assert np.max(np.abs(tensorops.BlockOperator.from_packed(d, level, words, first).mat - expected)) <= 1e-12
     eye = tensorops.packed_identity(words)
-    fresh = tensorops.slot_step(M, d, level, words)
+    fresh = tensorops.slot_step(T, level, words)
     stepped = sum((fresh(i, eye) for i in range(1, level)), np.zeros_like(eye))
-    assert np.array_equal(tensorops.slot_sum(M, d, level, words), stepped)
+    assert np.array_equal(tensorops.slot_sum(T, level, words), stepped)
 
 
 def test_braid_residual_presets_and_zero():
