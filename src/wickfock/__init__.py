@@ -11,18 +11,6 @@ rewrite rule.
 
 __version__ = "0.1.0"
 
-from .model import (
-    SpecError,
-    TensorOperator,
-    WickSpec,
-    build_T,
-    load_spec,
-    load_spec_file,
-    preset,
-    to_document,
-    to_json,
-)
-
 __all__ = [
     "__version__",
     "SpecError",
@@ -35,3 +23,13 @@ __all__ = [
     "to_document",
     "to_json",
 ]
+
+
+def __getattr__(name: str):
+    """The ``model`` names of ``__all__``, imported on first use, so that
+    importing the package loads no numpy (and starts no OpenBLAS)."""
+    if name in __all__:
+        from . import model
+
+        return getattr(model, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,25 @@ import math
 import os
 import sys
 
-import numpy as np
+# OpenBLAS reads its thread count once, when numpy loads it.  The CLI starts
+# it on one thread (see ONE_BLAS_THREAD_BELOW) unless numpy is loaded already
+# or the user chose a count; the variable is set for this import alone, so no
+# child process inherits it.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _chooses_blas_start(modules, environ) -> bool:
+    return "numpy" not in modules and not any(name in environ for name in BLAS_THREAD_VARIABLES)
+
+
+OWN_BLAS_START = _chooses_blas_start(sys.modules, os.environ)
+if OWN_BLAS_START:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if OWN_BLAS_START:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__, coxeter, fock, rewrite, spectral, tensorops
 from .algebra import Algebra
@@ -40,7 +58,9 @@ MAX_FULL_WICK_LEVEL = 4  # fixes which records `full` emits, which the benchmark
 
 # A command whose largest block (tensorops.largest_block at its deepest
 # level) holds fewer words than this runs on one OpenBLAS thread: a second
-# thread stalls on products this small and pays from 243 words on.  Measured
+# thread stalls on products this small and pays from 243 words on.  A larger
+# block runs on OpenBLAS's processor count when the one-thread start was the
+# CLI's own (OWN_BLAS_START), else on the count found, never raised.  Measured
 # on 2 vCPUs with numpy 2.4's bundled OpenBLAS 0.3.31, one thread against its
 # default two:
 #   eigh of one n x n block      n=126: 6.0 ms vs 8.8   n=243: 23.8 vs 19.0
@@ -56,33 +76,39 @@ ONE_BLAS_THREAD_BELOW = 243
 
 @functools.cache
 def _openblas_threads():
-    """The getter and setter of the thread count of the OpenBLAS that
-    numpy's wheel bundles (scipy-openblas, under ``numpy.libs``), or None
-    when numpy uses another BLAS or the symbols are missing."""
+    """The thread-count getter and setter and the processor-count getter of
+    the OpenBLAS that numpy's wheel bundles (scipy-openblas, under
+    ``numpy.libs``), or None when numpy uses another BLAS or the symbols are
+    missing."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
     if not libs:
         return None
     try:
         lib = ctypes.CDLL(libs[0])
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get, put, procs = (lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_,
+                           lib.scipy_openblas_get_num_procs64_)
     except (OSError, AttributeError):  # not loadable, or an OpenBLAS with other symbol names
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
+    procs.argtypes, procs.restype = [], ctypes.c_int
+    return get, put, procs
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body on one OpenBLAS thread, and restore the count found on
-    the way out, however the body ends; do nothing when OpenBLAS is not
-    found or already runs on one thread."""
+def _blas_threads(words: int):
+    """Run the body on the OpenBLAS thread count that pays for blocks of
+    ``words`` words: one below ONE_BLAS_THREAD_BELOW; from there the
+    processor count when the one-thread start was the CLI's own, else the
+    count found.  The count found is restored however the body ends, and
+    nothing changes when OpenBLAS is not found."""
     blas = _openblas_threads()
     before = blas[0]() if blas else 1
-    if before <= 1:
+    count = 1 if words < ONE_BLAS_THREAD_BELOW else blas[2]() if blas and OWN_BLAS_START else before
+    if count == before:
         yield
         return
-    blas[1](1)
+    blas[1](count)
     try:
         yield
     finally:
@@ -249,8 +275,7 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     tol = args.tol
     rank_tol = args.rank_tol
     # the largest block of the deepest level decides whether a second BLAS thread pays
-    small = tensorops.largest_block(spec.d, top, alg.weight) < ONE_BLAS_THREAD_BELOW
-    with _one_blas_thread() if small else contextlib.nullcontext():
+    with _blas_threads(tensorops.largest_block(spec.d, top, alg.weight)):
         if args.command == "check":
             _suite_check(alg, checks, tol)
         elif args.command == "pn":

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +22,19 @@ def test_every_name_in_all_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_importing_the_package_loads_no_numpy():
+    # a fresh interpreter: tests/conftest.py has loaded numpy in this one.
+    # The package names resolve lazily, so a library import starts no
+    # OpenBLAS and the CLI can still choose its thread count
+    src = str(Path(wickfock.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import json, sys, wickfock\n"
+            "loaded = 'numpy' in sys.modules\n"
+            "print(json.dumps([loaded, [n for n in wickfock.__all__ if not hasattr(wickfock, n)]]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert json.loads(out.stdout) == [False, []]
 
 
 def test_modules_import_only_the_standard_library_numpy_and_wickfock():
