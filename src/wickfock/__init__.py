@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "SpecError",
-    "TensorOperator",
     "WickSpec",
     "build_T",
     "load_spec",

@@ -5,7 +5,7 @@ coefficient quadruples ``(i, j, k, l) -> T_ij^kl`` subject to the hermitian
 symmetry ``T_ij^kl == conj(T_ji^lk)``.  The single derived object built here
 is the level-2 operator ``T`` on ``H (x) H`` under the canonical pair
 encoding ``p = i*d + j`` (0-based): its blocks in a layout of the pairs
-(:func:`T_blocks`), or one dense ``d^2 x d^2`` complex matrix (:func:`build_T`).
+(:func:`T_blocks`), or the same in one dense ``d^2 x d^2`` block (:func:`build_T`).
 
 Indices are 1-based in JSON documents and error messages, 0-based in memory;
 the conversion happens only in :func:`load_spec` / :func:`to_document`.
@@ -16,14 +16,16 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .tensorops import BlockOperator
 
 __all__ = [
     "SpecError",
     "WickSpec",
-    "TensorOperator",
     "load_spec",
     "load_spec_file",
     "to_document",
@@ -63,34 +65,6 @@ class WickSpec:
     def coeff(self, i: int, j: int, k: int, l: int) -> complex:
         """Coefficient at a 0-based quadruple (zero if absent)."""
         return self.coeffs.get((i, j, k, l), 0j)
-
-
-@dataclass(frozen=True, eq=False)
-class TensorOperator:
-    """Dense complex operator on ``H^(x)level``, ``d^level x d^level``.
-
-    Rows and columns are indexed by multi-indices through the canonical
-    encoding ``p = sum_t i_t * d**(level-1-t)`` with 0-based ``i_t``.
-    The level-0 operator is the 1x1 scalar.
-    """
-
-    d: int
-    level: int
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"dimension must be positive, got {self.d}")
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        m = np.asarray(self.mat, dtype=np.complex128)
-        size = self.d**self.level
-        if m.shape != (size, size):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match d^level = {size} at "
-                f"d={self.d}, level={self.level}"
-            )
-        object.__setattr__(self, "mat", m)
 
 
 def _as_positive_int(value: Any, name: str) -> int:
@@ -144,6 +118,8 @@ def _from_coefficient_list(d: int, entries: Any) -> dict[tuple[int, int, int, in
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SpecError(f"coefficient entry {pos} must be an object")
+        if extra := set(entry) - {"i", "j", "k", "l", "re", "im"}:  # so a misspelt "re" never reads as 0
+            raise SpecError(f"coefficient entry {pos}: unknown keys {sorted(map(str, extra))}")
         quad = []
         for name in ("i", "j", "k", "l"):
             if name not in entry:
@@ -318,7 +294,7 @@ def load_spec(text: str | dict) -> WickSpec:
     else:
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise SpecError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec document must be a JSON object")
@@ -405,9 +381,10 @@ def T_blocks(spec: WickSpec, words) -> list[np.ndarray]:
     return mats
 
 
-def build_T(spec: WickSpec) -> TensorOperator:
-    """The level-2 operator as one dense matrix, :func:`T_blocks` in one
-    block; a d whose T would be over MAX_LEVEL_BYTES is refused first."""
+def build_T(spec: WickSpec) -> BlockOperator:
+    """The level-2 operator as a BlockOperator of one dense block, :func:`T_blocks`
+    of all d^2 pairs; a d whose T would be over MAX_LEVEL_BYTES is refused first."""
+    from .tensorops import BlockOperator  # tensorops imports this module
     _check_dimension(spec.d)
-    [M] = T_blocks(spec, (np.arange(spec.d**2),))
-    return TensorOperator(d=spec.d, level=2, mat=M)
+    words = (np.arange(spec.d**2),)
+    return BlockOperator(spec.d, 2, words, T_blocks(spec, words))

@@ -94,13 +94,15 @@ def parse_word_expr(text: str, d: int) -> FreePolynomial:
     if text.startswith("["):
         try:
             entries = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise SpecError(f"malformed word-expression JSON: {exc}") from exc
         if not isinstance(entries, list) or not entries:
             raise SpecError("word expression JSON must be a nonempty array")
         for pos, entry in enumerate(entries):
             if not isinstance(entry, dict) or not isinstance(entry.get("word"), str):
                 raise SpecError(f'word expression entry {pos} needs a "word" string')
+            if extra := set(entry) - {"re", "im", "word"}:  # so a misspelt "re" never reads as 0
+                raise SpecError(f"word expression entry {pos}: unknown keys {sorted(map(str, extra))}")
             re_part = _as_float(entry.get("re", 0.0), "re")
             coeff = complex(re_part, _as_float(entry.get("im", 0.0), "im"))
             word = parse_word(entry["word"])

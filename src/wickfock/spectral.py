@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import TensorOperator
 from .tensorops import BlockOperator, longest_word, op_norm, slot_step, slot_sum
 
 if TYPE_CHECKING:
@@ -100,26 +99,18 @@ def _largest(values) -> float:
     return max((float(np.max(np.abs(v), initial=0.0)) for v in values), default=0.0)
 
 
-def _as_blocks(A: BlockOperator | TensorOperator) -> BlockOperator:
-    """A dense operator as one block."""
-    if isinstance(A, BlockOperator):
-        return A
-    return BlockOperator(A.d, A.level, (np.arange(A.d**A.level),), (A.mat.astype(np.complex128),))
-
-
-def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
+def kernel(A: BlockOperator, rank_tol: float = RANK_TOL) -> Subspace:
     """Kernel of a self-adjoint operator (||A - A^H||_F within 1e-8 of its
     largest |eigenvalue|): per block, the eigenvectors of (A + A^H)/2 whose
     eigenvalues the rank rule, at the scale of the whole operator, counts as
     zero, in LAPACK's ascending order.  A dense operator is one block.
 
     >>> flip = np.eye(4)[[0, 2, 1, 3]]  # e_i (x) e_j -> e_j (x) e_i at d=2
-    >>> K = kernel(TensorOperator(2, 2, np.eye(4) + flip))
+    >>> K = kernel(BlockOperator(2, 2, [np.arange(4)], [np.eye(4) + flip]))
     >>> [v] = K.parts.mats[0].T
     >>> K.dim, np.round((v / v[1]).real, 12) + 0.0
     (1, array([ 0.,  1., -1.,  0.]))
     """
-    A = _as_blocks(A)
     pairs = [np.linalg.eigh((m + m.conj().T) / 2.0) for m in A.mats]
     top = _largest(evals for evals, _ in pairs)
     scale = max(1.0, top)
@@ -135,12 +126,10 @@ def kernel(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Sub
     return Subspace(A.d, A.level, BlockOperator(A.d, A.level, A.words, bases))
 
 
-def nullspace_svd(A: BlockOperator | TensorOperator, rank_tol: float = RANK_TOL) -> Subspace:
-    """Nullspace of an arbitrary (not necessarily normal) operator: per
-    block, the right singular vectors whose singular values the rank rule,
-    at the scale of the whole operator, counts as zero.  A dense operator is
-    one block."""
-    A = _as_blocks(A)
+def nullspace_svd(A: BlockOperator, rank_tol: float = RANK_TOL) -> Subspace:
+    """Nullspace of an arbitrary (not necessarily normal) operator: per block, the
+    right singular vectors whose singular values the rank rule, at the scale of
+    the whole operator, counts as zero.  A dense operator is one block."""
     triples = [np.linalg.svd(m) for m in A.mats]
     top = _largest(s for _, s, _ in triples)
     bases = [vh.conj().T[:, _is_zero(s, rank_tol, top)] for _, s, vh in triples]

@@ -39,7 +39,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .model import MAX_LEVEL_BYTES, TensorOperator
+from .model import MAX_LEVEL_BYTES
 
 __all__ = [
     "MAX_LEVEL_BYTES",
@@ -117,13 +117,13 @@ def check_level(d: int, level: int, weight: bool = False) -> None:
             )
 
 
-def op_norm(op: BlockOperator | TensorOperator | np.ndarray | list) -> float:
+def op_norm(op: BlockOperator | np.ndarray | list) -> float:
     """Operator norm: largest singular value, via eigendecomposition of the
     self-adjoint square m^H m; for a block-diagonal operator, or a list of
     the pieces of an operator that lie in disjoint rows and disjoint
     columns, the largest over its blocks, taken one block at a time."""
     if not isinstance(op, (BlockOperator, list)):
-        op = [np.asarray(getattr(op, "mat", op))]
+        op = [np.asarray(op)]
     top = 0.0
     for m in getattr(op, "mats", op):
         if m.size:  # a basis may hold no vector in a block

@@ -113,7 +113,7 @@ import numpy as np
 from wickfock import fock, rewrite
 from wickfock.coxeter import MAX_RANK
 from wickfock.fock import GradedVector, _pad, _random_graded, create
-from wickfock.model import SpecError, TensorOperator, WickSpec
+from wickfock.model import SpecError, WickSpec
 from wickfock.tensorops import BlockOperator, _require_level2, apply_slots, layout, longest_word, op_norm
 
 
@@ -239,7 +239,13 @@ def dense_basis(K) -> np.ndarray:
     return out
 
 
-def weight_preserving(T: TensorOperator) -> bool:
+def dense(d: int, level: int, M) -> BlockOperator:
+    """M, of d^level rows (an operator, or the basis of a Subspace), in one
+    block, on a complex copy (a BlockOperator makes its blocks read-only)."""
+    return BlockOperator(d, level, (np.arange(d**level),), (np.array(M, dtype=np.complex128),))
+
+
+def weight_preserving(T: BlockOperator) -> bool:
     """Whether T maps e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a:
     every entry M[(a,b),(c,e)] with {a,b} != {c,e} is exactly zero (no
     tolerance, so no coefficient is ever dropped)."""
@@ -256,17 +262,17 @@ def level2_blocks(M: np.ndarray, d: int, weight: bool) -> BlockOperator:
     return BlockOperator(d, 2, words, [M[np.ix_(w, w)] for w in words])
 
 
-def word_product(T: TensorOperator, word, level: int) -> TensorOperator:
+def word_product(T: BlockOperator, word, level: int) -> BlockOperator:
     """T_{w_1} T_{w_2} ... T_{w_k} on H^(x)level as one dense matrix,
     multiplied left to right starting from the identity."""
     _require_level2(T)
     acc = np.eye(T.d**level, dtype=np.complex128)
     for i in word:
         acc = apply_slots(T.mat, T.d, i, acc)
-    return TensorOperator(T.d, level, acc)
+    return dense(T.d, level, acc)
 
 
-def phi(T: TensorOperator, element: CoxeterElement, n: int) -> TensorOperator:
+def phi(T: BlockOperator, element: CoxeterElement, n: int) -> BlockOperator:
     """Image of one group element: the product of amplified T_i along the
     canonical reduced word, on H^(x)(n+1)."""
     if len(element.perm) != n + 1:
@@ -274,7 +280,7 @@ def phi(T: TensorOperator, element: CoxeterElement, n: int) -> TensorOperator:
     return word_product(T, element.word, n + 1)
 
 
-def amplify(T: TensorOperator, i: int, n: int) -> TensorOperator:
+def amplify(T: BlockOperator, i: int, n: int) -> BlockOperator:
     """T_i = 1 (x) ... (x) 1 (x) T (x) 1 (x) ... (x) 1 on H^(x)n, acting on
     slots i, i+1 (positions are 1-based, 1 <= i <= n-1)."""
     _require_level2(T)
@@ -285,10 +291,10 @@ def amplify(T: TensorOperator, i: int, n: int) -> TensorOperator:
     d = T.d
     left = np.eye(d ** (i - 1), dtype=np.complex128)
     right = np.eye(d ** (n - i - 1), dtype=np.complex128)
-    return TensorOperator(d, n, np.kron(np.kron(left, T.mat), right))
+    return dense(d, n, np.kron(np.kron(left, T.mat), right))
 
 
-def build_R(T: TensorOperator, n: int) -> TensorOperator:
+def build_R(T: BlockOperator, n: int) -> BlockOperator:
     """R_n = 1 + T_1 + T_1 T_2 + ... + T_1 ... T_{n-1} as one dense matrix;
     R_0 = R_1 = 1."""
     _require_level2(T)
@@ -299,10 +305,10 @@ def build_R(T: TensorOperator, n: int) -> TensorOperator:
     for i in range(1, n):
         term = apply_slots(T.mat, d, i, term)
         total = total + term
-    return TensorOperator(d, n, total)
+    return dense(d, n, total)
 
 
-def build_P(T: TensorOperator, n: int) -> TensorOperator:
+def build_P(T: BlockOperator, n: int) -> BlockOperator:
     """P_n as one dense matrix, by P_2 = R_2, P_{n+1} = (1 (x) P_n) R_{n+1};
     P_0 = P_1 = 1."""
     _require_level2(T)
@@ -310,14 +316,14 @@ def build_P(T: TensorOperator, n: int) -> TensorOperator:
         raise ValueError(f"level n must be >= 0, got {n}")
     d = T.d
     if n < 2:
-        return TensorOperator(d, n, np.eye(d**n, dtype=np.complex128))
+        return dense(d, n, np.eye(d**n, dtype=np.complex128))
     P = np.eye(d, dtype=np.complex128)
     for m in range(2, n + 1):
         P = apply_left(P, d, 2, build_R(T, m).mat)
-    return TensorOperator(d, n, P)
+    return dense(d, n, P)
 
 
-def build_U(T: TensorOperator, n: int) -> TensorOperator:
+def build_U(T: BlockOperator, n: int) -> BlockOperator:
     """U_n = (T_1 ... T_n)(T_1 ... T_{n-1}) ... (T_1 T_2) T_1 on H^(x)(n+1),
     as one dense matrix."""
     _require_level2(T)
@@ -360,16 +366,16 @@ def nullspace_basis(A: np.ndarray, rank_tol: float) -> np.ndarray:
     return vh.conj().T[:, _is_zero(s, rank_tol)]
 
 
-def ideal_complement_projector(T: TensorOperator, level: int, rank_tol: float) -> np.ndarray:
+def ideal_complement_projector(T: BlockOperator, level: int, rank_tol: float) -> np.ndarray:
     """The projector onto ker S, S = sum_k 1 (x) Pi (x) 1, with every
     operator dense and amplified by Kronecker products."""
     d = T.d
-    Pi = TensorOperator(d, 2, kernel_projector(np.eye(d * d) + T.mat, rank_tol))
+    Pi = dense(d, 2, kernel_projector(np.eye(d * d) + T.mat, rank_tol))
     S = sum(amplify(Pi, k, level).mat for k in range(1, level))
     return kernel_projector(S, rank_tol)
 
 
-def build_Rtilde(T: TensorOperator, k: int, n: int) -> TensorOperator:
+def build_Rtilde(T: BlockOperator, k: int, n: int) -> BlockOperator:
     """Rt_k = 1 + T_{k-1} + T_{k-2}T_{k-1} + ... + T_1 T_2 ... T_{k-1},
     with the T_i amplified into level n (2 <= k <= n)."""
     _require_level2(T)
@@ -380,10 +386,10 @@ def build_Rtilde(T: TensorOperator, k: int, n: int) -> TensorOperator:
     for j in range(k - 1, 0, -1):
         term = apply_left(T.mat, d, j, term)
         total = total + term
-    return TensorOperator(d, n, total)
+    return dense(d, n, total)
 
 
-def build_PDm(T: TensorOperator, n: int, m: int) -> TensorOperator:
+def build_PDm(T: BlockOperator, n: int, m: int) -> BlockOperator:
     """P(D_m) = Rt_{n+m} Rt_{n+m-1} ... Rt_{m+1} on H^(x)(n+m).
 
     Satisfies P_{n+m} = P(D_m) (P_m (x) 1_n) for braided T.
@@ -396,7 +402,7 @@ def build_PDm(T: TensorOperator, n: int, m: int) -> TensorOperator:
     acc = np.eye(d**level, dtype=np.complex128)
     for k in range(level, m, -1):
         acc = acc @ build_Rtilde(T, k, level).mat
-    return TensorOperator(d, level, acc)
+    return dense(d, level, acc)
 
 
 def annihilate_mu(i: int, v: GradedVector) -> GradedVector:
@@ -663,7 +669,7 @@ def un_checks(alg, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
     }
 
 
-def telescoping_residual(T: TensorOperator, n: int) -> float:
+def telescoping_residual(T: BlockOperator, n: int) -> float:
     """``spectral.telescoping_residual`` on dense matrices, each sandwich
     T_1 ... T_m X T_m ... T_1 taken from both sides by ``apply_slots`` and
     :func:`apply_left`."""
@@ -690,7 +696,7 @@ def telescoping_residual(T: TensorOperator, n: int) -> float:
     return op_norm(lhs - rhs)
 
 
-def kernel_1mU2_diag(T: TensorOperator, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
+def kernel_1mU2_diag(T: BlockOperator, n: int, rank_tol: float = 1e-8, tol: float = 1e-8) -> dict:
     """``spectral.kernel_1mU2_diag`` on dense matrices: the kernels of
     1 - U_n^2 and of P_{n+1} and their intersection, the kernel of
     (1 - Pi_A) + (1 - Pi_B), each from one refined eigendecomposition, and

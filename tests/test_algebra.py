@@ -18,11 +18,11 @@ from wickfock import cli, coxeter, model, spectral, tensorops
 from wickfock.algebra import MAX_LEVEL_BYTES, Algebra, check_level
 
 
-def walk_total(alg: Algebra, n: int) -> model.TensorOperator:
+def walk_total(alg: Algebra, n: int) -> tensorops.BlockOperator:
     """P(S_{n+1}) as the sum of the buckets of a second walk, each bucket
     placed densely."""
     walk = coxeter.descent_sums(alg, n)
-    return model.TensorOperator(alg.T.d, n + 1, sum(walk.sum([mask]).mat for mask in range(len(walk))))
+    return oracles.dense(alg.T.d, n + 1, sum(walk.sum([mask]).mat for mask in range(len(walk))))
 
 
 def relative_gap(op, reference: np.ndarray) -> float:

@@ -78,6 +78,22 @@ def test_missing_and_malformed_files(tmp_path):
     assert cli.main(["check", "--spec", str(bad)]) == 2
 
 
+def test_too_deep_a_spec_file_is_an_input_error(tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, on a nest about
+    # 1,000 deep
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"d": 2, "coefficients": ' + "[" * 5000 + "]" * 5000 + "}")
+    code, report = run(["check", "--spec", str(deep)], tmp_path)
+    assert code == 2 and report is None
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_too_deep_a_word_expression_is_an_input_error(qccr_path, tmp_path, capsys):
+    code, report = run(["inner", "--spec", qccr_path, "--x", "[" * 3000 + "]" * 3000, "--y", "a1"], tmp_path)
+    assert code == 2 and report is None
+    assert "malformed word-expression JSON" in capsys.readouterr().err
+
+
 def test_pn_methods_agree(qccr_path, tmp_path):
     code, report = run(["pn", "--spec", qccr_path, "--n", "4"], tmp_path)
     assert code == 0

@@ -10,7 +10,6 @@ from conftest import braided_presets, example3, free_spec, qccr, qij
 from wickfock import fock, spectral
 from wickfock.algebra import Algebra
 from wickfock.fock import DegreeOverflowError
-from wickfock.model import TensorOperator
 
 
 def test_create_on_vacuum():

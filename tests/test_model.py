@@ -67,6 +67,14 @@ def test_load_rejects_malformed_documents(doc, message):
         model.load_spec(doc)
 
 
+def test_misspelt_coefficient_key_is_refused():
+    # "Re" for "re" would read as a zero coefficient on both partners, and
+    # the algebra would load as the free one
+    entries = [{"i": 1, "j": 2, "k": 1, "l": 2, "Re": 0.5}, {"i": 2, "j": 1, "k": 2, "l": 1, "Re": 0.5}]
+    with pytest.raises(SpecError, match=r"coefficient entry 0: unknown keys \['Re'\]"):
+        model.load_spec(json.dumps({"d": 2, "coefficients": entries}))
+
+
 def test_duplicate_quadruple_rejected():
     doc = {
         "d": 1,
@@ -236,11 +244,3 @@ def test_free_spec_has_zero_operator():
     T = model.build_T(free_spec(2))
     assert np.array_equal(T.mat, np.zeros((4, 4)))
 
-
-def test_tensor_operator_validation():
-    with pytest.raises(ValueError, match="shape"):
-        model.TensorOperator(2, 2, np.eye(3))
-    with pytest.raises(ValueError, match="positive"):
-        model.TensorOperator(0, 1, np.eye(1))
-    scalar = model.TensorOperator(2, 0, np.eye(1))
-    assert scalar.mat.shape == (1, 1)

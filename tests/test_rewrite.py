@@ -58,6 +58,13 @@ def test_parse_word_expr_json():
         rewrite.parse_word_expr("a3", 2)
 
 
+def test_parse_word_expr_refuses_a_misspelt_key():
+    # "RE" for "re" would read as a zero coefficient, and 0 = 0 passes any
+    # comparison
+    with pytest.raises(SpecError, match=r"word expression entry 1: unknown keys \['RE'\]"):
+        rewrite.parse_word_expr('[{"re": 1, "word": "a1"}, {"RE": 2, "word": "a1 a2"}]', 2)
+
+
 def test_parse_word_expr_rejects_empty_input():
     # an empty expression is zero, which would pass any comparison vacuously;
     # the unit is written '1'

@@ -23,11 +23,10 @@ from conftest import (
 )
 from wickfock import algebra, model, spectral, tensorops
 from wickfock.algebra import Algebra
-from wickfock.model import TensorOperator
 
 
 def test_kernel_of_identity_is_zero():
-    K = spectral.kernel(TensorOperator(2, 2, np.eye(4)))
+    K = spectral.kernel(oracles.dense(2, 2, np.eye(4)))
     assert K.dim == 0
 
 
@@ -35,14 +34,14 @@ def test_kernel_rejects_non_selfadjoint():
     upper = np.zeros((4, 4), dtype=complex)
     upper[0, 1] = 1.0
     with pytest.raises(ValueError, match="self-adjoint"):
-        spectral.kernel(TensorOperator(2, 2, upper))
+        spectral.kernel(oracles.dense(2, 2, upper))
 
 
 def test_kernel_of_1_plus_T_qij():
     # spanned by a unit multiple of e2 (x) e1 - lam12 * e1 (x) e2
     lam12 = -1.0
     T = model.build_T(qij(lam12))
-    K = spectral.kernel(TensorOperator(2, 2, np.eye(4) + T.mat))
+    K = spectral.kernel(oracles.dense(2, 2, np.eye(4) + T.mat))
     assert K.dim == 1
     v = np.zeros(4, dtype=complex)
     v[1 * 2 + 0] = 1.0
@@ -53,7 +52,7 @@ def test_kernel_of_1_plus_T_qij():
 
 def test_kernel_of_1_plus_flip_is_antisymmetric_line():
     flip = model.build_T(qccr(2, 1.0))
-    K = spectral.kernel(TensorOperator(2, 2, np.eye(4) + flip.mat))
+    K = spectral.kernel(oracles.dense(2, 2, np.eye(4) + flip.mat))
     assert K.dim == 1
     v = np.zeros(4, dtype=complex)
     v[1] = 1.0
@@ -63,9 +62,9 @@ def test_kernel_of_1_plus_flip_is_antisymmetric_line():
 
 
 def test_nullspace_svd_of_zero_and_full_rank():
-    zero = TensorOperator(2, 2, np.zeros((4, 4)))
+    zero = oracles.dense(2, 2, np.zeros((4, 4)))
     assert spectral.nullspace_svd(zero).dim == 4
-    assert spectral.nullspace_svd(TensorOperator(2, 2, np.eye(4))).dim == 0
+    assert spectral.nullspace_svd(oracles.dense(2, 2, np.eye(4))).dim == 0
 
 
 def test_subspace_sum_flip_level3():
@@ -80,21 +79,18 @@ def test_subspace_sum_flip_level3():
     assert tensorops.op_norm(kerP.projector().mat + complement.projector().mat - eye) <= 1e-8
     # every ker(1 + T_k) is orthogonal to the complement
     for k in (1, 2):
-        part = spectral.kernel(TensorOperator(2, 3, eye + oracles.amplify(flip, k, 3).mat))
+        part = spectral.kernel(oracles.dense(2, 3, eye + oracles.amplify(flip, k, 3).mat))
         overlap = oracles.dense_basis(complement).conj().T @ oracles.dense_basis(part)
         assert tensorops.op_norm(overlap) <= 1e-10
 
 
 def test_subspace_mismatch_errors():
-    def dense(level, basis):
-        return tensorops.BlockOperator(2, level, (np.arange(2**level),), (basis,))
-
-    a = spectral.Subspace(2, 2, dense(2, np.zeros((4, 0))))
-    b = spectral.Subspace(2, 3, dense(3, np.zeros((8, 0))))
+    a = spectral.Subspace(2, 2, oracles.dense(2, 2, np.zeros((4, 0))))
+    b = spectral.Subspace(2, 3, oracles.dense(2, 3, np.zeros((8, 0))))
     with pytest.raises(ValueError, match="mismatch"):
         spectral.subspace_intersection(a, b)
     with pytest.raises(ValueError, match="orthonormal"):
-        spectral.Subspace(2, 2, dense(2, np.ones((4, 2))))
+        spectral.Subspace(2, 2, oracles.dense(2, 2, np.ones((4, 2))))
 
 
 def test_kernel_theorem_flip_dims():
@@ -228,7 +224,7 @@ def test_ideal_complement_matches_the_stacked_level_L_kernels():
             stacked = np.concatenate(
                 [
                     oracles.dense_basis(
-                        spectral.kernel(TensorOperator(T.d, level, eye + oracles.amplify(T, k, level).mat))
+                        spectral.kernel(oracles.dense(T.d, level, eye + oracles.amplify(T, k, level).mat))
                     )
                     for k in range(1, level)
                 ],

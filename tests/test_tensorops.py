@@ -22,7 +22,6 @@ from conftest import (
 )
 from wickfock import coxeter, model, spectral, tensorops
 from wickfock.algebra import Algebra
-from wickfock.model import TensorOperator
 
 
 def qfactorial(q: float, n: int) -> float:
@@ -78,7 +77,7 @@ def test_amplify_position_errors():
     with pytest.raises(ValueError):
         oracles.amplify(T, 3, 3)
     with pytest.raises(ValueError):
-        oracles.amplify(TensorOperator(2, 3, np.eye(8)), 1, 4)
+        oracles.amplify(oracles.dense(2, 3, np.eye(8)), 1, 4)
     with pytest.raises(ValueError):
         tensorops.apply_slots(T.mat, 2, 0, np.eye(8))
     with pytest.raises(ValueError):
@@ -102,10 +101,10 @@ def test_apply_slots_and_word_product_match_kron_products(d):
     def crandn(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    T = TensorOperator(d, 2, crandn(d * d, d * d) / (2 * d))
+    T = oracles.dense(d, 2, crandn(d * d, d * d) / (2 * d))
     a, b = np.divmod(np.arange(d * d), d)
     kept = ((a[:, None] == a) & (b[:, None] == b)) | ((a[:, None] == b) & (b[:, None] == a))
-    Tw = TensorOperator(d, 2, np.where(kept, T.mat, 0))
+    Tw = oracles.dense(d, 2, np.where(kept, T.mat, 0))
     assert oracles.weight_preserving(Tw)
     for op in (T, Tw):
         assert tensorops.op_norm(op.mat - op.mat.conj().T) > 0.1 or d == 1
@@ -158,12 +157,34 @@ def test_slot_steps_and_slot_sum_agree_bit_for_bit():
     for i in range(1, level):
         first = step(i, X.packed())
         assert np.array_equal(step(i, X.packed()), first) and np.array_equal(step(i, X.packed()), first)
-        expected = X.mat @ oracles.amplify(TensorOperator(d, 2, M), i, level).mat
+        expected = X.mat @ oracles.amplify(oracles.dense(d, 2, M), i, level).mat
         assert np.max(np.abs(tensorops.BlockOperator.from_packed(d, level, words, first).mat - expected)) <= 1e-12
     eye = tensorops.packed_identity(words)
     fresh = tensorops.slot_step(T, level, words)
     stepped = sum((fresh(i, eye) for i in range(1, level)), np.zeros_like(eye))
     assert np.array_equal(tensorops.slot_sum(T, level, words), stepped)
+
+
+@pytest.mark.parametrize("spec,n", [(qccr(3, 0.5), 4), (qccr(2, 0.5), 6), (example3(3, 0.5), 4)])
+def test_slot_step_over_the_kept_table_budget_is_bit_equal(spec, n, monkeypatch):
+    # over MAX_KEPT_TABLE_BYTES, slot_step steps block by block on every
+    # call and builds no per-entry table (it never reads _entries): the
+    # walk's buckets, U_n and the telescoping residual are those the kept
+    # tables give, bit for bit
+    def results():
+        alg = Algebra(spec)
+        return alg.descent_sums(n).buckets, alg.U(n).packed(), spectral.telescoping_residual(alg, n)
+
+    tables, entries = [], tensorops._entries
+    monkeypatch.setattr(tensorops, "_entries", lambda words: tables.append(words) or entries(words))
+    kept = results()
+    assert tables
+    tables.clear()
+    monkeypatch.setattr(tensorops, "MAX_KEPT_TABLE_BYTES", 0)
+    stepped = results()
+    assert not tables
+    for a, b in zip(kept, stepped):
+        assert np.array_equal(a, b)
 
 
 def test_braid_residual_presets_and_zero():
