@@ -16,8 +16,8 @@ from .spectral import Subspace, kernel, symmetric_eigenvalues
 from .tensorops import (
     MAX_LEVEL_BYTES,
     BlockOperator,
+    Layout,
     check_level,
-    layout,
     longest_word,
     op_norm,
     packed_identity,
@@ -37,7 +37,7 @@ class Algebra:
     (:func:`check_level`: when T is weight-preserving, on the largest block
     and on what the blocks of one operator hold together), it builds
     read-only ``T``, the block layout of each level
-    (:func:`~wickfock.tensorops.layout`), R_n, P_n and its eigenvalues, the
+    (:class:`~wickfock.tensorops.Layout`), R_n, P_n and its eigenvalues, the
     words in the T_i (U_n among them), ker P_n, the walk of S_{n+1}
     (:func:`coxeter.descent_sums`) and the group sum P(S_{n+1}); a second
     call returns the same object, so each rank is walked once.
@@ -64,7 +64,7 @@ class Algebra:
     @cached_property
     def T(self) -> BlockOperator:
         """T on H^(x)2 in the layout of level 2, read-only."""
-        return BlockOperator(self.spec.d, 2, self.layout(2), T_blocks(self.spec, self.layout(2)))
+        return BlockOperator(self.layout(2), T_blocks(self.spec, self.layout(2)))
 
     @cached_property
     def braid_residual(self) -> float:
@@ -97,20 +97,21 @@ class Algebra:
             self._memo[key] = build()
         return self._memo[key]
 
-    def layout(self, level: int) -> tuple:
-        return self._get(("layout", level), level, lambda: layout(self.spec.d, level, self.weight))
+    def layout(self, level: int) -> Layout:
+        """The block layout of the level, which every operator of the level shares."""
+        return self._get(("layout", level), level, lambda: Layout(self.spec.d, level, self.weight))
 
     def R(self, n: int) -> BlockOperator:
         """R_n = 1 + T_1 + T_1 T_2 + ... + T_1 ... T_{n-1}; R_0 = R_1 = 1."""
 
         def build():
-            blocks = self.layout(n)
-            step, term = slot_step(self.T, n, blocks), packed_identity(blocks)
+            layout = self.layout(n)
+            step, term = slot_step(self.T, layout), packed_identity(layout)
             total = term
             for i in range(1, n):
                 term = step(i, term)
                 total += term  # the identity's array, no longer term's
-            return BlockOperator.from_packed(self.spec.d, n, blocks, total)
+            return BlockOperator.from_packed(layout, total)
 
         return self._get(("R", n), n, build)
 
@@ -144,12 +145,9 @@ class Algebra:
         block of level - 1 that holds their tails, in the order of its words."""
 
         def build():
-            d, k = self.spec.d, self.spec.d ** (level - 1)
-            home = np.empty(k, dtype=np.int64)
-            for b, words in enumerate(self.layout(level - 1)):
-                home[words] = b
+            d, k, home = self.spec.d, self.spec.d ** (level - 1), self.layout(level - 1).block
             blocks = []
-            for words in self.layout(level):
+            for words in self.layout(level).words:
                 letter, tail = (words % d, words // d) if last else divmod(words, k)
                 rows = [np.flatnonzero(letter == a) for a in sorted(set(letter.tolist()))]
                 blocks.append(tuple((int(letter[r[0]]), r if last else slice(int(r[0]), int(r[-1]) + 1),
@@ -168,12 +166,12 @@ class Algebra:
             for _, rows, home in pieces:
                 out[rows] = op.mats[home] @ m[rows]
             mats.append(out)
-        return BlockOperator(self.spec.d, A.level, A.words, mats)
+        return BlockOperator(A.layout, mats)
 
     def word(self, word, level: int) -> BlockOperator:
         """T_{w_1} ... T_{w_k} on H^(x)level in the layout of the level."""
         key = ("word", tuple(word), level)
-        return self._get(key, level, lambda: word_product(self.T, key[1], level, self.layout(level)))
+        return self._get(key, level, lambda: word_product(self.T, key[1], self.layout(level)))
 
     def U(self, n: int) -> BlockOperator:
         """U_n = (T_1 ... T_n)(T_1 ... T_{n-1}) ... (T_1 T_2) T_1 on H^(x)(n+1)."""

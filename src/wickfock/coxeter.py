@@ -18,7 +18,7 @@ of u and on k (:func:`_walk`).  When T is weight-preserving (it maps
 e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a), every phi(w) is
 block-diagonal on the weight spaces of H^(x)(n+1), the spans of the words
 with one letter content, and the walk keeps only those blocks
-(:func:`~wickfock.tensorops.layout`); any other T is one dense block.  A
+(:class:`~wickfock.tensorops.Layout`); any other T is one dense block.  A
 sum of buckets is a :class:`~wickfock.tensorops.BlockOperator`.  The group
 sum P(S_{n+1}), every descent-class sum P(D_J) and both sides of the
 Euler-Solomon identity are sums of buckets, which :func:`coxeter_checks`
@@ -49,10 +49,10 @@ import numpy as np
 from .tensorops import (
     BRAID_TOL,
     BlockOperator,
-    _entries,
-    _packed_size,
+    Layout,
     op_norm,
     packed_identity,
+    packed_size,
     slot_step,
 )
 
@@ -87,14 +87,14 @@ def check_walk(d: int, n: int, weight: bool = False) -> None:
     16-byte entries.  In the dense layout an operator has d^(2(n+1))
     entries; in the weight layout (``weight``: T is weight-preserving) it
     has the packed entries of the level
-    (:func:`~wickfock.tensorops._packed_size`), and each entry adds
+    (:func:`~wickfock.tensorops.packed_size`), and each entry adds
     WALK_ENTRY_BYTES for the slot step's tables and index arrays and the
     operands of :func:`coxeter_checks`."""
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
     held = 2**n + 5
     if weight:
-        entries = _packed_size(d, n + 1)
+        entries = packed_size(d, n + 1)
         need = (16 * held + WALK_ENTRY_BYTES) * entries
         layout = f" in weight blocks of {entries} entries"
     else:
@@ -109,18 +109,17 @@ def check_walk(d: int, n: int, weight: bool = False) -> None:
 
 class Walk:
     """The 2^n descent-set buckets of one walk of S_{n+1}, read-only, in the
-    walk's layout: row ``mask`` of ``buckets`` holds the entries of every
-    diagonal block (an array of words) in turn, row-major within each, as
-    :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads them.
+    walk's ``layout`` (a :class:`~wickfock.tensorops.Layout`): row ``mask``
+    of ``buckets`` is one operator in the layout's packed format, as
+    :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads it.
     ``record`` names the layout, ``"weight"`` for the weight spaces and
     ``"dense"`` for one block, with its block count and largest block."""
 
-    def __init__(self, d: int, level: int, buckets: np.ndarray, blocks) -> None:
-        for array in (buckets, *blocks):
-            array.flags.writeable = False
-        self.d, self.level, self.buckets, self.blocks = d, level, buckets, tuple(blocks)
-        self.record = {"layout": "weight" if len(blocks) > 1 else "dense", "blocks": len(blocks),
-                       "largest_block": max(map(len, blocks))}
+    def __init__(self, layout: Layout, buckets: np.ndarray) -> None:
+        buckets.flags.writeable = False
+        self.layout, self.buckets, blocks = layout, buckets, len(layout.words)
+        self.record = {"layout": "weight" if blocks > 1 else "dense", "blocks": blocks,
+                       "largest_block": int(layout.sizes.max())}
 
     def sum(self, masks=None) -> BlockOperator:
         """The sum of the buckets ``masks`` (default all), added in the given
@@ -128,7 +127,7 @@ class Walk:
         packed = np.zeros(self.buckets.shape[1], dtype=np.complex128)
         for mask in range(len(self)) if masks is None else masks:
             packed += self.buckets[mask]
-        return BlockOperator.from_packed(self.d, self.level, self.blocks, packed)
+        return BlockOperator.from_packed(self.layout, packed)
 
     def __len__(self) -> int:
         return len(self.buckets)
@@ -175,9 +174,8 @@ def descent_sums(alg: Algebra, n: int) -> Walk:
             f"braid residual {alg.braid_residual:.3e} exceeds {BRAID_TOL:.1e}; "
             "the map is only well defined for braided operators"
         )
-    blocks = alg.layout(n + 1)
-    step = slot_step(alg.T, n + 1, blocks)
-    return Walk(alg.spec.d, n + 1, _walk(n, packed_identity(blocks), step), blocks)
+    layout = alg.layout(n + 1)
+    return Walk(layout, _walk(n, packed_identity(layout), slot_step(alg.T, layout)))
 
 
 def _young_sums(alg: Algebra, n: int):
@@ -188,17 +186,20 @@ def _young_sums(alg: Algebra, n: int):
     the layout of H^(x)(n+1), entry [u, v] of P(W_J) is the product over the
     groups g of P_b[u_g, v_g], u_g the segment of the word u on the slots of
     g: for a group of one slot, whether the letters of u and v there agree;
-    for a wider one, read from the blocks of ``alg.P(b)`` where
-    :func:`_young_index` points, once per group (first, last) for all J."""
+    for a wider one, read from the blocks of ``alg.P(b)`` at the position
+    its layout gives for [u_g, v_g] (-1, a zero, where the letter contents
+    of u_g and v_g differ), kept as int32 once per group (first, last) for
+    all J."""
     d, level = alg.spec.d, n + 1
-    blocks = alg.layout(level)
-    _, _, rows, cols = _entries(blocks)  # the words of each packed entry
+    layout = alg.layout(level)
+    _, _, rows, cols = layout.entries()  # the words of each packed entry
     groups: dict = {}  # (first, last) -> the letter test of one slot, or the index of a wider group
 
     def factor(first: int, last: int) -> np.ndarray:
         if (first, last) not in groups:
-            groups[first, last] = (rows // d ** (level - last) % d == cols // d ** (level - last) % d if first == last
-                                   else _young_index(alg.P(last - first + 1), level, last, rows, cols))
+            u, v = (words // d ** (level - last) % d ** (last - first + 1) for words in (rows, cols))
+            groups[first, last] = (u == v if first == last
+                                   else alg.P(last - first + 1).layout.index(u, v).astype(np.int32))
         index = groups[first, last]
         return index if first == last else np.where(index >= 0, alg.P(last - first + 1).packed()[index], 0)
 
@@ -211,23 +212,7 @@ def _young_sums(alg: Algebra, n: int):
                 if J | 1 << (s - 1) | 1 << first >> 2 == 2**n - 1 | 1 << (s - 1):  # no later J reads the group
                     del groups[first, s]
                 first = s + 1
-        yield BlockOperator.from_packed(d, level, blocks, product)
-
-
-def _young_index(P_b: BlockOperator, level: int, last: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """For every packed entry [u, v] of level ``level``, its words in
-    ``rows`` and ``cols``, g the slots of P_b ending at slot ``last``: the
-    position of P_b[u_g, v_g] in P_b packed, or -1 where the letter contents
-    of u_g and v_g differ, as int32."""
-    d, width = P_b.d, P_b.level
-    sizes = np.array([len(w) for w in P_b.words])
-    starts = np.cumsum(sizes**2) - sizes**2
-    block, pos = np.empty((2, d**width), dtype=np.int64)
-    for b, w in enumerate(P_b.words):
-        block[w], pos[w] = b, np.arange(len(w))
-    u, v = (words // d ** (level - last) % d**width for words in (rows, cols))
-    b = block[u]
-    return np.where(b == block[v], starts[b] + pos[u] * sizes[b] + pos[v], -1).astype(np.int32)
+        yield BlockOperator.from_packed(layout, product)
 
 
 def coxeter_checks(alg: Algebra, n: int) -> dict:
@@ -257,7 +242,7 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
     P = alg.P(n + 1)
     U = alg.U(n)
     total = alg.group_sum(n)
-    eye = BlockOperator.identity(walk.d, walk.level, walk.blocks)
+    eye = BlockOperator.identity(walk.layout)
 
     factorization = []
     alternating = 0.0 * eye

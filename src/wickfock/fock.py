@@ -148,7 +148,7 @@ def annihilate(alg: Algebra, i: int, v: GradedVector) -> GradedVector:
     N = v.max_degree
     out = [np.zeros(d**n, dtype=np.complex128) for n in range(N + 1)]
     for n in range(1, N + 1):
-        R, below = alg.R(n), alg.layout(n - 1)
+        R, below = alg.R(n), alg.layout(n - 1).words
         for words, m, pieces in zip(R.words, R.mats, alg.split(n)):
             for _, rows, home in (p for p in pieces if p[0] == i):  # rows i w, onto the block of words w
                 out[n - 1][below[home]] = m[rows] @ v.comps[n][words]
@@ -162,9 +162,6 @@ def fock_inner(alg: Algebra, x: GradedVector, y: GradedVector) -> complex:
         raise ValueError(f"spec dimension {alg.spec.d} does not match vectors (d={x.d})")
     total = 0j
     for n in range(x.max_degree + 1):
-        if n < 2:
-            total += np.vdot(x.comps[n], y.comps[n])
-            continue
         for words, mats in alg.P(n).stacks:
             total += np.vdot(x.comps[n][words], mats @ y.comps[n][words][..., None])
     return complex(total)

@@ -158,6 +158,8 @@ def _from_matrix(d: int, rows: Any) -> dict[tuple[int, int, int, int], complex]:
     def read_pair(cell: Any, where: str) -> complex:
         if not isinstance(cell, dict) or "re" not in cell or "im" not in cell:
             raise SpecError(f'matrix entry {where} must be an object with "re" and "im"')
+        if extra := set(cell) - {"re", "im"}:  # a stray key is never dropped silently
+            raise SpecError(f"matrix entry {where}: unknown keys {sorted(map(str, extra))}")
         return complex(_as_float(cell["re"], "re"), _as_float(cell["im"], "im"))
 
     M = np.zeros((n, n), dtype=np.complex128)
@@ -357,20 +359,20 @@ def to_json(spec: WickSpec) -> str:
     return json.dumps(to_document(spec), indent=2)
 
 
-def T_blocks(spec: WickSpec, words) -> list[np.ndarray]:
-    """The diagonal blocks of the level-2 operator on the pair words
-    ``words`` (p = i*d + j), a layout that T keeps: T_ab^cd lands at row pair
+def T_blocks(spec: WickSpec, layout) -> list[np.ndarray]:
+    """The diagonal blocks of the level-2 operator in ``layout``, a
+    :class:`~wickfock.tensorops.Layout` of the pair words p = i*d + j that
+    T keeps, each placed by the layout's block and position: T_ab^cd lands at row pair
     (a,d), column pair (b,c), so M[(i,j),(k,l)] = T_ik^lj.  Each block is
     checked self-adjoint (hermitian symmetry as an operator) at tolerance
     1e-12 on the 2-norm of A = m - m^H: the bound
     ||A||_2 <= sqrt(||A||_1 ||A||_inf) first, the exact 2-norm (a full SVD)
     only when the bound exceeds the tolerance, so every decision is exact."""
-    d, mats = spec.d, [np.zeros((len(w), len(w)), dtype=np.complex128) for w in words]
-    at = {p: (k, i) for k, w in enumerate(words) for i, p in enumerate(w.tolist())}  # pair -> block, position
+    d, mats = spec.d, [np.zeros((n, n), dtype=np.complex128) for n in layout.sizes.tolist()]
+    block, pos = layout.block.tolist(), layout.pos.tolist()
     for (a, b, c, e), v in spec.coeffs.items():
         if v != 0:  # a zero may lie between two blocks
-            (k, row), (_, col) = at[a * d + e], at[b * d + c]
-            mats[k][row, col] = v
+            mats[block[a * d + e]][pos[a * d + e], pos[b * d + c]] = v
     for m in mats:
         A = m - m.conj().T
         size = np.abs(A)
@@ -384,7 +386,7 @@ def T_blocks(spec: WickSpec, words) -> list[np.ndarray]:
 def build_T(spec: WickSpec) -> BlockOperator:
     """The level-2 operator as a BlockOperator of one dense block, :func:`T_blocks`
     of all d^2 pairs; a d whose T would be over MAX_LEVEL_BYTES is refused first."""
-    from .tensorops import BlockOperator  # tensorops imports this module
+    from .tensorops import BlockOperator, Layout  # tensorops imports this module
     _check_dimension(spec.d)
-    words = (np.arange(spec.d**2),)
-    return BlockOperator(spec.d, 2, words, T_blocks(spec, words))
+    layout = Layout(spec.d, 2, False)
+    return BlockOperator(layout, T_blocks(spec, layout))

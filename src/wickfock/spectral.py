@@ -1,7 +1,7 @@
 """Kernels, subspace arithmetic, and the certification checks.
 
 Operators and subspaces are kept in the block layout of T
-(:func:`~wickfock.tensorops.layout`): one block per weight space of
+(:class:`~wickfock.tensorops.Layout`): one block per weight space of
 H^(x)n when T is weight-preserving, else one dense block.  A subspace of
 H^(x)n is carried as a :class:`Subspace`, an orthonormal basis per block.
 Kernels of self-adjoint operators come from an eigendecomposition of the
@@ -61,27 +61,26 @@ SELFADJOINT_TOL = 1e-8
 
 class Subspace:
     """An orthonormal basis of a subspace of H^(x)level, kept per diagonal
-    block: block b of ``parts`` (a :class:`~wickfock.tensorops.BlockOperator`)
-    holds the basis vectors that lie in block b, one column each.  The Gram
+    block: block b of ``parts`` (a :class:`~wickfock.tensorops.BlockOperator`,
+    whose ``d`` and ``level`` it reads) holds the basis vectors that lie in
+    block b, one column each.  The Gram
     defect is at most 1e-10 in the Frobenius norm over the blocks, which
     equals the dense one and bounds the operator norm."""
 
-    def __init__(self, d: int, level: int, basis: BlockOperator) -> None:
+    def __init__(self, basis: BlockOperator) -> None:
         gram_defect = float(np.linalg.norm(
             [np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])) for B in basis.mats]
         ))
         if gram_defect > 1e-10:
             raise ValueError(f"basis columns not orthonormal: defect {gram_defect:.3e}")
-        self.d, self.level, self.parts = d, level, basis
+        self.d, self.level, self.parts = basis.d, basis.level, basis
 
     @property
     def dim(self) -> int:
         return sum(B.shape[1] for B in self.parts.mats)
 
     def projector(self) -> BlockOperator:
-        return BlockOperator(
-            self.d, self.level, self.parts.words, [B @ B.conj().T for B in self.parts.mats]
-        )
+        return BlockOperator(self.parts.layout, [B @ B.conj().T for B in self.parts.mats])
 
 
 def _is_zero(values: np.ndarray, rank_tol: float, top: float) -> np.ndarray:
@@ -106,7 +105,8 @@ def kernel(A: BlockOperator, rank_tol: float = RANK_TOL) -> Subspace:
     zero, in LAPACK's ascending order.  A dense operator is one block.
 
     >>> flip = np.eye(4)[[0, 2, 1, 3]]  # e_i (x) e_j -> e_j (x) e_i at d=2
-    >>> K = kernel(BlockOperator(2, 2, [np.arange(4)], [np.eye(4) + flip]))
+    >>> from wickfock.tensorops import Layout
+    >>> K = kernel(BlockOperator(Layout(2, 2, False), [np.eye(4) + flip]))
     >>> [v] = K.parts.mats[0].T
     >>> K.dim, np.round((v / v[1]).real, 12) + 0.0
     (1, array([ 0.,  1., -1.,  0.]))
@@ -123,7 +123,7 @@ def kernel(A: BlockOperator, rank_tol: float = RANK_TOL) -> Subspace:
     for k, (evals, evecs) in enumerate(pairs):
         pairs[k] = None  # each block's eigenvectors go once its basis is cut
         bases.append(evecs[:, _is_zero(evals, rank_tol, top)])
-    return Subspace(A.d, A.level, BlockOperator(A.d, A.level, A.words, bases))
+    return Subspace(BlockOperator(A.layout, bases))
 
 
 def nullspace_svd(A: BlockOperator, rank_tol: float = RANK_TOL) -> Subspace:
@@ -133,14 +133,14 @@ def nullspace_svd(A: BlockOperator, rank_tol: float = RANK_TOL) -> Subspace:
     triples = [np.linalg.svd(m) for m in A.mats]
     top = _largest(s for _, s, _ in triples)
     bases = [vh.conj().T[:, _is_zero(s, rank_tol, top)] for _, s, vh in triples]
-    return Subspace(A.d, A.level, BlockOperator(A.d, A.level, A.words, bases))
+    return Subspace(BlockOperator(A.layout, bases))
 
 
 def subspace_intersection(a: Subspace, b: Subspace, rank_tol: float = RANK_TOL) -> Subspace:
     """The kernel of (1 - Pi_A) + (1 - Pi_B), for two bases in one layout."""
     if (a.d, a.level) != (b.d, b.level):
         raise ValueError(f"subspace mismatch: (d={a.d}, level={a.level}) vs (d={b.d}, level={b.level})")
-    eye = BlockOperator.identity(a.d, a.level, a.parts.words)
+    eye = BlockOperator.identity(a.parts.layout)
     return kernel((eye - a.projector()) + (eye - b.projector()), rank_tol)
 
 
@@ -171,9 +171,9 @@ def ideal_complement(alg: Algebra, level: int, rank_tol: float = RANK_TOL) -> Su
     >>> ideal_complement(Algebra(preset("q-ccr", 2, q=1.0)), 3).dim
     4
     """
-    T, blocks = alg.T, alg.layout(level)
-    Pi = kernel(BlockOperator.identity(T.d, 2, T.words) + T, rank_tol).projector()
-    return kernel(BlockOperator.from_packed(T.d, level, blocks, slot_sum(Pi, level, blocks)), rank_tol)
+    layout = alg.layout(level)
+    Pi = kernel(BlockOperator.identity(alg.T.layout) + alg.T, rank_tol).projector()
+    return kernel(BlockOperator.from_packed(layout, slot_sum(Pi, layout)), rank_tol)
 
 
 def kernel_theorem_check(
@@ -265,18 +265,17 @@ def un_checks(alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHE
     ``T_blocks`` admits only a self-adjoint T."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    T = alg.T
     level = n + 1
     U = alg.U(n)
     proj = alg.ker_P(level, rank_tol).projector()
-    eye = BlockOperator.identity(T.d, level, U.words)
+    eye = BlockOperator.identity(U.layout)
     invariance = op_norm((eye - proj) @ U @ proj)
-    step = slot_step(T, level, U.words)
+    step = slot_step(alg.T, U.layout)
     U_packed, UH_packed = U.packed(), U.adjoint().packed()
     commutation = 0.0
     for k in range(1, n + 1):
-        tk_U = BlockOperator.from_packed(T.d, level, U.words, step(k, UH_packed)).adjoint()
-        U_tmirror = BlockOperator.from_packed(T.d, level, U.words, step(n + 1 - k, U_packed))
+        tk_U = BlockOperator.from_packed(U.layout, step(k, UH_packed)).adjoint()
+        U_tmirror = BlockOperator.from_packed(U.layout, step(n + 1 - k, U_packed))
         commutation = max(commutation, op_norm(tk_U - U_tmirror))
     return {
         "level": level,
@@ -345,7 +344,7 @@ def telescoping_residual(alg: Algebra, n: int) -> float:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     level = n + 1
-    eye = BlockOperator.identity(alg.T.d, level, alg.layout(level))
+    eye = BlockOperator.identity(alg.layout(level))
 
     def sandwich(m: int, inner: BlockOperator) -> BlockOperator:
         """T_1 ... T_m inner T_m ... T_1."""
@@ -367,7 +366,7 @@ def kernel_1mU2_diag(
         raise ValueError(f"need n >= 1, got {n}")
     level = n + 1
     U = alg.U(n)
-    eye = BlockOperator.identity(alg.T.d, level, U.words)
+    eye = BlockOperator.identity(U.layout)
     ker_U = kernel(eye - U @ U, rank_tol)
     inter = subspace_intersection(ker_U, alg.ker_P(level, rank_tol), rank_tol)
     residual = max(op_norm((eye - alg.word((k, k), level)) @ inter.parts) for k in range(1, n + 1))

@@ -14,18 +14,19 @@ where T_i is T on slots i, i+1 with identity factors on the others.
 When T is weight-preserving (it maps e_a (x) e_b into the span of
 e_a (x) e_b and e_b (x) e_a), so is every T_i, and every operator built
 from them by products and sums maps each weight space of H^(x)level, the
-span of the words with one letter content, into itself.  :func:`layout`
-gives those spaces as the diagonal blocks of the level; any other T gives
+span of the words with one letter content, into itself.  A :class:`Layout`
+gives those spaces as the diagonal blocks of the level, with each word's
+block and position and the offsets of the packed format; any other T gives
 one block, the whole space.  A :class:`BlockOperator` keeps one square
-matrix per block, and it is the only place where blocks become a dense
-matrix; T is one, at level 2.  :func:`slot_step` is right multiplication by
-T_i (or any level-2 operator in the layout of T) on the blocks, packed as
-one flat array: the two-term gather over the weight spaces, or
-:func:`apply_slots` on the single dense block, so both layouts run the same
-code.  Every product of the T_i goes through it: :func:`word_product` steps
-it over a word in the T_i, the :class:`~wickfock.algebra.Algebra` builds
-R_n, P_n, U_n and its other words with it, and the symmetric-group sums in
-:mod:`coxeter` walk with it.
+matrix per block of its layout, and it is the only place where blocks
+become a dense matrix; T is one, at level 2.  :func:`slot_step` is right
+multiplication by T_i (or any level-2 operator in the layout of T) on the
+blocks, packed as one flat array: the two-term gather over the weight
+spaces, or :func:`apply_slots` on the single dense block, so both layouts
+run the same code.  Every product of the T_i goes through it:
+:func:`word_product` steps it over a word in the T_i, the
+:class:`~wickfock.algebra.Algebra` builds R_n, P_n, U_n and its other
+words with it, and the symmetric-group sums in :mod:`coxeter` walk with it.
 
 Products and sums accumulate left to right in exactly this written order so
 residuals are bit-reproducible run to run.
@@ -33,7 +34,6 @@ residuals are bit-reproducible run to run.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cache, cached_property
 
@@ -50,8 +50,9 @@ __all__ = [
     "word_product",
     "longest_word",
     "weight_spaces",
-    "layout",
+    "Layout",
     "largest_block",
+    "packed_size",
     "BlockOperator",
     "slot_step",
     "packed_identity",
@@ -67,7 +68,7 @@ MAX_KEPT_TABLE_BYTES = 64 * 1024**2  # fixed budget for the tables slot_step kee
 
 def largest_block(d: int, level: int, weight: bool) -> int:
     """The number of words in the largest block of the layout of
-    H^(x)level (:func:`layout`): with ``weight``, the largest weight space,
+    H^(x)level (:class:`Layout`): with ``weight``, the largest weight space,
     the multinomial of the most even letter content; else all d^level."""
     if not weight:
         return d**level
@@ -75,7 +76,7 @@ def largest_block(d: int, level: int, weight: bool) -> int:
     return math.factorial(level) // (math.factorial(q + 1) ** r * math.factorial(q) ** (d - r))
 
 
-def _packed_size(d: int, level: int) -> int:
+def packed_size(d: int, level: int) -> int:
     """The number of entries of one operator packed in the weight layout of
     H^(x)level: the sum over letter contents of the squared multinomial,
     summed letter by letter (``counts[m]`` over the contents of m slots in
@@ -93,7 +94,7 @@ def check_level(d: int, level: int, weight: bool = False) -> None:
     matrix over MAX_LEVEL_BYTES.  With ``weight`` (the layout of a
     weight-preserving T): the largest weight-space block over
     MAX_LEVEL_BYTES, or a build over MAX_BUILD_BYTES at its peak, counted as
-    PACKED_ENTRY_BYTES per entry of one packed operator (:func:`_packed_size`)
+    PACKED_ENTRY_BYTES per entry of one packed operator (:func:`packed_size`)
     plus the 16 L + 32 bytes per word that :func:`weight_spaces` takes to
     sort the d^L words."""
     if level < 0:
@@ -108,7 +109,7 @@ def check_level(d: int, level: int, weight: bool = False) -> None:
             f"over the {MAX_LEVEL_BYTES} byte guard"
         )
     if weight:
-        entries = _packed_size(d, capped)
+        entries = packed_size(d, capped)
         need = PACKED_ENTRY_BYTES * entries + (16 * capped + 32) * d**capped
         if need > MAX_BUILD_BYTES:
             raise ValueError(
@@ -154,14 +155,14 @@ def apply_slots(op: np.ndarray, d: int, i: int, X: np.ndarray) -> np.ndarray:
     return (blocks.swapaxes(1, 2).reshape(-1, k) @ op).reshape(len(blocks), -1, k).swapaxes(1, 2).reshape(X.shape)
 
 
-def word_product(T: BlockOperator, word, level: int, words) -> BlockOperator:
-    """T_{w_1} T_{w_2} ... T_{w_k} on H^(x)level in the layout ``words``, by
+def word_product(T: BlockOperator, word, layout: Layout) -> BlockOperator:
+    """T_{w_1} T_{w_2} ... T_{w_k} on H^(x)level in ``layout``, by
     :func:`slot_step` of the level-2 T left to right from the identity."""
     _require_level2(T)
-    step, acc = slot_step(T, level, words), packed_identity(words)
+    step, acc = slot_step(T, layout), packed_identity(layout)
     for i in word:
         acc = step(i, acc)
-    return BlockOperator.from_packed(T.d, level, words, acc)
+    return BlockOperator.from_packed(layout, acc)
 
 
 def longest_word(n: int) -> tuple[int, ...]:
@@ -181,43 +182,78 @@ def weight_spaces(d: int, level: int) -> tuple[np.ndarray, ...]:
     return tuple(np.split(order, np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1))
 
 
-def layout(d: int, level: int, weight: bool) -> tuple[np.ndarray, ...]:
+class Layout:
     """The diagonal blocks of H^(x)level that every operator built from a T
     keeps: the weight spaces when T is weight-preserving (``weight``), else
-    one block.  The word arrays are read-only, so every operator in the
-    layout shares them."""
-    if level >= 1 and weight:
-        return weight_spaces(d, level)
-    words = np.arange(d**level)
-    words.flags.writeable = False
-    return (words,)
+    one block.  ``words`` holds the words of each block in increasing order
+    (read-only arrays), ``block`` and ``pos`` each word's block and its
+    position there, ``sizes`` the number of words of each block, and
+    ``starts`` the offset of each block in the packed format, where the
+    square blocks lie row-major one after another in one flat array of
+    ``size`` entries.  The :class:`~wickfock.algebra.Algebra` builds one per
+    level, and every operator in it shares it."""
+
+    def __init__(self, d: int, level: int, weight: bool) -> None:
+        self.d, self.level = d, level
+        if level >= 1 and weight:
+            self.words = weight_spaces(d, level)
+        else:
+            every = np.arange(d**level)
+            every.flags.writeable = False
+            self.words = (every,)
+        self.sizes = np.fromiter(map(len, self.words), dtype=np.int64, count=len(self.words))
+        squares = self.sizes**2
+        self.starts, self.size = np.cumsum(squares) - squares, int(squares.sum())
+        self.block, self.pos = np.empty((2, d**level), dtype=np.int64)
+        order = np.concatenate(self.words)
+        self.block[order] = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        self.pos[order] = np.arange(order.size) - np.repeat(np.cumsum(self.sizes) - self.sizes, self.sizes)
+
+    def views(self, packed: np.ndarray) -> list:
+        """The square blocks of the flat array ``packed``, as views."""
+        return [packed[s : s + n * n].reshape(n, n) for s, n in zip(self.starts.tolist(), self.sizes.tolist())]
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """For every packed entry: its row and column position within its
+        block, and the words of its row and its column."""
+        block = np.repeat(np.arange(len(self.sizes)), self.sizes**2)
+        size = self.sizes[block]
+        local = np.arange(self.size) - self.starts[block]
+        r, c = local // size, local % size
+        every, first = np.concatenate(self.words), (np.cumsum(self.sizes) - self.sizes)[block]
+        return r, c, every[first + r], every[first + c]
+
+    def index(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The packed position of entry [u, v], or -1 where the words u and v
+        lie in different blocks."""
+        b = self.block[u]
+        return np.where(b == self.block[v], self.starts[b] + self.pos[u] * self.sizes[b] + self.pos[v], -1)
 
 
 class BlockOperator:
-    """A block-diagonal operator on H^(x)level, read-only: ``words`` holds
-    the words of each diagonal block in increasing order (read-only arrays,
-    as :func:`layout` makes them, shared by every operator in the layout),
-    ``mats`` one matrix per block, its rows (and, for an operator, its
+    """A block-diagonal operator on H^(x)level, read-only, in ``layout``
+    (:class:`Layout`, whose ``d``, ``level`` and ``words`` it reads):
+    ``mats`` holds one matrix per block, its rows (and, for an operator, its
     columns) in the order of the block's words.  A :class:`~wickfock.spectral.Subspace` keeps its
     basis the same way, each block's matrix holding the basis vectors that
     lie in the block, numbered block after block.  A dense operator is one
     block.  ``mat`` places the blocks in one dense matrix, once."""
 
-    def __init__(self, d: int, level: int, words, mats) -> None:
-        self.d, self.level = d, level
-        self.words, self.mats = tuple(words), tuple(mats)
+    def __init__(self, layout: Layout, mats) -> None:
+        self.layout, self.mats = layout, tuple(mats)
+        self.d, self.level, self.words = layout.d, layout.level, layout.words
         for m in self.mats:
             m.flags.writeable = False
 
     @classmethod
-    def from_packed(cls, d: int, level: int, words, packed: np.ndarray) -> BlockOperator:
+    def from_packed(cls, layout: Layout, packed: np.ndarray) -> BlockOperator:
         """The operator whose square blocks are stored row-major one after
         another in the flat array ``packed`` (the layout of :func:`slot_step`)."""
-        return cls(d, level, words, _views(words, packed))
+        return cls(layout, layout.views(packed))
 
     @classmethod
-    def identity(cls, d: int, level: int, words) -> BlockOperator:
-        return cls(d, level, words, [np.eye(len(w), dtype=np.complex128) for w in words])
+    def identity(cls, layout: Layout) -> BlockOperator:
+        return cls.from_packed(layout, packed_identity(layout))
 
     def place(self) -> np.ndarray:
         """The dense matrix: block b at rows and columns ``words[b]``.  One
@@ -225,7 +261,7 @@ class BlockOperator:
         if len(self.mats) == 1:
             return self.mats[0]
         check_level(self.d, self.level)
-        _, _, rows, cols = _entries(self.words)
+        _, _, rows, cols = self.layout.entries()
         out = np.zeros((self.d**self.level,) * 2, dtype=np.complex128)
         out[rows, cols] = np.concatenate([m.ravel() for m in self.mats])
         out.flags.writeable = False
@@ -252,15 +288,15 @@ class BlockOperator:
 
     def adjoint(self) -> BlockOperator:
         """The conjugate transpose, block by block."""
-        return BlockOperator(self.d, self.level, self.words, [m.conj().T for m in self.mats])
+        return BlockOperator(self.layout, [m.conj().T for m in self.mats])
 
     def _blockwise(self, other: BlockOperator, fn) -> BlockOperator:
-        same = self.words is other.words or (
+        same = self.layout is other.layout or (
             len(self.words) == len(other.words) and all(map(np.array_equal, self.words, other.words))
         )
         if not same:
             raise ValueError("block-diagonal operators in different layouts")
-        return BlockOperator(self.d, self.level, self.words, map(fn, self.mats, other.mats))
+        return BlockOperator(self.layout, map(fn, self.mats, other.mats))
 
     def __add__(self, other: BlockOperator) -> BlockOperator:
         return self._blockwise(other, np.add)
@@ -269,15 +305,15 @@ class BlockOperator:
         return self._blockwise(other, np.subtract)
 
     def __rmul__(self, scalar: complex) -> BlockOperator:
-        return BlockOperator(self.d, self.level, self.words, [scalar * m for m in self.mats])
+        return BlockOperator(self.layout, [scalar * m for m in self.mats])
 
     def __matmul__(self, other: BlockOperator) -> BlockOperator:
         return self._blockwise(other, np.matmul)
 
 
-def slot_step(M: BlockOperator, level: int, words):
+def slot_step(M: BlockOperator, layout: Layout):
     """``apply(i, X)``: X (1 (x) M (x) 1), M on slots i, i+1, for X a
-    block-diagonal operator in the layout ``words`` packed as in
+    block-diagonal operator in ``layout`` packed as in
     :meth:`BlockOperator.from_packed`; M is a level-2 operator in the layout
     of T.  One block is :func:`apply_slots` of M's one block on its (D, D)
     view.  Over weight spaces it is the two-term gather X D_i + X[:, S_i] O_i,
@@ -289,12 +325,12 @@ def slot_step(M: BlockOperator, level: int, words):
     tables of all level - 1 slots fit in MAX_KEPT_TABLE_BYTES (every walk the
     walk guard admits, and U_n at small levels); a build that steps each slot
     once, or one above that budget, holds no per-entry table."""
-    if len(words) == 1:
-        D = M.d**level
+    if len(layout.words) == 1:
+        D = M.d**layout.level
         return lambda i, X: apply_slots(M.mat, M.d, i, X.reshape(D, D)).reshape(-1)
-    columns, order = _slot_columns(M, level, words), np.concatenate(words)
-    keep = (level - 1) * TABLE_BYTES * sum(len(w) ** 2 for w in words) <= MAX_KEPT_TABLE_BYTES
-    entries = cache(lambda: _entries(words)[1::2])  # per entry: column position and word, for kept tables
+    columns, order = _slot_columns(M, layout), np.concatenate(layout.words)
+    keep = (layout.level - 1) * TABLE_BYTES * layout.size <= MAX_KEPT_TABLE_BYTES
+    entries = cache(lambda: layout.entries()[1::2])  # per entry: column position and word, for kept tables
     tables: dict = {}  # slot -> its kept tables, or None after its first step
 
     def apply(i: int, X: np.ndarray) -> np.ndarray:
@@ -310,7 +346,7 @@ def slot_step(M: BlockOperator, level: int, words):
         tables[i] = None
         diag, swap, off = (table[order] for table in columns(i))  # the columns of block after block
         out, end = np.empty_like(X), 0
-        for x, o in zip(_views(words, X), _views(words, out)):
+        for x, o in zip(layout.views(X), layout.views(out)):
             span, end = slice(end, end + len(x)), end + len(x)
             o[...] = x[:, swap[span]]
             o *= off[span]
@@ -320,15 +356,12 @@ def slot_step(M: BlockOperator, level: int, words):
     return apply
 
 
-def _slot_columns(M: BlockOperator, level: int, words):
+def _slot_columns(M: BlockOperator, layout: Layout):
     """``columns(i)``: per word of H^(x)level, the coefficients of M taking
     its letters at slots i, i+1 to themselves and to their swap, and the
     position in its block of the word with those letters swapped, read off
     M's weight blocks of level 2: of the pair aa, or of ab and its swap ba."""
-    d = M.d
-    pos = np.empty(d**level, dtype=np.int64)
-    for w in words:
-        pos[w] = np.arange(len(w))
+    d, level = M.d, layout.level
     diagonal, crossed = np.zeros((2, d * d), dtype=np.complex128)
     for pairs, m in M.stacks:
         diagonal[pairs] = m.diagonal(axis1=1, axis2=2)
@@ -340,52 +373,31 @@ def _slot_columns(M: BlockOperator, level: int, words):
         hi, lo = d ** (level - i), d ** (level - i - 1)
         x, y = every // hi % d, every // lo % d
         pair = x * d + y
-        return diagonal[pair], pos[every + (y - x) * (hi - lo)], crossed[pair]
+        return diagonal[pair], layout.pos[every + (y - x) * (hi - lo)], crossed[pair]
 
     return columns
 
 
-def slot_sum(M: BlockOperator, level: int, words) -> np.ndarray:
-    """sum_i 1 (x) M (x) 1 over the slots i = 1..level-1, packed in the
-    layout ``words``, M as in :func:`slot_step`: over weight spaces
-    scattered per block from the tables of :func:`_slot_columns`, D_i on the
-    diagonal and O_i at (S_i(c), c), slot after slot into one array."""
-    if len(words) == 1:
-        step, eye = slot_step(M, level, words), packed_identity(words)
-        return sum((step(i, eye) for i in range(1, level)), np.zeros_like(eye))
-    columns = _slot_columns(M, level, words)
-    total = np.zeros(sum(len(w) ** 2 for w in words), dtype=np.complex128)
-    for i in range(1, level):
+def slot_sum(M: BlockOperator, layout: Layout) -> np.ndarray:
+    """sum_i 1 (x) M (x) 1 over the slots i = 1..level-1, packed in
+    ``layout``, M as in :func:`slot_step`: over weight spaces scattered from
+    the tables of :func:`_slot_columns`, O_i at (S_i(c), c) and then D_i on
+    the diagonal, one array operation each per slot into one array."""
+    if len(layout.words) == 1:
+        step, eye = slot_step(M, layout), packed_identity(layout)
+        return sum((step(i, eye) for i in range(1, layout.level)), np.zeros_like(eye))
+    columns = _slot_columns(M, layout)
+    start, size = layout.starts[layout.block], layout.sizes[layout.block]  # per column word c
+    total = np.zeros(layout.size, dtype=np.complex128)
+    for i in range(1, layout.level):
         diag, swap, off = columns(i)
-        for w, block in zip(words, _views(words, total)):
-            block[swap[w], np.arange(len(w))] += off[w]
-            block[np.diag_indices(len(w))] += diag[w]
+        total[start + swap * size + layout.pos] += off
+        total[start + layout.pos * (size + 1)] += diag
     return total
 
 
-def _views(words, packed: np.ndarray) -> list:
-    """The square blocks of the flat array ``packed``, row-major one after
-    another as :meth:`BlockOperator.from_packed` reads them, as views."""
-    ends = itertools.accumulate(len(w) ** 2 for w in words)
-    return [packed[end - len(w) ** 2 : end].reshape(len(w), len(w)) for w, end in zip(words, ends)]
-
-
-def _entries(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For every entry of the packed layout of ``words``: its row and column
-    position within its block, and the words of its row and its column."""
-    sizes = np.array([len(w) for w in words])
-    squares = sizes**2
-    block = np.repeat(np.arange(len(words)), squares)
-    local = np.arange(squares.sum()) - np.repeat(np.cumsum(squares) - squares, squares)
-    size, first = sizes[block], (np.cumsum(sizes) - sizes)[block]
-    r, c = local // size, local % size
-    every = np.concatenate(words)
-    return r, c, every[first + r], every[first + c]
-
-
-def packed_identity(words) -> np.ndarray:
-    """The identity in the packed layout of ``words``."""
-    eye = np.zeros(sum(len(w) ** 2 for w in words), dtype=np.complex128)
-    for block in _views(words, eye):
-        np.fill_diagonal(block, 1)
+def packed_identity(layout: Layout) -> np.ndarray:
+    """The identity in the packed format of ``layout``."""
+    eye = np.zeros(layout.size, dtype=np.complex128)
+    eye[layout.starts[layout.block] + layout.pos * (layout.sizes[layout.block] + 1)] = 1
     return eye

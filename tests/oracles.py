@@ -114,7 +114,7 @@ from wickfock import fock, rewrite
 from wickfock.coxeter import MAX_RANK
 from wickfock.fock import GradedVector, _pad, _random_graded, create
 from wickfock.model import SpecError, WickSpec
-from wickfock.tensorops import BlockOperator, _require_level2, apply_slots, layout, longest_word, op_norm
+from wickfock.tensorops import BlockOperator, Layout, _require_level2, apply_slots, longest_word, op_norm
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def dense_basis(K) -> np.ndarray:
 def dense(d: int, level: int, M) -> BlockOperator:
     """M, of d^level rows (an operator, or the basis of a Subspace), in one
     block, on a complex copy (a BlockOperator makes its blocks read-only)."""
-    return BlockOperator(d, level, (np.arange(d**level),), (np.array(M, dtype=np.complex128),))
+    return BlockOperator(Layout(d, level, False), (np.array(M, dtype=np.complex128),))
 
 
 def weight_preserving(T: BlockOperator) -> bool:
@@ -258,8 +258,8 @@ def weight_preserving(T: BlockOperator) -> bool:
 def level2_blocks(M: np.ndarray, d: int, weight: bool) -> BlockOperator:
     """The d^2 x d^2 matrix M in the layout of level 2, the weight spaces
     with ``weight`` (M must keep them), else one block."""
-    words = layout(d, 2, weight)
-    return BlockOperator(d, 2, words, [M[np.ix_(w, w)] for w in words])
+    layout = Layout(d, 2, weight)
+    return BlockOperator(layout, [M[np.ix_(w, w)] for w in layout.words])
 
 
 def word_product(T: BlockOperator, word, level: int) -> BlockOperator:

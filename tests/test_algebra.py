@@ -61,14 +61,17 @@ def test_memoized_operators_equal_the_builders_bit_for_bit():
 
 def test_every_operator_the_algebra_returns_is_read_only():
     # the word arrays are frozen once, where the layout makes them, and
-    # shared by every operator in it; each operator freezes its own matrices
+    # every operator shares the one Layout the Algebra holds for its level;
+    # each operator freezes its own matrices
     for spec in (qccr(3, 0.5), rotated(hecke(2, 0.6), 1)):
         alg = Algebra(spec)
         ops = [alg.T, alg.R(4), alg.P(4), alg.U(3), alg.word((2, 1), 3), alg.group_sum(3),
                alg.descent_sums(2).sum([0, 3]), alg.ker_P(4, 1e-8).parts, alg.ker_P(4, 1e-8).projector(),
-               spectral.ideal_complement(alg, 4).parts, alg.apply_tensor(alg.P(3), alg.R(4), last=True)]
+               spectral.ideal_complement(alg, 4).parts, alg.apply_tensor(alg.P(3), alg.R(4), last=True),
+               alg.R(1), alg.P(0), alg.word((), 2)]
+        assert alg.descent_sums(2).layout is alg.layout(3)
         for op in ops:
-            assert all(w is v for w, v in zip(op.words, alg.layout(op.level), strict=True))
+            assert op.layout is alg.layout(op.level), spec.source
             assert not any(w.flags.writeable for w in op.words), spec.source
             assert not any(m.flags.writeable for m in op.mats), spec.source
             with pytest.raises(ValueError):
@@ -121,7 +124,7 @@ def test_walk_leaves_its_total_as_the_group_sum():
     alg = Algebra(qccr(2, 0.5))
     walk = alg.descent_sums(3)
     assert alg.descent_sums(3) is walk
-    for array in (walk.buckets, *walk.blocks):
+    for array in (walk.buckets, *walk.layout.words):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         walk.buckets[0, 0] = 7.0
@@ -176,7 +179,7 @@ def test_level_guard():
                 build(level)
         with pytest.raises(ValueError, match="byte guard"):
             alg.U(level - 1)
-    assert max(map(len, Algebra(qccr(3, 0.5)).layout(8))) == 560
+    assert max(map(len, Algebra(qccr(3, 0.5)).layout(8).words)) == 560
 
 
 def test_build_guard_counts_the_packed_entries():
@@ -184,7 +187,7 @@ def test_build_guard_counts_the_packed_entries():
     # k words contributes k^2 entries
     for d, level in ((1, 4), (2, 5), (3, 4), (4, 3)):
         contents = collections.Counter(tuple(sorted(w)) for w in itertools.product(range(d), repeat=level))
-        assert tensorops._packed_size(d, level) == sum(k * k for k in contents.values()), (d, level)
+        assert tensorops.packed_size(d, level) == sum(k * k for k in contents.values()), (d, level)
 
 
 def _count_calls(monkeypatch, fn, key=lambda args: args[1] if len(args) > 1 else None):
@@ -213,7 +216,7 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     monkeypatch.setattr(Algebra, "__init__", lambda self, spec: algebras.append(self) or init(self, spec))
     build_T = _count_calls(monkeypatch, model.build_T)
     T_blocks = _count_calls(monkeypatch, model.T_blocks)
-    words = _count_calls(monkeypatch, tensorops.word_product, key=lambda args: (tuple(args[1]), args[2]))
+    words = _count_calls(monkeypatch, tensorops.word_product, key=lambda args: (tuple(args[1]), args[2].level))
     # the blocks whose symmetrized eigenvalues are taken
     spectra = _count_calls(monkeypatch, spectral.symmetric_eigenvalues, key=lambda args: args[0])
     build_P = []  # the level of each (1 (x) P_{n-1}) R_n, the step that builds P_n

@@ -278,9 +278,9 @@ def test_split_takes_each_letter_to_the_block_of_its_tails():
         alg = Algebra(spec)
         d = alg.T.d
         for level in range(1, 5):
-            below = alg.layout(level - 1)
+            below = alg.layout(level - 1).words
             for last in (False, True):
-                for words, pieces in zip(alg.layout(level), alg.split(level, last)):
+                for words, pieces in zip(alg.layout(level).words, alg.split(level, last)):
                     covered = np.concatenate([np.arange(len(words))[rows] for _, rows, _ in pieces])
                     assert sorted(covered) == list(range(len(words))), (level, last)
                     for a, rows, home in pieces:
@@ -321,7 +321,7 @@ def test_letter_relabelling_maps_each_block_onto_its_image(level):
     P = alg.P(level)
     buckets = [walk.sum([mask]) for mask in range(len(walk))]
     for sigma in itertools.permutations(range(3)):
-        for b, (target, positions) in enumerate(relabelled(alg.layout(level), 3, level, sigma)):
+        for b, (target, positions) in enumerate(relabelled(alg.layout(level).words, 3, level, sigma)):
             image = np.ix_(positions, positions)
             assert within(P.mats[target][image], P.mats[b]), sigma
             for bucket in buckets:

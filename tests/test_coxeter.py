@@ -280,8 +280,8 @@ def assert_matches_element_walk(alg, n: int, context) -> None:
     in a rotated basis a bucket of small entries still carries the rounding
     of products of entries near 1."""
     walk = alg.descent_sums(n)
-    step = tensorops.slot_step(alg.T, n + 1, walk.blocks)
-    reference = oracles.walk_elements(n, tensorops.packed_identity(walk.blocks), step)
+    step = tensorops.slot_step(alg.T, walk.layout)
+    reference = oracles.walk_elements(n, tensorops.packed_identity(walk.layout), step)
     scale = np.abs(reference).max()
     for mask, (got, want) in enumerate(zip(walk.buckets, reference, strict=True)):
         assert np.abs(got - want).max() <= 1e-13 * scale, (context, n, mask)
@@ -558,13 +558,17 @@ def test_young_factors_are_located_once_per_slot_group(monkeypatch):
     # at rank 4 the slots 1..5 hold 10 groups of two or more consecutive
     # slots; each is located in its P_b once for all 16 J (a group of one slot
     # reads no P_b), and every P(W_J) is the dense tensor product of the P_b
+    # (the group of each lookup is told by the row segments it reads)
     alg = Algebra(qccr(3, 0.5))
-    located = []
-    index = coxeter._young_index
-    monkeypatch.setattr(coxeter, "_young_index", lambda *args: located.append((args[0].level, args[2])) or index(*args))
+    calls = []
+    index = tensorops.Layout.index
+    monkeypatch.setattr(tensorops.Layout, "index", lambda layout, u, v: calls.append((layout.level, u)) or index(layout, u, v))
     sums = list(coxeter._young_sums(alg, 4))
+    _, _, rows, _ = alg.layout(5).entries()
+    located = [(width, last) for width, u in calls for last in range(width, 6)
+               if np.array_equal(u, rows // 3 ** (5 - last) % 3**width)]
     groups = [(last - first + 1, last) for first in range(1, 6) for last in range(first + 1, 6)]
-    assert len(located) == len(groups) == 10 and sorted(located) == sorted(groups)
+    assert len(calls) == len(located) == len(groups) == 10 and sorted(located) == sorted(groups)
     for J, PWJ in enumerate(sums):
         assert np.max(np.abs(PWJ.mat - oracles.young_sum(alg, 4, J))) <= 1e-12, J
 

@@ -1,6 +1,7 @@
 """Spec loading, presets, and the level-2 operator."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ def test_misspelt_coefficient_key_is_refused():
     entries = [{"i": 1, "j": 2, "k": 1, "l": 2, "Re": 0.5}, {"i": 2, "j": 1, "k": 2, "l": 1, "Re": 0.5}]
     with pytest.raises(SpecError, match=r"coefficient entry 0: unknown keys \['Re'\]"):
         model.load_spec(json.dumps({"d": 2, "coefficients": entries}))
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_matrix_cell_with_a_stray_key_is_refused(flat):
+    # a cell must hold both "re" and "im"; a third key ("Im" for "im") was
+    # dropped, and T = 0.5 loaded as if the cell read {"re": 0.5, "im": 0}
+    cell, where = {"re": 0.5, "im": 0, "Im": 0.3}, "0" if flat else "(0,0)"
+    with pytest.raises(SpecError, match=re.escape(f"matrix entry {where}: unknown keys ['Im']")):
+        model.load_spec(json.dumps({"d": 1, "matrix": [cell] if flat else [[cell]]}))
 
 
 def test_duplicate_quadruple_rejected():

@@ -74,10 +74,13 @@ def test_no_module_references_numpy_random():
 def test_only_the_algebra_builds_T_and_decides_its_layout():
     # whether T is weight-preserving, and so the layout of every level, is
     # decided once per run, by the Algebra, which builds T in that layout; a
-    # call of the layout rule anywhere else would decide it again, and a
-    # call of build_T would place T as one dense d^2 x d^2 matrix
+    # Layout constructed anywhere else would decide it again (build_T's one
+    # block, weight False, decides nothing), and a call of build_T would
+    # place T as one dense d^2 x d^2 matrix
     for path in sorted(Path(wickfock.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func  # a bare name, or a name of a module (not a method such as alg.layout)
@@ -86,5 +89,18 @@ def test_only_the_algebra_builds_T_and_decides_its_layout():
             else:
                 name = getattr(func, "id", None)
             assert name not in ("build_T", "model.build_T"), (path.name, node.lineno, name)
-            if path.name != "algebra.py":
-                assert name not in ("layout", "tensorops.layout"), (path.name, node.lineno, name)
+            if path.name != "algebra.py" and name in ("Layout", "tensorops.Layout"):
+                one_block = isinstance(node.args[-1], ast.Constant) and node.args[-1].value is False
+                assert (path.name, owner.get(node), one_block) == ("model.py", "build_T", True), (path.name, node.lineno)
+
+
+def test_no_module_imports_a_private_name_of_tensorops():
+    # the block structure is tensorops' own: another module reads it through
+    # Layout and the public names, never through a private helper
+    for path in sorted(Path(wickfock.__file__).parent.glob("*.py")):
+        if path.name == "tensorops.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("tensorops", "wickfock.tensorops"):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert private == [], (path.name, node.lineno, private)

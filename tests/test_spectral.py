@@ -85,12 +85,12 @@ def test_subspace_sum_flip_level3():
 
 
 def test_subspace_mismatch_errors():
-    a = spectral.Subspace(2, 2, oracles.dense(2, 2, np.zeros((4, 0))))
-    b = spectral.Subspace(2, 3, oracles.dense(2, 3, np.zeros((8, 0))))
+    a = spectral.Subspace(oracles.dense(2, 2, np.zeros((4, 0))))
+    b = spectral.Subspace(oracles.dense(2, 3, np.zeros((8, 0))))
     with pytest.raises(ValueError, match="mismatch"):
         spectral.subspace_intersection(a, b)
     with pytest.raises(ValueError, match="orthonormal"):
-        spectral.Subspace(2, 2, oracles.dense(2, 2, np.ones((4, 2))))
+        spectral.Subspace(oracles.dense(2, 2, np.ones((4, 2))))
 
 
 def test_kernel_theorem_flip_dims():

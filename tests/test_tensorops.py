@@ -123,9 +123,9 @@ def test_apply_slots_and_word_product_match_kron_products(d):
             expected = np.eye(dim)
             for i in word:
                 expected = expected @ oracles.amplify(op, i, level).mat
-            words, blocks = tensorops.layout(d, level, weight), oracles.level2_blocks(op.mat, d, weight)
-            assert _rel_err(tensorops.word_product(blocks, word, level, words).mat, expected) <= tol
-            assert np.array_equal(tensorops.word_product(blocks, (), level, words).mat, np.eye(dim))
+            layout, blocks = tensorops.Layout(d, level, weight), oracles.level2_blocks(op.mat, d, weight)
+            assert _rel_err(tensorops.word_product(blocks, word, layout).mat, expected) <= tol
+            assert np.array_equal(tensorops.word_product(blocks, (), layout).mat, np.eye(dim))
 
         # multi-slot operators as build_P and the P(D_m) check use them:
         # (1 (x) P_{level-1}) R_level and X (P_{level-1} (x) 1)
@@ -151,32 +151,63 @@ def test_slot_steps_and_slot_sum_agree_bit_for_bit():
     a, b = np.divmod(np.arange(d * d), d)
     kept = ((a[:, None] == a) & (b[:, None] == b)) | ((a[:, None] == b) & (b[:, None] == a))
     M = np.where(kept, rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2), 0)
-    words, T = tensorops.layout(d, level, True), oracles.level2_blocks(M, d, True)
-    step = tensorops.slot_step(T, level, words)
-    X = tensorops.BlockOperator(d, level, words, [rng.standard_normal((len(w),) * 2) + 0j for w in words])
+    layout, T = tensorops.Layout(d, level, True), oracles.level2_blocks(M, d, True)
+    step = tensorops.slot_step(T, layout)
+    X = tensorops.BlockOperator(layout, [rng.standard_normal((len(w),) * 2) + 0j for w in layout.words])
     for i in range(1, level):
         first = step(i, X.packed())
         assert np.array_equal(step(i, X.packed()), first) and np.array_equal(step(i, X.packed()), first)
         expected = X.mat @ oracles.amplify(oracles.dense(d, 2, M), i, level).mat
-        assert np.max(np.abs(tensorops.BlockOperator.from_packed(d, level, words, first).mat - expected)) <= 1e-12
-    eye = tensorops.packed_identity(words)
-    fresh = tensorops.slot_step(T, level, words)
+        assert np.max(np.abs(tensorops.BlockOperator.from_packed(layout, first).mat - expected)) <= 1e-12
+    eye = tensorops.packed_identity(layout)
+    fresh = tensorops.slot_step(T, layout)
     stepped = sum((fresh(i, eye) for i in range(1, level)), np.zeros_like(eye))
-    assert np.array_equal(tensorops.slot_sum(T, level, words), stepped)
+    assert np.array_equal(tensorops.slot_sum(T, layout), stepped)
+
+
+LAYOUTS = [(1, 0, True), (2, 1, True), (2, 5, True), (3, 4, True), (4, 3, True), (3, 3, False)]
+
+
+@pytest.mark.parametrize("d, level, weight", LAYOUTS)
+def test_layout_index_inverts_entries(d, level, weight):
+    # every packed entry, read back through index() from the words of its
+    # row and column, is at its own position 0 .. size-1; a pair of words
+    # lies in one block iff the letter contents agree (weight) or always
+    # (one dense block), by brute force over all pairs, and -1 otherwise
+    layout = tensorops.Layout(d, level, weight)
+    _, _, u, v = layout.entries()
+    assert np.array_equal(layout.index(u, v), np.arange(layout.size))
+    every = np.arange(d**level)
+    for b, words in enumerate(layout.words):
+        assert np.array_equal(layout.block[words], np.full(len(words), b))
+        assert np.array_equal(layout.pos[words], np.arange(len(words)))
+    content = [tuple(sorted(w)) if weight else () for w in itertools.product(range(d), repeat=level)]
+    U, V = np.meshgrid(every, every, indexing="ij")
+    apart = np.array([[content[x] != content[y] for y in every] for x in every])
+    assert np.array_equal(layout.index(U, V) == -1, apart)
+    assert apart.any() == (weight and d > 1 and level > 0)
+
+
+@pytest.mark.parametrize("d, level, weight", LAYOUTS)
+def test_packed_identity_is_each_blocks_identity_in_turn(d, level, weight):
+    layout = tensorops.Layout(d, level, weight)
+    expected = np.concatenate([np.eye(len(w), dtype=np.complex128).ravel() for w in layout.words])
+    got = tensorops.packed_identity(layout)
+    assert got.dtype == np.complex128 and np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("spec,n", [(qccr(3, 0.5), 4), (qccr(2, 0.5), 6), (example3(3, 0.5), 4)])
 def test_slot_step_over_the_kept_table_budget_is_bit_equal(spec, n, monkeypatch):
     # over MAX_KEPT_TABLE_BYTES, slot_step steps block by block on every
-    # call and builds no per-entry table (it never reads _entries): the
+    # call and builds no per-entry table (it never reads Layout.entries): the
     # walk's buckets, U_n and the telescoping residual are those the kept
     # tables give, bit for bit
     def results():
         alg = Algebra(spec)
         return alg.descent_sums(n).buckets, alg.U(n).packed(), spectral.telescoping_residual(alg, n)
 
-    tables, entries = [], tensorops._entries
-    monkeypatch.setattr(tensorops, "_entries", lambda words: tables.append(words) or entries(words))
+    tables, entries = [], tensorops.Layout.entries
+    monkeypatch.setattr(tensorops.Layout, "entries", lambda layout: tables.append(layout) or entries(layout))
     kept = results()
     assert tables
     tables.clear()
