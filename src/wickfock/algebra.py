@@ -38,9 +38,9 @@ class Algebra:
     and on what the blocks of one operator hold together), it builds
     read-only ``T``, the block layout of each level
     (:class:`~wickfock.tensorops.Layout`), R_n, P_n and its eigenvalues, the
-    words in the T_i (U_n among them), ker P_n, the walk of S_{n+1}
-    (:func:`coxeter.descent_sums`) and the group sum P(S_{n+1}); a second
-    call returns the same object, so each rank is walked once.
+    words in the T_i (U_n among them), ker P_n, P(S_{n+1}) and, for the
+    Coxeter report alone, the walk of S_{n+1} (:mod:`coxeter`); a second
+    call returns the same object, so each is built once.
 
     R_n, P_n and the words are :class:`~wickfock.tensorops.BlockOperator`
     values built block by block: R_n and the words by the slot step of ``T``,
@@ -189,5 +189,5 @@ class Algebra:
         return self._get(("walk", n), n + 1, lambda: coxeter.descent_sums(self, n))
 
     def group_sum(self, n: int) -> BlockOperator:
-        """P(S_{n+1}), the sum of every bucket of the walk."""
-        return self._get(("group_sum", n), n + 1, lambda: self.descent_sums(n).sum())
+        """P(S_{n+1}), by its right-coset product, with no walk."""
+        return self._get(("group_sum", n), n + 1, lambda: coxeter.group_sum(self, n))

@@ -164,7 +164,7 @@ def _suite_check(alg: Algebra, checks: _Checks, tol: float) -> None:
 
 def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) -> None:
     ops = {}
-    if method in ("coxeter", "both"):  # first: the walk's path is never live beside P_n
+    if method in ("coxeter", "both"):  # first: the group sum's chain is never live beside P_n
         if n < 2:
             checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable",
                        reason="group sum needs n >= 2")
@@ -179,7 +179,7 @@ def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) ->
     for name, op in ops.items():
         evals = (alg.eigenvalues(n) if name == "recursive"
                  else [spectral.symmetric_eigenvalues(m) for m in op.mats])
-        walk = {"walk": alg.descent_sums(n - 1).record} if name == "coxeter" else {}
+        walk = {"walk": alg.layout(n).record} if name == "coxeter" else {}
         low, high = min(float(e[0]) for e in evals), max(float(e[-1]) for e in evals)
         checks.add("pn_spectrum", {"n": n, "method": name}, "info", min_eig=low, max_eig=high,
                    norm=max(abs(low), abs(high)), **walk)  # both sums are self-adjoint
@@ -211,7 +211,7 @@ def _suite_coxeter(alg: Algebra, checks: _Checks, n: int, tol: float) -> None:
         checks.add("coxeter_suite", {"n": n}, "inapplicable", reason=str(exc))
         return
     checks.add_residual("group_sum_agreement", {"n": n}, rep["group_sum"], tol,
-                        walk=alg.descent_sums(n).record)
+                        walk=alg.layout(n + 1).record)
     for fact in rep["factorization"]:
         checks.add_residual(
             "factorization_DJ_WJ", {"n": n, "J": fact["J"]}, fact["residual"], tol
@@ -250,7 +250,7 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0; got {args.seed}")
     spec = load_spec_file(args.spec)
-    walk = None  # the rank of the deepest walk of S_{n+1} the command takes
+    walk = None  # the rank of the deepest sum over S_{n+1} the command takes (walk or group sum)
     if args.command == "inner":
         X = rewrite.parse_word_expr(args.x, spec.d)
         Y = rewrite.parse_word_expr(args.y, spec.d)

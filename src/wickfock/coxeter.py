@@ -5,11 +5,13 @@ multiplication by s_i swaps the entries at positions i, i+1 of a one-line form.
 
 The quasimultiplicative map sends a reduced word i_1 ... i_k to the matrix
 product T_{i_1} ... T_{i_k}; it is well defined only when T satisfies the
-braid condition, so every walk is gated on the braid residual.
+braid condition, so every sum is gated on the braid residual.
 
-Every operator sum over the group comes from one walk of S_{n+1}:
-:func:`descent_sums` adds phi over each of the 2^n descent classes into one
-bucket, kept in the walk's layout in one read-only :class:`Walk`.  The walk
+:func:`group_sum` builds P(S_{n+1}) by its right cosets of S_m,
+P(S_{m+1}) = P(S_m)(1 + T_m + T_m T_{m-1} + ... + T_m ... T_1), in
+n(n+1)/2 right multiplications by a T_i.  :func:`descent_sums` adds phi
+over each of the 2^n descent classes into one bucket, kept in one
+read-only :class:`Walk` that only :func:`coxeter_checks` reads.  The walk
 visits descent classes, not elements: every w in S_{m+1} is uniquely
 u s_m s_{m-1} ... s_k with u in S_m and 1 <= k <= m+1 (m+1 inserted at
 position k of u's one-line form, the lengths adding), so
@@ -17,21 +19,19 @@ phi(w) = phi(u) T_m ... T_k and the descent set of w depends only on that
 of u and on k (:func:`_walk`).  When T is weight-preserving (it maps
 e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a), every phi(w) is
 block-diagonal on the weight spaces of H^(x)(n+1), the spans of the words
-with one letter content, and the walk keeps only those blocks
+with one letter content, and both sums keep only those blocks
 (:class:`~wickfock.tensorops.Layout`); any other T is one dense block.  A
-sum of buckets is a :class:`~wickfock.tensorops.BlockOperator`.  The group
-sum P(S_{n+1}), every descent-class sum P(D_J) and both sides of the
-Euler-Solomon identity are sums of buckets, which :func:`coxeter_checks`
-compares against the independent product constructions of P_{n+1}, U_n
-and P(W_J), read from the :class:`~wickfock.algebra.Algebra` that holds
-the walk.  The walk factors the group into right cosets of S_m, its group
-sum P(S_m)(1 + T_m + T_m T_{m-1} + ...) level by level, while the
-Algebra's P_{m+1} = (1 (x) P_m) R_{m+1} is the left factorization: the
-group-sum check compares the two.  Every operand stays in the walk's
-layout, P(W_J) included (built per block from the blocks of the recursive
+sum of buckets is a :class:`~wickfock.tensorops.BlockOperator`.  Every
+descent-class sum P(D_J) and the alternating Euler-Solomon side are sums
+of buckets, which :func:`coxeter_checks` compares against the group sum
+and the independent constructions of P_{n+1}, U_n and P(W_J), read from
+the :class:`~wickfock.algebra.Algebra` that holds them; the group-sum
+check sets the right-coset product against the left factorization
+P_{n+1} = (1 (x) P_n) R_{n+1}.  Every operand stays in the layout of level
+n+1, P(W_J) included (built per block from the blocks of the recursive
 P_b), so each residual is the largest over the blocks and a
-weight-preserving T places no dense matrix.  :func:`check_walk` is the
-walk's guard, on the operators' entries in the layout the walk takes.
+weight-preserving T places no dense matrix.  :func:`check_walk` guards
+both sums, on the operators' entries in their layout.
 
 >>> from wickfock.algebra import Algebra
 >>> from wickfock.model import preset
@@ -66,6 +66,7 @@ __all__ = [
     "Walk",
     "check_walk",
     "descent_sums",
+    "group_sum",
     "coxeter_checks",
 ]
 
@@ -89,7 +90,7 @@ def check_walk(d: int, n: int, weight: bool = False) -> None:
     has the packed entries of the level
     (:func:`~wickfock.tensorops.packed_size`), and each entry adds
     WALK_ENTRY_BYTES for the slot step's tables and index arrays and the
-    operands of :func:`coxeter_checks`."""
+    operands of :func:`coxeter_checks`; conservative for :func:`group_sum`."""
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
     held = 2**n + 5
@@ -111,21 +112,16 @@ class Walk:
     """The 2^n descent-set buckets of one walk of S_{n+1}, read-only, in the
     walk's ``layout`` (a :class:`~wickfock.tensorops.Layout`): row ``mask``
     of ``buckets`` is one operator in the layout's packed format, as
-    :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads it.
-    ``record`` names the layout, ``"weight"`` for the weight spaces and
-    ``"dense"`` for one block, with its block count and largest block."""
+    :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads it."""
 
     def __init__(self, layout: Layout, buckets: np.ndarray) -> None:
         buckets.flags.writeable = False
-        self.layout, self.buckets, blocks = layout, buckets, len(layout.words)
-        self.record = {"layout": "weight" if blocks > 1 else "dense", "blocks": blocks,
-                       "largest_block": int(layout.sizes.max())}
+        self.layout, self.buckets = layout, buckets
 
-    def sum(self, masks=None) -> BlockOperator:
-        """The sum of the buckets ``masks`` (default all), added in the given
-        order within the layout."""
+    def sum(self, masks) -> BlockOperator:
+        """The sum of the buckets ``masks``, added in order within the layout."""
         packed = np.zeros(self.buckets.shape[1], dtype=np.complex128)
-        for mask in range(len(self)) if masks is None else masks:
+        for mask in masks:
             packed += self.buckets[mask]
         return BlockOperator.from_packed(self.layout, packed)
 
@@ -157,6 +153,15 @@ def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
     return sums
 
 
+def _gate(alg: Algebra, n: int) -> Layout:
+    """The layout of a sum over S_{n+1}, past :func:`check_walk` and the braid gate."""
+    check_walk(alg.spec.d, n, alg.weight)
+    if alg.braid_residual > BRAID_TOL:
+        raise BraidConditionError(f"braid residual {alg.braid_residual:.3e} exceeds {BRAID_TOL:.1e}; "
+                                  "the map is only well defined for braided operators")
+    return alg.layout(n + 1)
+
+
 def descent_sums(alg: Algebra, n: int) -> Walk:
     """Sums of phi over the descent classes of S_{n+1}: bucket ``mask`` adds
     phi(w) over the w whose descent set is {i : bit i-1 of mask}.
@@ -168,14 +173,23 @@ def descent_sums(alg: Algebra, n: int) -> Walk:
     :func:`check_walk` before anything is allocated, and gated on the braid
     residual of ``alg``.
     """
-    check_walk(alg.spec.d, n, alg.weight)
-    if alg.braid_residual > BRAID_TOL:
-        raise BraidConditionError(
-            f"braid residual {alg.braid_residual:.3e} exceeds {BRAID_TOL:.1e}; "
-            "the map is only well defined for braided operators"
-        )
-    layout = alg.layout(n + 1)
+    layout = _gate(alg, n)
     return Walk(layout, _walk(n, packed_identity(layout), slot_step(alg.T, layout)))
+
+
+def group_sum(alg: Algebra, n: int) -> BlockOperator:
+    """P(S_{n+1}) = prod_{m=1..n} (1 + T_m + T_m T_{m-1} + ... + T_m ... T_1),
+    each chain term added as the :func:`~wickfock.tensorops.slot_step` makes
+    it: n(n+1)/2 steps (21 at rank 6) with three operators live, in the
+    layout, guard and braid gate of :func:`descent_sums`."""
+    layout = _gate(alg, n)
+    step, total = slot_step(alg.T, layout), packed_identity(layout)
+    for m in range(1, n + 1):
+        term = total
+        for k in range(m, 0, -1):
+            term = step(k, term)
+            total += term  # P(S_m) is read only by the chain's first step
+    return BlockOperator.from_packed(layout, total)
 
 
 def _young_sums(alg: Algebra, n: int):
@@ -192,7 +206,7 @@ def _young_sums(alg: Algebra, n: int):
     all J."""
     d, level = alg.spec.d, n + 1
     layout = alg.layout(level)
-    _, _, rows, cols = layout.entries()  # the words of each packed entry
+    rows, cols = layout.entries(row=True), layout.entries()  # the words of each packed entry
     groups: dict = {}  # (first, last) -> the letter test of one slot, or the index of a wider group
 
     def factor(first: int, last: int) -> np.ndarray:
@@ -217,10 +231,10 @@ def _young_sums(alg: Algebra, n: int):
 
 def coxeter_checks(alg: Algebra, n: int) -> dict:
     """Every Coxeter identity at rank n from the buckets of the walk of
-    S_{n+1} that ``alg`` holds (``alg.descent_sums(n)``), as operator norm
-    residuals on H^(x)(n+1):
+    S_{n+1} and the group sum that ``alg`` holds (``alg.descent_sums(n)``,
+    ``alg.group_sum(n)``), as operator norm residuals on H^(x)(n+1):
 
-    - ``group_sum``: P(S_{n+1}) against the recursive P_{n+1};
+    - ``group_sum``: the right-coset P(S_{n+1}) against the recursive P_{n+1};
     - ``factorization``: per J (in mask order), P_{n+1} against
       P(D_J) P(W_J), where D_J holds the elements with no descent in J;
     - ``euler_solomon``: over proper nonempty J, with sigma_0 the longest

@@ -190,8 +190,10 @@ class Layout:
     position there, ``sizes`` the number of words of each block, and
     ``starts`` the offset of each block in the packed format, where the
     square blocks lie row-major one after another in one flat array of
-    ``size`` entries.  The :class:`~wickfock.algebra.Algebra` builds one per
-    level, and every operator in it shares it."""
+    ``size`` entries; ``record`` names it (``"weight"`` or ``"dense"``, for
+    one block) with its block count and largest block.  The
+    :class:`~wickfock.algebra.Algebra` builds one per level, and every
+    operator in it shares it."""
 
     def __init__(self, d: int, level: int, weight: bool) -> None:
         self.d, self.level = d, level
@@ -208,20 +210,20 @@ class Layout:
         order = np.concatenate(self.words)
         self.block[order] = np.repeat(np.arange(len(self.sizes)), self.sizes)
         self.pos[order] = np.arange(order.size) - np.repeat(np.cumsum(self.sizes) - self.sizes, self.sizes)
+        self.record = {"layout": "weight" if len(self.words) > 1 else "dense", "blocks": len(self.words),
+                       "largest_block": int(self.sizes.max())}
 
     def views(self, packed: np.ndarray) -> list:
         """The square blocks of the flat array ``packed``, as views."""
         return [packed[s : s + n * n].reshape(n, n) for s, n in zip(self.starts.tolist(), self.sizes.tolist())]
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """For every packed entry: its row and column position within its
-        block, and the words of its row and its column."""
-        block = np.repeat(np.arange(len(self.sizes)), self.sizes**2)
-        size = self.sizes[block]
-        local = np.arange(self.size) - self.starts[block]
-        r, c = local // size, local % size
-        every, first = np.concatenate(self.words), (np.cumsum(self.sizes) - self.sizes)[block]
-        return r, c, every[first + r], every[first + c]
+    def entries(self, row: bool = False) -> np.ndarray:
+        """For every packed entry, the word of its column (with ``row``, of
+        its row), written block by block into the one array returned."""
+        out = np.empty(self.size, dtype=np.int64)
+        for view, words in zip(self.views(out), self.words):
+            view[...] = words[:, None] if row else words
+        return out
 
     def index(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The packed position of entry [u, v], or -1 where the words u and v
@@ -261,9 +263,8 @@ class BlockOperator:
         if len(self.mats) == 1:
             return self.mats[0]
         check_level(self.d, self.level)
-        _, _, rows, cols = self.layout.entries()
         out = np.zeros((self.d**self.level,) * 2, dtype=np.complex128)
-        out[rows, cols] = np.concatenate([m.ravel() for m in self.mats])
+        out[self.layout.entries(row=True), self.layout.entries()] = np.concatenate([m.ravel() for m in self.mats])
         out.flags.writeable = False
         return out
 
@@ -330,14 +331,14 @@ def slot_step(M: BlockOperator, layout: Layout):
         return lambda i, X: apply_slots(M.mat, M.d, i, X.reshape(D, D)).reshape(-1)
     columns, order = _slot_columns(M, layout), np.concatenate(layout.words)
     keep = (layout.level - 1) * TABLE_BYTES * layout.size <= MAX_KEPT_TABLE_BYTES
-    entries = cache(lambda: layout.entries()[1::2])  # per entry: column position and word, for kept tables
+    entries = cache(layout.entries)  # per entry: the word of its column, for kept tables
     tables: dict = {}  # slot -> its kept tables, or None after its first step
 
     def apply(i: int, X: np.ndarray) -> np.ndarray:
         if keep and i in tables:
             if tables[i] is None:
-                (c, cols), (diag, swap, off) = entries(), columns(i)
-                tables[i] = diag[cols], np.arange(cols.size) - c + swap[cols], off[cols]
+                cols, (diag, swap, off) = entries(), columns(i)
+                tables[i] = diag[cols], np.arange(cols.size) - layout.pos[cols] + swap[cols], off[cols]
             diag, swap, off = tables[i]
             out = X[swap]
             out *= off

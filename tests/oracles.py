@@ -46,6 +46,10 @@ check against :func:`amplify`.
   ``test_blocked_operators_equal_the_dense_references``, bit for bit in
   ``test_one_dense_block_is_the_dense_build``), and the dense side of the
   walk and Coxeter tests.
+- :func:`build_group_sum`, P(S_{n+1}) as one dense matrix by the
+  right-coset product, adding in the library's order: the reference for
+  ``Algebra.group_sum`` (``test_memoized_operators_equal_the_builders_bit_for_bit``,
+  bit for bit in the dense layout).
 - :func:`kernel_projector` and :func:`ideal_complement_projector`, the
   projectors onto ker P and ker S from one eigendecomposition of the whole
   matrix, with every amplification a Kronecker product: the references for
@@ -321,6 +325,21 @@ def build_P(T: BlockOperator, n: int) -> BlockOperator:
     for m in range(2, n + 1):
         P = apply_left(P, d, 2, build_R(T, m).mat)
     return dense(d, n, P)
+
+
+def build_group_sum(T: BlockOperator, n: int) -> BlockOperator:
+    """P(S_{n+1}) as one dense matrix, by the right cosets of S_m in S_{m+1}:
+    P(S_{m+1}) = P(S_m)(1 + T_m + T_m T_{m-1} + ... + T_m ... T_1), each
+    chain term added as it is made, the order ``coxeter.group_sum`` adds in."""
+    _require_level2(T)
+    d = T.d
+    total = np.eye(d ** (n + 1), dtype=np.complex128)
+    for m in range(1, n + 1):
+        term = total
+        for k in range(m, 0, -1):
+            term = apply_slots(T.mat, d, k, term)
+            total = total + term
+    return dense(d, n + 1, total)
 
 
 def build_U(T: BlockOperator, n: int) -> BlockOperator:

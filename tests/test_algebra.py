@@ -11,18 +11,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
-from conftest import example3, hecke, qccr, qij, rotated, twisted_flip
+from conftest import braided_families, example3, hecke, qccr, qij, rotated, twisted_flip
 from wickfock import cli, coxeter, model, spectral, tensorops
 from wickfock.algebra import MAX_LEVEL_BYTES, Algebra, check_level
 
 
-def walk_total(alg: Algebra, n: int) -> tensorops.BlockOperator:
-    """P(S_{n+1}) as the sum of the buckets of a second walk, each bucket
-    placed densely."""
-    walk = coxeter.descent_sums(alg, n)
-    return oracles.dense(alg.T.d, n + 1, sum(walk.sum([mask]).mat for mask in range(len(walk))))
+def walk_total(alg: Algebra, n: int) -> np.ndarray:
+    """P(S_{n+1}) as the sum of the buckets of the walk over descent
+    classes, each bucket placed densely."""
+    walk = alg.descent_sums(n)
+    return sum(walk.sum([mask]).mat for mask in range(len(walk)))
 
 
 def relative_gap(op, reference: np.ndarray) -> float:
@@ -43,10 +45,10 @@ def test_memoized_operators_equal_the_builders_bit_for_bit():
         for n in range(0, 5):
             pairs += [(alg.R, oracles.build_R, n), (alg.P, oracles.build_P, n)]
         for n in range(1, 4):
-            pairs += [(alg.U, oracles.build_U, n), (alg.group_sum, walk_total, n)]
+            pairs += [(alg.U, oracles.build_U, n), (alg.group_sum, oracles.build_group_sum, n)]
         for method, builder, n in pairs:
             first = method(n)
-            reference = builder(alg if builder is walk_total else T, n).mat
+            reference = builder(T, n).mat
             if alg.weight:
                 assert relative_gap(first, reference) <= 1e-12, (spec.source, builder.__name__, n)
             else:
@@ -120,7 +122,7 @@ def test_kernel_is_memoized_per_rank_tolerance():
     assert alg.ker_P(3, 1e-6) is not K
 
 
-def test_walk_leaves_its_total_as_the_group_sum():
+def test_walk_is_memoized_read_only_and_sums_in_its_layout():
     alg = Algebra(qccr(2, 0.5))
     walk = alg.descent_sums(3)
     assert alg.descent_sums(3) is walk
@@ -131,11 +133,40 @@ def test_walk_leaves_its_total_as_the_group_sum():
     # sums added within the layout and placed once equal the sums of the
     # placed buckets bit for bit
     buckets = [walk.sum([mask]).mat for mask in range(len(walk))]
-    assert np.array_equal(alg.group_sum(3).mat, sum(buckets))
     assert np.array_equal(walk.sum([0, 2, 5]).mat, buckets[0] + buckets[2] + buckets[5])
-    rep = coxeter.coxeter_checks(alg, 2)
-    assert rep["group_sum"] <= 1e-10
-    assert np.array_equal(alg.group_sum(2).mat, walk_total(alg, 2).mat)
+    assert np.array_equal(walk.sum(range(len(walk))).mat, sum(buckets))
+
+
+@pytest.mark.parametrize("rotate, d, max_rank", [(False, 2, 6), (False, 3, 4), (True, 2, 6)])
+@given(data=st.data())
+def test_group_sum_matches_the_walk_total(rotate, d, max_rank, data):
+    # the right-coset product against the walk's buckets, which add the same
+    # phi(w) grouped by descent class; a rotated T is one dense block
+    spec = data.draw(braided_families(d))
+    alg = Algebra(rotated(spec, 1) if rotate else spec)
+    assert alg.weight is not rotate
+    for n in range(1, max_rank + 1):
+        assert relative_gap(alg.group_sum(n), walk_total(alg, n)) <= 1e-12, (spec.source, n)
+
+
+def test_group_sum_steps_each_chain_term_once_and_walks_nothing(monkeypatch):
+    # rank 6: the chains T_m, T_m T_{m-1}, ..., T_m ... T_1 for m = 1..6 take
+    # n(n+1)/2 = 21 slot steps, against 321 for the walk over descent
+    # classes, and no walk is built or kept
+    steps = []
+    make = coxeter.slot_step
+
+    def counted(M, layout):
+        step = make(M, layout)
+        return lambda i, X: steps.append(i) or step(i, X)
+
+    monkeypatch.setattr(coxeter, "slot_step", counted)
+    for spec in (qccr(2, 0.5), rotated(hecke(2, 0.6), 1)):
+        alg = Algebra(spec)
+        alg.group_sum(6)
+        assert steps == [k for m in range(1, 7) for k in range(m, 0, -1)], spec.source
+        assert not any(key[0] == "walk" for key in alg._memo), spec.source
+        steps.clear()
 
 
 def test_level_guard():
@@ -287,8 +318,10 @@ def peak_bytes(run) -> int:
 
 
 def test_group_sum_memory_stays_near_the_packed_walk():
-    # d=2, rank 6: the held walk is 64 buckets of 3,432 entries, about 13.4
-    # dense 128 x 128 matrices; scattering every bucket densely took 64 more
+    # d=2, rank 6: a walk held 64 buckets of 3,432 entries, about 13.4
+    # dense 128 x 128 matrices, and scattering every bucket densely took 64
+    # more; the right-coset sum holds no bucket (0.9 MB at its peak, most of
+    # it the slot step's kept tables)
     alg = Algebra(qccr(2, 0.5))
     assert peak_bytes(lambda: alg.group_sum(6)) < 24 * 16 * 128**2
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -581,11 +582,40 @@ def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeyp
 
 
 def test_braid_gate_reason_names_no_override(braid_violating_path, tmp_path):
-    code, report = run(["coxeter", "--spec", braid_violating_path, "--n", "2"], tmp_path)
-    assert code == 0
-    [record] = report["checks"]
-    assert record["status"] == "inapplicable"
-    assert record["reason"].endswith("the map is only well defined for braided operators")
+    # the group sum of `pn` takes no walk, but the walk's braid gate, with
+    # the same reason
+    residual = Algebra(model.load_spec_file(braid_violating_path)).braid_residual
+    reason = f"braid residual {residual:.3e} exceeds 1.0e-08; the map is only well defined for braided operators"
+    for args in (["coxeter", "--n", "2"], ["pn", "--n", "3", "--method", "coxeter"]):
+        code, report = run(args + ["--spec", braid_violating_path], tmp_path)
+        assert code == 0, args
+        [record] = report["checks"]
+        assert record["status"] == "inapplicable" and record["reason"] == reason, args
+
+
+def test_pn_coxeter_at_d3_level_7_holds_no_walk(tmp_path):
+    # peak RSS of the child, as the benchmark reads it: the group sum of S_7
+    # holds about 3 operators of 272,835 packed entries; the walk's 64
+    # buckets took the peak to 382 MiB
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    spec = write_spec(tmp_path, "qccr3.json", {"d": 3, "preset": {"name": "q-ccr", "q": 0.5}})
+    proc = subprocess.Popen([sys.executable, "-m", "wickfock.cli", "pn", "--spec", spec, "--n", "7",
+                             "--method", "coxeter", "--out", str(tmp_path / "r.json")],
+                            env=dict(os.environ, PYTHONPATH=pythonpath), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    for _ in range(1200):  # 120 s
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        if pid:
+            break
+        time.sleep(0.1)
+    else:
+        proc.kill()
+        proc.wait()
+        pytest.fail("pn --n 7 did not finish in 120 s")
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
+    assert proc.returncode == 0
+    assert usage.ru_maxrss / 1024 < 200, usage.ru_maxrss  # KiB on Linux
 
 
 def test_negative_seed_is_input_error_before_the_spec_is_read(tmp_path, capsys):

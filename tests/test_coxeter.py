@@ -167,25 +167,25 @@ def test_group_sum_scalar_poincare():
     expected = sum(
         0.5 ** brute_inversions(p) for p in itertools.permutations(range(3))
     )
-    value = Algebra(qccr(1, 0.5)).descent_sums(2).sum().mat[0, 0]
+    value = Algebra(qccr(1, 0.5)).group_sum(2).mat[0, 0]
     assert abs(value - expected) <= 1e-15
     assert abs(value - 2.625) <= 1e-15
-    assert abs(Algebra(qccr(1, 1.0)).descent_sums(2).sum().mat[0, 0] - 6.0) <= 1e-15
+    assert abs(Algebra(qccr(1, 1.0)).group_sum(2).mat[0, 0] - 6.0) <= 1e-15
 
 
 def test_group_sum_free_is_identity():
-    assert np.array_equal(Algebra(free_spec(2)).descent_sums(2).sum().mat, np.eye(8))
+    assert np.array_equal(Algebra(free_spec(2)).group_sum(2).mat, np.eye(8))
 
 
 def test_group_sum_matches_recursive_P():
     for label, spec in braided_presets():
         alg = Algebra(spec)
         for n in range(1, 5):
-            residual = tensorops.op_norm(alg.descent_sums(n).sum().mat - oracles.build_P(alg.T, n + 1).mat)
+            residual = tensorops.op_norm(alg.group_sum(n).mat - oracles.build_P(alg.T, n + 1).mat)
             assert residual <= 1e-10, (label, n)
     alg3 = Algebra(qccr(3, 0.5))
     for n in range(1, 4):
-        residual = tensorops.op_norm(alg3.descent_sums(n).sum().mat - oracles.build_P(alg3.T, n + 1).mat)
+        residual = tensorops.op_norm(alg3.group_sum(n).mat - oracles.build_P(alg3.T, n + 1).mat)
         assert residual <= 1e-10
 
 
@@ -247,7 +247,7 @@ def test_descent_sums_match_phi_grouped_by_descent_set():
         T, d = alg.T, alg.T.d
         for n in (1, 2, 3):
             sums = alg.descent_sums(n)
-            assert sums.record["layout"] == layout, label
+            assert sums.layout.record["layout"] == layout, label
             expected = [np.zeros((d ** (n + 1),) * 2, dtype=complex) for _ in range(2**n)]
             for e in oracles.enumerate_group(n):
                 mask = sum(1 << (s - 1) for s in oracles.descents(e.perm))
@@ -269,7 +269,7 @@ def test_packed_walk_matches_dense_walk(d, max_rank, data):
     alg = Algebra(data.draw(braided_families(d)))
     for n in range(1, max_rank + 1):
         walk = alg.descent_sums(n)
-        assert walk.record["layout"] == "weight"
+        assert walk.layout.record["layout"] == "weight"
         for mask, dense in zip(range(len(walk)), dense_walk(alg.T, n), strict=True):
             assert np.linalg.norm(walk.sum([mask]).mat - dense, 2) <= 1e-13, (n, alg.T.mat)
 
@@ -299,7 +299,7 @@ def test_descent_sums_match_the_element_walk(d, max_rank, data):
 def test_descent_sums_match_the_element_walk_on_one_dense_block(q):
     alg = Algebra(rotated(hecke(2, q), 1))
     for n in range(1, 6):
-        assert alg.descent_sums(n).record["layout"] == "dense"
+        assert alg.descent_sums(n).layout.record["layout"] == "dense"
         assert_matches_element_walk(alg, n, q)
 
 
@@ -380,7 +380,7 @@ def test_walk_layout_detection():
     for spec in dense:
         alg = Algebra(spec)
         walk = alg.descent_sums(3)
-        assert walk.record == {"layout": "dense", "blocks": 1, "largest_block": alg.T.d**4}
+        assert walk.layout.record == {"layout": "dense", "blocks": 1, "largest_block": alg.T.d**4}
         # the one block is the dense square, flattened row-major: the same
         # walk as the dense reference, bit for bit
         reference = dense_walk(alg.T, 3)
@@ -394,7 +394,7 @@ def test_walk_layout_detection():
     assert np.array_equal(alg.T.mat, M)
     assert not alg.weight
     walk = alg.descent_sums(2)
-    assert walk.record["layout"] == "dense"
+    assert walk.layout.record["layout"] == "dense"
     assert np.array_equal([walk.sum([mask]).mat for mask in range(len(walk))], dense_walk(alg.T, 2))
 
 
@@ -407,7 +407,7 @@ def test_walk_leaves_nothing_for_the_cycle_collector():
         gc.disable()
         try:
             walk = coxeter.descent_sums(alg, 4)
-            assert gc.collect() == 0, walk.record
+            assert gc.collect() == 0, walk.layout.record
         finally:
             gc.enable()
 
@@ -425,7 +425,7 @@ def test_weight_blocks_count_words_by_letter_content():
         for words in spaces:
             assert list(words) == sorted(words)
             assert len({contents[w] for w in words}) == 1
-        assert Algebra(qccr(d, 0.5)).descent_sums(level - 1).record == {
+        assert Algebra(qccr(d, 0.5)).layout(level).record == {
             "layout": "weight", "blocks": len(counts), "largest_block": max(counts.values())
         }
 
@@ -564,7 +564,7 @@ def test_young_factors_are_located_once_per_slot_group(monkeypatch):
     index = tensorops.Layout.index
     monkeypatch.setattr(tensorops.Layout, "index", lambda layout, u, v: calls.append((layout.level, u)) or index(layout, u, v))
     sums = list(coxeter._young_sums(alg, 4))
-    _, _, rows, _ = alg.layout(5).entries()
+    rows = alg.layout(5).entries(row=True)
     located = [(width, last) for width, u in calls for last in range(width, 6)
                if np.array_equal(u, rows // 3 ** (5 - last) % 3**width)]
     groups = [(last - first + 1, last) for first in range(1, 6) for last in range(first + 1, 6)]

@@ -175,7 +175,7 @@ def test_layout_index_inverts_entries(d, level, weight):
     # lies in one block iff the letter contents agree (weight) or always
     # (one dense block), by brute force over all pairs, and -1 otherwise
     layout = tensorops.Layout(d, level, weight)
-    _, _, u, v = layout.entries()
+    u, v = layout.entries(row=True), layout.entries()
     assert np.array_equal(layout.index(u, v), np.arange(layout.size))
     every = np.arange(d**level)
     for b, words in enumerate(layout.words):
