@@ -189,5 +189,6 @@ class Algebra:
         return self._get(("walk", n), n + 1, lambda: coxeter.descent_sums(self, n))
 
     def group_sum(self, n: int) -> BlockOperator:
-        """P(S_{n+1}), by its right-coset product, with no walk."""
+        """P(S_{n+1}), by its right-coset product, with no walk: a few
+        operators of level n+1, so the level guard is its only guard."""
         return self._get(("group_sum", n), n + 1, lambda: coxeter.group_sum(self, n))

@@ -250,7 +250,7 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0; got {args.seed}")
     spec = load_spec_file(args.spec)
-    walk = None  # the rank of the deepest sum over S_{n+1} the command takes (walk or group sum)
+    walk = None  # the rank of the deepest walk of S_{n+1} the command takes
     if args.command == "inner":
         X = rewrite.parse_word_expr(args.x, spec.d)
         Y = rewrite.parse_word_expr(args.y, spec.d)
@@ -260,11 +260,9 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
         top = walk + 1
     else:  # check takes neither --n nor --n-max
         top = args.n if args.n is not None else args.n_max or 2
-        walks = args.command == "full" or (args.command == "pn" and args.method != "recursive")
-        if walks and top >= 2:
-            walk = top - 1
-        if args.command == "full":  # the chain T_1 ... T_n of the deepest Wick-ideal check
-            top = max(top, _full_reports(top, spec.d)[1][-1] + 1)
+        if args.command == "full":  # its last Coxeter walk; the chain T_1 ... T_n of its deepest Wick-ideal check
+            coxeter_ranks, wick_levels, _ = _full_reports(top, spec.d)
+            walk, top = coxeter_ranks[-1], max(top, wick_levels[-1] + 1)
     if args.command != "inner" and getattr(args, "method", None) != "recursive":
         top = max(top, 3)  # the braid residual, taken at level 3
     alg = Algebra(spec)  # decides the layout from the coefficients; T is built on first use

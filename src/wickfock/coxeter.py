@@ -31,7 +31,9 @@ P_{n+1} = (1 (x) P_n) R_{n+1}.  Every operand stays in the layout of level
 n+1, P(W_J) included (built per block from the blocks of the recursive
 P_b), so each residual is the largest over the blocks and a
 weight-preserving T places no dense matrix.  :func:`check_walk` guards
-both sums, on the operators' entries in their layout.
+the walk, on the operators' entries in its layout; the group sum holds a
+few operators and takes only the level guard of its
+:class:`~wickfock.algebra.Algebra`.
 
 >>> from wickfock.algebra import Algebra
 >>> from wickfock.model import preset
@@ -72,7 +74,9 @@ __all__ = [
 
 MAX_RANK = 6  # guard: S_7 has 5040 elements
 MAX_WALK_BYTES = 2 * 1024**3  # fixed guard on the matrices one walk keeps live
-WALK_ENTRY_BYTES = 480  # per packed entry, beyond the operators of 16-byte entries
+# per packed entry, beyond the operators of 16-byte entries: index arrays and
+# the checks' operands; fitted when slot steps kept per-entry tables, so high now
+WALK_ENTRY_BYTES = 480
 
 
 class BraidConditionError(ValueError):
@@ -89,8 +93,9 @@ def check_walk(d: int, n: int, weight: bool = False) -> None:
     entries; in the weight layout (``weight``: T is weight-preserving) it
     has the packed entries of the level
     (:func:`~wickfock.tensorops.packed_size`), and each entry adds
-    WALK_ENTRY_BYTES for the slot step's tables and index arrays and the
-    operands of :func:`coxeter_checks`; conservative for :func:`group_sum`."""
+    WALK_ENTRY_BYTES for the index arrays and the operands of
+    :func:`coxeter_checks`.  That value was fitted while the slot step still
+    kept per-entry tables, so it now overestimates."""
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank n={n} out of guard range 1..{MAX_RANK}")
     held = 2**n + 5
@@ -154,8 +159,7 @@ def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
 
 
 def _gate(alg: Algebra, n: int) -> Layout:
-    """The layout of a sum over S_{n+1}, past :func:`check_walk` and the braid gate."""
-    check_walk(alg.spec.d, n, alg.weight)
+    """The layout of a sum over S_{n+1}, past the braid gate."""
     if alg.braid_residual > BRAID_TOL:
         raise BraidConditionError(f"braid residual {alg.braid_residual:.3e} exceeds {BRAID_TOL:.1e}; "
                                   "the map is only well defined for braided operators")
@@ -173,6 +177,7 @@ def descent_sums(alg: Algebra, n: int) -> Walk:
     :func:`check_walk` before anything is allocated, and gated on the braid
     residual of ``alg``.
     """
+    check_walk(alg.spec.d, n, alg.weight)
     layout = _gate(alg, n)
     return Walk(layout, _walk(n, packed_identity(layout), slot_step(alg.T, layout)))
 
@@ -181,7 +186,9 @@ def group_sum(alg: Algebra, n: int) -> BlockOperator:
     """P(S_{n+1}) = prod_{m=1..n} (1 + T_m + T_m T_{m-1} + ... + T_m ... T_1),
     each chain term added as the :func:`~wickfock.tensorops.slot_step` makes
     it: n(n+1)/2 steps (21 at rank 6) with three operators live, in the
-    layout, guard and braid gate of :func:`descent_sums`."""
+    layout and behind the braid gate of :func:`descent_sums`.  No walk
+    guard: ``alg.layout(n + 1)`` runs the level guard, which budgets more
+    per entry than the three operators take."""
     layout = _gate(alg, n)
     step, total = slot_step(alg.T, layout), packed_identity(layout)
     for m in range(1, n + 1):

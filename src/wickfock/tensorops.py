@@ -35,7 +35,7 @@ residuals are bit-reproducible run to run.
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +62,6 @@ __all__ = [
 BRAID_TOL = 1e-8
 MAX_BUILD_BYTES = 1024**3  # fixed guard on one build in the weight layout, at its peak
 PACKED_ENTRY_BYTES = 128  # what a build holds per packed entry at its peak (78-110 measured)
-TABLE_BYTES = 40  # slot_step's tables of one slot, per packed entry: two complex, one int64
-MAX_KEPT_TABLE_BYTES = 64 * 1024**2  # fixed budget for the tables slot_step keeps
 
 
 def largest_block(d: int, level: int, weight: bool) -> int:
@@ -321,30 +319,14 @@ def slot_step(M: BlockOperator, layout: Layout):
     where S_i takes each column c to the column of swap_i(c) and D_i, O_i are
     the coefficients of M taking the letters of c at slots i, i+1 to
     themselves and to their swap (:func:`_slot_columns`, tables over the
-    words), taken block by block.  From its second step on, a slot is one
-    flat gather over the packed entries, by tables of TABLE_BYTES per entry kept when the
-    tables of all level - 1 slots fit in MAX_KEPT_TABLE_BYTES (every walk the
-    walk guard admits, and U_n at small levels); a build that steps each slot
-    once, or one above that budget, holds no per-entry table."""
+    words), taken block by block on every step; nothing is kept from one
+    step to the next, so no table grows with the packed entries."""
     if len(layout.words) == 1:
         D = M.d**layout.level
         return lambda i, X: apply_slots(M.mat, M.d, i, X.reshape(D, D)).reshape(-1)
     columns, order = _slot_columns(M, layout), np.concatenate(layout.words)
-    keep = (layout.level - 1) * TABLE_BYTES * layout.size <= MAX_KEPT_TABLE_BYTES
-    entries = cache(layout.entries)  # per entry: the word of its column, for kept tables
-    tables: dict = {}  # slot -> its kept tables, or None after its first step
 
     def apply(i: int, X: np.ndarray) -> np.ndarray:
-        if keep and i in tables:
-            if tables[i] is None:
-                cols, (diag, swap, off) = entries(), columns(i)
-                tables[i] = diag[cols], np.arange(cols.size) - layout.pos[cols] + swap[cols], off[cols]
-            diag, swap, off = tables[i]
-            out = X[swap]
-            out *= off
-            out += X * diag  # X D_i + X[S_i] O_i, one temporary fewer
-            return out
-        tables[i] = None
         diag, swap, off = (table[order] for table in columns(i))  # the columns of block after block
         out, end = np.empty_like(X), 0
         for x, o in zip(layout.views(X), layout.views(out)):

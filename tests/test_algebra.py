@@ -320,10 +320,17 @@ def peak_bytes(run) -> int:
 def test_group_sum_memory_stays_near_the_packed_walk():
     # d=2, rank 6: a walk held 64 buckets of 3,432 entries, about 13.4
     # dense 128 x 128 matrices, and scattering every bucket densely took 64
-    # more; the right-coset sum holds no bucket (0.9 MB at its peak, most of
-    # it the slot step's kept tables)
+    # more; the right-coset sum holds no bucket (0.2 MB at its peak)
     alg = Algebra(qccr(2, 0.5))
     assert peak_bytes(lambda: alg.group_sum(6)) < 24 * 16 * 128**2
+
+
+def test_group_sum_at_d3_rank_6_holds_a_few_operators():
+    # the chain of S_7 keeps the sum, the current term and the next, each
+    # 272,835 packed entries of 16 bytes, and no per-entry table: 3.2
+    # operators at the peak (17 when slot_step kept the tables of every slot)
+    alg = Algebra(qccr(3, 0.5))
+    assert peak_bytes(lambda: alg.group_sum(6)) < 4 * 16 * 272835
 
 
 def test_level_7_builds_hold_a_few_operators():

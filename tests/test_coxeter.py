@@ -530,8 +530,10 @@ def test_descent_sums_guards():
         coxeter.check_walk(3, 6)
     with pytest.raises(ValueError, match=message):
         coxeter.descent_sums(alg3, 6)
-    with pytest.raises(ValueError, match=message):
-        alg3.group_sum(6)
+    # the group sum holds a few operators and no bucket: only the level
+    # guard refuses it, here one dense 3^8 x 3^8 matrix of about 689 MB
+    with pytest.raises(ValueError, match=f"one dense matrix at level 8, d=3 needs {16 * 3**16} bytes"):
+        alg3.group_sum(7)
     # d=5 at n=5 passes the level guard, but its 2,241,225 packed entries
     # an operator put the walk over the guard
     alg5 = Algebra(qccr(5, 0.5))
@@ -542,8 +544,9 @@ def test_descent_sums_guards():
         coxeter.check_walk(5, 5, weight=True)
     with pytest.raises(ValueError, match=message):
         coxeter.descent_sums(alg5, 5)
-    with pytest.raises(ValueError, match=message):
-        alg5.group_sum(5)
+    # at rank 6 the 41,467,725 packed entries of level 7 are over the build guard
+    with pytest.raises(ValueError, match="the weight blocks at level 7, d=5 hold 41467725 entries per operator"):
+        alg5.group_sum(6)
 
 
 def test_coxeter_checks_report_shape():

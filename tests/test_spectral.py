@@ -15,6 +15,7 @@ from conftest import (
     example3,
     free_spec,
     hecke,
+    matrix_spec,
     qccr,
     qij,
     rotated,
@@ -368,3 +369,67 @@ def test_kernel_1mU2_flip():
     assert rep["dim_intersection"] == 4
     assert rep["involution_residual"] <= 1e-10
     assert rep["status"] == "pass"
+
+
+# Each status condition below is driven to "fail" with every other quantity
+# of its report still within tol, so a status that ignored it would pass.
+# Where no natural input fails it, one operator the Algebra memoizes is
+# replaced by a faulty copy after what must not see the fault is built.
+
+
+def test_un_laws_fail_on_the_commutation_of_a_T_that_is_not_braided():
+    # a random self-adjoint T at d=2 with ||T|| = 1/2: P_3 is strictly
+    # positive, so the invariance residual is 0, while T_k U_2 = U_2 T_{3-k}
+    # needs the braid relation (its residual 0.047 here)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    H = A + A.conj().T
+    alg = Algebra(matrix_spec(0.5 * H / np.linalg.norm(H, 2)))
+    assert alg.braid_residual > 1e-2
+    rep = spectral.un_checks(alg, 2)
+    assert rep["invariance_residual"] <= spectral.CHECK_TOL < rep["commutation_residual"]
+    assert rep["status"] == "fail"
+
+
+def perturbed(op: tensorops.BlockOperator, shift: float) -> tensorops.BlockOperator:
+    """``op + shift 1``, block by block."""
+    return tensorops.BlockOperator(op.layout, [m + shift * np.eye(len(m)) for m in op.mats])
+
+
+def test_kernel_theorem_fails_on_the_inclusion_margin_alone():
+    # the flip at level 3: ker P_3 (dimension 4) is decided from the true P_3,
+    # then P_3 + 1e-6 takes its place, which moves only ||P_3 Pi_sum||
+    alg, level = Algebra(qccr(2, 1.0)), 3
+    alg.ker_P(level, spectral.RANK_TOL)
+    alg._memo["P", level] = perturbed(alg.P(level), 1e-6)
+    rep = spectral.kernel_theorem_check(alg, level - 1)
+    assert rep["dim_ker_P"] == rep["dim_sum"] == 4
+    assert rep["distance"] <= spectral.CHECK_TOL < rep["inclusion_margin"]
+    assert rep["status"] == "fail"
+
+
+def test_wick_ideal_fails_on_the_kerR_margin_alone():
+    # the flip at level 3: R_3 (1 - v v*), v the top eigenvector of one block
+    # of P_3, so orthogonal to ker P_3; ker R_3 gains v, which P_3 does not
+    # annihilate, and R_3 X is unchanged on a basis X of ker P_3
+    alg, n = Algebra(qccr(2, 1.0)), 3
+    alg.ker_P(n, spectral.RANK_TOL)
+    v = np.linalg.eigh(alg.P(n).mats[1])[1][:, -1:]
+    R = alg.R(n)
+    alg._memo["R", n] = tensorops.BlockOperator(
+        R.layout, [m - m @ v @ v.conj().T if b == 1 else m for b, m in enumerate(R.mats)])
+    rep = spectral.wick_ideal_checks(alg, n)
+    others = ("annihilation_residual", "coaction_residual", "intertwining_residual")
+    assert max(rep[k] for k in others) <= spectral.CHECK_TOL < rep["kerR_inclusion_margin"]
+    assert rep["status"] == "fail"
+
+
+def test_kernel_1mU2_fails_on_the_involution_residual():
+    # the flip at n = 2: ker(1 - U_2^2) meets ker P_3 in dimension 4, where
+    # T_1^2 = 1; with T_1^2 + 1e-6 in its place the residual is 1e-6
+    alg, n = Algebra(qccr(2, 1.0)), 2
+    alg._memo["word", (1, 1), n + 1] = perturbed(alg.word((1, 1), n + 1), 1e-6)
+    rep = spectral.kernel_1mU2_diag(alg, n)
+    assert rep["dim_intersection"] == 4
+    assert rep["involution_residual"] > spectral.CHECK_TOL
+    assert rep["status"] == "fail"

@@ -10,7 +10,6 @@ import pytest
 import oracles
 from conftest import (
     braided_presets,
-    example3,
     free_spec,
     hecke,
     matrix_spec,
@@ -142,8 +141,8 @@ def test_apply_slots_and_word_product_match_kron_products(d):
 
 
 def test_slot_steps_and_slot_sum_agree_bit_for_bit():
-    # a slot's first step goes block by block, its later ones by one flat
-    # gather over kept per-entry tables; slot_sum scatters what stepping the
+    # every step goes block by block and keeps nothing, so a slot stepped
+    # again gives the same bits; slot_sum scatters what stepping the
     # identity through every slot adds up.  A random complex T that keeps
     # the weight layout, so no symmetry hides a misplaced entry.
     d, level = 3, 4
@@ -194,28 +193,6 @@ def test_packed_identity_is_each_blocks_identity_in_turn(d, level, weight):
     expected = np.concatenate([np.eye(len(w), dtype=np.complex128).ravel() for w in layout.words])
     got = tensorops.packed_identity(layout)
     assert got.dtype == np.complex128 and np.array_equal(got, expected)
-
-
-@pytest.mark.parametrize("spec,n", [(qccr(3, 0.5), 4), (qccr(2, 0.5), 6), (example3(3, 0.5), 4)])
-def test_slot_step_over_the_kept_table_budget_is_bit_equal(spec, n, monkeypatch):
-    # over MAX_KEPT_TABLE_BYTES, slot_step steps block by block on every
-    # call and builds no per-entry table (it never reads Layout.entries): the
-    # walk's buckets, U_n and the telescoping residual are those the kept
-    # tables give, bit for bit
-    def results():
-        alg = Algebra(spec)
-        return alg.descent_sums(n).buckets, alg.U(n).packed(), spectral.telescoping_residual(alg, n)
-
-    tables, entries = [], tensorops.Layout.entries
-    monkeypatch.setattr(tensorops.Layout, "entries", lambda layout: tables.append(layout) or entries(layout))
-    kept = results()
-    assert tables
-    tables.clear()
-    monkeypatch.setattr(tensorops, "MAX_KEPT_TABLE_BYTES", 0)
-    stepped = results()
-    assert not tables
-    for a, b in zip(kept, stepped):
-        assert np.array_equal(a, b)
 
 
 def test_braid_residual_presets_and_zero():
