@@ -38,9 +38,9 @@ class Algebra:
     and on what the blocks of one operator hold together), it builds
     read-only ``T``, the block layout of each level
     (:class:`~wickfock.tensorops.Layout`), R_n, P_n and its eigenvalues, the
-    words in the T_i (U_n among them), ker P_n, P(S_{n+1}) and, for the
-    Coxeter report alone, the walk of S_{n+1} (:mod:`coxeter`); a second
-    call returns the same object, so each is built once.
+    words in the T_i (U_n among them), ker P_n and P(S_{n+1}) (:mod:`coxeter`),
+    each kept for a second call, but for the R_m that :meth:`P` reads once:
+    it reads the R_m that :meth:`R` kept, or builds one for that step alone.
 
     R_n, P_n and the words are :class:`~wickfock.tensorops.BlockOperator`
     values built block by block: R_n and the words by the slot step of ``T``,
@@ -103,17 +103,17 @@ class Algebra:
 
     def R(self, n: int) -> BlockOperator:
         """R_n = 1 + T_1 + T_1 T_2 + ... + T_1 ... T_{n-1}; R_0 = R_1 = 1."""
+        return self._get(("R", n), n, lambda: self._R(n))
 
-        def build():
-            layout = self.layout(n)
-            step, term = slot_step(self.T, layout), packed_identity(layout)
-            total = term
-            for i in range(1, n):
-                term = step(i, term)
-                total += term  # the identity's array, no longer term's
-            return BlockOperator.from_packed(layout, total)
-
-        return self._get(("R", n), n, build)
+    def _R(self, n: int) -> BlockOperator:
+        """R_n, built and not kept."""
+        layout = self.layout(n)
+        step, term = slot_step(self.T, layout), packed_identity(layout)
+        total = term
+        for i in range(1, n):
+            term = step(i, term)
+            total += term  # the identity's array, no longer term's
+        return BlockOperator.from_packed(layout, total)
 
     def P(self, n: int) -> BlockOperator:
         """P_n by P_{n+1} = (1 (x) P_n) R_{n+1}, from P_0 = P_1 = 1, the
@@ -124,7 +124,7 @@ class Algebra:
             self.check_level(n)
             P = self.P(1)
             for m in range(2, n + 1):
-                P = self._get(("P", m), m, lambda: self.apply_tensor(P, self.R(m)))
+                P = self._get(("P", m), m, lambda: self.apply_tensor(P, self._memo.get(("R", m)) or self._R(m)))
         return self._memo["P", n]
 
     def eigenvalues(self, n: int) -> tuple:
@@ -181,12 +181,6 @@ class Algebra:
 
     def ker_P(self, n: int, rank_tol: float) -> Subspace:
         return self._get(("ker_P", n, rank_tol), n, lambda: kernel(self.P(n), rank_tol))
-
-    def descent_sums(self, n: int) -> coxeter.Walk:
-        """The descent-set buckets of the walk of S_{n+1}, in the layout of
-        level n+1; :meth:`coxeter.Walk.sum` adds the sums a caller reads in
-        that layout."""
-        return self._get(("walk", n), n + 1, lambda: coxeter.descent_sums(self, n))
 
     def group_sum(self, n: int) -> BlockOperator:
         """P(S_{n+1}), by its right-coset product, with no walk: a few

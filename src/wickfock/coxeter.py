@@ -10,8 +10,8 @@ braid condition, so every sum is gated on the braid residual.
 :func:`group_sum` builds P(S_{n+1}) by its right cosets of S_m,
 P(S_{m+1}) = P(S_m)(1 + T_m + T_m T_{m-1} + ... + T_m ... T_1), in
 n(n+1)/2 right multiplications by a T_i.  :func:`descent_sums` adds phi
-over each of the 2^n descent classes into one bucket, kept in one
-read-only :class:`Walk` that only :func:`coxeter_checks` reads.  The walk
+over each of the 2^n descent classes into one bucket, in one read-only
+:class:`Walk` that only :func:`coxeter_checks` reads, and drops.  The walk
 visits descent classes, not elements: every w in S_{m+1} is uniquely
 u s_m s_{m-1} ... s_k with u in S_m and 1 <= k <= m+1 (m+1 inserted at
 position k of u's one-line form, the lengths adding), so
@@ -25,7 +25,7 @@ sum of buckets is a :class:`~wickfock.tensorops.BlockOperator`.  Every
 descent-class sum P(D_J) and the alternating Euler-Solomon side are sums
 of buckets, which :func:`coxeter_checks` compares against the group sum
 and the independent constructions of P_{n+1}, U_n and P(W_J), read from
-the :class:`~wickfock.algebra.Algebra` that holds them; the group-sum
+the :class:`~wickfock.algebra.Algebra` that keeps them; the group-sum
 check sets the right-coset product against the left factorization
 P_{n+1} = (1 (x) P_n) R_{n+1}.  Every operand stays in the layout of level
 n+1, P(W_J) included (built per block from the blocks of the recursive
@@ -238,8 +238,8 @@ def _young_sums(alg: Algebra, n: int):
 
 def coxeter_checks(alg: Algebra, n: int) -> dict:
     """Every Coxeter identity at rank n from the buckets of the walk of
-    S_{n+1} and the group sum that ``alg`` holds (``alg.descent_sums(n)``,
-    ``alg.group_sum(n)``), as operator norm residuals on H^(x)(n+1):
+    S_{n+1}, dropped on return, and the group sum that ``alg`` keeps
+    (``alg.group_sum(n)``), as operator norm residuals on H^(x)(n+1):
 
     - ``group_sum``: the right-coset P(S_{n+1}) against the recursive P_{n+1};
     - ``factorization``: per J (in mask order), P_{n+1} against
@@ -258,7 +258,7 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
     layout of the walk, so no dense matrix is placed when T is
     weight-preserving, and every residual is the largest over the blocks.
     """
-    walk = alg.descent_sums(n)
+    walk = descent_sums(alg, n)
     full = 2**n - 1
     P = alg.P(n + 1)
     U = alg.U(n)

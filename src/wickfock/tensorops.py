@@ -61,7 +61,7 @@ __all__ = [
 
 BRAID_TOL = 1e-8
 MAX_BUILD_BYTES = 1024**3  # fixed guard on one build in the weight layout, at its peak
-PACKED_ENTRY_BYTES = 128  # what a build holds per packed entry at its peak (78-110 measured)
+PACKED_ENTRY_BYTES = 128  # what a build holds per packed entry at its peak (72-92 measured)
 
 
 def largest_block(d: int, level: int, weight: bool) -> int:
@@ -87,8 +87,9 @@ def packed_size(d: int, level: int) -> int:
 
 
 def check_level(d: int, level: int, weight: bool = False) -> None:
-    """Refuse, before anything is allocated, a level whose operators need
-    more than the guards allow.  Without ``weight``: one dense d^L x d^L
+    """Refuse, before anything is allocated, a level over 500 (at d=1 no
+    byte guard bounds the work) or one whose operators need more than the
+    byte guards allow.  Without ``weight``: one dense d^L x d^L
     matrix over MAX_LEVEL_BYTES.  With ``weight`` (the layout of a
     weight-preserving T): the largest weight-space block over
     MAX_LEVEL_BYTES, or a build over MAX_BUILD_BYTES at its peak, counted as
@@ -97,6 +98,8 @@ def check_level(d: int, level: int, weight: bool = False) -> None:
     sort the d^L words."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
+    if level > 500:
+        raise ValueError(f"level {level} is over the fixed guard of 500 levels")
     capped = min(level, 32)  # exact up to level 32, a lower bound beyond
     size = largest_block(d, capped, weight)
     need = 16 * size**2

@@ -114,7 +114,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from wickfock import fock, rewrite
+from wickfock import coxeter, fock, rewrite
 from wickfock.coxeter import MAX_RANK
 from wickfock.fock import GradedVector, _pad, _random_graded, create
 from wickfock.model import SpecError, WickSpec
@@ -635,7 +635,7 @@ def young_sum(alg, n: int, J: int) -> np.ndarray:
 def coxeter_checks(alg, n: int) -> dict:
     """``coxeter.coxeter_checks`` with every operand placed as one dense
     matrix and every residual the norm of a dense difference."""
-    walk = alg.descent_sums(n)
+    walk = coxeter.descent_sums(alg, n)
     full = 2**n - 1
     eye = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
     P = alg.P(n + 1).mat

@@ -151,7 +151,7 @@ def test_criterion_07_factorizations():
                 worst = max(worst, fact["residual"])
         # the walk's bucket sum P(D_J), J = {1..m-1}, against the Rt product P(D_m)
         for n, m in [(1, 2), (2, 2), (1, 3)]:
-            sums = alg.descent_sums(n + m - 1)
+            sums = coxeter.descent_sums(alg, n + m - 1)
             J = 2 ** (m - 1) - 1
             PDJ = sums.sum(D for D in range(len(sums)) if not D & J).mat
             worst = max(worst, tensorops.op_norm(PDJ - oracles.build_PDm(T, n, m).mat))

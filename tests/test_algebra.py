@@ -2,11 +2,13 @@
 one build of each operator per CLI run."""
 
 import collections
+import gc
 import itertools
 import json
 import math
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from wickfock.algebra import MAX_LEVEL_BYTES, Algebra, check_level
 def walk_total(alg: Algebra, n: int) -> np.ndarray:
     """P(S_{n+1}) as the sum of the buckets of the walk over descent
     classes, each bucket placed densely."""
-    walk = alg.descent_sums(n)
+    walk = coxeter.descent_sums(alg, n)
     return sum(walk.sum([mask]).mat for mask in range(len(walk)))
 
 
@@ -68,10 +70,10 @@ def test_every_operator_the_algebra_returns_is_read_only():
     for spec in (qccr(3, 0.5), rotated(hecke(2, 0.6), 1)):
         alg = Algebra(spec)
         ops = [alg.T, alg.R(4), alg.P(4), alg.U(3), alg.word((2, 1), 3), alg.group_sum(3),
-               alg.descent_sums(2).sum([0, 3]), alg.ker_P(4, 1e-8).parts, alg.ker_P(4, 1e-8).projector(),
-               spectral.ideal_complement(alg, 4).parts, alg.apply_tensor(alg.P(3), alg.R(4), last=True),
-               alg.R(1), alg.P(0), alg.word((), 2)]
-        assert alg.descent_sums(2).layout is alg.layout(3)
+               coxeter.descent_sums(alg, 2).sum([0, 3]), alg.ker_P(4, 1e-8).parts,
+               alg.ker_P(4, 1e-8).projector(), spectral.ideal_complement(alg, 4).parts,
+               alg.apply_tensor(alg.P(3), alg.R(4), last=True), alg.R(1), alg.P(0), alg.word((), 2)]
+        assert coxeter.descent_sums(alg, 2).layout is alg.layout(3)
         for op in ops:
             assert op.layout is alg.layout(op.level), spec.source
             assert not any(w.flags.writeable for w in op.words), spec.source
@@ -111,6 +113,25 @@ def test_P_builds_its_levels_bottom_up():
     assert Algebra(qccr(1, q)).P(400).mats[0].item() == pytest.approx(q_factorial, rel=1e-12)
 
 
+def test_P_keeps_no_R_it_built_and_reads_a_kept_one():
+    # P_m = (1 (x) P_{m-1}) R_m reads each R_m once: after P(6) no R_m is
+    # held, while R(n) asked for directly is kept and read by the P step
+    alg = Algebra(qccr(2, 0.5))
+    alg.P(6)
+    assert not [key for key in alg._memo if key[0] == "R"]
+    assert all(("P", m) in alg._memo for m in range(2, 7))
+    alg = Algebra(qccr(2, 0.5))
+    R3 = alg.R(3)
+    assert alg.R(3) is R3
+    read = []
+    tensor = alg.apply_tensor
+    alg.apply_tensor = lambda op, A, last=False: read.append(A) or tensor(op, A, last)
+    alg.P(4)
+    assert read[1] is R3 and alg.R(3) is R3 and ("R", 4) not in alg._memo
+    reference = oracles.build_P(model.build_T(alg.spec), 4).mat
+    assert relative_gap(alg.P(4), reference) <= 1e-12
+
+
 def test_kernel_is_memoized_per_rank_tolerance():
     alg = Algebra(qccr(2, 1.0))
     K = alg.ker_P(3, 1e-8)
@@ -122,10 +143,13 @@ def test_kernel_is_memoized_per_rank_tolerance():
     assert alg.ker_P(3, 1e-6) is not K
 
 
-def test_walk_is_memoized_read_only_and_sums_in_its_layout():
+def test_walk_is_read_only_and_sums_in_its_layout():
+    # the Algebra keeps no walk: each call walks afresh, in the one layout
+    # the Algebra holds for the level
     alg = Algebra(qccr(2, 0.5))
-    walk = alg.descent_sums(3)
-    assert alg.descent_sums(3) is walk
+    walk = coxeter.descent_sums(alg, 3)
+    assert walk.layout is alg.layout(4)
+    assert not [key for key in alg._memo if key[0] == "walk"]
     for array in (walk.buckets, *walk.layout.words):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
@@ -174,7 +198,15 @@ def test_level_guard():
     assert MAX_LEVEL_BYTES == 128 * 1024**2
     check_level(3, 7)  # 76 MB
     check_level(2, 11)  # 64 MiB
-    check_level(1, 10**9)
+    # a fixed guard of 500 levels for every d; below it, past level 32 the
+    # byte guards read level 32, a lower bound
+    for weight in (False, True):
+        check_level(1, 500, weight)
+        with pytest.raises(ValueError, match="needs [0-9]+ bytes or more, over the"):
+            check_level(2, 500, weight)
+        for d in (1, 2):
+            with pytest.raises(ValueError, match="level 501 is over the fixed guard of 500 levels"):
+                check_level(d, 501, weight)
     for d, level in ((3, 8), (2, 12)):
         need = 16 * d ** (2 * level)
         with pytest.raises(ValueError, match=f"needs {need} bytes or more, over the {MAX_LEVEL_BYTES} byte guard"):
@@ -188,7 +220,6 @@ def test_level_guard():
     check_level(5, 5, weight=True)  # 120 words; the dense matrix would be 156 MB
     with pytest.raises(ValueError, match=f"one block of 3432 words at level 14, d=2 needs {16 * 3432**2} bytes"):
         check_level(2, 14, weight=True)
-    check_level(1, 10**9, weight=True)
     with pytest.raises(ValueError, match="over the"):
         check_level(2, 10**9, weight=True)
     # and on what the blocks of one operator hold together, 128 bytes a
@@ -250,11 +281,14 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     words = _count_calls(monkeypatch, tensorops.word_product, key=lambda args: (tuple(args[1]), args[2].level))
     # the blocks whose symmetrized eigenvalues are taken
     spectra = _count_calls(monkeypatch, spectral.symmetric_eigenvalues, key=lambda args: args[0])
+    built_R = []  # every R_n the Algebra builds, whether it keeps it or not
+    make_R = Algebra._R
+    monkeypatch.setattr(Algebra, "_R", lambda self, n: built_R.append(make_R(self, n)) or built_R[-1])
     build_P = []  # the level of each (1 (x) P_{n-1}) R_n, the step that builds P_n
     tensor = Algebra.apply_tensor
 
     def counted(self, op, A, last=False):
-        if A is self._memo.get(("R", A.level)):
+        if any(A is R for R in built_R):
             build_P.append(A.level)
         return tensor(self, op, A, last)
 
@@ -265,8 +299,17 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     [alg] = algebras
     assert build_T == []  # no dense T: the Algebra builds its blocks, once
     assert len(T_blocks) == 1
-    assert build_P and max(collections.Counter(build_P).values()) == 1, build_P
+    assert sorted(build_P) == [2, 3, 4], build_P
+    # P_n's step drops the R_n it built; only the levels the Wick-ideal
+    # checks (2..4) and the Fock relations (R_1..R_N, N = 3 at d=3) read
+    # again are built a second time, and kept
+    _, wick_levels, N = cli._full_reports(4, 3)
+    again = {*wick_levels, *range(1, N + 1)}
+    rebuilt = collections.Counter(R.level for R in built_R)
+    assert all(count == 1 or count == 2 and level in again for level, count in rebuilt.items()), rebuilt
+    assert sorted(key[1] for key in alg._memo if key[0] == "R") == sorted(again)
     assert sorted(walks) == [1, 2, 3]
+    assert not [key for key in alg._memo if key[0] == "walk"]
     # each word in the T_i is built once: the braid residual reads the
     # Algebra's two words at level 3, U_2 = T_1 T_2 T_1 among them
     built = collections.Counter(words)
@@ -295,6 +338,8 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
 
 
 def test_each_rank_is_walked_once_whatever_asks_first(monkeypatch):
+    # pn sums P(S_4) by its right cosets and walks nothing; the Coxeter
+    # report walks rank 3 once and drops the walk when it returns
     walks = _count_calls(monkeypatch, coxeter.descent_sums)
     for order in ("pn first", "coxeter first"):
         alg, checks = Algebra(qccr(2, 0.5)), cli._Checks()
@@ -305,6 +350,25 @@ def test_each_rank_is_walked_once_whatever_asks_first(monkeypatch):
         assert walks == [3], order
         assert checks.overall == "pass"
         walks.clear()
+
+
+def test_coxeter_checks_leave_no_walk_behind(monkeypatch):
+    # the walk's one reader is the Coxeter report: once the report returns,
+    # nothing holds the walk, in the Algebra or elsewhere
+    walks = []
+    descent_sums = coxeter.descent_sums
+
+    def watched(alg, n):
+        walk = descent_sums(alg, n)
+        walks.append(weakref.ref(walk))
+        return walk
+
+    monkeypatch.setattr(coxeter, "descent_sums", watched)
+    alg = Algebra(qccr(2, 0.5))
+    report = coxeter.coxeter_checks(alg, 3)
+    gc.collect()
+    assert len(walks) == 1 and walks[0]() is None
+    assert report["group_sum"] <= 1e-12 and ("group_sum", 3) in alg._memo
 
 
 def peak_bytes(run) -> int:
@@ -347,6 +411,19 @@ def test_level_7_builds_hold_a_few_operators():
     alg = Algebra(qccr(3, 0.5))
     alg.P(6)
     assert peak_bytes(lambda: spectral.kernel_theorem_check(alg, 6)) < 5 * op
+
+
+def test_kernel_theorem_at_d3_level_7_holds_no_R_7():
+    # P_7 reads R_7 once and the kernel theorem never again: with R_7 dropped
+    # once P_7 is built, ker P_7 and ker S are decided beside P_7 (and ker
+    # P_7's basis) alone.  Operators of 16 x 272,835 bytes at the peak: 3.38
+    # at q=0.5 and 4.38 at q=-1 (whose kernel has 3^7 - 3 = 2,184 vectors),
+    # against 4.39 and 5.38 while the Algebra kept R_7
+    op = 16 * 272835
+    for q, bound in ((0.5, 4), (-1.0, 5)):
+        alg = Algebra(qccr(3, q))
+        alg.P(6)
+        assert peak_bytes(lambda: spectral.kernel_theorem_check(alg, 6)) < bound * op, q
 
 
 def test_coxeter_checks_place_one_sum_at_a_time():

@@ -317,7 +317,7 @@ def test_letter_relabelling_maps_each_block_onto_its_image(level):
     # arithmetic on an entry and its image, so the buckets agree bit for bit;
     # P_L's matmuls add in the order of the words, so it agrees within TOL
     alg = Algebra(qccr(3, 0.37))
-    walk = alg.descent_sums(level - 1)
+    walk = coxeter.descent_sums(alg, level - 1)
     P = alg.P(level)
     buckets = [walk.sum([mask]) for mask in range(len(walk))]
     for sigma in itertools.permutations(range(3)):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +467,26 @@ def test_level_guard_bounds_what_the_weight_blocks_hold_together(tmp_path, capsy
         assert code == 2 and report is None, args
         assert f"hold {entries} entries per operator" in err, (args, err)
         assert f"over the {1024**3} byte guard" in err and "Traceback" not in err, (args, err)
+
+
+def test_levels_over_the_fixed_guard_exit_2_at_once(tmp_path, capsys):
+    # at d=1 an operator has one entry, so no byte guard bounds the work of
+    # a deep level: `pn --n 40000` ran about an hour, and inner on a1^N
+    # took 252 MiB at N=500.  Every d has the fixed guard of 500 levels
+    d1 = write_spec(tmp_path, "qccr_d1.json", {"d": 1, "preset": {"name": "q-ccr", "q": 0.5}})
+    word = " ".join(["a1"] * 501)
+    for args, level in (
+        (["pn", "--spec", d1, "--n", "40000"], 40000),
+        (["pn", "--spec", d1, "--n", "501", "--method", "recursive"], 501),
+        (["inner", "--spec", d1, "--x", word, "--y", "a1"], 501),
+        (["inner", "--spec", d1, "--x", "a1", "--y", word], 501),
+    ):
+        start = time.perf_counter()
+        code, report = run(args, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and report is None, args[:4]
+        assert f"level {level} is over the fixed guard of 500 levels" in err and "Traceback" not in err, err
+        assert time.perf_counter() - start < 2.0, args[:4]
 
 
 def run_child(args):

@@ -222,7 +222,7 @@ def mask_to_set(mask: int, n: int) -> set:
 def test_descent_sums_extremes():
     # only the identity has no descent, only the longest element has all
     alg = Algebra(qccr(2, 0.5))
-    sums = alg.descent_sums(3)
+    sums = coxeter.descent_sums(alg, 3)
     assert len(sums) == 8
     assert np.array_equal(sums.sum([0]).mat, np.eye(16))
     longest = oracles.enumerate_group(3)[-1]
@@ -246,7 +246,7 @@ def test_descent_sums_match_phi_grouped_by_descent_set():
         alg = Algebra(spec)
         T, d = alg.T, alg.T.d
         for n in (1, 2, 3):
-            sums = alg.descent_sums(n)
+            sums = coxeter.descent_sums(alg, n)
             assert sums.layout.record["layout"] == layout, label
             expected = [np.zeros((d ** (n + 1),) * 2, dtype=complex) for _ in range(2**n)]
             for e in oracles.enumerate_group(n):
@@ -268,7 +268,7 @@ def dense_walk(T, n: int) -> np.ndarray:
 def test_packed_walk_matches_dense_walk(d, max_rank, data):
     alg = Algebra(data.draw(braided_families(d)))
     for n in range(1, max_rank + 1):
-        walk = alg.descent_sums(n)
+        walk = coxeter.descent_sums(alg, n)
         assert walk.layout.record["layout"] == "weight"
         for mask, dense in zip(range(len(walk)), dense_walk(alg.T, n), strict=True):
             assert np.linalg.norm(walk.sum([mask]).mat - dense, 2) <= 1e-13, (n, alg.T.mat)
@@ -279,7 +279,7 @@ def assert_matches_element_walk(alg, n: int, context) -> None:
     element-by-element walk, in the same layout.  The scale is the walk's:
     in a rotated basis a bucket of small entries still carries the rounding
     of products of entries near 1."""
-    walk = alg.descent_sums(n)
+    walk = coxeter.descent_sums(alg, n)
     step = tensorops.slot_step(alg.T, walk.layout)
     reference = oracles.walk_elements(n, tensorops.packed_identity(walk.layout), step)
     scale = np.abs(reference).max()
@@ -299,7 +299,7 @@ def test_descent_sums_match_the_element_walk(d, max_rank, data):
 def test_descent_sums_match_the_element_walk_on_one_dense_block(q):
     alg = Algebra(rotated(hecke(2, q), 1))
     for n in range(1, 6):
-        assert alg.descent_sums(n).layout.record["layout"] == "dense"
+        assert coxeter.descent_sums(alg, n).layout.record["layout"] == "dense"
         assert_matches_element_walk(alg, n, q)
 
 
@@ -379,7 +379,7 @@ def test_walk_layout_detection():
     dense = [rotated(hecke(2, 0.6), 1), rotated(qccr(2, 0.5), 3), rotated(unimodular_flip(3, seed=5), 2)]
     for spec in dense:
         alg = Algebra(spec)
-        walk = alg.descent_sums(3)
+        walk = coxeter.descent_sums(alg, 3)
         assert walk.layout.record == {"layout": "dense", "blocks": 1, "largest_block": alg.T.d**4}
         # the one block is the dense square, flattened row-major: the same
         # walk as the dense reference, bit for bit
@@ -393,7 +393,7 @@ def test_walk_layout_detection():
     alg = Algebra(matrix_spec(M))
     assert np.array_equal(alg.T.mat, M)
     assert not alg.weight
-    walk = alg.descent_sums(2)
+    walk = coxeter.descent_sums(alg, 2)
     assert walk.layout.record["layout"] == "dense"
     assert np.array_equal([walk.sum([mask]).mat for mask in range(len(walk))], dense_walk(alg.T, 2))
 
@@ -438,7 +438,7 @@ def test_descent_class_sizes_count_permutations():
         counts = [0] * 2**n
         for perm in itertools.permutations(range(n + 1)):
             counts[sum(1 << s for s in range(n) if perm[s] > perm[s + 1])] += 1
-        sums = alg.descent_sums(n)
+        sums = coxeter.descent_sums(alg, n)
         assert [sums.sum([mask]).mat.item() for mask in range(len(sums))] == counts, n
         order = math.factorial(n + 1)
         for J in range(2**n):
@@ -474,7 +474,7 @@ def test_descent_factorization_example():
     assert len(W_J) == 2 and len(D_J) == 3
     alg = Algebra(qccr(2, 0.5))
     T = alg.T
-    PDJ = alg.descent_sums(2).sum([0, 2]).mat  # the descent sets {} and {2} avoid J = {1}
+    PDJ = coxeter.descent_sums(alg, 2).sum([0, 2]).mat  # the descent sets {} and {2} avoid J = {1}
     assert np.linalg.norm(PDJ - phi_sum(T, D_J, 2), 2) <= 1e-12
     lhs = oracles.build_P(T, 3).mat
     assert np.linalg.norm(lhs - PDJ @ phi_sum(T, W_J, 2), 2) <= 1e-10

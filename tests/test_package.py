@@ -108,10 +108,10 @@ def test_no_module_imports_a_private_name_of_tensorops():
 
 def test_only_the_coxeter_report_walks_the_descent_classes():
     # the walk over descent classes holds 2^n buckets, and the group sum, a
-    # right-coset product, needs none of them: coxeter.descent_sums runs only
-    # under Algebra.descent_sums, whose one caller is coxeter_checks, and only
-    # Walk's own methods touch the buckets, so no caller that wants P(S_{n+1})
-    # can bring the walk back
+    # right-coset product, needs none of them: coxeter.descent_sums has one
+    # caller, coxeter_checks, which drops the walk when it returns (the
+    # Algebra keeps none), and only Walk's own methods touch the buckets, so
+    # no caller that wants P(S_{n+1}) can bring the walk back
     calls, reads = [], []
     for path in sorted(Path(wickfock.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -123,6 +123,5 @@ def test_only_the_coxeter_report_walks_the_descent_classes():
                 continue
             module = isinstance(node.func, ast.Name) or getattr(node.func.value, "id", None) == "coxeter"
             calls.append((path.name, owner.get(node), "coxeter.descent_sums" if module else "Algebra.descent_sums"))
-    assert sorted(calls) == [("algebra.py", "descent_sums", "coxeter.descent_sums"),
-                             ("coxeter.py", "coxeter_checks", "Algebra.descent_sums")]
+    assert sorted(calls) == [("coxeter.py", "coxeter_checks", "coxeter.descent_sums")]
     assert set(reads) == {("coxeter.py", "__init__"), ("coxeter.py", "sum"), ("coxeter.py", "__len__")}

@@ -344,7 +344,7 @@ def test_factorization_m_form():
         alg = Algebra(spec)
         T = alg.T
         for n, m in [(1, 2), (2, 2), (1, 3)]:
-            sums = alg.descent_sums(n + m - 1)
+            sums = coxeter.descent_sums(alg, n + m - 1)
             J = 2 ** (m - 1) - 1
             PDJ = sums.sum(D for D in range(len(sums)) if not D & J).mat
             PDm = oracles.build_PDm(T, n, m).mat

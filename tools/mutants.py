@@ -1,6 +1,7 @@
-"""Mutant runner for the status logic: each mutant is a one-line textual
-change to a condition that sets a check's status, and the test suite must
-fail on every one of them.
+"""Mutant runner for the status logic and for what the Algebra keeps: each
+mutant is a one-line textual change to a condition that sets a check's
+status, or to the rule that drops an operator after its last reader, and
+the test suite must fail on every one of them.
 
 Usage, from the repository root (a few minutes; a mutant that survives
 costs one run of the whole suite):
@@ -50,6 +51,12 @@ MUTANTS = [
     ("braid-gate-tolerance", "tensorops.py",
      "BRAID_TOL = 1e-8",
      "BRAID_TOL = 1e-2"),
+    ("P-loop-memoizes-R", "algebra.py",
+     'self._memo.get(("R", m)) or self._R(m)',
+     "self.R(m)"),
+    ("algebra-keeps-the-walk", "coxeter.py",
+     "walk = descent_sums(alg, n)",
+     'walk = alg._memo.setdefault(("walk", n), descent_sums(alg, n))'),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks",
