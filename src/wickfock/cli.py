@@ -1,5 +1,7 @@
 """Batch front-end: load a spec, run named verification suites, emit a
-machine-readable report.
+machine-readable report.  Each command is one plan, a list of suites with
+the deepest level and walk each takes: the guards read it before any
+operator exists, and the run calls its suites in order.
 
 Usage:
     wickfock <check|pn|kernel-theorem|coxeter|positivity|inner|full>
@@ -49,7 +51,7 @@ finally:
 
 from . import __version__, coxeter, fock, rewrite, spectral, tensorops
 from .algebra import Algebra
-from .model import SpecError, load_spec_file
+from .model import load_spec_file
 
 __all__ = ["main", "entry", "build_report"]
 
@@ -115,17 +117,6 @@ def _blas_threads(words: int):
         blas[1](before)
 
 
-def _full_reports(n_max: int, d: int) -> tuple[range, range, int]:
-    """The bounded reports of the full suite, all taken in the layout: the
-    ranks n of the Coxeter and U_n reports, the levels n of the Wick-ideal
-    checks (the chain T_1 ... T_n at level n+1) and the Fock truncation
-    degree N (R_n and P_n up to N).  Memory no longer asks for the last two
-    bounds; they stay because they fix which records the suite emits."""
-    coxeter_ranks = range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1)
-    wick_levels = range(2, min(n_max, MAX_FULL_WICK_LEVEL) + 1)
-    return coxeter_ranks, wick_levels, min(n_max, fock.default_max_degree(d))
-
-
 class _Checks:
     """Accumulates check records; overall passes iff nothing failed."""
 
@@ -172,33 +163,31 @@ def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) ->
             try:
                 ops["coxeter"] = alg.group_sum(n - 1)
             except coxeter.BraidConditionError as exc:
-                checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable",
-                           reason=str(exc))
+                checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable", reason=str(exc))
     if method in ("recursive", "both"):
         ops = {"recursive": alg.P(n), **ops}
+    norms = {}
     for name, op in ops.items():
         evals = (alg.eigenvalues(n) if name == "recursive"
                  else [spectral.symmetric_eigenvalues(m) for m in op.mats])
         walk = {"walk": alg.layout(n).record} if name == "coxeter" else {}
         low, high = min(float(e[0]) for e in evals), max(float(e[-1]) for e in evals)
+        norms[name] = max(abs(low), abs(high))  # both sums are self-adjoint
         checks.add("pn_spectrum", {"n": n, "method": name}, "info", min_eig=low, max_eig=high,
-                   norm=max(abs(low), abs(high)), **walk)  # both sums are self-adjoint
+                   norm=norms[name], **walk)
     if len(ops) == 2:
         residual = tensorops.op_norm(ops["recursive"] - ops["coxeter"])
-        checks.add_residual("pn_method_agreement", {"n": n}, residual, tol)
+        # relative once ||P_n|| > 1, as inner's bound: [n]_q! outgrows any absolute tolerance
+        checks.add_residual("pn_method_agreement", {"n": n}, residual, tol * max(1.0, norms["recursive"]))
 
 
-def _suite_kernel_theorem(
-    alg: Algebra, checks: _Checks, n_max: int, rank_tol: float, tol: float
-) -> None:
+def _suite_kernel_theorem(alg: Algebra, checks: _Checks, n_max: int, rank_tol: float, tol: float) -> None:
     for level in range(2, n_max + 1):
         rep = spectral.kernel_theorem_check(alg, level - 1, rank_tol=rank_tol, tol=tol)
         checks.add_report("kernel_theorem", {"level": level}, rep, tolerance=tol)
 
 
-def _suite_positivity(
-    alg: Algebra, checks: _Checks, n_max: int, rank_tol: float, tol: float
-) -> None:
+def _suite_positivity(alg: Algebra, checks: _Checks, n_max: int, rank_tol: float, tol: float) -> None:
     for n in range(2, n_max + 1):
         rep = spectral.positivity_check(alg, n, rank_tol=rank_tol, tol=tol)
         checks.add_report("positivity", {"n": n}, rep)
@@ -220,26 +209,106 @@ def _suite_coxeter(alg: Algebra, checks: _Checks, n: int, tol: float) -> None:
     checks.add_residual("phi_longest_vs_U", {"n": n}, rep["longest_vs_U"], tol)
 
 
+def _suite_rank(alg: Algebra, checks: _Checks, n: int, rank_tol: float, tol: float) -> None:
+    """full's reports of one Coxeter rank n: the Coxeter suite, the U_n laws,
+    the telescoping identity and ker(1 - U_n^2) on the diagonal."""
+    _suite_coxeter(alg, checks, n, tol)
+    rep = spectral.un_checks(alg, n, rank_tol=rank_tol, tol=tol)
+    checks.add_report("un_laws", {"n": n}, rep, tolerance=tol)
+    checks.add_residual("telescoping", {"n": n}, spectral.telescoping_residual(alg, n), tol)
+    checks.add_report("kernel_1mU2", {"n": n}, spectral.kernel_1mU2_diag(alg, n, rank_tol=rank_tol, tol=tol))
+
+
+def _suite_wick_ideal(alg: Algebra, checks: _Checks, n: int, rank_tol: float, tol: float) -> None:
+    rep = spectral.wick_ideal_checks(alg, n, rank_tol=rank_tol, tol=tol)
+    checks.add_report("wick_ideal", {"n": n}, rep, tolerance=tol)
+
+
+def _suite_fock(alg: Algebra, checks: _Checks, N: int, seed: int, tol: float) -> None:
+    rep = fock.relation_check(alg, N, seed=seed, tol=tol)
+    checks.add_report("fock_relations", {"max_degree": rep["max_degree"], "seed": seed}, rep, tolerance=tol)
+
+
 def _suite_rewrite_cross(alg: Algebra, checks: _Checks, max_degree: int, tol: float) -> None:
-    """|f(u* w) - <u, w>_0| over every pair of creation words u, w of degree
-    at most ``max_degree``: <u, w>_0 is the entry [u, w] of the block of P_n
-    when both have degree n and lie in one block, else 0."""
-    words = []  # per creation word: the free word, the block of P_n that holds it, its row there
+    """|f(u* w) - <u, w>_0| over the pairs of creation words u, w of degree
+    n <= ``max_degree`` that lie in one block of P_n, where <u, w>_0 is the
+    block's entry [u, w].  Every other pair is 0 on both sides: f refuses
+    two degrees at once, and for a weight-preserving T each rewrite step
+    keeps the letter content of the plain letters minus the starred ones (a
+    nonzero T_ij^kl has {i, l} = {j, k}), so a pair of two weight spaces
+    never reaches the empty word."""
+    worst = 0.0
     for n in range(max_degree + 1):
         P, letters = alg.P(n), list(itertools.product(range(alg.spec.d), repeat=n))
         for block, m in zip(P.words, P.mats):
-            words += [(tuple((i, False) for i in letters[w]), m, row) for row, w in enumerate(block.tolist())]
-    worst = 0.0
-    for u, block, row in words:
-        u_star = rewrite.star(u)
-        for w, other, col in words:
-            inner = complex(block[row, col]) if other is block else 0j
-            worst = max(worst, abs(alg.f(u_star + w) - inner))
+            words = [tuple((i, False) for i in letters[w]) for w in block.tolist()]
+            for u, row in zip(words, m):
+                u_star = rewrite.star(u)
+                for w, entry in zip(words, row):
+                    worst = max(worst, abs(alg.f(u_star + w) - complex(entry)))
     checks.add_residual("rewrite_fock_agreement", {"max_degree": max_degree}, worst, tol)
 
 
+def _suite_inner(alg: Algebra, checks: _Checks, x: str, X, y: str, Y, N: int, tol: float) -> None:
+    """<X, Y>_0 as f(X* Y) and through the Fock space truncated at degree N."""
+    via_f = rewrite.inner_via_f(alg, X, Y)
+    via_fock = fock.fock_inner(alg, *(rewrite.creation_vector(Z, alg.spec.d, N) for Z in (X, Y)))
+    # refused, not failed: the moduli below would be inf or NaN, or abs() would raise
+    if not all(math.isfinite(math.hypot(v.real, v.imag)) for v in (via_f, via_fock, via_f - via_fock)):
+        raise ValueError(
+            f"<X, Y>_0 leaves the float range: {via_f} through f, {via_fock} through the Fock space; "
+            "scale the coefficients down"
+        )
+    bound = tol * max(1.0, abs(via_fock))  # relative once |<X, Y>_0| > 1
+    checks.add("inner_product", {"x": x, "y": y}, "pass" if abs(via_f - via_fock) <= bound else "fail",
+               via_functional={"re": via_f.real, "im": via_f.imag},
+               via_fock={"re": via_fock.real, "im": via_fock.imag},
+               difference=abs(via_f - via_fock), tolerance=bound)
+
+
+def _plan(args: argparse.Namespace, d: int) -> list[tuple]:
+    """The command's suites in run order, as (suite, level, walk, *arguments):
+    the deepest level the suite builds (2 wherever it reads T, 3 wherever it
+    reads the braid residual), the rank of the walk of S_{n+1} it takes or
+    None, and its arguments after the algebra and the checks.  ``full`` is
+    the other commands' suites, then its capped per-rank reports, Wick-ideal
+    checks (the chain T_1 ... T_n at level n+1), Fock relations and rewrite
+    cross-check."""
+    tol, rank_tol = args.tol, args.rank_tol
+    if args.command == "inner":
+        X, Y = rewrite.parse_word_expr(args.x, d), rewrite.parse_word_expr(args.y, d)
+        N = max([len(w) for w in X] + [len(w) for w in Y] + [2])
+        return [(_suite_inner, N, None, args.x, X, args.y, Y, N, tol)]
+    if args.command == "coxeter":
+        return [(_suite_coxeter, max(args.n + 1, 3), args.n, args.n, tol)]
+    if args.command == "pn":
+        level = max(args.n, 2 if args.method == "recursive" else 3)  # P_0 and P_1 read T
+        return [(_suite_pn, level, None, args.n, args.method, tol)]
+    plan = [(_suite_check, 3, None, tol)]
+    if args.command == "check":
+        return plan
+    n_max = args.n_max
+    kernel_theorem = (_suite_kernel_theorem, max(n_max, 3), None, n_max, rank_tol, tol)
+    positivity = (_suite_positivity, max(n_max, 3), None, n_max, rank_tol, tol)
+    if args.command != "full":
+        return [kernel_theorem if args.command == "kernel-theorem" else positivity]
+    N = min(n_max, fock.default_max_degree(d))
+    return (plan + [(_suite_pn, max(n, 3), None, n, "both", tol) for n in range(2, n_max + 1)]
+            + [kernel_theorem, positivity]
+            + [(_suite_rank, max(n + 1, 3), n, n, rank_tol, tol)
+               for n in range(1, min(n_max - 1, MAX_FULL_COXETER_RANK) + 1)]
+            + [(_suite_wick_ideal, k + 1, None, k, rank_tol, tol)
+               for k in range(2, min(n_max, MAX_FULL_WICK_LEVEL) + 1)]
+            + [(_suite_fock, N, None, N, args.seed, tol),
+               (_suite_rewrite_cross, min(3, N), None, min(3, N), tol)])
+
+
 def build_report(args: argparse.Namespace) -> tuple[dict, int]:
-    """Run the requested command; return (report, exit_code)."""
+    """Run the requested command; return (report, exit_code).  The guards
+    read the command's plan (:func:`_plan`) before any operator exists: the
+    level guard its deepest level, the walk guard its deepest walk; the
+    largest block of that level sets the BLAS threads, and the suites run in
+    the plan's order."""
     if args.n_max is not None and args.n_max < 2:
         raise ValueError(f"--n-max must be >= 2, the first level with a check; got {args.n_max}")
     # a non-finite or non-positive threshold would let a check pass vacuously
@@ -250,96 +319,23 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0; got {args.seed}")
     spec = load_spec_file(args.spec)
-    walk = None  # the rank of the deepest walk of S_{n+1} the command takes
-    if args.command == "inner":
-        X = rewrite.parse_word_expr(args.x, spec.d)
-        Y = rewrite.parse_word_expr(args.y, spec.d)
-        top = max([len(w) for w in X] + [len(w) for w in Y] + [2])
-    elif args.command == "coxeter":
-        walk = args.n
-        top = walk + 1
-    else:  # check takes neither --n nor --n-max
-        top = args.n if args.n is not None else args.n_max or 2
-        if args.command == "full":  # its last Coxeter walk; the chain T_1 ... T_n of its deepest Wick-ideal check
-            coxeter_ranks, wick_levels, _ = _full_reports(top, spec.d)
-            walk, top = coxeter_ranks[-1], max(top, wick_levels[-1] + 1)
-    if args.command != "inner" and getattr(args, "method", None) != "recursive":
-        top = max(top, 3)  # the braid residual, taken at level 3
+    plan = _plan(args, spec.d)
     alg = Algebra(spec)  # decides the layout from the coefficients; T is built on first use
+    top = max(entry[1] for entry in plan)
     alg.check_level(top)  # the largest block, or the dense matrix when T is not weight-preserving
-    if walk is not None:
-        coxeter.check_walk(spec.d, walk, alg.weight)
+    walks = [entry[2] for entry in plan if entry[2] is not None]
+    if walks:
+        coxeter.check_walk(spec.d, max(walks), alg.weight)
     checks = _Checks()
-    tol = args.tol
-    rank_tol = args.rank_tol
-    # the largest block of the deepest level decides whether a second BLAS thread pays
     with _blas_threads(tensorops.largest_block(spec.d, top, alg.weight)):
-        if args.command == "check":
-            _suite_check(alg, checks, tol)
-        elif args.command == "pn":
-            _suite_pn(alg, checks, args.n, args.method, tol)
-        elif args.command == "kernel-theorem":
-            _suite_kernel_theorem(alg, checks, args.n_max, rank_tol, tol)
-        elif args.command == "positivity":
-            _suite_positivity(alg, checks, args.n_max, rank_tol, tol)
-        elif args.command == "coxeter":
-            _suite_coxeter(alg, checks, args.n, tol)
-        elif args.command == "inner":
-            via_f = rewrite.inner_via_f(alg, X, Y)
-            gx = rewrite.creation_vector(X, spec.d, top)
-            gy = rewrite.creation_vector(Y, spec.d, top)
-            via_fock = fock.fock_inner(alg, gx, gy)
-            # refused, not failed: the moduli below would be inf or NaN, or abs() would raise
-            if not all(math.isfinite(math.hypot(v.real, v.imag)) for v in (via_f, via_fock, via_f - via_fock)):
-                raise ValueError(
-                    f"<X, Y>_0 leaves the float range: {via_f} through f, {via_fock} through the Fock space; "
-                    "scale the coefficients down"
-                )
-            bound = tol * max(1.0, abs(via_fock))  # relative once |<X, Y>_0| > 1
-            checks.add(
-                "inner_product",
-                {"x": args.x, "y": args.y},
-                "pass" if abs(via_f - via_fock) <= bound else "fail",
-                via_functional={"re": via_f.real, "im": via_f.imag},
-                via_fock={"re": via_fock.real, "im": via_fock.imag},
-                difference=abs(via_f - via_fock),
-                tolerance=bound,
-            )
-        elif args.command == "full":
-            n_max = args.n_max
-            coxeter_ranks, wick_levels, N = _full_reports(n_max, spec.d)
-            _suite_check(alg, checks, tol)
-            for n in range(2, n_max + 1):
-                _suite_pn(alg, checks, n, "both", tol)
-            _suite_kernel_theorem(alg, checks, n_max, rank_tol, tol)
-            _suite_positivity(alg, checks, n_max, rank_tol, tol)
-            for n in coxeter_ranks:
-                _suite_coxeter(alg, checks, n, tol)
-                rep = spectral.un_checks(alg, n, rank_tol=rank_tol, tol=tol)
-                checks.add_report("un_laws", {"n": n}, rep, tolerance=tol)
-                checks.add_residual("telescoping", {"n": n}, spectral.telescoping_residual(alg, n), tol)
-                rep = spectral.kernel_1mU2_diag(alg, n, rank_tol=rank_tol, tol=tol)
-                checks.add_report("kernel_1mU2", {"n": n}, rep)
-            for n in wick_levels:
-                rep = spectral.wick_ideal_checks(alg, n, rank_tol=rank_tol, tol=tol)
-                checks.add_report("wick_ideal", {"n": n}, rep, tolerance=tol)
-            rep = fock.relation_check(alg, max(N, 2), seed=args.seed, tol=tol)
-            checks.add_report(
-                "fock_relations", {"max_degree": rep["max_degree"], "seed": args.seed}, rep, tolerance=tol
-            )
-            _suite_rewrite_cross(alg, checks, min(3, N), tol)
-        else:  # pragma: no cover - argparse restricts choices
-            raise SpecError(f"unknown command {args.command}")
+        for suite, _, _, *arguments in plan:
+            suite(alg, checks, *arguments)
 
     report = {
         "tool": {"name": "wickfock", "version": __version__},
         "command": args.command,
         "spec": {"d": spec.d, "source": dict(spec.source)},
-        "parameters": {
-            "tol": tol,
-            "rank_tol": rank_tol,
-            "seed": args.seed,
-        },
+        "parameters": {"tol": args.tol, "rank_tol": args.rank_tol, "seed": args.seed},
         "checks": checks.records,
         "overall": checks.overall,
     }

@@ -303,7 +303,9 @@ def test_full_run_builds_each_operator_once(monkeypatch, tmp_path):
     # P_n's step drops the R_n it built; only the levels the Wick-ideal
     # checks (2..4) and the Fock relations (R_1..R_N, N = 3 at d=3) read
     # again are built a second time, and kept
-    _, wick_levels, N = cli._full_reports(4, 3)
+    plan = cli._plan(cli._parser().parse_args(["full", "--spec", str(path), "--n-max", "4"]), 3)
+    wick_levels = [entry[3] for entry in plan if entry[0] is cli._suite_wick_ideal]
+    [N] = [entry[3] for entry in plan if entry[0] is cli._suite_fock]
     again = {*wick_levels, *range(1, N + 1)}
     rebuilt = collections.Counter(R.level for R in built_R)
     assert all(count == 1 or count == 2 and level in again for level, count in rebuilt.items()), rebuilt

@@ -13,6 +13,7 @@ import pytest
 from conftest import hecke, qccr, rotated
 from wickfock import cli, coxeter, model, rewrite
 from wickfock.algebra import Algebra
+from wickfock.tensorops import BlockOperator
 
 
 def write_spec(tmp_path, name, doc):
@@ -112,6 +113,35 @@ def test_pn_single_method(qccr_path, tmp_path):
     assert all(c["name"] == "pn_spectrum" for c in report["checks"])
 
 
+def test_pn_method_agreement_is_relative_to_the_norm_of_P_n(tmp_path):
+    # P_60 = [60]_q! is about 3.3e17 at q=0.5, d=1: the two sums differ by a
+    # few ulps (64), far above an absolute 1e-8
+    path = write_spec(tmp_path, "qccr1.json", {"d": 1, "preset": {"name": "q-ccr", "q": 0.5}})
+    code, report = run(["pn", "--spec", path, "--n", "60"], tmp_path)
+    assert code == 0
+    recursive, _, agreement = report["checks"]
+    assert recursive["norm"] > 1e17
+    assert agreement["tolerance"] == 1e-8 * recursive["norm"]
+    assert agreement["status"] == "pass"
+
+
+def test_pn_method_agreement_fails_on_a_relative_error(qccr_path, tmp_path, monkeypatch):
+    d1 = write_spec(tmp_path, "qccr1.json", {"d": 1, "preset": {"name": "q-ccr", "q": 0.5}})
+    group_sum = Algebra.group_sum
+
+    def scaled(self, n):
+        S = group_sum(self, n)
+        return BlockOperator(S.layout, [m * (1 + 1e-6) for m in S.mats])
+
+    monkeypatch.setattr(Algebra, "group_sum", scaled)
+    for spec, n in ((d1, "60"), (qccr_path, "4")):
+        code, report = run(["pn", "--spec", spec, "--n", n], tmp_path)
+        assert code == 1, spec
+        agreement = report["checks"][-1]
+        assert agreement["name"] == "pn_method_agreement" and agreement["status"] == "fail", spec
+        assert agreement["residual"] > agreement["tolerance"], spec
+
+
 def test_kernel_theorem_command_dims(tmp_path):
     path = write_spec(tmp_path, "flip.json", {"d": 2, "preset": {"name": "q-ccr", "q": 1.0}})
     code, report = run(["kernel-theorem", "--spec", path, "--n-max", "4"], tmp_path)
@@ -195,6 +225,25 @@ def test_full_on_a_dense_T_runs_the_degree_3_rewrite_cross_check(tmp_path):
         [cross] = [c for c in report["checks"] if c["name"] == "rewrite_fock_agreement"]
         assert cross["params"] == {"max_degree": 3}
         assert cross["status"] == "pass"
+
+
+def test_rewrite_cross_check_fails_on_a_perturbed_entry_of_P2(qccr_path, tmp_path, monkeypatch):
+    # the cross-check alone reads a P_2 with one in-block entry moved by 1e-6
+    cross = cli._suite_rewrite_cross
+
+    def perturbed(alg, checks, max_degree, tol):
+        P = alg.P(2)
+        mats = [m.copy() for m in P.mats]
+        mats[-1][0, 0] += 1e-6
+        alg._memo["P", 2] = BlockOperator(P.layout, mats)
+        cross(alg, checks, max_degree, tol)
+
+    monkeypatch.setattr(cli, "_suite_rewrite_cross", perturbed)
+    code, report = run(["full", "--spec", qccr_path, "--n-max", "2"], tmp_path)
+    assert code == 1
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["rewrite_fock_agreement"]
+    assert abs(failed[0]["residual"] - 1e-6) < 1e-12
 
 
 def test_inner_command(qccr_path, tmp_path):
@@ -556,6 +605,43 @@ def test_full_at_d5_takes_every_report_in_blocks(tmp_path):
     assert names(report) == names(small)
 
 
+PLANNED = [
+    ["check"],
+    *(["pn", "--n", n, "--method", method] for method in ("recursive", "coxeter") for n in ("1", "2", "4")),
+    *(["pn", "--n", n, "--method", "both"] for n in ("2", "4")),
+    *([command, "--n-max", n] for command in ("kernel-theorem", "positivity") for n in ("2", "4")),
+    *(["coxeter", "--n", n] for n in ("1", "3")),
+    ["inner", "--x", "a1 a2", "--y", "a2 a1"],
+    ["inner", "--x", "a1", "--y", "a1 a2 a1 a2"],
+    *(["full", "--n-max", str(n)] for n in range(2, 6)),
+]
+
+
+@pytest.mark.parametrize("name", ["q-ccr", "rotated"])
+def test_each_run_builds_and_walks_what_its_plan_states(name, tmp_path, monkeypatch):
+    # the level guard reads the plan's deepest level and the walk guard its
+    # deepest walk: the run builds no layout deeper and walks no rank higher,
+    # and reaches both, but for pn --n 1 --method coxeter, which builds nothing
+    doc = {"d": 2, "preset": {"name": "q-ccr", "q": 0.5}}
+    if name == "rotated":
+        doc = model.to_document(rotated(qccr(2, 0.5), 1))
+    spec = write_spec(tmp_path, "spec.json", doc)
+    levels, walks = [], []
+    layout, descent_sums = Algebra.layout, coxeter.descent_sums
+    monkeypatch.setattr(Algebra, "layout", lambda self, level: levels.append(level) or layout(self, level))
+    monkeypatch.setattr(coxeter, "descent_sums", lambda alg, n: walks.append(n) or descent_sums(alg, n))
+    for command in PLANNED:
+        argv = command[:1] + ["--spec", spec] + command[1:]
+        plan = cli._plan(cli._parser().parse_args(argv), 2)
+        levels.clear()
+        walks.clear()
+        code, _ = run(argv, tmp_path)
+        assert code == 0, command
+        builds_nothing = command == ["pn", "--n", "1", "--method", "coxeter"]
+        assert max(levels, default=0) == (0 if builds_nothing else max(entry[1] for entry in plan)), command
+        assert max(walks, default=None) == max((e[2] for e in plan if e[2] is not None), default=None), command
+
+
 def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeypatch):
     # every run passes the level guard; the deepest walk of S_{n+1} does not.
     # pn's group sum takes no walk: only the build guard refuses it
@@ -666,6 +752,15 @@ def test_full_at_d3_level_7_holds_no_step_tables(tmp_path):
     spec = write_spec(tmp_path, "qccr3.json", {"d": 3, "preset": {"name": "q-ccr", "q": 0.5}})
     peak = child_peak_mib(["full", "--spec", spec, "--n-max", "7"], tmp_path)
     assert peak < 80, peak
+
+
+def test_full_at_d30_compares_f_with_P_n_only_inside_a_block(tmp_path):
+    # q-CCR at d=30 has 465 weight spaces at degree 2: the cross-check
+    # evaluates the 1,801 in-block pairs of degree <= 2 (61 MiB measured),
+    # not all 931^2, whose memo of f took 256 MiB
+    spec = write_spec(tmp_path, "qccr30.json", {"d": 30, "preset": {"name": "q-ccr", "q": 0.5}})
+    peak = child_peak_mib(["full", "--spec", spec, "--n-max", "2"], tmp_path)
+    assert peak < 128, peak
 
 
 def test_negative_seed_is_input_error_before_the_spec_is_read(tmp_path, capsys):

@@ -341,7 +341,8 @@ def test_normal_order_matches_the_path_expansion_on_rotated_hecke(q, word):
 
 
 def test_fock_functional_expands_each_distinct_word_once(monkeypatch):
-    # full's degree-3 cross-check at d=3: 1,600 pairs share the algebra's f
+    # full's degree-3 cross-check at d=3: the rotated T is one block per
+    # degree, so the 1 + 9 + 81 + 729 same-degree pairs share the algebra's f
     alg = Algebra(rotated(hecke(3, 0.6), 1))
     expanded, pairs = [], []
     expand, evaluate = alg.f._expand, rewrite.FockFunctional.__call__
@@ -359,7 +360,7 @@ def test_fock_functional_expands_each_distinct_word_once(monkeypatch):
     checks = cli._Checks()
     cli._suite_rewrite_cross(alg, checks, 3, 1e-8)
     assert checks.overall == "pass"
-    assert len(pairs) == 40 * 40
+    assert len(pairs) == 1 + 9 + 81 + 729
     assert len(expanded) == len(set(expanded)) == len(alg.f.values) - 1  # all but the empty word
     assert len(expanded) > 1000
 

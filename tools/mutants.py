@@ -1,7 +1,8 @@
 """Mutant runner for the status logic and for what the Algebra keeps: each
 mutant is a one-line textual change to a condition that sets a check's
-status, or to the rule that drops an operator after its last reader, and
-the test suite must fail on every one of them.
+status, to the rule that drops an operator after its last reader, or to
+the level a command's plan states, and the test suite must fail on every
+one of them.
 
 Usage, from the repository root (a few minutes; a mutant that survives
 costs one run of the whole suite):
@@ -57,6 +58,16 @@ MUTANTS = [
     ("algebra-keeps-the-walk", "coxeter.py",
      "walk = descent_sums(alg, n)",
      'walk = alg._memo.setdefault(("walk", n), descent_sums(alg, n))'),
+    ("rewrite-cross-compares-nothing", "cli.py",
+     "worst = max(worst, abs(alg.f(u_star + w) - complex(entry)))",
+     "pass"),
+    ("pn-agreement-ignores-its-residual", "cli.py",
+     'checks.add_residual("pn_method_agreement", {"n": n}, residual, tol * max(1.0, norms["recursive"]))',
+     'checks.add("pn_method_agreement", {"n": n}, "pass", residual=float(residual),'
+     ' tolerance=tol * max(1.0, norms["recursive"]))'),
+    ("full-plans-the-wick-ideal-a-level-short", "cli.py",
+     "(_suite_wick_ideal, k + 1, None, k, rank_tol, tol)",
+     "(_suite_wick_ideal, k, None, k, rank_tol, tol)"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks",
