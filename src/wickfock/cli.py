@@ -311,6 +311,8 @@ def build_report(args: argparse.Namespace) -> tuple[dict, int]:
     the plan's order."""
     if args.n_max is not None and args.n_max < 2:
         raise ValueError(f"--n-max must be >= 2, the first level with a check; got {args.n_max}")
+    if args.command == "pn" and args.n < 0:
+        raise ValueError(f"--n must be >= 0, the level of P_n; got {args.n}")
     # a non-finite or non-positive threshold would let a check pass vacuously
     if not 0.0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite; got {args.tol}")

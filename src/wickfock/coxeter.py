@@ -10,8 +10,8 @@ braid condition, so every sum is gated on the braid residual.
 :func:`group_sum` builds P(S_{n+1}) by its right cosets of S_m,
 P(S_{m+1}) = P(S_m)(1 + T_m + T_m T_{m-1} + ... + T_m ... T_1), in
 n(n+1)/2 right multiplications by a T_i.  :func:`descent_sums` adds phi
-over each of the 2^n descent classes into one bucket, in one read-only
-:class:`Walk` that only :func:`coxeter_checks` reads, and drops.  The walk
+over each of the 2^n descent classes into one bucket, a row of one array
+that only :func:`coxeter_checks` takes, and drops.  The walk
 visits descent classes, not elements: every w in S_{m+1} is uniquely
 u s_m s_{m-1} ... s_k with u in S_m and 1 <= k <= m+1 (m+1 inserted at
 position k of u's one-line form, the lengths adding), so
@@ -20,10 +20,13 @@ of u and on k (:func:`_walk`).  When T is weight-preserving (it maps
 e_a (x) e_b into the span of e_a (x) e_b and e_b (x) e_a), every phi(w) is
 block-diagonal on the weight spaces of H^(x)(n+1), the spans of the words
 with one letter content, and both sums keep only those blocks
-(:class:`~wickfock.tensorops.Layout`); any other T is one dense block.  A
-sum of buckets is a :class:`~wickfock.tensorops.BlockOperator`.  Every
-descent-class sum P(D_J) and the alternating Euler-Solomon side are sums
-of buckets, which :func:`coxeter_checks` compares against the group sum
+(:class:`~wickfock.tensorops.Layout`); any other T is one dense block.  The
+descent-class sum P(D_J), over the elements with no descent in J, adds the
+buckets of the subsets of the complement of J: :func:`coxeter_checks` takes
+every one of them at once by the subset-sum transform of Yates (1937), n
+passes over the bucket array in place, after which row mask holds the sum
+of the buckets of its submasks.  The alternating Euler-Solomon side adds
+those rows, and :func:`coxeter_checks` compares them against the group sum
 and the independent constructions of P_{n+1}, U_n and P(W_J), read from
 the :class:`~wickfock.algebra.Algebra` that keeps them; the group-sum
 check sets the right-coset product against the left factorization
@@ -37,8 +40,8 @@ few operators and takes only the level guard of its
 
 >>> from wickfock.algebra import Algebra
 >>> from wickfock.model import preset
->>> walk = descent_sums(Algebra(preset("q-ccr", 1, q=0.5)), 2)  # d=1: phi(w) = q^length(w)
->>> [walk.sum([mask]).mat.item().real for mask in range(4)]  # descent sets {}, {1}, {2}, {1, 2}
+>>> buckets = descent_sums(Algebra(preset("q-ccr", 1, q=0.5)), 2)  # d=1: phi(w) = q^length(w)
+>>> buckets[:, 0].real.tolist()  # descent sets {}, {1}, {2}, {1, 2}
 [1.0, 0.75, 0.75, 0.125]
 """
 
@@ -65,7 +68,6 @@ __all__ = [
     "BraidConditionError",
     "MAX_RANK",
     "MAX_WALK_BYTES",
-    "Walk",
     "check_walk",
     "descent_sums",
     "group_sum",
@@ -88,7 +90,8 @@ def check_walk(d: int, n: int, weight: bool = False) -> None:
     """Refuse, before anything is allocated, a walk of S_{n+1} at dimension d
     whose rank lies outside 1..MAX_RANK or whose matrices would hold more
     than MAX_WALK_BYTES: the 2^n buckets, the current product of the walk's
-    chain and the next, and the sum and P_{n+1}/U_n, each one operator of
+    chain and the next, and then the copy of the longest bucket, the
+    alternating Euler-Solomon sum and P_{n+1}/U_n, each one operator of
     16-byte entries.  In the dense layout an operator has d^(2(n+1))
     entries; in the weight layout (``weight``: T is weight-preserving) it
     has the packed entries of the level
@@ -111,27 +114,6 @@ def check_walk(d: int, n: int, weight: bool = False) -> None:
             f"the Coxeter sums at rank n={n}, d={d}{layout} need about {need} bytes, "
             f"over the {MAX_WALK_BYTES} byte guard"
         )
-
-
-class Walk:
-    """The 2^n descent-set buckets of one walk of S_{n+1}, read-only, in the
-    walk's ``layout`` (a :class:`~wickfock.tensorops.Layout`): row ``mask``
-    of ``buckets`` is one operator in the layout's packed format, as
-    :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads it."""
-
-    def __init__(self, layout: Layout, buckets: np.ndarray) -> None:
-        buckets.flags.writeable = False
-        self.layout, self.buckets = layout, buckets
-
-    def sum(self, masks) -> BlockOperator:
-        """The sum of the buckets ``masks``, added in order within the layout."""
-        packed = np.zeros(self.buckets.shape[1], dtype=np.complex128)
-        for mask in masks:
-            packed += self.buckets[mask]
-        return BlockOperator.from_packed(self.layout, packed)
-
-    def __len__(self) -> int:
-        return len(self.buckets)
 
 
 def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
@@ -166,20 +148,22 @@ def _gate(alg: Algebra, n: int) -> Layout:
     return alg.layout(n + 1)
 
 
-def descent_sums(alg: Algebra, n: int) -> Walk:
-    """Sums of phi over the descent classes of S_{n+1}: bucket ``mask`` adds
-    phi(w) over the w whose descent set is {i : bit i-1 of mask}.
+def descent_sums(alg: Algebra, n: int) -> np.ndarray:
+    """Sums of phi over the descent classes of S_{n+1}, stacked: row
+    ``mask`` adds phi(w) over the w whose descent set is
+    {i : bit i-1 of mask}.
 
-    One walk over the descent classes (:func:`_walk`), with each sum packed
+    One walk over the descent classes (:func:`_walk`), with each row packed
     in the blocks of ``alg.layout(n + 1)`` (the weight spaces when T is
-    weight-preserving, else one dense block), and right multiplication by
-    T_i the :func:`~wickfock.tensorops.slot_step`.  Refused by
-    :func:`check_walk` before anything is allocated, and gated on the braid
-    residual of ``alg``.
+    weight-preserving, else one dense block) as
+    :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads it, and
+    right multiplication by T_i the :func:`~wickfock.tensorops.slot_step`.
+    Refused by :func:`check_walk` before anything is allocated, and gated on
+    the braid residual of ``alg``.
     """
     check_walk(alg.spec.d, n, alg.weight)
     layout = _gate(alg, n)
-    return Walk(layout, _walk(n, packed_identity(layout), slot_step(alg.T, layout)))
+    return _walk(n, packed_identity(layout), slot_step(alg.T, layout))
 
 
 def group_sum(alg: Algebra, n: int) -> BlockOperator:
@@ -254,28 +238,35 @@ def coxeter_checks(alg: Algebra, n: int) -> dict:
       independent product constructions of U_n and P_{n+1};
     - ``longest_vs_U``: phi(sigma_0) against U_n.
 
-    Every operand is a :class:`~wickfock.tensorops.BlockOperator` in the
-    layout of the walk, so no dense matrix is placed when T is
-    weight-preserving, and every residual is the largest over the blocks.
+    phi(sigma_0), the bucket of every descent, is copied out before the
+    subset sums take the buckets' place.  Every operand is a
+    :class:`~wickfock.tensorops.BlockOperator` in the layout of the walk, so
+    no dense matrix is placed when T is weight-preserving, and every
+    residual is the largest over the blocks.
     """
-    walk = descent_sums(alg, n)
+    buckets = descent_sums(alg, n)
     full = 2**n - 1
+    layout = alg.layout(n + 1)
     P = alg.P(n + 1)
     U = alg.U(n)
     total = alg.group_sum(n)
-    eye = BlockOperator.identity(walk.layout)
+    longest = BlockOperator.from_packed(layout, buckets[full].copy())
+    for i in range(n):  # rows with bit i set add the row without it
+        pairs = buckets.reshape(-1, 2, 2**i, layout.size)
+        pairs[:, 1] += pairs[:, 0]
 
     factorization = []
-    alternating = 0.0 * eye
+    alternating = np.zeros(layout.size, dtype=np.complex128)
     for J, PWJ in enumerate(_young_sums(alg, n)):
-        PDJ = walk.sum(D for D in range(2**n) if not D & J)
+        PDJ = buckets[full ^ J]
         J_set = [s for s in range(1, n + 1) if J >> (s - 1) & 1]
-        factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ PWJ)})
+        factorization.append({"J": J_set, "residual": op_norm(P - BlockOperator.from_packed(layout, PDJ) @ PWJ)})
         if 0 < J < full:
-            alternating = alternating + (-1.0) ** len(J_set) * PDJ
+            alternating += (-1.0) ** len(J_set) * PDJ
 
     sign_S = (-1.0) ** n
-    longest = walk.sum([full])
+    eye = BlockOperator.identity(layout)
+    alternating = BlockOperator.from_packed(layout, alternating)
     euler = max(
         op_norm(alternating - (-sign_S * eye + longest - total)),
         op_norm(alternating.adjoint() - (-sign_S * eye + U - P)),

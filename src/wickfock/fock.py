@@ -217,8 +217,8 @@ def relation_check(alg: Algebra, N: int, seed: int = 42, tol: float = 1e-8) -> d
         x = _random_graded(d, N - 1, rng)
         y = _random_graded(d, N, rng)
         i = rng.randrange(d)
-        lhs = fock_inner(alg, _pad(create(i, _pad(x, N)), N), y)
-        rhs = fock_inner(alg, _pad(x, N), _pad(annihilate(alg, i, y), N))
+        lhs = fock_inner(alg, create(i, _pad(x, N)), y)
+        rhs = fock_inner(alg, _pad(x, N), annihilate(alg, i, y))
         scale = 1.0 + x.norm() * y.norm()
         adjoint_residual = max(adjoint_residual, abs(lhs - rhs) / scale)
 

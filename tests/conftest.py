@@ -13,8 +13,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.internal.conjecture import providers
 
 import oracles
-from wickfock import model, rewrite
+from wickfock import coxeter, model, rewrite
 from wickfock.algebra import Algebra
+from wickfock.tensorops import BlockOperator
 
 # property tests replay the same examples on every run and keep no database
 settings.register_profile(
@@ -162,6 +163,12 @@ def braided_families(d: int):
     """Braided self-adjoint T beyond the presets, for property tests: the
     Hecke T (:func:`hecke`) at 0 < q <= 1, and the unimodular twisted flips."""
     return st.floats(0.0, 1.0, exclude_min=True).map(lambda q: hecke(d, q)) | unimodular_flips(d)
+
+
+def walk_buckets(alg: Algebra, n: int) -> list[BlockOperator]:
+    """The rows of ``coxeter.descent_sums(alg, n)``, the descent-class sums
+    of phi over S_{n+1}, each read as an operator in the layout of level n+1."""
+    return [BlockOperator.from_packed(alg.layout(n + 1), row) for row in coxeter.descent_sums(alg, n)]
 
 
 def residuals(report: dict) -> dict:

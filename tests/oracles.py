@@ -635,7 +635,8 @@ def young_sum(alg, n: int, J: int) -> np.ndarray:
 def coxeter_checks(alg, n: int) -> dict:
     """``coxeter.coxeter_checks`` with every operand placed as one dense
     matrix and every residual the norm of a dense difference."""
-    walk = coxeter.descent_sums(alg, n)
+    buckets = coxeter.descent_sums(alg, n)
+    layout = alg.layout(n + 1)
     full = 2**n - 1
     eye = np.eye(alg.T.d ** (n + 1), dtype=np.complex128)
     P = alg.P(n + 1).mat
@@ -645,14 +646,14 @@ def coxeter_checks(alg, n: int) -> dict:
     factorization = []
     alternating = np.zeros_like(eye)
     for J in range(2**n):
-        PDJ = walk.sum(D for D in range(2**n) if not D & J).mat
+        PDJ = BlockOperator.from_packed(layout, sum(buckets[D] for D in range(2**n) if not D & J)).mat
         J_set = [s for s in range(1, n + 1) if J >> (s - 1) & 1]
         factorization.append({"J": J_set, "residual": op_norm(P - PDJ @ young_sum(alg, n, J))})
         if 0 < J < full:
             alternating = alternating + (-1.0) ** len(J_set) * PDJ
 
     sign_S = (-1.0) ** n
-    longest = walk.sum([full]).mat
+    longest = BlockOperator.from_packed(layout, buckets[full]).mat
     euler = max(
         op_norm(alternating - (-sign_S * eye + longest - total)),
         op_norm(alternating.conj().T - (-sign_S * eye + U - P)),

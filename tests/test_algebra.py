@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import braided_families, example3, hecke, qccr, qij, rotated, twisted_flip
+from conftest import braided_families, example3, hecke, qccr, qij, rotated, twisted_flip, walk_buckets
 from wickfock import cli, coxeter, model, spectral, tensorops
 from wickfock.algebra import MAX_LEVEL_BYTES, Algebra, check_level
 
@@ -25,8 +25,7 @@ from wickfock.algebra import MAX_LEVEL_BYTES, Algebra, check_level
 def walk_total(alg: Algebra, n: int) -> np.ndarray:
     """P(S_{n+1}) as the sum of the buckets of the walk over descent
     classes, each bucket placed densely."""
-    walk = coxeter.descent_sums(alg, n)
-    return sum(walk.sum([mask]).mat for mask in range(len(walk)))
+    return sum(bucket.mat for bucket in walk_buckets(alg, n))
 
 
 def relative_gap(op, reference: np.ndarray) -> float:
@@ -70,10 +69,9 @@ def test_every_operator_the_algebra_returns_is_read_only():
     for spec in (qccr(3, 0.5), rotated(hecke(2, 0.6), 1)):
         alg = Algebra(spec)
         ops = [alg.T, alg.R(4), alg.P(4), alg.U(3), alg.word((2, 1), 3), alg.group_sum(3),
-               coxeter.descent_sums(alg, 2).sum([0, 3]), alg.ker_P(4, 1e-8).parts,
+               walk_buckets(alg, 2)[3], alg.ker_P(4, 1e-8).parts,
                alg.ker_P(4, 1e-8).projector(), spectral.ideal_complement(alg, 4).parts,
                alg.apply_tensor(alg.P(3), alg.R(4), last=True), alg.R(1), alg.P(0), alg.word((), 2)]
-        assert coxeter.descent_sums(alg, 2).layout is alg.layout(3)
         for op in ops:
             assert op.layout is alg.layout(op.level), spec.source
             assert not any(w.flags.writeable for w in op.words), spec.source
@@ -143,22 +141,15 @@ def test_kernel_is_memoized_per_rank_tolerance():
     assert alg.ker_P(3, 1e-6) is not K
 
 
-def test_walk_is_read_only_and_sums_in_its_layout():
-    # the Algebra keeps no walk: each call walks afresh, in the one layout
-    # the Algebra holds for the level
+def test_each_walk_is_a_fresh_array_in_the_layout_of_its_level():
+    # the Algebra keeps no walk: each call walks afresh, one row per bucket
+    # in the packed format of the one layout the Algebra holds for the level
     alg = Algebra(qccr(2, 0.5))
-    walk = coxeter.descent_sums(alg, 3)
-    assert walk.layout is alg.layout(4)
+    buckets = coxeter.descent_sums(alg, 3)
+    assert buckets.shape == (8, alg.layout(4).size)
     assert not [key for key in alg._memo if key[0] == "walk"]
-    for array in (walk.buckets, *walk.layout.words):
-        assert not array.flags.writeable
-    with pytest.raises(ValueError):
-        walk.buckets[0, 0] = 7.0
-    # sums added within the layout and placed once equal the sums of the
-    # placed buckets bit for bit
-    buckets = [walk.sum([mask]).mat for mask in range(len(walk))]
-    assert np.array_equal(walk.sum([0, 2, 5]).mat, buckets[0] + buckets[2] + buckets[5])
-    assert np.array_equal(walk.sum(range(len(walk))).mat, sum(buckets))
+    again = coxeter.descent_sums(alg, 3)
+    assert again is not buckets and np.array_equal(again, buckets)
 
 
 @pytest.mark.parametrize("rotate, d, max_rank", [(False, 2, 6), (False, 3, 4), (True, 2, 6)])
@@ -430,7 +421,7 @@ def test_kernel_theorem_at_d3_level_7_holds_no_R_7():
 
 def test_coxeter_checks_place_one_sum_at_a_time():
     # d=3, rank 4: the walk, P_5, U_4 and every operand are kept in weight
-    # blocks of 4,653 entries; 3.01 dense 243 x 243 matrices were measured at
+    # blocks of 4,653 entries; 2.36 dense 243 x 243 matrices were measured at
     # the peak, the walk's 16 buckets 1.26 of them
     alg = Algebra(qccr(3, 0.5))
     assert peak_bytes(lambda: coxeter.coxeter_checks(alg, 4)) < 4 * 16 * 243**2

@@ -26,6 +26,7 @@ from conftest import (
     twisted_flip_spec,
     unimodular_flip,
     unimodular_q,
+    walk_buckets,
 )
 from wickfock import cli, coxeter, fock, model, spectral, tensorops
 from wickfock.algebra import Algebra
@@ -317,9 +318,8 @@ def test_letter_relabelling_maps_each_block_onto_its_image(level):
     # arithmetic on an entry and its image, so the buckets agree bit for bit;
     # P_L's matmuls add in the order of the words, so it agrees within TOL
     alg = Algebra(qccr(3, 0.37))
-    walk = coxeter.descent_sums(alg, level - 1)
+    buckets = walk_buckets(alg, level - 1)
     P = alg.P(level)
-    buckets = [walk.sum([mask]) for mask in range(len(walk))]
     for sigma in itertools.permutations(range(3)):
         for b, (target, positions) in enumerate(relabelled(alg.layout(level).words, 3, level, sigma)):
             image = np.ix_(positions, positions)

@@ -170,6 +170,23 @@ def test_n_max_below_2_is_input_error(qccr_path, tmp_path, capsys):
             assert "--n-max must be >= 2" in capsys.readouterr().err
 
 
+def test_pn_below_level_0_is_input_error(qccr_path, tmp_path, capsys, monkeypatch):
+    # every method refuses a negative level before any operator exists, and
+    # takes levels 0 and 1
+    layouts = []
+    layout = Algebra.layout
+    monkeypatch.setattr(Algebra, "layout", lambda self, level: layouts.append(level) or layout(self, level))
+    for method in ("recursive", "coxeter", "both"):
+        layouts.clear()
+        code, report = run(["pn", "--spec", qccr_path, "--n", "-3", "--method", method], tmp_path, f"{method}.json")
+        assert code == 2 and report is None, method
+        assert "--n must be >= 0, the level of P_n; got -3" in capsys.readouterr().err, method
+        assert layouts == [], method
+        for n in ("0", "1"):
+            code, report = run(["pn", "--spec", qccr_path, "--n", n, "--method", method], tmp_path)
+            assert code == 0 and report["overall"] == "pass", (method, n)
+
+
 def test_coxeter_command(tmp_path):
     path = write_spec(
         tmp_path,
@@ -195,6 +212,46 @@ def test_coxeter_rank6_runs_at_d2(qccr_path, tmp_path):
     assert code == 0 and report["overall"] == "pass"
     factorizations = [c for c in report["checks"] if c["name"] == "factorization_DJ_WJ"]
     assert len(factorizations) == 2**6
+
+
+@pytest.mark.parametrize("mask, name", [(7, "phi_longest_vs_U"), (1, "factorization_DJ_WJ"), (1, "euler_solomon")])
+def test_coxeter_records_fail_on_a_moved_bucket_entry(qccr_path, tmp_path, monkeypatch, mask, name):
+    # one entry of one bucket of the walk of S_4 moved by 1e-6: bucket 7 is
+    # phi(sigma_0), read against U_3; bucket 1, the descent set {1}, lies in
+    # every D_J with 1 outside J, and in the alternating Euler-Solomon sum
+    # with the sign -1.  The group sum reads no bucket
+    descent_sums = coxeter.descent_sums
+
+    def moved(alg, n):
+        buckets = descent_sums(alg, n)
+        buckets[mask, 0] += 1e-6
+        return buckets
+
+    monkeypatch.setattr(coxeter, "descent_sums", moved)
+    code, report = run(["coxeter", "--spec", qccr_path, "--n", "3"], tmp_path)
+    assert code == 1 and report["overall"] == "fail"
+    status = {c["name"]: c["status"] for c in report["checks"] if c["name"] != "factorization_DJ_WJ"}
+    assert status["group_sum_agreement"] == "pass"
+    if name == "factorization_DJ_WJ":
+        factorizations = [c for c in report["checks"] if c["name"] == name]
+        assert [c["status"] for c in factorizations] == ["pass" if 1 in c["params"]["J"] else "fail"
+                                                         for c in factorizations]
+    else:
+        assert status[name] == "fail"
+
+
+def test_group_sum_agreement_fails_on_a_relative_error(qccr_path, tmp_path, monkeypatch):
+    group_sum = Algebra.group_sum
+
+    def scaled(self, n):
+        S = group_sum(self, n)
+        return BlockOperator(S.layout, [m * (1 + 1e-6) for m in S.mats])
+
+    monkeypatch.setattr(Algebra, "group_sum", scaled)
+    code, report = run(["coxeter", "--spec", qccr_path, "--n", "3"], tmp_path)
+    assert code == 1 and report["overall"] == "fail"
+    [agreement] = [c for c in report["checks"] if c["name"] == "group_sum_agreement"]
+    assert agreement["status"] == "fail" and agreement["residual"] > agreement["tolerance"]
 
 
 def test_reports_say_which_walk_ran(qccr_path, tmp_path):

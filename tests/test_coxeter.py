@@ -25,6 +25,7 @@ from conftest import (
     rotated,
     twisted_flip,
     unimodular_flip,
+    walk_buckets,
 )
 from wickfock import coxeter, model, tensorops
 from wickfock.algebra import Algebra
@@ -222,11 +223,11 @@ def mask_to_set(mask: int, n: int) -> set:
 def test_descent_sums_extremes():
     # only the identity has no descent, only the longest element has all
     alg = Algebra(qccr(2, 0.5))
-    sums = coxeter.descent_sums(alg, 3)
+    sums = walk_buckets(alg, 3)
     assert len(sums) == 8
-    assert np.array_equal(sums.sum([0]).mat, np.eye(16))
+    assert np.array_equal(sums[0].mat, np.eye(16))
     longest = oracles.enumerate_group(3)[-1]
-    assert np.array_equal(sums.sum([7]).mat, oracles.phi(alg.T, longest, 3).mat)
+    assert np.array_equal(sums[7].mat, oracles.phi(alg.T, longest, 3).mat)
 
 
 def test_descent_sums_match_phi_grouped_by_descent_set():
@@ -246,14 +247,14 @@ def test_descent_sums_match_phi_grouped_by_descent_set():
         alg = Algebra(spec)
         T, d = alg.T, alg.T.d
         for n in (1, 2, 3):
-            sums = coxeter.descent_sums(alg, n)
-            assert sums.layout.record["layout"] == layout, label
+            sums = walk_buckets(alg, n)
+            assert alg.layout(n + 1).record["layout"] == layout, label
             expected = [np.zeros((d ** (n + 1),) * 2, dtype=complex) for _ in range(2**n)]
             for e in oracles.enumerate_group(n):
                 mask = sum(1 << (s - 1) for s in oracles.descents(e.perm))
                 expected[mask] += oracles.phi(T, e, n).mat
             for mask in range(2**n):
-                assert np.linalg.norm(sums.sum([mask]).mat - expected[mask], 2) <= 1e-12, (label, n, mask)
+                assert np.linalg.norm(sums[mask].mat - expected[mask], 2) <= 1e-12, (label, n, mask)
 
 
 def dense_walk(T, n: int) -> np.ndarray:
@@ -268,10 +269,9 @@ def dense_walk(T, n: int) -> np.ndarray:
 def test_packed_walk_matches_dense_walk(d, max_rank, data):
     alg = Algebra(data.draw(braided_families(d)))
     for n in range(1, max_rank + 1):
-        walk = coxeter.descent_sums(alg, n)
-        assert walk.layout.record["layout"] == "weight"
-        for mask, dense in zip(range(len(walk)), dense_walk(alg.T, n), strict=True):
-            assert np.linalg.norm(walk.sum([mask]).mat - dense, 2) <= 1e-13, (n, alg.T.mat)
+        assert alg.layout(n + 1).record["layout"] == "weight"
+        for bucket, dense in zip(walk_buckets(alg, n), dense_walk(alg.T, n), strict=True):
+            assert np.linalg.norm(bucket.mat - dense, 2) <= 1e-13, (n, alg.T.mat)
 
 
 def assert_matches_element_walk(alg, n: int, context) -> None:
@@ -279,11 +279,11 @@ def assert_matches_element_walk(alg, n: int, context) -> None:
     element-by-element walk, in the same layout.  The scale is the walk's:
     in a rotated basis a bucket of small entries still carries the rounding
     of products of entries near 1."""
-    walk = coxeter.descent_sums(alg, n)
-    step = tensorops.slot_step(alg.T, walk.layout)
-    reference = oracles.walk_elements(n, tensorops.packed_identity(walk.layout), step)
+    layout = alg.layout(n + 1)
+    step = tensorops.slot_step(alg.T, layout)
+    reference = oracles.walk_elements(n, tensorops.packed_identity(layout), step)
     scale = np.abs(reference).max()
-    for mask, (got, want) in enumerate(zip(walk.buckets, reference, strict=True)):
+    for mask, (got, want) in enumerate(zip(coxeter.descent_sums(alg, n), reference, strict=True)):
         assert np.abs(got - want).max() <= 1e-13 * scale, (context, n, mask)
 
 
@@ -299,7 +299,7 @@ def test_descent_sums_match_the_element_walk(d, max_rank, data):
 def test_descent_sums_match_the_element_walk_on_one_dense_block(q):
     alg = Algebra(rotated(hecke(2, q), 1))
     for n in range(1, 6):
-        assert coxeter.descent_sums(alg, n).layout.record["layout"] == "dense"
+        assert alg.layout(n + 1).record["layout"] == "dense"
         assert_matches_element_walk(alg, n, q)
 
 
@@ -379,13 +379,12 @@ def test_walk_layout_detection():
     dense = [rotated(hecke(2, 0.6), 1), rotated(qccr(2, 0.5), 3), rotated(unimodular_flip(3, seed=5), 2)]
     for spec in dense:
         alg = Algebra(spec)
-        walk = coxeter.descent_sums(alg, 3)
-        assert walk.layout.record == {"layout": "dense", "blocks": 1, "largest_block": alg.T.d**4}
+        assert alg.layout(4).record == {"layout": "dense", "blocks": 1, "largest_block": alg.T.d**4}
         # the one block is the dense square, flattened row-major: the same
         # walk as the dense reference, bit for bit
         reference = dense_walk(alg.T, 3)
-        assert np.array_equal(walk.buckets, reference.reshape(len(reference), -1))
-        assert np.array_equal([walk.sum([mask]).mat for mask in range(len(walk))], reference)
+        assert np.array_equal(coxeter.descent_sums(alg, 3), reference.reshape(len(reference), -1))
+        assert np.array_equal([bucket.mat for bucket in walk_buckets(alg, 3)], reference)
     # one off-pattern coefficient, however small, leaves the weight layout:
     # the test is exact, so no coefficient is dropped
     M = model.build_T(hecke(2, 0.6)).mat.copy()
@@ -393,9 +392,8 @@ def test_walk_layout_detection():
     alg = Algebra(matrix_spec(M))
     assert np.array_equal(alg.T.mat, M)
     assert not alg.weight
-    walk = coxeter.descent_sums(alg, 2)
-    assert walk.layout.record["layout"] == "dense"
-    assert np.array_equal([walk.sum([mask]).mat for mask in range(len(walk))], dense_walk(alg.T, 2))
+    assert alg.layout(3).record["layout"] == "dense"
+    assert np.array_equal([bucket.mat for bucket in walk_buckets(alg, 2)], dense_walk(alg.T, 2))
 
 
 def test_walk_leaves_nothing_for_the_cycle_collector():
@@ -406,8 +404,8 @@ def test_walk_leaves_nothing_for_the_cycle_collector():
         gc.collect()
         gc.disable()
         try:
-            walk = coxeter.descent_sums(alg, 4)
-            assert gc.collect() == 0, walk.layout.record
+            sums = coxeter.descent_sums(alg, 4)
+            assert gc.collect() == 0, (spec.source, sums.shape)
         finally:
             gc.enable()
 
@@ -438,8 +436,7 @@ def test_descent_class_sizes_count_permutations():
         counts = [0] * 2**n
         for perm in itertools.permutations(range(n + 1)):
             counts[sum(1 << s for s in range(n) if perm[s] > perm[s + 1])] += 1
-        sums = coxeter.descent_sums(alg, n)
-        assert [sums.sum([mask]).mat.item() for mask in range(len(sums))] == counts, n
+        assert [bucket.mat.item() for bucket in walk_buckets(alg, n)] == counts, n
         order = math.factorial(n + 1)
         for J in range(2**n):
             size_D = sum(counts[D] for D in range(2**n) if not D & J)
@@ -474,7 +471,8 @@ def test_descent_factorization_example():
     assert len(W_J) == 2 and len(D_J) == 3
     alg = Algebra(qccr(2, 0.5))
     T = alg.T
-    PDJ = coxeter.descent_sums(alg, 2).sum([0, 2]).mat  # the descent sets {} and {2} avoid J = {1}
+    sums = walk_buckets(alg, 2)
+    PDJ = (sums[0] + sums[2]).mat  # the descent sets {} and {2} avoid J = {1}
     assert np.linalg.norm(PDJ - phi_sum(T, D_J, 2), 2) <= 1e-12
     lhs = oracles.build_P(T, 3).mat
     assert np.linalg.norm(lhs - PDJ @ phi_sum(T, W_J, 2), 2) <= 1e-10
@@ -555,6 +553,35 @@ def test_coxeter_checks_report_shape():
     assert [f["J"] for f in rep["factorization"]] == [
         sorted(mask_to_set(mask, 3)) for mask in range(8)
     ]
+
+
+def test_the_report_reads_each_P_DJ_as_the_direct_sum_of_its_buckets(monkeypatch):
+    # coxeter_checks turns the walk's array into its subset sums in place;
+    # kept here, row full ^ J is P(D_J), which must match the sum of the
+    # buckets of the descent sets that avoid J, added one by one, within
+    # 1e-12 of its largest entry; the rotated T is one dense block
+    kept = []
+    descent_sums = coxeter.descent_sums
+
+    def watched(alg, n):
+        sums = descent_sums(alg, n)
+        kept.append((sums, sums.copy()))
+        return sums
+
+    monkeypatch.setattr(coxeter, "descent_sums", watched)
+    cases = [(hecke(2, 0.6), 6), (twisted_flip(2, seed=2), 6), (qij(-1.0), 6),
+             (hecke(3, 0.8), 5), (unimodular_flip(3, seed=4), 5), (rotated(hecke(2, 0.6), 1), 5)]
+    for spec, max_rank in cases:
+        alg = Algebra(spec)
+        for n in range(1, max_rank + 1):
+            coxeter.coxeter_checks(alg, n)
+            [(sums, raw)] = kept
+            kept.clear()
+            full = 2**n - 1
+            for J in range(2**n):
+                direct = sum(raw[D] for D in range(2**n) if not D & J)
+                scale = np.abs(direct).max()
+                assert np.abs(sums[full ^ J] - direct).max() <= 1e-12 * scale, (spec.source, n, J)
 
 
 def test_young_factors_are_located_once_per_slot_group(monkeypatch):

@@ -109,19 +109,16 @@ def test_no_module_imports_a_private_name_of_tensorops():
 def test_only_the_coxeter_report_walks_the_descent_classes():
     # the walk over descent classes holds 2^n buckets, and the group sum, a
     # right-coset product, needs none of them: coxeter.descent_sums has one
-    # caller, coxeter_checks, which drops the walk when it returns (the
-    # Algebra keeps none), and only Walk's own methods touch the buckets, so
+    # caller, coxeter_checks, which turns the buckets into their subset sums
+    # in place and drops them when it returns (the Algebra keeps none), so
     # no caller that wants P(S_{n+1}) can bring the walk back
-    calls, reads = [], []
+    calls = []
     for path in sorted(Path(wickfock.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "buckets":
-                reads.append((path.name, owner.get(node)))
             if not isinstance(node, ast.Call) or getattr(node.func, "attr", getattr(node.func, "id", None)) != "descent_sums":
                 continue
             module = isinstance(node.func, ast.Name) or getattr(node.func.value, "id", None) == "coxeter"
             calls.append((path.name, owner.get(node), "coxeter.descent_sums" if module else "Algebra.descent_sums"))
     assert sorted(calls) == [("coxeter.py", "coxeter_checks", "coxeter.descent_sums")]
-    assert set(reads) == {("coxeter.py", "__init__"), ("coxeter.py", "sum"), ("coxeter.py", "__len__")}

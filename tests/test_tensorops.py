@@ -18,6 +18,7 @@ from conftest import (
     random_unitary,
     rotated,
     unimodular_flip,
+    walk_buckets,
 )
 from wickfock import coxeter, model, spectral, tensorops
 from wickfock.algebra import Algebra
@@ -344,9 +345,8 @@ def test_factorization_m_form():
         alg = Algebra(spec)
         T = alg.T
         for n, m in [(1, 2), (2, 2), (1, 3)]:
-            sums = coxeter.descent_sums(alg, n + m - 1)
             J = 2 ** (m - 1) - 1
-            PDJ = sums.sum(D for D in range(len(sums)) if not D & J).mat
+            PDJ = sum(bucket.mat for D, bucket in enumerate(walk_buckets(alg, n + m - 1)) if not D & J)
             PDm = oracles.build_PDm(T, n, m).mat
             assert tensorops.op_norm(PDJ - PDm) <= 1e-10, (spec.source, n, m)
             rhs = tensorops.apply_slots(oracles.build_P(T, m).mat, T.d, 1, PDm)

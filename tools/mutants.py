@@ -1,8 +1,8 @@
 """Mutant runner for the status logic and for what the Algebra keeps: each
 mutant is a one-line textual change to a condition that sets a check's
-status, to the rule that drops an operator after its last reader, or to
-the level a command's plan states, and the test suite must fail on every
-one of them.
+status, to the rule that drops an operator after its last reader, to
+the level a command's plan states, or to the subset sums that give every
+P(D_J), and the test suite must fail on every one of them.
 
 Usage, from the repository root (a few minutes; a mutant that survives
 costs one run of the whole suite):
@@ -56,8 +56,11 @@ MUTANTS = [
      'self._memo.get(("R", m)) or self._R(m)',
      "self.R(m)"),
     ("algebra-keeps-the-walk", "coxeter.py",
-     "walk = descent_sums(alg, n)",
-     'walk = alg._memo.setdefault(("walk", n), descent_sums(alg, n))'),
+     "buckets = descent_sums(alg, n)",
+     'buckets = alg._memo.setdefault(("walk", n), descent_sums(alg, n))'),
+    ("subset-sums-skip-the-last-pass", "coxeter.py",
+     "for i in range(n):",
+     "for i in range(n - 1):"),
     ("rewrite-cross-compares-nothing", "cli.py",
      "worst = max(worst, abs(alg.f(u_star + w) - complex(entry)))",
      "pass"),
