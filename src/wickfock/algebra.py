@@ -14,6 +14,7 @@ from .model import T_blocks, WickSpec
 from .rewrite import FockFunctional
 from .spectral import Subspace, kernel, symmetric_eigenvalues
 from .tensorops import (
+    BRAID_TOL,
     MAX_LEVEL_BYTES,
     BlockOperator,
     Layout,
@@ -33,7 +34,8 @@ class Algebra:
     decided once: ``weight`` (whether T is weight-preserving: each nonzero
     T_ab^ce has {a, e} = {b, c}, decided exactly), the braid residual, the
     norm and the smallest eigenvalue of ``T``, per block of ``T`` in the
-    layout of level 2.  On first use, after the level guard
+    layout of level 2, and from them the paper's hypotheses (``braided``,
+    ``hypotheses``), which every check reads.  On first use, after the level guard
     (:func:`check_level`: when T is weight-preserving, on the largest block
     and on what the blocks of one operator hold together), it builds
     read-only ``T``, the block layout of each level
@@ -75,6 +77,19 @@ class Algebra:
     def norm_T(self) -> float:
         """The operator norm of T."""
         return op_norm(self.T)
+
+    @cached_property
+    def braided(self) -> bool:
+        """Whether T satisfies the braid relation, at the fixed BRAID_TOL:
+        the hypothesis of the Coxeter sums and of the U_n laws."""
+        return self.braid_residual <= BRAID_TOL
+
+    @cached_property
+    def hypotheses(self) -> dict:
+        """The hypotheses of the kernel theorem: ``applicable`` when T is
+        braided and ||T|| <= 1 (at the fixed 1 + 1e-10)."""
+        return {"braid_residual": self.braid_residual, "norm_T": self.norm_T,
+                "applicable": self.braided and self.norm_T <= 1.0 + 1e-10}
 
     @cached_property
     def min_eig_T(self) -> float:

@@ -132,25 +132,22 @@ class _Checks:
         copied = {k: v for k, v in report.items() if k not in ("level", "max_degree", "status")}
         self.add(name, params, report["status"], **copied, **fields)
 
-    def add_residual(self, name: str, params: dict, residual: float, tol: float, **fields) -> None:
-        self.add(
-            name,
-            params,
-            "pass" if residual <= tol else "fail",
-            residual=float(residual),
-            tolerance=tol,
-            **fields,
-        )
+    def add_residual(self, name: str, params: dict, residual: float, tol: float, applicable: bool = True,
+                     **fields) -> None:
+        """A residual against its tolerance, under the rule of :func:`spectral.verdict`."""
+        self.add(name, params, spectral.verdict(residual <= tol, applicable), residual=float(residual),
+                 tolerance=tol, **fields)
 
     @property
     def overall(self) -> str:
         return "fail" if any(r["status"] == "fail" for r in self.records) else "pass"
 
 
-def _suite_check(alg: Algebra, checks: _Checks, tol: float) -> None:
+def _suite_check(alg: Algebra, checks: _Checks) -> None:
     checks.add_residual("hermiticity", {}, tensorops.op_norm(alg.T - alg.T.adjoint()), 1e-12)
     checks.add("operator_norm", {}, "info", value=alg.norm_T)
-    checks.add_residual("braid", {}, alg.braid_residual, tol)
+    checks.add("braid", {}, "pass" if alg.braided else "fail", residual=alg.braid_residual,
+               tolerance=tensorops.BRAID_TOL)
 
 
 def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) -> None:
@@ -160,10 +157,7 @@ def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) ->
             checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable",
                        reason="group sum needs n >= 2")
         else:
-            try:
-                ops["coxeter"] = alg.group_sum(n - 1)
-            except coxeter.BraidConditionError as exc:
-                checks.add("pn_spectrum", {"n": n, "method": "coxeter"}, "inapplicable", reason=str(exc))
+            ops["coxeter"] = alg.group_sum(n - 1)
     if method in ("recursive", "both"):
         ops = {"recursive": alg.P(n), **ops}
     norms = {}
@@ -172,13 +166,14 @@ def _suite_pn(alg: Algebra, checks: _Checks, n: int, method: str, tol: float) ->
                  else [spectral.symmetric_eigenvalues(m) for m in op.mats])
         walk = {"walk": alg.layout(n).record} if name == "coxeter" else {}
         low, high = min(float(e[0]) for e in evals), max(float(e[-1]) for e in evals)
-        norms[name] = max(abs(low), abs(high))  # both sums are self-adjoint
+        norms[name] = max(abs(low), abs(high))  # both sums are self-adjoint when T is braided
         checks.add("pn_spectrum", {"n": n, "method": name}, "info", min_eig=low, max_eig=high,
                    norm=norms[name], **walk)
     if len(ops) == 2:
         residual = tensorops.op_norm(ops["recursive"] - ops["coxeter"])
         # relative once ||P_n|| > 1, as inner's bound: [n]_q! outgrows any absolute tolerance
-        checks.add_residual("pn_method_agreement", {"n": n}, residual, tol * max(1.0, norms["recursive"]))
+        checks.add_residual("pn_method_agreement", {"n": n}, residual, tol * max(1.0, norms["recursive"]),
+                            alg.braided)
 
 
 def _suite_kernel_theorem(alg: Algebra, checks: _Checks, n_max: int, rank_tol: float, tol: float) -> None:
@@ -187,26 +182,20 @@ def _suite_kernel_theorem(alg: Algebra, checks: _Checks, n_max: int, rank_tol: f
         checks.add_report("kernel_theorem", {"level": level}, rep, tolerance=tol)
 
 
-def _suite_positivity(alg: Algebra, checks: _Checks, n_max: int, rank_tol: float, tol: float) -> None:
+def _suite_positivity(alg: Algebra, checks: _Checks, n_max: int, rank_tol: float) -> None:
     for n in range(2, n_max + 1):
-        rep = spectral.positivity_check(alg, n, rank_tol=rank_tol, tol=tol)
+        rep = spectral.positivity_check(alg, n, rank_tol=rank_tol)
         checks.add_report("positivity", {"n": n}, rep)
 
 
 def _suite_coxeter(alg: Algebra, checks: _Checks, n: int, tol: float) -> None:
-    try:
-        rep = coxeter.coxeter_checks(alg, n)
-    except coxeter.BraidConditionError as exc:
-        checks.add("coxeter_suite", {"n": n}, "inapplicable", reason=str(exc))
-        return
-    checks.add_residual("group_sum_agreement", {"n": n}, rep["group_sum"], tol,
+    rep, braided = coxeter.coxeter_checks(alg, n), alg.braided
+    checks.add_residual("group_sum_agreement", {"n": n}, rep["group_sum"], tol, braided,
                         walk=alg.layout(n + 1).record)
     for fact in rep["factorization"]:
-        checks.add_residual(
-            "factorization_DJ_WJ", {"n": n, "J": fact["J"]}, fact["residual"], tol
-        )
-    checks.add_residual("euler_solomon", {"n": n}, rep["euler_solomon"], tol)
-    checks.add_residual("phi_longest_vs_U", {"n": n}, rep["longest_vs_U"], tol)
+        checks.add_residual("factorization_DJ_WJ", {"n": n, "J": fact["J"]}, fact["residual"], tol, braided)
+    checks.add_residual("euler_solomon", {"n": n}, rep["euler_solomon"], tol, braided)
+    checks.add_residual("phi_longest_vs_U", {"n": n}, rep["longest_vs_U"], tol, braided)
 
 
 def _suite_rank(alg: Algebra, checks: _Checks, n: int, rank_tol: float, tol: float) -> None:
@@ -282,14 +271,14 @@ def _plan(args: argparse.Namespace, d: int) -> list[tuple]:
     if args.command == "coxeter":
         return [(_suite_coxeter, max(args.n + 1, 3), args.n, args.n, tol)]
     if args.command == "pn":
-        level = max(args.n, 2 if args.method == "recursive" else 3)  # P_0 and P_1 read T
+        level = max(args.n, 3 if args.method == "both" else 2)  # P_0 and P_1 read T
         return [(_suite_pn, level, None, args.n, args.method, tol)]
-    plan = [(_suite_check, 3, None, tol)]
+    plan = [(_suite_check, 3, None)]
     if args.command == "check":
         return plan
     n_max = args.n_max
     kernel_theorem = (_suite_kernel_theorem, max(n_max, 3), None, n_max, rank_tol, tol)
-    positivity = (_suite_positivity, max(n_max, 3), None, n_max, rank_tol, tol)
+    positivity = (_suite_positivity, max(n_max, 3), None, n_max, rank_tol)
     if args.command != "full":
         return [kernel_theorem if args.command == "kernel-theorem" else positivity]
     N = min(n_max, fock.default_max_degree(d))
@@ -412,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report, code = build_report(args)
         body = json.dumps(report, indent=2, allow_nan=False) + "\n"  # NaN and Infinity are not JSON
-    except ValueError as exc:  # SpecError and BraidConditionError included
+    except ValueError as exc:  # SpecError included
         print(f"wickfock: input error: {exc}", file=sys.stderr)
         return 2
 

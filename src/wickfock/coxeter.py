@@ -4,8 +4,12 @@ Generator letters are 1-based adjacent transpositions s_i = (i, i+1); right
 multiplication by s_i swaps the entries at positions i, i+1 of a one-line form.
 
 The quasimultiplicative map sends a reduced word i_1 ... i_k to the matrix
-product T_{i_1} ... T_{i_k}; it is well defined only when T satisfies the
-braid condition, so every sum is gated on the braid residual.
+product T_{i_1} ... T_{i_k}; it is well defined on the group only when T
+satisfies the braid condition.  Both sums below read one reduced word per
+element, u s_m ... s_k, so they are computed for any T, and agree there;
+whether the identities they are compared against hold rests on the braid
+relation, which the :class:`~wickfock.algebra.Algebra` decides
+(``alg.braided``) and the reports read.
 
 :func:`group_sum` builds P(S_{n+1}) by its right cosets of S_m,
 P(S_{m+1}) = P(S_m)(1 + T_m + T_m T_{m-1} + ... + T_m ... T_1), in
@@ -52,9 +56,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .tensorops import (
-    BRAID_TOL,
     BlockOperator,
-    Layout,
     op_norm,
     packed_identity,
     packed_size,
@@ -65,7 +67,6 @@ if TYPE_CHECKING:
     from .algebra import Algebra
 
 __all__ = [
-    "BraidConditionError",
     "MAX_RANK",
     "MAX_WALK_BYTES",
     "check_walk",
@@ -79,11 +80,6 @@ MAX_WALK_BYTES = 2 * 1024**3  # fixed guard on the matrices one walk keeps live
 # per packed entry, beyond the operators of 16-byte entries: index arrays and
 # the checks' operands; fitted when slot steps kept per-entry tables, so high now
 WALK_ENTRY_BYTES = 480
-
-
-class BraidConditionError(ValueError):
-    """The operator fails the braid condition, so the quasimultiplicative
-    map is not well defined on reduced words."""
 
 
 def check_walk(d: int, n: int, weight: bool = False) -> None:
@@ -140,14 +136,6 @@ def _walk(n: int, start: np.ndarray, apply) -> np.ndarray:
     return sums
 
 
-def _gate(alg: Algebra, n: int) -> Layout:
-    """The layout of a sum over S_{n+1}, past the braid gate."""
-    if alg.braid_residual > BRAID_TOL:
-        raise BraidConditionError(f"braid residual {alg.braid_residual:.3e} exceeds {BRAID_TOL:.1e}; "
-                                  "the map is only well defined for braided operators")
-    return alg.layout(n + 1)
-
-
 def descent_sums(alg: Algebra, n: int) -> np.ndarray:
     """Sums of phi over the descent classes of S_{n+1}, stacked: row
     ``mask`` adds phi(w) over the w whose descent set is
@@ -158,11 +146,10 @@ def descent_sums(alg: Algebra, n: int) -> np.ndarray:
     weight-preserving, else one dense block) as
     :meth:`~wickfock.tensorops.BlockOperator.from_packed` reads it, and
     right multiplication by T_i the :func:`~wickfock.tensorops.slot_step`.
-    Refused by :func:`check_walk` before anything is allocated, and gated on
-    the braid residual of ``alg``.
+    Refused by :func:`check_walk` before anything is allocated.
     """
     check_walk(alg.spec.d, n, alg.weight)
-    layout = _gate(alg, n)
+    layout = alg.layout(n + 1)
     return _walk(n, packed_identity(layout), slot_step(alg.T, layout))
 
 
@@ -170,10 +157,10 @@ def group_sum(alg: Algebra, n: int) -> BlockOperator:
     """P(S_{n+1}) = prod_{m=1..n} (1 + T_m + T_m T_{m-1} + ... + T_m ... T_1),
     each chain term added as the :func:`~wickfock.tensorops.slot_step` makes
     it: n(n+1)/2 steps (21 at rank 6) with three operators live, in the
-    layout and behind the braid gate of :func:`descent_sums`.  No walk
-    guard: ``alg.layout(n + 1)`` runs the level guard, which budgets more
-    per entry than the three operators take."""
-    layout = _gate(alg, n)
+    layout of :func:`descent_sums`.  No walk guard: ``alg.layout(n + 1)``
+    runs the level guard, which budgets more per entry than the three
+    operators take."""
+    layout = alg.layout(n + 1)
     step, total = slot_step(alg.T, layout), packed_identity(layout)
     for m in range(1, n + 1):
         term = total

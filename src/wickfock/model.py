@@ -216,6 +216,8 @@ def preset(name: str, d: int, **params: Any) -> WickSpec:
 
     elif name == "qij-ccr":
         qs = params.pop("qs", None)
+        if "lam" in params and "lambda" in params:
+            raise SpecError('qij-ccr takes "lam" or "lambda", not both')
         lam = params.pop("lam", params.pop("lambda", None))
         if params:
             raise SpecError(f"unexpected qij-ccr parameters: {sorted(params)}")

@@ -19,7 +19,9 @@ kernel equality ker P_{n+1} = sum_k ker(1 + T_k), decided as the orthogonal
 decomposition ker P_{n+1} (+) ker(sum_k 1 (x) Pi (x) 1) = H^(x)(n+1) with Pi
 the projector onto the level-2 kernel of 1 + T, strict positivity, the U_n
 invariance and commutation laws, the telescoping expansion of 1 - U_n^2,
-the diagnostics on ker(1 - U_n^2), and the Wick-ideal membership residuals.
+the diagnostics on ker(1 - U_n^2), and the Wick-ideal membership residuals,
+each status by the one rule of :func:`verdict` on the hypothesis the
+Algebra decides.
 Every product of the T_i is a word of the Algebra (``alg.word``), and all
 is taken per block, the Wick-ideal contractions and amplifications through
 the first- and last-letter split of the blocks
@@ -46,6 +48,7 @@ __all__ = [
     "nullspace_svd",
     "subspace_intersection",
     "ideal_complement",
+    "verdict",
     "kernel_theorem_check",
     "positivity_check",
     "un_checks",
@@ -144,13 +147,12 @@ def subspace_intersection(a: Subspace, b: Subspace, rank_tol: float = RANK_TOL) 
     return kernel((eye - a.projector()) + (eye - b.projector()), rank_tol)
 
 
-def _hypotheses(alg: Algebra, tol: float) -> dict:
-    br, norm_T = alg.braid_residual, alg.norm_T
-    return {
-        "braid_residual": br,
-        "norm_T": norm_T,
-        "applicable": bool(br <= tol and norm_T <= 1.0 + 1e-10),
-    }
+def verdict(ok: bool, applicable: bool) -> str:
+    """The status of a check, by the one rule for a failed hypothesis: the
+    check is computed on any self-adjoint T, and reads inapplicable when the
+    paper's hypothesis for its identity (``alg.braided`` or
+    ``alg.hypotheses["applicable"]``) fails."""
+    return ("pass" if ok else "fail") if applicable else "inapplicable"
 
 
 def ideal_complement(alg: Algebra, level: int, rank_tol: float = RANK_TOL) -> Subspace:
@@ -189,14 +191,12 @@ def kernel_theorem_check(
     (``dim_sum = d^(n+1) - dim ker S``), the projector distance
     ||Pi_{ker P} - Pi_sum||, and the easy-inclusion margin ||P_{n+1} Pi_sum||,
     each the largest over the blocks of the layout, which all three share,
-    taken one block at a time.  Hypothesis violations (braid, norm) do not
-    stop the computation; they mark the check inapplicable.
+    taken one block at a time.  It carries ``alg.hypotheses`` too, and reads
+    inapplicable when they fail.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     level = n + 1
-    hyp = _hypotheses(alg, tol)
-
     P = alg.P(level)
     ker_P = alg.ker_P(level, rank_tol)
     complement = ideal_complement(alg, level, rank_tol)
@@ -214,14 +214,12 @@ def kernel_theorem_check(
         "dim_sum": dim_sum,
         "distance": distance,
         "inclusion_margin": margin,
-        "hypotheses": hyp,
-        "status": ("pass" if ok else "fail") if hyp["applicable"] else "inapplicable",
+        "hypotheses": dict(alg.hypotheses),
+        "status": verdict(ok, alg.hypotheses["applicable"]),
     }
 
 
-def positivity_check(
-    alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHECK_TOL
-) -> dict:
+def positivity_check(alg: Algebra, n: int, rank_tol: float = RANK_TOL) -> dict:
     """Minimum eigenvalue of the symmetrized P_n, over its blocks
     (``alg.eigenvalues(n)``), with its classification: strictly positive,
     positive semidefinite, or indefinite.  ``dim_ker_P`` counts the
@@ -231,7 +229,8 @@ def positivity_check(
     The status applies the positivity criterion: for braided T with
     ||T|| <= 1 and min eig T > -1 + rank_tol (``alg.min_eig_T``), P_n must
     be strictly positive; for braided contractive T otherwise,
-    min_eig >= -rank_tol; for any other T the check is inapplicable.
+    min_eig >= -rank_tol; for any other T the check is inapplicable
+    (``alg.hypotheses``).
     """
     evals = np.concatenate(alg.eigenvalues(n))
     min_eig = float(evals.min()) if evals.size else 1.0
@@ -242,18 +241,14 @@ def positivity_check(
     else:
         classification = "indefinite"
     dim_ker = int(np.sum(np.abs(evals) <= rank_tol))
-    if not _hypotheses(alg, tol)["applicable"]:
-        status = "inapplicable"
-    elif alg.min_eig_T > -1.0 + rank_tol:
-        status = "pass" if classification == "strictly positive" else "fail"
-    else:
-        status = "pass" if min_eig >= -rank_tol else "fail"
+    strict = alg.min_eig_T > -1.0 + rank_tol
+    ok = classification == "strictly positive" if strict else classification != "indefinite"
     return {
         "level": n,
         "min_eig": min_eig,
         "classification": classification,
         "dim_ker_P": dim_ker,
-        "status": status,
+        "status": verdict(ok, alg.hypotheses["applicable"]),
     }
 
 
@@ -281,7 +276,7 @@ def un_checks(alg: Algebra, n: int, rank_tol: float = RANK_TOL, tol: float = CHE
         "level": level,
         "invariance_residual": invariance,
         "commutation_residual": commutation,
-        "status": "pass" if invariance <= tol and commutation <= tol else "fail",
+        "status": verdict(invariance <= tol and commutation <= tol, alg.braided),
     }
 
 
@@ -329,7 +324,7 @@ def wick_ideal_checks(
         "coaction_residual": coaction,
         "intertwining_residual": intertwining,
         "kerR_inclusion_margin": kerR_margin,
-        "status": "pass" if ok else "fail",
+        "status": verdict(ok, alg.hypotheses["applicable"]),
     }
 
 
@@ -375,5 +370,5 @@ def kernel_1mU2_diag(
         "dim_ker_1mU2": ker_U.dim,
         "dim_intersection": inter.dim,
         "involution_residual": residual,
-        "status": "pass" if residual <= tol else "fail",
+        "status": verdict(residual <= tol, alg.hypotheses["applicable"]),
     }

@@ -111,6 +111,15 @@ def matrix_spec(M: np.ndarray) -> model.WickSpec:
     return model.load_spec({"d": math.isqrt(M.shape[0]), "matrix": rows})
 
 
+def random_hermitian(seed: int) -> np.ndarray:
+    """A random self-adjoint 4 x 4 matrix (d=2) of operator norm 1, from
+    numpy's generator under ``seed``; as a ``T`` it is not braided."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    H = A + A.conj().T
+    return H / np.linalg.norm(H, 2)
+
+
 def hecke(d: int, q: float) -> model.WickSpec:
     """The Hecke T of the Pusz-Woronowicz twisted CCR, 0 < q <= 1:
     T e_i(x)e_i = q^2 e_i(x)e_i and, for i < j, T e_i(x)e_j = q e_j(x)e_i and

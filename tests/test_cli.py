@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import hecke, qccr, rotated
-from wickfock import cli, coxeter, model, rewrite
+from conftest import hecke, matrix_spec, qccr, random_hermitian, rotated
+from wickfock import cli, coxeter, model, rewrite, spectral
 from wickfock.algebra import Algebra
 from wickfock.tensorops import BlockOperator
 
@@ -282,6 +282,24 @@ def test_full_on_a_dense_T_runs_the_degree_3_rewrite_cross_check(tmp_path):
         [cross] = [c for c in report["checks"] if c["name"] == "rewrite_fock_agreement"]
         assert cross["params"] == {"max_degree": 3}
         assert cross["status"] == "pass"
+
+
+def test_telescoping_fails_on_a_perturbed_T1_squared(qccr_path, tmp_path, monkeypatch):
+    # the expansion of 1 - U_n^2 reads T_1^2 + 1e-6 at level n+1; ker P_{n+1}
+    # is 0 for q-CCR at q = 1/2, so ker(1 - U_n^2) meets it in nothing
+    telescoping = spectral.telescoping_residual
+
+    def perturbed(alg, n):
+        T11 = alg.word((1, 1), n + 1)
+        alg._memo["word", (1, 1), n + 1] = BlockOperator(T11.layout, [m + 1e-6 * np.eye(len(m)) for m in T11.mats])
+        return telescoping(alg, n)
+
+    monkeypatch.setattr(spectral, "telescoping_residual", perturbed)
+    code, report = run(["full", "--spec", qccr_path, "--n-max", "3"], tmp_path)
+    assert code == 1
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [(c["name"], c["params"]) for c in failed] == [("telescoping", {"n": 1}), ("telescoping", {"n": 2})]
+    assert all(abs(c["residual"] - 1e-6) < 1e-12 for c in failed)
 
 
 def test_rewrite_cross_check_fails_on_a_perturbed_entry_of_P2(qccr_path, tmp_path, monkeypatch):
@@ -748,16 +766,63 @@ def test_walk_guard_is_input_error_before_any_operator(tmp_path, capsys, monkeyp
     assert report["checks"][-1]["status"] == "pass"
 
 
-def test_braid_gate_reason_names_no_override(braid_violating_path, tmp_path):
-    # the group sum of `pn` takes no walk, but the walk's braid gate, with
-    # the same reason
-    residual = Algebra(model.load_spec_file(braid_violating_path)).braid_residual
-    reason = f"braid residual {residual:.3e} exceeds 1.0e-08; the map is only well defined for braided operators"
-    for args in (["coxeter", "--n", "2"], ["pn", "--n", "3", "--method", "coxeter"]):
-        code, report = run(args + ["--spec", braid_violating_path], tmp_path)
-        assert code == 0, args
-        [record] = report["checks"]
-        assert record["status"] == "inapplicable" and record["reason"] == reason, args
+# the records whose identities rest on the braid relation, and those that hold for any T
+BRAID_RESTING = {"pn_method_agreement", "group_sum_agreement", "factorization_DJ_WJ", "euler_solomon",
+                 "phi_longest_vs_U", "un_laws", "kernel_theorem", "positivity", "wick_ideal", "kernel_1mU2"}
+ANY_T = {"telescoping", "fock_relations", "rewrite_fock_agreement"}
+
+
+def matrix_path(tmp_path, name, M):
+    return write_spec(tmp_path, name, model.to_document(matrix_spec(M)))
+
+
+def test_coxeter_records_are_inapplicable_on_a_T_that_is_not_braided(braid_violating_path, tmp_path):
+    # the sums are computed, and every record that compares them reads
+    # inapplicable, which fails no run
+    code, report = run(["coxeter", "--n", "2", "--spec", braid_violating_path], tmp_path)
+    assert code == 0 and report["overall"] == "pass"
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["group_sum_agreement", *["factorization_DJ_WJ"] * 4, "euler_solomon", "phi_longest_vs_U"]
+    assert all(c["status"] == "inapplicable" and c["residual"] >= 0 for c in report["checks"])
+    assert report["checks"][0]["residual"] > 1e-3  # P(S_3) = P_3 needs the braid relation
+    code, report = run(["pn", "--n", "3", "--spec", braid_violating_path], tmp_path)
+    assert code == 0
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("pn_spectrum", "info"), ("pn_spectrum", "info"), ("pn_method_agreement", "inapplicable")]
+
+
+@pytest.mark.parametrize("eps, tol, braided", [(1e-3, "1e-4", False), (1e-5, "1e-12", True)])
+def test_braid_resting_records_agree_with_the_braid_record(tmp_path, eps, tol, braided):
+    # q-CCR at q = 1/2 plus eps H, H a random self-adjoint matrix of norm 1,
+    # with a braid residual between BRAID_TOL = 1e-8 and --tol, or below
+    # BRAID_TOL and above --tol: the braid relation is decided at BRAID_TOL
+    # alone, and every record that rests on it reads that one decision
+    spec = matrix_path(tmp_path, "perturbed.json", model.build_T(qccr(2, 0.5)).mat + eps * random_hermitian(0))
+    code, report = run(["full", "--spec", spec, "--n-max", "3", "--tol", tol], tmp_path)
+    [braid] = [c for c in report["checks"] if c["name"] == "braid"]
+    assert float(tol) < braid["residual"] <= 1e-8 if braided else 1e-8 < braid["residual"] <= float(tol)
+    assert braid["status"] == ("pass" if braided else "fail") and braid["tolerance"] == 1e-8
+    resting = [c for c in report["checks"] if c["name"] in BRAID_RESTING]
+    assert {c["name"] for c in resting} == BRAID_RESTING
+    for c in resting:
+        assert (c["status"] != "inapplicable") == braided, c
+    if not braided:
+        assert code == 1 and [c["name"] for c in report["checks"] if c["status"] == "fail"] == ["braid"]
+
+
+def test_full_on_a_T_that_is_not_braided_grades_what_holds_for_any_T(tmp_path):
+    # a random self-adjoint T at d=2 with ||T|| = 1/2 (braid residual 0.048):
+    # every record resting on the braid relation is inapplicable, the
+    # telescoping, Fock-relation and rewrite records still pass, and the run
+    # fails on its braid record alone
+    spec = matrix_path(tmp_path, "random.json", 0.5 * random_hermitian(3))
+    code, report = run(["full", "--spec", spec, "--n-max", "4"], tmp_path)
+    assert code == 1 and [c["name"] for c in report["checks"] if c["status"] == "fail"] == ["braid"]
+    statuses = {}
+    for c in report["checks"]:
+        statuses.setdefault(c["name"], set()).add(c["status"])
+    assert all(statuses[name] == {"inapplicable"} for name in BRAID_RESTING)
+    assert all(statuses[name] == {"pass"} for name in ANY_T)
 
 
 # Runs argv[1:] and prints its exit code and peak RSS (KiB on Linux).  A

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import braided_presets, example3, free_spec, qccr, qij
-from wickfock import fock, spectral
+from wickfock import fock, spectral, tensorops
 from wickfock.algebra import Algebra
 from wickfock.fock import DegreeOverflowError
 
@@ -125,6 +125,18 @@ def test_relation_check_fails_on_a_slightly_wrong_annihilation(monkeypatch):
     rep = fock.relation_check(alg, 4)
     assert rep["status"] == "fail"
     assert rep["adjointness_residual"] > 1e-8
+
+
+def test_relation_check_fails_on_the_relation_residual_alone():
+    # R_3 + 1e-6 takes the place of R_3 before P_3 is built from it, so
+    # P_3 = (1 (x) P_2) R_3 keeps creation adjoint to annihilation, while
+    # a_i^* a_i = 1 + ... on degree 2 is off by 1e-6
+    alg, N = Algebra(qccr(2, 0.5)), 3
+    R = alg.R(N)
+    alg._memo["R", N] = tensorops.BlockOperator(R.layout, [m + 1e-6 * np.eye(len(m)) for m in R.mats])
+    rep = fock.relation_check(alg, N)
+    assert rep["adjointness_residual"] <= 1e-8 < rep["relation_residual"]
+    assert rep["status"] == "fail"
 
 
 def test_relation_check_guard():

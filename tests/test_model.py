@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import braided_presets, example3, free_spec, qccr, qij
-from wickfock import model, tensorops
+from wickfock import cli, model, tensorops
 from wickfock.algebra import Algebra
 from wickfock.model import SpecError
 
@@ -181,6 +181,17 @@ def test_preset_parameter_ranges():
         model.preset("example3", 2, q=1.0)
     with pytest.raises(SpecError):
         model.preset("qij-ccr", 2, qs=[0.5], lam=[[1, 1], [1, 1]])
+
+
+def test_qij_preset_with_both_lambda_keys_is_refused(tmp_path, capsys):
+    # one matrix under "lam" and another under "lambda": neither is dropped silently
+    params = {"qs": [0.5, 0.5], "lam": [[1, 1], [1, 1]], "lambda": [[1, -1], [-1, 1]]}
+    with pytest.raises(SpecError, match='"lam" or "lambda", not both'):
+        model.preset("qij-ccr", 2, **params)
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"d": 2, "preset": {"name": "qij-ccr", **params}}))
+    assert cli.main(["check", "--spec", str(path)]) == 2
+    assert "not both" in capsys.readouterr().err
 
 
 def test_roundtrip_is_bit_exact():

@@ -18,6 +18,7 @@ from conftest import (
     matrix_spec,
     qccr,
     qij,
+    random_hermitian,
     rotated,
     unimodular_flip,
     unimodular_flips,
@@ -371,29 +372,131 @@ def test_kernel_1mU2_flip():
     assert rep["status"] == "pass"
 
 
+def test_un_laws_are_inapplicable_on_a_T_that_is_not_braided():
+    # a random self-adjoint T at d=2 with ||T|| = 1/2: P_3 is strictly
+    # positive, so the invariance residual is 0, while T_k U_2 = U_2 T_{3-k}
+    # needs the braid relation (its residual 0.047 here); the laws are
+    # computed and read inapplicable, as is every check resting on the braid
+    # relation, while the telescoping expansion holds for any T
+    alg = Algebra(matrix_spec(0.5 * random_hermitian(3)))
+    assert alg.braid_residual > 1e-2 and not alg.braided
+    rep = spectral.un_checks(alg, 2)
+    assert rep["invariance_residual"] <= spectral.CHECK_TOL < rep["commutation_residual"]
+    assert rep["status"] == "inapplicable"
+    assert alg.hypotheses == {"braid_residual": alg.braid_residual, "norm_T": alg.norm_T, "applicable": False}
+    for check in (spectral.kernel_theorem_check, spectral.positivity_check, spectral.wick_ideal_checks,
+                  spectral.kernel_1mU2_diag):
+        assert check(alg, 2)["status"] == "inapplicable", check
+    assert spectral.telescoping_residual(alg, 3) <= spectral.CHECK_TOL
+
+
+def test_hypotheses_are_decided_at_fixed_thresholds():
+    # the braid relation at BRAID_TOL and ||T|| <= 1 at 1 + 1e-10, whatever
+    # a check's tol; each check reads the decision the Algebra keeps
+    flip = model.build_T(qccr(2, 1.0)).mat
+    for scale, braided, applicable in ((1 + 1e-11, True, True), (1 + 1e-9, True, False)):
+        alg = Algebra(matrix_spec(scale * flip))
+        assert (alg.braided, alg.hypotheses["applicable"]) == (braided, applicable), scale
+    alg = Algebra(qccr(2, 1.0))
+    alg.__dict__["braid_residual"] = 2e-8  # between BRAID_TOL and the tol below
+    assert not alg.braided and not alg.hypotheses["applicable"]
+    assert spectral.kernel_theorem_check(alg, 2, tol=1e-4)["status"] == "inapplicable"
+    assert spectral.un_checks(alg, 2, tol=1e-4)["status"] == "inapplicable"
+
+
+def test_each_check_rests_on_its_own_hypothesis():
+    # on the flip, the U_n laws rest on the braid relation alone, the kernel
+    # theorem, positivity, the Wick ideal and ker(1 - U_n^2) on it and
+    # ||T|| <= 1 too: a contraction that fails, and then a braid relation
+    # that fails, take exactly their checks to inapplicable
+    checks = {"kernel_theorem": spectral.kernel_theorem_check, "positivity": spectral.positivity_check,
+              "wick_ideal": spectral.wick_ideal_checks, "kernel_1mU2": spectral.kernel_1mU2_diag,
+              "un_laws": spectral.un_checks}
+    alg = Algebra(qccr(2, 1.0))
+    assert {name: check(alg, 2)["status"] for name, check in checks.items()} == dict.fromkeys(checks, "pass")
+    alg = Algebra(qccr(2, 1.0))
+    alg.__dict__["norm_T"] = 1.5
+    statuses = {name: check(alg, 2)["status"] for name, check in checks.items()}
+    assert statuses == {**dict.fromkeys(checks, "inapplicable"), "un_laws": "pass"}
+    alg = Algebra(qccr(2, 1.0))
+    alg.__dict__["braided"] = False
+    assert {name: check(alg, 2)["status"] for name, check in checks.items()} == dict.fromkeys(checks, "inapplicable")
+
+
 # Each status condition below is driven to "fail" with every other quantity
 # of its report still within tol, so a status that ignored it would pass.
 # Where no natural input fails it, one operator the Algebra memoizes is
 # replaced by a faulty copy after what must not see the fault is built.
 
 
-def test_un_laws_fail_on_the_commutation_of_a_T_that_is_not_braided():
-    # a random self-adjoint T at d=2 with ||T|| = 1/2: P_3 is strictly
-    # positive, so the invariance residual is 0, while T_k U_2 = U_2 T_{3-k}
-    # needs the braid relation (its residual 0.047 here)
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    H = A + A.conj().T
-    alg = Algebra(matrix_spec(0.5 * H / np.linalg.norm(H, 2)))
-    assert alg.braid_residual > 1e-2
-    rep = spectral.un_checks(alg, 2)
+def perturbed(op: tensorops.BlockOperator, shift: float) -> tensorops.BlockOperator:
+    """``op + shift 1``, block by block."""
+    return tensorops.BlockOperator(op.layout, [m + shift * np.eye(len(m)) for m in op.mats])
+
+
+def tilted(alg: Algebra, level: int, angle: float) -> spectral.Subspace:
+    """ker P_level, with the first basis vector of the first block that holds
+    both kernel and range turned by ``angle`` towards the block's top
+    eigenvector of P: still orthonormal, and off ker P by about ``angle``."""
+    K, P = alg.ker_P(level, spectral.RANK_TOL), alg.P(level)
+    b = next(b for b, B in enumerate(K.parts.mats) if 0 < B.shape[1] < len(B))
+    mats = [B.copy() for B in K.parts.mats]
+    mats[b][:, 0] = np.cos(angle) * mats[b][:, 0] + np.sin(angle) * np.linalg.eigh(P.mats[b])[1][:, -1]
+    return spectral.Subspace(tensorops.BlockOperator(K.parts.layout, mats))
+
+
+def test_kernel_theorem_fails_on_the_distance_alone():
+    # the flip at level 3: ker P_3, tilted by 1e-6, keeps its dimension 4,
+    # and ||P_3 Pi_sum|| reads no kernel basis
+    alg, level = Algebra(qccr(2, 1.0)), 3
+    alg._memo["ker_P", level, spectral.RANK_TOL] = tilted(alg, level, 1e-6)
+    rep = spectral.kernel_theorem_check(alg, level - 1)
+    assert rep["dim_ker_P"] == rep["dim_sum"] == 4
+    assert rep["inclusion_margin"] <= spectral.CHECK_TOL < rep["distance"]
+    assert rep["status"] == "fail"
+
+
+def test_un_laws_fail_on_the_invariance_alone():
+    # the flip at n = 2: U_2 does not keep ker P_3 tilted by 1e-6, and the
+    # commutation reads no kernel
+    alg, n = Algebra(qccr(2, 1.0)), 2
+    alg._memo["ker_P", n + 1, spectral.RANK_TOL] = tilted(alg, n + 1, 1e-6)
+    rep = spectral.un_checks(alg, n)
+    assert rep["commutation_residual"] <= spectral.CHECK_TOL < rep["invariance_residual"]
+    assert rep["status"] == "fail"
+
+
+def test_un_laws_fail_on_the_commutation_alone():
+    # the flip at n = 3: U_3 + 1e-6 keeps every subspace that U_3 keeps, and
+    # T_1 U_3 - U_3 T_3 moves by 1e-6 (T_1 - T_3); the braid relation is
+    # decided first, on words U_3 is not
+    alg, n = Algebra(qccr(2, 1.0)), 3
+    assert alg.braided
+    alg._memo["word", tensorops.longest_word(n), n + 1] = perturbed(alg.U(n), 1e-6)
+    rep = spectral.un_checks(alg, n)
     assert rep["invariance_residual"] <= spectral.CHECK_TOL < rep["commutation_residual"]
     assert rep["status"] == "fail"
 
 
-def perturbed(op: tensorops.BlockOperator, shift: float) -> tensorops.BlockOperator:
-    """``op + shift 1``, block by block."""
-    return tensorops.BlockOperator(op.layout, [m + shift * np.eye(len(m)) for m in op.mats])
+def test_positivity_fails_where_strict_positivity_is_lost():
+    # q-CCR at q = 1/2 (min eig T = -1/2 > -1): P_3 shifted down by its
+    # smallest eigenvalue is positive semidefinite, and the criterion asks
+    # for strictly positive
+    alg, n = Algebra(qccr(2, 0.5)), 3
+    alg._memo["P", n] = perturbed(alg.P(n), -min(np.linalg.eigvalsh(m)[0] for m in alg.P(n).mats))
+    rep = spectral.positivity_check(alg, n)
+    assert rep["classification"] == "positive semidefinite"
+    assert rep["status"] == "fail"
+
+
+def test_positivity_fails_on_an_indefinite_P_where_semidefinite_is_asked():
+    # the flip (min eig T = -1): P_3 - 1e-6 has the eigenvalue -1e-6
+    alg, n = Algebra(qccr(2, 1.0)), 3
+    assert alg.min_eig_T == -1.0
+    alg._memo["P", n] = perturbed(alg.P(n), -1e-6)
+    rep = spectral.positivity_check(alg, n)
+    assert rep["classification"] == "indefinite"
+    assert rep["status"] == "fail"
 
 
 def test_kernel_theorem_fails_on_the_inclusion_margin_alone():
@@ -422,6 +525,49 @@ def test_wick_ideal_fails_on_the_kerR_margin_alone():
     others = ("annihilation_residual", "coaction_residual", "intertwining_residual")
     assert max(rep[k] for k in others) <= spectral.CHECK_TOL < rep["kerR_inclusion_margin"]
     assert rep["status"] == "fail"
+
+
+WICK_RESIDUALS = ("annihilation_residual", "coaction_residual", "intertwining_residual", "kerR_inclusion_margin")
+
+
+def wick_ideal_fails_on(rep: dict, name: str) -> None:
+    assert max(rep[k] for k in WICK_RESIDUALS if k != name) <= spectral.CHECK_TOL < rep[name], rep
+    assert rep["status"] == "fail"
+
+
+def test_wick_ideal_fails_on_the_annihilation_alone():
+    # the flip at level 3: P_2 + 1e-6 after P_3 and ker P_3 are built from
+    # the true P_2; only the annihilation reads P_2
+    alg, n = Algebra(qccr(2, 1.0)), 3
+    alg.ker_P(n, spectral.RANK_TOL)
+    alg._memo["P", n - 1] = perturbed(alg.P(n - 1), 1e-6)
+    wick_ideal_fails_on(spectral.wick_ideal_checks(alg, n), "annihilation_residual")
+
+
+def test_wick_ideal_fails_on_the_coaction_alone():
+    # the flip at level 3: P_3 + 1e-6 (1 - Pi), Pi the projector onto ker R_3,
+    # after ker P_3: Pi lies in the algebra of the T_i, so T_1 ... T_3
+    # intertwines 1 (x) Pi with Pi (x) 1 and the intertwining residual stays;
+    # P_3 is unchanged on ker R_3, and the annihilation reads P_2
+    alg, n = Algebra(qccr(2, 1.0)), 3
+    alg.ker_P(n, spectral.RANK_TOL)
+    P, Pi = alg.P(n), spectral.nullspace_svd(alg.R(n)).projector()
+    alg._memo["P", n] = tensorops.BlockOperator(
+        P.layout, [m + 1e-6 * (np.eye(len(m)) - pi) for m, pi in zip(P.mats, Pi.mats)])
+    wick_ideal_fails_on(spectral.wick_ideal_checks(alg, n), "coaction_residual")
+
+
+def test_wick_ideal_fails_on_the_intertwining_alone():
+    # the flip at level 3: the chain C = T_1 T_2 T_3 + 1e-6 (Q (x) 1), Q the
+    # projector onto the range of P_3, which vanishes on every X (x) e_k, X
+    # in ker P_3; only the intertwining sees it
+    alg, n = Algebra(qccr(2, 1.0)), 3
+    Q = tensorops.BlockOperator.identity(alg.layout(n)) - alg.ker_P(n, spectral.RANK_TOL).projector()
+    K = alg.apply_tensor(Q, tensorops.BlockOperator.identity(alg.layout(n + 1)), last=True)
+    chain = tuple(range(1, n + 1))
+    alg._memo["word", chain, n + 1] = alg.word(chain, n + 1) + tensorops.BlockOperator(
+        K.layout, [1e-6 * m for m in K.mats])
+    wick_ideal_fails_on(spectral.wick_ideal_checks(alg, n), "intertwining_residual")
 
 
 def test_kernel_1mU2_fails_on_the_involution_residual():
